@@ -69,10 +69,14 @@ def odd_prime_powers(limit: int) -> list[tuple[int, int]]:
     return out
 
 
+class VerificationError(AssertionError):
+    """A consistency check failed.  Raised explicitly rather than by
+    `assert`, so that `python -O` cannot strip the check."""
+
+
 def _exact_int(x) -> int:
-    if isinstance(x, Fraction):
-        assert x.denominator == 1, f"non-integer value {x}"
-        return int(x)
+    if isinstance(x, Fraction) and x.denominator != 1:
+        raise VerificationError(f"non-integer value {x}")
     return int(x)
 
 

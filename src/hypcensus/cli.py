@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import census, oracle, tables
+from .field import is_prime
 from .symbolic import (
     ConditionalPolynomial,
     cp_to_json_dict,
@@ -46,6 +47,8 @@ def _resolve_qs(args) -> list[int]:
             raise ValueError("give either --q or --p/--e, not both")
         return _parse_q_list(args.q)
     if args.p is not None:
+        if not is_prime(args.p):
+            raise ValueError(f"--p must be a prime, got {args.p}")
         return [args.p ** (args.e if args.e is not None else 1)]
     raise ValueError("missing --q or --p")
 
@@ -199,6 +202,9 @@ def cmd_oracle(args) -> int:
         except oracle.BudgetError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return 2
+        except census.VerificationError as exc:
+            print(f"verification failed: (g={g}, q={q}) {exc}", file=sys.stderr)
+            return 1
         agrees = all(
             entry[k] == want_hyp for k in ("orbit_hyp", "burnside_hyp") if k in entry
         ) and entry.get("orbit_sd", want_sd) == want_sd

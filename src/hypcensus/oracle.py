@@ -4,16 +4,20 @@ Counts isomorphism classes directly from the group action: every rational
 n-set is materialized as a canonical binary-form coefficient row, a 2x2
 matrix acts on all rows at once through a linear substitution matrix, and
 the class counts fall out either by Burnside summation over the whole
-group or by building the orbit graph of a generating set and counting
-components.  Nothing here reuses the closed formulas, so agreement with
-census.hyp / census.sd is meaningful evidence.
+group or by labelling the orbits of a generating set.  Only the three
+generators ever act on the rows: Burnside composes their row permutations
+along a spanning tree of the group, so a fault in how the generators move
+non-fixed rows would reach both methods alike.  Nothing here reuses the
+closed formulas: agreement with census.hyp / census.sd is the independent
+evidence.
 
 The twisted census tracks pairs (twist scalar, n-set); an edge flips the
 twist class exactly when the substitution multiplier is a nonsquare.
 
-Field elements are int codes the whole way down; arithmetic is table
-lookups (numpy gathers) and small float matmuls that stay exact because
-every intermediate value is far below 2**24.
+Field elements are int codes the whole way down and all arithmetic is
+exact: an integer matmul reduced mod p over a prime field, gathers from
+the field's addition and multiplication tables over an extension field.
+Engine invariants raise VerificationError, so `python -O` keeps them.
 
 verify_suite() bundles the independent spot checks (multiplier identities,
 fixed-count formulas, norm and orbit lemmas, cocycle laws, quotient
@@ -22,6 +26,7 @@ counts) behind one entry point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -41,6 +46,7 @@ from .census import (
     factor_prime_power,
     plain_fixed_count,
     twisted_fixed_count,
+    VerificationError,
 )
 from .moebius import GlMatrix
 
@@ -64,6 +70,13 @@ def check_budget(g: int, q: int, budget: int = DEFAULT_BUDGET) -> None:
         )
 
 
+def _check(ok, what: str, *where) -> None:
+    """Raise VerificationError naming the check and where it failed: unlike
+    assert, python -O cannot strip it."""
+    if not ok:
+        raise VerificationError(f"{what}: {where}" if where else what)
+
+
 # ---------------------------------------------------------------------------
 # numpy field tables
 
@@ -72,38 +85,23 @@ class _FieldTables:
     __slots__ = ("ADD", "MUL", "INV", "CHI")
 
     def __init__(self, ctx: ff.FieldCtx):
-        q = ctx.q
-        add = np.empty((q, q), np.int16)
-        mul = np.empty((q, q), np.int16)
-        for x in range(q):
-            for y in range(q):
-                add[x, y] = ff.add(ctx, x, y)
-                mul[x, y] = ff.mul(ctx, x, y)
-        inv = np.zeros(q, np.int16)
-        chi = np.zeros(q, np.int8)
-        for x in range(1, q):
-            inv[x] = ff.inv(ctx, x)
-            chi[x] = 1 if ff.is_square(x, ctx) else -1
-        self.ADD = add
-        self.MUL = mul
-        self.INV = inv
-        self.CHI = chi
+        els = range(ctx.q)
+        self.ADD = np.array([[ff.add(ctx, x, y) for y in els] for x in els], np.int16)
+        self.MUL = np.array([[ff.mul(ctx, x, y) for y in els] for x in els], np.int16)
+        self.INV = np.array([0, *(ff.inv(ctx, x) for x in els[1:])], np.int16)
+        self.CHI = np.array([0, *(ff.chi(x, ctx) for x in els[1:])], np.int8)
 
 
-_TABLES_CACHE: dict[ff.FieldCtx, _FieldTables] = {}
-
-
+@functools.cache
 def _tables(ctx: ff.FieldCtx) -> _FieldTables:
-    if ctx not in _TABLES_CACHE:
-        _TABLES_CACHE[ctx] = _FieldTables(ctx)
-    return _TABLES_CACHE[ctx]
+    return _FieldTables(ctx)
 
 
 def _digits_cols(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    if d == 0:
-        return np.empty((len(codes), 0), np.int16)
-    cols = [((codes // q**j) % q).astype(np.int16) for j in range(d)]
-    return np.stack(cols, axis=1)
+    out = np.empty((len(codes), d), np.int16)
+    for j in range(d):
+        out[:, j] = codes // q**j % q
+    return out
 
 
 def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
@@ -125,11 +123,7 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
             axis=1,
         )
         for gcode in range(q**k):
-            gc = []
-            c = gcode
-            for _ in range(k):
-                c, r = divmod(c, q)
-                gc.append(r)
+            gc = [(gcode // q**j) % q for j in range(k)]
             g2 = ff.pmul(ctx, tuple(gc) + (1,), tuple(gc) + (1,))
             prod = np.zeros((len(hcodes), d + 1), np.int16)
             for i, gi in enumerate(g2):
@@ -138,12 +132,9 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
                 row = tabs.MUL[gi]
                 for j in range(hdeg + 1):
                     prod[:, i + j] = tabs.ADD[prod[:, i + j], row[hfull[:, j]]]
-            code = np.zeros(len(hcodes), np.int64)
-            for j in range(d):
-                code += prod[:, j].astype(np.int64) * q**j
-            seen[code] = True
+            seen[prod[:, :d] @ q ** np.arange(d)] = True
     mask = ~seen
-    assert int(mask.sum()) == q**d - q ** (d - 1)
+    _check(int(mask.sum()) == q**d - q ** (d - 1), "squarefree count", q, d)
     return mask
 
 
@@ -172,22 +163,6 @@ def _action_matrix(ctx: ff.FieldCtx, mat: GlMatrix, n: int) -> list[list[int]]:
     return t
 
 
-def _blowup(ctx: ff.FieldCtx, t: list[list[int]]) -> np.ndarray:
-    # regular representation over F_p: one e x e digit block per entry
-    p, e = ctx.p, ctx.e
-    n1 = len(t)
-    out = np.zeros((n1 * e, n1 * e), np.float32)
-    for i in range(n1):
-        for k in range(n1):
-            if t[i][k] == 0:
-                continue
-            for s in range(e):
-                digs = ff.to_digits(ctx, ff.mul(ctx, t[i][k], p**s))
-                for r in range(e):
-                    out[i * e + r, k * e + s] = digs[r]
-    return out
-
-
 class ActionState:
     """Every rational n-set over ctx as a canonical form row, with the
     vectorized matrix action.
@@ -196,8 +171,6 @@ class ActionState:
     (form coefficient 0 equal to 1), then the rest (coefficients 0, 1
     equal to 0, 1).  V[r, i] is the X^(n-i) Z^i coefficient of row r.
     """
-
-    CHUNK = 1 << 20
 
     def __init__(self, ctx: ff.FieldCtx, n: int):
         if n < 1:
@@ -214,11 +187,9 @@ class ActionState:
         d0 = _digits_cols(codes0, q, n)
         d1 = _digits_cols(codes1, q, n - 1)
         v[:n0, 0] = 1
-        for i in range(1, n + 1):
-            v[:n0, i] = d0[:, n - i]
+        v[:n0, 1:] = d0[:, ::-1]
         v[n0:, 1] = 1
-        for i in range(2, n + 1):
-            v[n0:, i] = d1[:, n - i]
+        v[n0:, 2:] = d1[:, ::-1]
         inv0 = np.full(q**n, -1, np.int32)
         inv0[codes0] = np.arange(n0, dtype=np.int32)
         inv1 = np.full(q ** (n - 1), -1, np.int32)
@@ -228,13 +199,6 @@ class ActionState:
         self.V = v
         self._inv0 = inv0
         self._inv1 = inv1
-        if ctx.e > 1:
-            p, e = ctx.p, ctx.e
-            vd = np.empty((count, (n + 1) * e), np.float32)
-            for k in range(n + 1):
-                for s in range(e):
-                    vd[:, k * e + s] = (v[:, k] // p**s) % p
-            self._VD = vd
 
     def nset_at(self, i: int) -> ns.RationalNSet:
         row = self.V[i]
@@ -244,23 +208,29 @@ class ActionState:
         return ns.RationalNSet(tuple(int(row[n - j]) for j in range(n)), True)
 
     def apply(self, mat: GlMatrix) -> np.ndarray:
-        """Image form rows under the substitution; entries are codes."""
-        ctx = self.ctx
-        t = _action_matrix(ctx, mat, self.n)
-        p = ctx.p
+        """Image form rows under the substitution; entries are codes.
+
+        Over a prime field the codes are residues: an int32 matmul reduced
+        mod p, exact while each sum (at most (n + 1)(p - 1)^2) is < 2**31.
+        Over an extension field each image coefficient is accumulated by
+        gathers from the field's multiplication and addition tables.
+        """
+        ctx, n, p = self.ctx, self.n, self.ctx.p
+        t = _action_matrix(ctx, mat, n)
         if ctx.e == 1:
-            tf = np.asarray(t, np.float32).T
-            g = np.empty_like(self.V)
-            for s in range(0, self.count, self.CHUNK):
-                blk = self.V[s : s + self.CHUNK].astype(np.float32) @ tf
-                np.mod(blk, p, out=blk)
-                g[s : s + self.CHUNK] = blk.astype(np.int16)
-            return g
-        gd = self._VD @ _blowup(ctx, t).T
-        np.mod(gd, p, out=gd)
-        gd = gd.astype(np.int16).reshape(self.count, self.n + 1, ctx.e)
-        weights = (p ** np.arange(ctx.e)).astype(np.int16)
-        return (gd * weights).sum(axis=2, dtype=np.int16)
+            if (n + 1) * (p - 1) ** 2 >= 2**31:
+                raise ValueError(f"p = {p}, n = {n} overflows the int32 action")
+            g = self.V.astype(np.int32) @ np.asarray(t, np.int32).T
+            np.mod(g, p, out=g)
+            return g.astype(np.int16)
+        mul, add = self.tabs.MUL, self.tabs.ADD
+        cols = self.V.T
+        g = np.zeros_like(cols)
+        for i, row in enumerate(t):
+            for k, c in enumerate(row):
+                if c:
+                    g[i] = add[g[i], mul[c][cols[k]]]
+        return g.T
 
     def kappa_stable(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row leading scalar at the source block position plus the
@@ -281,21 +251,18 @@ class ActionState:
         The flip is chi(multiplier) = -1; for even n the multiplier class
         equals the class of the leading scalar kappa.
         """
-        assert self.n % 2 == 0, "twist transport is defined for even n"
-        q = self.ctx.q
-        n = self.n
+        if self.n % 2:
+            raise ValueError(f"twist transport is defined for even n, got {self.n}")
+        q, n = self.ctx.q, self.n
         g = self.apply(mat)
         kap = np.where(g[:, 0] != 0, g[:, 0], g[:, 1])
-        assert (kap != 0).all(), "image of an n-set must be an n-set"
+        _check(kap.all(), "the image of an n-set must be an n-set", mat)
         c = self.tabs.MUL[self.tabs.INV[kap][:, None], g]
-        code0 = np.zeros(self.count, np.int64)
-        for j in range(n):
-            code0 += c[:, n - j].astype(np.int64) * q**j
-        code1 = np.zeros(self.count, np.int64)
-        for j in range(n - 1):
-            code1 += c[:, n - j].astype(np.int64) * q**j
+        weights = q ** np.arange(n, dtype=np.int64)
+        code0 = c[:, n:0:-1] @ weights
+        code1 = c[:, n:1:-1] @ weights[:-1]
         dest = np.where(g[:, 0] != 0, self._inv0[code0], self._inv1[code1])
-        assert (dest >= 0).all()
+        _check((dest >= 0).all(), "the image of an n-set must be a canonical row", mat)
         flip = self.tabs.CHI[kap] == -1
         return dest.astype(np.int64), flip
 
@@ -310,86 +277,123 @@ class OracleResult:
     sd: int
 
 
+def _generators(ctx: ff.FieldCtx) -> tuple[GlMatrix, GlMatrix, GlMatrix]:
+    """x + 1, x -> zeta x for a unit-group generator zeta, and x -> 1/x."""
+    zeta = ff.mult_generator(ctx)
+    return GlMatrix(1, 1, 0, 1), GlMatrix(zeta, 0, 0, 1), GlMatrix(0, 1, 1, 0)
+
+
+def _composed_actions(st: ActionState):
+    """Yield (matrix, dest, flip) for every element of PGL2 over st.ctx.
+
+    Only the three generators act on the rows.  In a breadth-first
+    spanning tree over the edges m -> m * gen, the cocycle law of the
+    multiplier gives each child h = m * gen from its parent:
+    dest_h = dest_m[dest_gen], flip_h = flip_m[dest_gen] ^ flip_gen.
+    A depth-first walk holds only the arrays on the path from the root;
+    callers must not modify the yielded arrays.
+    """
+    ctx = st.ctx
+    gens = _generators(ctx)
+    acts = []
+    for mat in gens:  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
+        kappa, stable = st.kappa_stable(st.apply(mat))
+        dest, flip = st.dest_flip(mat)
+        _check(np.array_equal(dest == np.arange(st.count), stable), "fixed rows", mat)
+        _check(np.array_equal(flip[stable], st.tabs.CHI[kappa[stable]] < 0), "flip", mat)
+        acts.append((dest, flip))
+    mats = [el.mat for el in mb.enumerate_pgl(ctx)]
+    index = {m: i for i, m in enumerate(mats)}
+    root = index[mb.IDENTITY]
+    children: list[list[tuple[int, int]]] = [[] for _ in mats]
+    seen = {root}
+    queue = [root]  # breadth first: the loop also visits what it appends
+    for u in queue:
+        for k, gen in enumerate(gens):
+            v = index[mb.canonical_matrix(ctx, mb.mat_mul(ctx, mats[u], gen))]
+            if v not in seen:
+                seen.add(v)
+                children[u].append((v, k))
+                queue.append(v)
+    order = ctx.q**3 - ctx.q
+    _check(len(queue) == len(mats) == order, "spanning tree", len(queue), len(mats))
+
+    def walk(u, dest, flip):
+        yield mats[u], dest, flip
+        for v, k in children[u]:
+            dest_gen, flip_gen = acts[k]
+            yield from walk(v, dest[dest_gen], flip[dest_gen] ^ flip_gen)
+
+    yield from walk(root, np.arange(st.count), np.zeros(st.count, bool))
+
+
 def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """hyp(g, q) by averaging twisted fixed pairs over the whole group."""
+    """hyp(g, q) by averaging twisted fixed pairs over the whole group: an
+    element fixes both twisted pairs over row i when it maps i to itself
+    without a flip, and neither otherwise."""
     check_budget(g, q, budget)
     p, e = factor_prime_power(q)
     ctx = ff.make_field(p, e)
     st = ActionState(ctx, 2 * g + 2)
-    total = 0
-    for elem in mb.enumerate_pgl(ctx):
-        kappa, stable = st.kappa_stable(st.apply(elem.mat))
-        total += 2 * int((st.tabs.CHI[kappa[stable]] == 1).sum())
+    rows = np.arange(st.count)
+    total = sum(
+        2 * int(np.count_nonzero((dest == rows) & ~flip))
+        for _, dest, flip in _composed_actions(st)
+    )
     order = q**3 - q
-    assert total % order == 0
+    _check(total % order == 0, "fixed-pair total divisible by |PGL2|", g, q, total)
     return total // order
 
 
-def _uf_find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
+    """Smallest node of each node's orbit under the given permutations.
 
-
-def _uf_union(parent: list[int], a: int, b: int) -> None:
-    ra = _uf_find(parent, a)
-    rb = _uf_find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
-
-
-def _partition(st: ActionState) -> tuple[list[int], list[int]]:
-    """Union-find forests for the set action and the twisted-pair action.
-
-    Translation, scaling by a generator and inversion generate the whole
-    Moebius group, so components of their action graph are exactly the
-    orbits.  Twisted node i + count is the nonsquare twist of node i.
+    Min-label propagation with pointer jumping (Shiloach-Vishkin style):
+    a label is a node of the same orbit and never above its own node, so
+    label[label] is a valid shortcut.  Labels stop changing only when they
+    agree across every edge, so each orbit carries its smallest node.
     """
+    lab = np.arange(len(perms[0]))
+    while True:
+        old = lab
+        for dest in perms:  # hook both ends of every edge to the smaller label
+            lab = np.minimum(lab, lab[dest])
+            lab[dest] = np.minimum(lab[dest], lab)
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+        if np.array_equal(lab, old):
+            return lab
+
+
+def _partition(st: ActionState) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit labels of the set action and of the twisted-pair action, read
+    off the generators; twisted node i + count is the nonsquare twist of i."""
     n = st.count
-    gens = (
-        GlMatrix(1, 1, 0, 1),
-        GlMatrix(ff.mult_generator(st.ctx), 0, 0, 1),
-        GlMatrix(0, 1, 1, 0),
+    acts = [st.dest_flip(mat) for mat in _generators(st.ctx)]
+    lab1 = _orbit_labels([dest for dest, _ in acts])
+    lab2 = _orbit_labels(
+        [np.concatenate([dest + n * flip, dest + n * ~flip]) for dest, flip in acts]
     )
-    parent1 = list(range(n))
-    parent2 = list(range(2 * n))
-    for mat in gens:
-        dest, flip = st.dest_flip(mat)
-        dl = dest.tolist()
-        fl = flip.tolist()
-        for i in range(n):
-            d = dl[i]
-            _uf_union(parent1, i, d)
-            if fl[i]:
-                _uf_union(parent2, i, d + n)
-                _uf_union(parent2, i + n, d)
-            else:
-                _uf_union(parent2, i, d)
-                _uf_union(parent2, i + n, d + n)
-    return parent1, parent2
+    return lab1, lab2
 
 
 def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Full orbit counts from three group generators.
+    """Full orbit counts from the orbit labels of three group generators.
 
     Twisted nodes are (twist class, n-set) pairs; a self-dual n-set orbit
-    is one whose two twisted lifts merge.
+    is one whose two twisted lifts carry the same label.
     """
     check_budget(g, q, budget)
     p, e = factor_prime_power(q)
     ctx = ff.make_field(p, e)
     st = ActionState(ctx, 2 * g + 2)
     n = st.count
-    parent1, parent2 = _partition(st)
-    hyp_count = sum(1 for i, r in enumerate(parent2) if i == r)
-    y = sum(1 for i, r in enumerate(parent1) if i == r)
-    merged = 0
-    for i in range(n):
-        if parent1[i] == i:
-            if _uf_find(parent2, i) == _uf_find(parent2, i + n):
-                merged += 1
-    assert hyp_count == 2 * y - merged
+    lab1, lab2 = _partition(st)
+    roots = np.flatnonzero(lab1 == np.arange(n))
+    y = len(roots)
+    hyp_count = int(np.count_nonzero(lab2 == np.arange(2 * n)))
+    merged = int(np.count_nonzero(lab2[roots] == lab2[roots + n]))
+    _check(hyp_count == 2 * y - merged, "hyp == 2y - merged", g, q, hyp_count, y, merged)
     return OracleResult(g=g, q=q, n_sets=n, nset_classes=y, hyp=hyp_count, sd=merged)
 
 
@@ -883,26 +887,21 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
         ctx = ff.make_field(q, 1)
         nonsq = next(x for x in range(1, q) if ff.chi(x, ctx) == -1)
         st = ActionState(ctx, n)
-        parent1, parent2 = _partition(st)
+        lab1, lab2 = _partition(st)
         count = st.count
         smooth = np.empty(2 * count, np.int64)
         for i in range(count):
             s = st.nset_at(i)
             smooth[i] = curve_point_counts(ctx, 1, s)[1]
             smooth[i + count] = curve_point_counts(ctx, nonsq, s)[1]
-        seen: dict[int, int] = {}
-        for node in range(2 * count):
-            r = _uf_find(parent2, node)
-            v = int(smooth[node])
-            assert seen.setdefault(r, v) == v, (q, node)
-            checks += 1
-        for i in range(count):
-            if parent1[i] != i:
-                continue
-            merged = _uf_find(parent2, i) == _uf_find(parent2, i + count)
-            assert merged == selfdual_nset(st.nset_at(i), ctx), (q, i)
-            if merged:
-                assert int(smooth[i]) == q + 1, (q, i, int(smooth[i]))
+        # every twisted node against the smallest node of its orbit
+        off = np.flatnonzero(smooth != smooth[lab2])
+        _check(len(off) == 0, "points: orbit-invariant point count", q, off[:1].tolist())
+        checks += 2 * count
+        for i in np.flatnonzero(lab1 == np.arange(count)).tolist():
+            merged = bool(lab2[i] == lab2[i + count])
+            _check(merged == selfdual_nset(st.nset_at(i), ctx), "points: sd", q, i)
+            _check(not merged or smooth[i] == q + 1, "points: q + 1", q, i)
             checks += 1
     return {"suite": "points", "checks": checks}
 

@@ -118,9 +118,6 @@ def poly_str(f: Poly, var: str = "q") -> str:
     return out
 
 
-ALWAYS = None  # placeholder for readability below
-
-
 @dataclass(frozen=True)
 class Guard:
     """Conjunction of a congruence condition on q and a characteristic

@@ -1,6 +1,9 @@
 """Exit codes and output formats of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +34,14 @@ def test_invalid_q_exits_2(capsys):
     assert "odd prime power" in err
     assert run(capsys, "hyp", "--g", "2")[0] == 2
     assert run(capsys, "hyp", "--g", "2", "--q", "3", "--p", "3")[0] == 2
+
+
+def test_non_prime_p_exits_2(capsys):
+    for p in ("9", "15", "1"):
+        code, out, err = run(capsys, "hyp", "--g", "2", "--p", p)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 def test_p_e_selects_extension_field(capsys):
@@ -102,6 +113,44 @@ def test_oracle_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH" in out
     assert "counterexamples:" in err
+
+
+def test_oracle_engine_check_exits_1(capsys, monkeypatch):
+    # a corrupted flip mask fails the generator cross-check in Burnside
+    dest_flip = oc.ActionState.dest_flip
+
+    def corrupt(self, mat):
+        dest, flip = dest_flip(self, mat)
+        return dest, ~flip
+
+    monkeypatch.setattr(oc.ActionState, "dest_flip", corrupt)
+    code, out, err = run(capsys, "oracle", "--g", "2", "--q", "3",
+                         "--method", "burnside")
+    assert code == 1
+    assert out == ""
+    assert "verification failed" in err
+
+
+def _run_optimized(*argv):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+    return subprocess.run([sys.executable, "-O", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_checks_survive_python_O():
+    res = _run_optimized(
+        "-c",
+        "from fractions import Fraction\n"
+        "from hypcensus.census import _exact_int\n"
+        "_exact_int(Fraction(1, 2))",
+    )
+    assert res.returncode == 1
+    assert "VerificationError: non-integer value 1/2" in res.stderr
+    res = _run_optimized("-m", "hypcensus", "oracle", "--g", "2", "--q", "3",
+                         "--method", "both")
+    assert res.returncode == 0, res.stderr
+    assert "AGREES" in res.stdout
 
 
 def test_verify_suite_runs(capsys):

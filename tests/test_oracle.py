@@ -1,5 +1,6 @@
 """Group-action engine against the closed-form census."""
 
+import numpy as np
 import pytest
 
 from hypcensus import census
@@ -86,6 +87,80 @@ def test_engine_action_matches_act_form(p, e, n):
             assert bool(stable[i]) == (s2 == s)
             if s2 == s:
                 assert int(kappa[i]) == kap
+
+
+def test_engine_apply_exact_beyond_int16_sums():
+    # before reduction mod 131, some image coefficients of the first matrix
+    # exceed 2**15: an int16 product would wrap on ten rows
+    ctx = ff.make_field(131, 1)
+    st = oc.ActionState(ctx, 2)
+    sets = list(ns.enumerate_nsets(ctx, 2))
+    for mat in (mb.GlMatrix(47, 12, 92, 21), mb.GlMatrix(0, 1, 1, 0)):
+        dest, flip = st.dest_flip(mat)
+        for i, s in enumerate(sets):
+            s2, kap = ns.act_form(ctx, mat, s)
+            assert st.nset_at(int(dest[i])) == s2
+            assert bool(flip[i]) == (ff.chi(kap, ctx) == -1)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 4), (3, 2, 4)])
+def test_composed_actions_match_direct(p, e, n):
+    ctx = ff.make_field(p, e)
+    st = oc.ActionState(ctx, n)
+    walked = []
+    for mat, dest, flip in oc._composed_actions(st):
+        want_dest, want_flip = st.dest_flip(mat)
+        assert np.array_equal(dest, want_dest), mat
+        assert np.array_equal(flip, want_flip), mat
+        walked.append(mat)
+    pgl = [el.mat for el in mb.enumerate_pgl(ctx)]
+    assert len(walked) == len(pgl) == len(set(walked))
+    assert set(walked) == set(pgl)
+
+
+def _uf_find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _uf_union(parent, a, b):
+    ra = _uf_find(parent, a)
+    rb = _uf_find(parent, b)
+    if ra != rb:
+        parent[rb] = ra
+
+
+def _reference_partition(st):
+    """Union-find forests of the set and twisted-pair generator graphs."""
+    n = st.count
+    parent1 = list(range(n))
+    parent2 = list(range(2 * n))
+    for mat in oc._generators(st.ctx):
+        dest, flip = st.dest_flip(mat)
+        for i, (d, f) in enumerate(zip(dest.tolist(), flip.tolist())):
+            _uf_union(parent1, i, d)
+            _uf_union(parent2, i, d + n * f)
+            _uf_union(parent2, i + n, d + n * (not f))
+    return parent1, parent2
+
+
+def _smallest_member(parent):
+    roots = [_uf_find(parent, x) for x in range(len(parent))]
+    least = {}
+    for x, r in enumerate(roots):
+        least.setdefault(r, x)
+    return [least[r] for r in roots]
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 6), (3, 2, 4)])
+def test_orbit_labels_match_union_find(p, e, n):
+    st = oc.ActionState(ff.make_field(p, e), n)
+    lab1, lab2 = oc._partition(st)
+    parent1, parent2 = _reference_partition(st)
+    assert lab1.tolist() == _smallest_member(parent1)
+    assert lab2.tolist() == _smallest_member(parent2)
 
 
 def test_twisted_act_flip_matches_engine():
