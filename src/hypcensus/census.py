@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import is_prime
-
 
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]

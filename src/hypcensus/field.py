@@ -7,13 +7,35 @@ the element code equal to the residue it represents.  Keeping elements as
 ints means they are hashable, cheap to store in bulk arrays, and carry no
 hidden context; every operation takes the field context explicitly.
 
+Prime fields compute with plain int arithmetic mod p.  Every other field
+computes by table lookup (Zech logarithms).  On first use (arithmetic over
+an extension field, mult_generator or tables) a context walks the powers
+of 2, 3, ... by digit-vector products, the arithmetic of _mul_raw, until
+one code g reaches all q - 1 units.  From this least generator it keeps
+exp[i] = g^i (stored twice over, so that log x + log y indexes it
+directly), the discrete logarithm log and the Zech logarithm
+zech[k] = log(1 + g^k), which turns addition into
+g^a + g^b = g^(a + zech[b - a]).  _mul_raw stays as the reference the
+tests compare against.  tables(ctx) holds the same arithmetic as numpy
+q x q arrays for the vectorized engine.
+
 Polynomials over a field are tuples of element codes in ascending degree
 order with no trailing zeros; the empty tuple is the zero polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+
+class _Logs(NamedTuple):
+    exp: list[int]  # exp[i] = g^(i mod (q - 1)) for 0 <= i < 2(q - 1)
+    log: list[int]  # log[g^i] = i for 0 <= i < q - 1; log[0] = -1
+    zech: list[int]  # zech[k] = log(1 + g^k); -1 where 1 + g^k = 0
 
 
 @dataclass(frozen=True)
@@ -25,30 +47,48 @@ class FieldCtx:
     q: int
     modulus: tuple[int, ...]  # monic, ascending coefficients, length e + 1
 
+    @functools.cached_property
+    def _logs(self) -> _Logs:
+        p, one = self.p, [1] + [0] * (self.e - 1)
+        for g in range(2, self.q):  # the first code whose powers reach every unit
+            gen = cur = to_digits(self, g)
+            exp = [1]
+            while cur != one and len(exp) < self.q:
+                exp.append(from_digits(self, cur))
+                cur = _poly_mulmod_p(cur, gen, self.modulus, p)
+            if len(exp) == self.q - 1:
+                break
+        else:
+            raise ValueError(f"no generator of the units: {self.modulus} is reducible")
+        log = [-1] * self.q
+        for i, x in enumerate(exp):
+            log[x] = i
+        # 1 + x raises the constant digit of x by one
+        zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
+        return _Logs(exp + exp, log, zech)
+
 
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
-_REDROW_CACHE: dict[FieldCtx, list[list[int]]] = {}
-_MUL_CACHE: dict[FieldCtx, list[list[int]]] = {}
-_INV_CACHE: dict[FieldCtx, list[int]] = {}
-_GEN_CACHE: dict[FieldCtx, int] = {}
 _EXT_CACHE: dict[tuple[FieldCtx, int], tuple[FieldCtx, tuple[int, ...]]] = {}
 
-# mul() builds a full q x q lookup table below this size; beyond it the
-# digit convolution path is used per call.
-_TABLE_LIMIT = 256
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def to_digits(ctx: FieldCtx, x: int) -> list[int]:
@@ -114,16 +154,7 @@ def _irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     xq = powx(e)
     if xq != [0, 1] + [0] * (e - 2):
         return False
-    ell = 2
-    m = e
-    primes = set()
-    while m > 1:
-        if m % ell == 0:
-            primes.add(ell)
-            while m % ell == 0:
-                m //= ell
-        ell += 1
-    for ell in primes:
+    for ell in _prime_factors(e):
         h = powx(e // ell)
         h = [(hv - (1 if i == 1 else 0)) % p for i, hv in enumerate(h)]
         # gcd(h, coeffs) over F_p; coeffs is irreducible iff gcd is 1
@@ -190,40 +221,27 @@ def make_field(p: int, e: int) -> FieldCtx:
 def add(ctx: FieldCtx, x: int, y: int) -> int:
     if ctx.e == 1:
         return (x + y) % ctx.p
-    p = ctx.p
-    out = 0
-    mult = 1
-    for _ in range(ctx.e):
-        out += (x % p + y % p) % p * mult
-        x //= p
-        y //= p
-        mult *= p
-    return out
+    if not x:
+        return y
+    if not y:
+        return x
+    exp, log, zech = ctx._logs
+    lx = log[x]
+    z = zech[log[y] - lx]  # a negative difference wraps mod q - 1
+    return exp[lx + z] if z >= 0 else 0
 
 
 def neg(ctx: FieldCtx, x: int) -> int:
     if ctx.e == 1:
         return (-x) % ctx.p
-    p = ctx.p
-    out = 0
-    mult = 1
-    for _ in range(ctx.e):
-        out += (-x % p) % p * mult
-        x //= p
-        mult *= p
-    return out
+    if not x:
+        return 0
+    logs = ctx._logs
+    return logs.exp[logs.log[x] + ctx.q // 2]  # -1 = g^((q - 1) / 2)
 
 
 def sub(ctx: FieldCtx, x: int, y: int) -> int:
     return add(ctx, x, neg(ctx, y))
-
-
-def _mul_table(ctx: FieldCtx) -> list[list[int]]:
-    tab = _MUL_CACHE.get(ctx)
-    if tab is None:
-        tab = [[_mul_raw(ctx, x, y) for y in range(ctx.q)] for x in range(ctx.q)]
-        _MUL_CACHE[ctx] = tab
-    return tab
 
 
 def _mul_raw(ctx: FieldCtx, x: int, y: int) -> int:
@@ -236,23 +254,20 @@ def _mul_raw(ctx: FieldCtx, x: int, y: int) -> int:
 def mul(ctx: FieldCtx, x: int, y: int) -> int:
     if ctx.e == 1:
         return x * y % ctx.p
-    if ctx.q <= _TABLE_LIMIT:
-        return _mul_table(ctx)[x][y]
-    return _mul_raw(ctx, x, y)
+    if not x or not y:
+        return 0
+    exp, log, _ = ctx._logs
+    return exp[log[x] + log[y]]
 
 
 def pw(ctx: FieldCtx, x: int, k: int) -> int:
     """x^k for k >= 0 (0^0 = 1)."""
     if ctx.e == 1:
         return pow(x, k, ctx.p)
-    acc = 1
-    base = x
-    while k:
-        if k & 1:
-            acc = mul(ctx, acc, base)
-        base = mul(ctx, base, base)
-        k >>= 1
-    return acc
+    if not x:
+        return 0 if k else 1
+    logs = ctx._logs
+    return logs.exp[logs.log[x] * k % (ctx.q - 1)]
 
 
 def inv(ctx: FieldCtx, x: int) -> int:
@@ -260,15 +275,8 @@ def inv(ctx: FieldCtx, x: int) -> int:
         raise ZeroDivisionError("inverse of 0")
     if ctx.e == 1:
         return pow(x, ctx.p - 2, ctx.p)
-    if ctx.q <= _TABLE_LIMIT:
-        cache = _INV_CACHE.get(ctx)
-        if cache is None:
-            cache = [0] * ctx.q
-            for v in range(1, ctx.q):
-                cache[v] = pw(ctx, v, ctx.q - 2)
-            _INV_CACHE[ctx] = cache
-        return cache[x]
-    return pw(ctx, x, ctx.q - 2)
+    logs = ctx._logs
+    return logs.exp[ctx.q - 1 - logs.log[x]]
 
 
 def div(ctx: FieldCtx, x: int, y: int) -> int:
@@ -276,10 +284,14 @@ def div(ctx: FieldCtx, x: int, y: int) -> int:
 
 
 def is_square(x: int, ctx: FieldCtx) -> bool:
-    """Euler criterion; rejects 0 since 0 is neither square nor non-square here."""
+    """Euler criterion over a prime field, parity of the logarithm (the
+    generator is a nonsquare) otherwise; rejects 0 since 0 is neither
+    square nor non-square here."""
     if x == 0:
         raise ValueError("is_square is undefined at 0")
-    return pw(ctx, x, (ctx.q - 1) // 2) == 1
+    if ctx.e == 1:
+        return pw(ctx, x, (ctx.q - 1) // 2) == 1
+    return ctx._logs.log[x] % 2 == 0
 
 
 def chi(x: int, ctx: FieldCtx) -> int:
@@ -289,26 +301,36 @@ def chi(x: int, ctx: FieldCtx) -> int:
 
 def mult_generator(ctx: FieldCtx) -> int:
     """Least element code generating the multiplicative group."""
-    hit = _GEN_CACHE.get(ctx)
-    if hit is not None:
-        return hit
-    n = ctx.q - 1
-    m = n
-    primes = []
-    ell = 2
-    while ell * ell <= m:
-        if m % ell == 0:
-            primes.append(ell)
-            while m % ell == 0:
-                m //= ell
-        ell += 1
-    if m > 1:
-        primes.append(m)
-    for x in range(1, ctx.q):
-        if all(pw(ctx, x, n // ell) != 1 for ell in primes):
-            _GEN_CACHE[ctx] = x
-            return x
-    raise AssertionError("no generator found")
+    return ctx._logs.exp[1]
+
+
+class Tables(NamedTuple):
+    """The field arithmetic as numpy lookup tables over element codes."""
+
+    ADD: np.ndarray  # int16 [x, y] = x + y
+    MUL: np.ndarray  # int16 [x, y] = x * y
+    INV: np.ndarray  # int16 [x] = 1 / x, with INV[0] = 0
+    CHI: np.ndarray  # int8 quadratic character, with CHI[0] = 0
+
+
+@functools.cache
+def tables(ctx: FieldCtx) -> Tables:
+    """Cached q x q tables, computed with numpy from the digits of the
+    codes (addition) and from the exp/log tables (the rest)."""
+    q, p = ctx.q, ctx.p
+    exp, log, _ = ctx._logs
+    ex = np.array(exp, np.int16)
+    lg = np.array(log, np.int64)
+    place = p ** np.arange(ctx.e)
+    digits = np.arange(q)[:, None] // place % p
+    add_t = ((digits[:, None, :] + digits[None, :, :]) % p @ place).astype(np.int16)
+    mul_t = ex[lg[:, None] + lg[None, :]]
+    mul_t[0, :] = mul_t[:, 0] = 0
+    inv_t = ex[q - 1 - lg]
+    inv_t[0] = 0
+    chi_t = np.where(lg % 2 == 0, 1, -1).astype(np.int8)
+    chi_t[0] = 0
+    return Tables(add_t, mul_t, inv_t, chi_t)
 
 
 def frobenius(x: int, ctx: FieldCtx, base_q: int) -> int:

@@ -14,7 +14,11 @@ conjugate fixed points over the quadratic extension).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import field as ff
 from .field import FieldCtx
@@ -159,6 +163,42 @@ def enumerate_pgl(ctx: FieldCtx) -> tuple[MoebiusElem, ...]:
     res = tuple(out)
     _PGL_CACHE[ctx] = res
     return res
+
+
+class PglTable(NamedTuple):
+    """The elements of enumerate_pgl numbered by position, with their
+    product table."""
+
+    index: dict[GlMatrix, int]  # canonical matrix -> position
+    prod: np.ndarray  # int32 [i, j] = index of canonical(e_i * e_j)
+
+
+@functools.cache
+def pgl_table(ctx: FieldCtx) -> PglTable:
+    """Numbering and product table of PGL2(F_q), built a block of rows at a
+    time with numpy gathers from the field tables, so it serves every field."""
+    q = ctx.q
+    t = ff.tables(ctx)
+    add, mul, inv = t.ADD.astype(np.int64), t.MUL.astype(np.int64), t.INV.astype(np.int64)
+    pgl = enumerate_pgl(ctx)
+    n = len(pgl)
+    a, b, c, d = np.array([(m.mat.a, m.mat.b, m.mat.c, m.mat.d) for m in pgl], np.int64).T
+    at = np.full(q**4, -1, np.int32)  # position by entry code ((a q + b) q + c) q + d
+    at[((a * q + b) * q + c) * q + d] = np.arange(n, dtype=np.int32)
+    prod = np.empty((n, n), np.int32)
+    rows = max(1, 2**18 // n)  # left factors per block: bounds the temporaries
+    for lo in range(0, n, rows):
+        ma, mb, mc, md = (v[lo : lo + rows, None] for v in (a, b, c, d))
+        pa = add[mul[ma, a], mul[mb, c]]
+        pb = add[mul[ma, b], mul[mb, d]]
+        pc = add[mul[mc, a], mul[md, c]]
+        pd = add[mul[mc, b], mul[md, d]]
+        s = inv[np.where(pa != 0, pa, pb)]  # scale the first nonzero entry to 1
+        code = ((mul[s, pa] * q + mul[s, pb]) * q + mul[s, pc]) * q + mul[s, pd]
+        prod[lo : lo + rows] = at[code]
+    if (prod < 0).any():
+        raise ValueError("product table left a class without a representative")
+    return PglTable({m.mat: i for i, m in enumerate(pgl)}, prod)
 
 
 def fixed_points(elem: MoebiusElem, ctx: FieldCtx):

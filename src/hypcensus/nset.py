@@ -12,10 +12,15 @@ the degree-(n-1) homogenization when inf is present (then F[0] = 0).
 A matrix acts on forms by substitution with its adjugate, which realizes
 the point action t -> (at+b)/(ct+d) on roots; the image form equals the
 image n-set's form up to the nonzero leading scalar kappa recovered here.
+The substitution is one linear map on the n + 1 coefficients, and
+substitution_matrix is the only routine that expands it: act_form applies
+it to one form, the oracle engine to every form at once.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from . import field as ff
@@ -119,38 +124,53 @@ def from_form(ctx: FieldCtx, form) -> tuple[RationalNSet, int]:
     return RationalNSet(f, True), kappa
 
 
-def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:
-    """Image n-set under the point action plus the leading scalar kappa.
+@functools.lru_cache(maxsize=4096)
+def substitution_matrix(ctx: FieldCtx, mat: GlMatrix, n: int) -> tuple[tuple[int, ...], ...]:
+    """(n+1)x(n+1) matrix T of the adjugate substitution on form
+    coefficients: the image of a form F has coefficients sum_k T[i][k] F[k].
 
-    The substitution uses the adjugate (dX - bZ, -cX + aZ), so that roots
-    of the image form are exactly the images (at+b)/(ct+d) of roots.
+    Column k holds the coefficients of (dX - bZ)^(n-k) (-cX + aZ)^k, the
+    image of the basis form X^(n-k) Z^k.  Cached, since the suites act with
+    the same few matrices on many sets.
     """
-    n = s.n
-    form = to_form(ctx, s, n)
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    l1 = (d, ff.neg(ctx, b))  # coeff of X, coeff of Z in the X-slot
-    l2 = (ff.neg(ctx, c), a)
+    l1 = (mat.d, ff.neg(ctx, mat.b))  # coeff of X, coeff of Z in the X-slot
+    l2 = (ff.neg(ctx, mat.c), mat.a)
     # pow1[j] = coefficient vector of (dX - bZ)^j indexed by Z-degree
     pow1 = [(1,)]
     pow2 = [(1,)]
     for _ in range(n):
         pow1.append(_linmul(ctx, pow1[-1], l1))
         pow2.append(_linmul(ctx, pow2[-1], l2))
-    out = [0] * (n + 1)
-    for i, fi in enumerate(form):
-        if fi == 0:
-            continue
-        v1 = pow1[n - i]
-        v2 = pow2[i]
-        for j1, c1 in enumerate(v1):
+    t = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        for j1, c1 in enumerate(pow1[n - k]):
             if c1 == 0:
                 continue
-            t = ff.mul(ctx, fi, c1)
-            for j2, c2 in enumerate(v2):
+            for j2, c2 in enumerate(pow2[k]):
                 if c2 == 0:
                     continue
-                k = j1 + j2
-                out[k] = ff.add(ctx, out[k], ff.mul(ctx, t, c2))
+                t[j1 + j2][k] = ff.add(ctx, t[j1 + j2][k], ff.mul(ctx, c1, c2))
+    return tuple(map(tuple, t))
+
+
+def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:
+    """Image n-set under the point action plus the leading scalar kappa.
+
+    The form is multiplied by the cached substitution_matrix, the adjugate
+    substitution (dX - bZ, -cX + aZ), so that roots of the image form are
+    exactly the images (at+b)/(ct+d) of roots.
+    """
+    form = to_form(ctx, s)
+    t = substitution_matrix(ctx, mat, s.n)
+    if ctx.e == 1:
+        p = ctx.p
+        out = [sum(map(operator.mul, row, form)) % p for row in t]
+    else:
+        out = [0] * len(form)
+        for i, row in enumerate(t):
+            for c, f in zip(row, form):
+                if c and f:
+                    out[i] = ff.add(ctx, out[i], ff.mul(ctx, c, f))
     return from_form(ctx, tuple(out))
 
 

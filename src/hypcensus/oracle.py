@@ -17,7 +17,8 @@ twist class exactly when the substitution multiplier is a nonsquare.
 Field elements are int codes the whole way down and all arithmetic is
 exact: an integer matmul reduced mod p over a prime field, gathers from
 the field's addition and multiplication tables over an extension field.
-Engine invariants raise VerificationError, so `python -O` keeps them.
+Engine invariants and suite checks raise VerificationError, naming the
+check and a counterexample, so `python -O` keeps them.
 
 verify_suite() bundles the independent spot checks (multiplier identities,
 fixed-count formulas, norm and orbit lemmas, cocycle laws, quotient
@@ -26,7 +27,6 @@ counts) behind one entry point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -78,23 +78,7 @@ def _check(ok, what: str, *where) -> None:
 
 
 # ---------------------------------------------------------------------------
-# numpy field tables
-
-
-class _FieldTables:
-    __slots__ = ("ADD", "MUL", "INV", "CHI")
-
-    def __init__(self, ctx: ff.FieldCtx):
-        els = range(ctx.q)
-        self.ADD = np.array([[ff.add(ctx, x, y) for y in els] for x in els], np.int16)
-        self.MUL = np.array([[ff.mul(ctx, x, y) for y in els] for x in els], np.int16)
-        self.INV = np.array([0, *(ff.inv(ctx, x) for x in els[1:])], np.int16)
-        self.CHI = np.array([0, *(ff.chi(x, ctx) for x in els[1:])], np.int8)
-
-
-@functools.cache
-def _tables(ctx: ff.FieldCtx) -> _FieldTables:
-    return _FieldTables(ctx)
+# the n-set rows
 
 
 def _digits_cols(codes: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -113,7 +97,7 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
     q = ctx.q
     if d <= 1:
         return np.ones(q**d, dtype=bool)
-    tabs = _tables(ctx)
+    tabs = ff.tables(ctx)
     seen = np.zeros(q**d, dtype=bool)
     for k in range(1, d // 2 + 1):
         hdeg = d - 2 * k
@@ -138,31 +122,6 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
     return mask
 
 
-def _action_matrix(ctx: ff.FieldCtx, mat: GlMatrix, n: int) -> list[list[int]]:
-    """(n+1)x(n+1) substitution matrix on form coefficients.
-
-    Column k holds the coefficients of (dX - bZ)^(n-k) (-cX + aZ)^k, the
-    image of the basis form X^(n-k) Z^k.
-    """
-    l1 = (mat.d, ff.neg(ctx, mat.b))
-    l2 = (ff.neg(ctx, mat.c), mat.a)
-    pow1 = [(1,)]
-    pow2 = [(1,)]
-    for _ in range(n):
-        pow1.append(ns._linmul(ctx, pow1[-1], l1))
-        pow2.append(ns._linmul(ctx, pow2[-1], l2))
-    t = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for j1, c1 in enumerate(pow1[n - k]):
-            if c1 == 0:
-                continue
-            for j2, c2 in enumerate(pow2[k]):
-                if c2 == 0:
-                    continue
-                t[j1 + j2][k] = ff.add(ctx, t[j1 + j2][k], ff.mul(ctx, c1, c2))
-    return t
-
-
 class ActionState:
     """Every rational n-set over ctx as a canonical form row, with the
     vectorized matrix action.
@@ -177,7 +136,7 @@ class ActionState:
             raise ValueError(f"n must be >= 1, got {n}")
         self.ctx = ctx
         self.n = n
-        self.tabs = _tables(ctx)
+        self.tabs = ff.tables(ctx)
         q = ctx.q
         codes0 = np.nonzero(squarefree_mask(ctx, n))[0]
         codes1 = np.nonzero(squarefree_mask(ctx, n - 1))[0]
@@ -208,7 +167,8 @@ class ActionState:
         return ns.RationalNSet(tuple(int(row[n - j]) for j in range(n)), True)
 
     def apply(self, mat: GlMatrix) -> np.ndarray:
-        """Image form rows under the substitution; entries are codes.
+        """Image form rows under nset.substitution_matrix, the matrix
+        act_form uses; entries are codes.
 
         Over a prime field the codes are residues: an int32 matmul reduced
         mod p, exact while each sum (at most (n + 1)(p - 1)^2) is < 2**31.
@@ -216,7 +176,7 @@ class ActionState:
         gathers from the field's multiplication and addition tables.
         """
         ctx, n, p = self.ctx, self.n, self.ctx.p
-        t = _action_matrix(ctx, mat, n)
+        t = ns.substitution_matrix(ctx, mat, n)
         if ctx.e == 1:
             if (n + 1) * (p - 1) ** 2 >= 2**31:
                 raise ValueError(f"p = {p}, n = {n} overflows the int32 action")
@@ -467,7 +427,8 @@ def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
     arithmetic is then arithmetic mod p.
     """
     ctx = st.ctx
-    assert ctx.e == 1
+    if ctx.e != 1:
+        raise ValueError(f"prime fields only, got q = {ctx.q}")
     q, n = ctx.q, st.n
     xm = [(1, 0), (0, 1)]  # x^j mod mu as ascending pairs
     for _ in range(2, n + 1):
@@ -512,7 +473,8 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
                     e0 = int(st.tabs.CHI[kap])
                     e1 = mult.epsilon(elem.mat, s, ctx)
                     e2 = mult.epsilon_closed_form(elem, s, ctx)
-                    assert e0 == e1 == e2, (q, n, elem.mat, s)
+                    _check(e0 == e1 == e2, "eps: engine == sweep == closed form",
+                           q, n, elem.mat, s, (e0, e1, e2))
                     checks += 1
     return {"suite": "eps", "checks": checks}
 
@@ -528,12 +490,12 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
             st = ActionState(ctx, n)
             # the line, the affine line, the torus, the line minus a
             # conjugate quadratic pair
-            assert st.count == a_p1(n, q), (q, n)
-            assert st.n0 == q * a1(n, q), (q, n)
+            _check(st.count == a_p1(n, q), "counts: the line", q, n, st.count)
+            _check(st.n0 == q * a1(n, q), "counts: the affine line", q, n, st.n0)
             torus = int((st.V[: st.n0, n] != 0).sum())
-            assert torus == (q - 1) * a2(n, q), (q, n)
+            _check(torus == (q - 1) * a2(n, q), "counts: the torus", q, n, torus)
             punctured = st.count - int(_divisible_by_quadratic(st, mu).sum())
-            assert punctured == (q + 1) * a0(n, q), (q, n)
+            _check(punctured == (q + 1) * a0(n, q), "counts: the punctured line", q, n, punctured)
             checks += 4
             if n < 3:
                 continue
@@ -541,11 +503,13 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
                 elem, _ = mb.subtype_representative(ctx, kind, m)
                 kappa, stable = st.kappa_stable(st.apply(elem.mat))
                 plain = int(stable.sum())
-                assert plain == plain_fixed_count(q, n, kind, m), (q, n, kind, m)
+                _check(plain == plain_fixed_count(q, n, kind, m), "counts: plain fixed",
+                       q, n, kind, m, plain)
                 checks += 1
                 if n % 2 == 0 and n >= 4:
                     twisted = 2 * int((st.tabs.CHI[kappa[stable]] == 1).sum())
-                    assert twisted == twisted_fixed_count(q, n, kind, m), (q, n, kind, m)
+                    _check(twisted == twisted_fixed_count(q, n, kind, m), "counts: twisted fixed",
+                           q, n, kind, m, twisted)
                     checks += 1
         # fixed tallies depend only on the subtype, not the element
         if q <= 5 and nmax >= 6:
@@ -559,7 +523,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
                 twisted = 2 * int((st.tabs.CHI[kappa[stable]] == 1).sum())
                 tallies.setdefault((elem.kind, elem.order), set()).add((plain, twisted))
             for key, vals in tallies.items():
-                assert len(vals) == 1, (q, key, vals)
+                _check(len(vals) == 1, "counts: one tally per subtype", q, key, vals)
                 checks += 1
     return {"suite": "counts", "checks": checks}
 
@@ -572,7 +536,7 @@ def verify_norm(qs=(3, 5, 7, 9, 11, 13)) -> dict:
         ctx = ff.make_field(p, e)
         for alpha in range(1, q * q):
             rep = mult.norm_lemma_check(ctx, alpha)
-            assert rep.statement1 and rep.statement2, (q, alpha, rep)
+            _check(rep.statement1 and rep.statement2, "norm: norm lemma", q, alpha, rep)
             checks += 1
     return {"suite": "norm", "checks": checks}
 
@@ -595,7 +559,8 @@ def verify_orbit_lemma(qs=(3, 5, 7)) -> dict:
                 if t in fixedset:
                     continue
                 prod, expect = mult.orbit_multiplier_check(elem, alpha, t, ctx)
-                assert prod == expect, (q, m, t)
+                _check(prod == expect, "orbit_lemma: orbit product == alpha^m",
+                       q, m, t, (prod, expect))
                 checks += 1
     return {"suite": "orbit_lemma", "checks": checks}
 
@@ -635,7 +600,8 @@ def _stab_test_sets(q: int, ctx: ff.FieldCtx) -> list[ns.RationalNSet]:
             ns.make_nset(ctx, line, True),  # all of P^1
             ns.make_nset(ctx, ff.pmul(ctx, line, (2, 0, 1)), True),  # plus a pair
         ]
-    assert q == 7
+    if q != 7:
+        raise ValueError(f"no stabilizer test sets for q = {q}")
     return [
         ns.make_nset(ctx, (6, 0, 0, 0, 0, 0, 1), False),  # sixth roots of unity
         ns.make_nset(ctx, (0, 6, 0, 0, 0, 0, 0, 1), True),  # all of P^1
@@ -668,7 +634,7 @@ def verify_cocycle(
                 prod = mb.mat_mul(k3, gam.mat, rho.mat)
                 left = mult.kappa_multiplier(prod, s, k3)
                 right = ff.mul(k3, j_r, mult.kappa_multiplier(gam.mat, s_r, k3))
-                assert left == right, (s, rho.mat, gam.mat)
+                _check(left == right, "cocycle: cocycle law", s, rho.mat, gam.mat)
                 checks += 1
 
     rng = random.Random(seed)
@@ -685,12 +651,12 @@ def verify_cocycle(
                 mult.kappa_multiplier(rho, s, k),
                 mult.kappa_multiplier(gam, s_r, k),
             )
-            assert left == right, (q, gam, rho, s)
+            _check(left == right, "cocycle: cocycle law, random triple", q, gam, rho, s)
             checks += 1
 
     # conjugation moves a stabilizing element to the image set, same sign
     stab = ns.stabilizer(special, k3)
-    assert len(stab) == 8
+    _check(len(stab) == 8, "cocycle: stabilizer order", special, len(stab))
     gl3 = [
         m
         for m in (
@@ -699,34 +665,29 @@ def verify_cocycle(
         )
         if mb.mat_det(k3, m) != 0
     ]
-    assert len(gl3) == 48
+    _check(len(gl3) == 48, "cocycle: |GL2(F_3)|", len(gl3))
     for gam in stab:
         base_eps = mult.epsilon(gam.mat, special, k3)
         for rho in gl3:
             conj = mb.mat_mul(k3, mb.mat_mul(k3, rho, gam.mat), mb.mat_inv(k3, rho))
             s_r = ns.act_form(k3, rho, special)[0]
-            assert mult.epsilon(conj, s_r, k3) == base_eps, (gam.mat, rho)
+            _check(mult.epsilon(conj, s_r, k3) == base_eps, "cocycle: conjugation invariance",
+                   gam.mat, rho)
             checks += 1
 
     # epsilon restricted to a stabilizer is a homomorphism to {1, -1}
     for q in (3, 5, 7):
         ctx = ff.make_field(q, 1)
+        index = mb.pgl_table(ctx).index
         for s in _stab_test_sets(q, ctx):
             stab = ns.stabilizer(s, ctx)
-            assert len(stab) > 1, (q, s)
-            eps_of = {}
-            for el in stab:
-                e = mult.epsilon(el.mat, s, ctx)
+            _check(len(stab) > 1, "cocycle: nontrivial stabilizer", q, s)
+            signs = [mult.epsilon(el.mat, s, ctx) for el in stab]
+            for el, e in zip(stab, signs):
                 if el.kind != "identity":
-                    assert e == mult.epsilon_closed_form(el, s, ctx), (q, s, el.mat)
-                m = el.mat
-                eps_of[(m.a, m.b, m.c, m.d)] = e
-            for ga, rb in itertools.product(stab, stab):
-                pm = mb.canonical_matrix(ctx, mb.mat_mul(ctx, ga.mat, rb.mat))
-                want = eps_of[(ga.mat.a, ga.mat.b, ga.mat.c, ga.mat.d)]
-                want *= eps_of[(rb.mat.a, rb.mat.b, rb.mat.c, rb.mat.d)]
-                assert eps_of[(pm.a, pm.b, pm.c, pm.d)] == want, (q, s)
-                checks += 1
+                    _check(e == mult.epsilon_closed_form(el, s, ctx),
+                           "cocycle: closed form on a stabilizer", q, s, el.mat)
+            checks += _sign_homomorphism(ctx, [index[el.mat] for el in stab], signs, q, s)
 
     # the same, over every stabilizer at once where the set space is small
     for q, n in hom_exhaustive:
@@ -735,6 +696,7 @@ def verify_cocycle(
     # where it is not, full stabilizers of engine-picked stable sets
     for q, n in hom_sampled:
         ctx = ff.make_field(q, 1)
+        index = mb.pgl_table(ctx).index
         st = ActionState(ctx, n)
         for kind, m in _subtype_list(ctx):
             elem, _ = mb.subtype_representative(ctx, kind, m)
@@ -742,44 +704,49 @@ def verify_cocycle(
             for i in idx[:20].tolist():
                 s = st.nset_at(i)
                 stab = ns.stabilizer(s, ctx)
-                eps_of = {el.mat: mult.epsilon(el.mat, s, ctx) for el in stab}
-                for ga, rb in itertools.product(stab, stab):
-                    pm = mb.canonical_matrix(ctx, mb.mat_mul(ctx, ga.mat, rb.mat))
-                    assert eps_of[pm] == eps_of[ga.mat] * eps_of[rb.mat], (q, n, s)
-                    checks += 1
+                signs = [mult.epsilon(el.mat, s, ctx) for el in stab]
+                checks += _sign_homomorphism(ctx, [index[el.mat] for el in stab], signs, q, n, s)
     return {"suite": "cocycle", "checks": checks}
+
+
+def _sign_homomorphism(ctx: ff.FieldCtx, members: list[int], signs: list[int], *where) -> int:
+    """sign(ga rb) == sign(ga) sign(rb) for every ordered pair of members.
+
+    members are enumerate_pgl positions with their signs alongside; the
+    identity reads +1 unless it is a member, every other non-member 0, so
+    a product leaving the members fails as well.  One gather over the
+    product table does every pair; the number of pairs is returned.
+    """
+    table = mb.pgl_table(ctx)
+    sign = np.zeros(len(table.prod), np.int8)
+    sign[table.index[mb.IDENTITY]] = 1
+    m = np.asarray(members)
+    sign[m] = signs
+    bad = np.argwhere(sign[table.prod[np.ix_(m, m)]] != np.outer(sign[m], sign[m]))
+    if len(bad):
+        pgl = mb.enumerate_pgl(ctx)
+        i, j = bad[0]
+        _check(False, "cocycle: homomorphism", *where, (pgl[m[i]].mat, pgl[m[j]].mat))
+    return len(m) ** 2
 
 
 def _exhaustive_sign_homomorphism(ctx: ff.FieldCtx, n: int) -> int:
     """Multiplicativity of the sign on the stabilizer of every single n-set,
     read off the engine's stable masks."""
     st = ActionState(ctx, n)
-    pgl = mb.enumerate_pgl(ctx)
-    index_of = {el.mat: gi for gi, el in enumerate(pgl)}
-    prod = [
-        [
-            index_of[mb.canonical_matrix(ctx, mb.mat_mul(ctx, ga.mat, rb.mat))]
-            for rb in pgl
-        ]
-        for ga in pgl
-    ]
-    id_idx = next(gi for gi, el in enumerate(pgl) if el.kind == "identity")
-    stab_of: dict[int, list[tuple[int, int]]] = {}
-    for gi, elem in enumerate(pgl):
+    stab_of: dict[int, tuple[list[int], list[int]]] = {}
+    for gi, elem in enumerate(mb.enumerate_pgl(ctx)):
         if elem.kind == "identity":
             continue
         idx, kappas = st.stable_indices(elem.mat)
-        signs = st.tabs.CHI[kappas]
-        for i, sg in zip(idx.tolist(), signs.tolist()):
-            stab_of.setdefault(i, []).append((gi, int(sg)))
-    checks = 0
-    for i, members in stab_of.items():
-        sign_at = dict(members)
-        sign_at[id_idx] = 1
-        for (ga, ea), (rb, eb) in itertools.product(members, members):
-            assert sign_at[prod[ga][rb]] == ea * eb, (ctx.q, n, i)
-            checks += 1
-    return checks
+        for i, sg in zip(idx.tolist(), st.tabs.CHI[kappas].tolist()):
+            members, signs = stab_of.setdefault(i, ([], []))
+            members.append(gi)
+            signs.append(sg)
+    return sum(
+        _sign_homomorphism(ctx, members, signs, ctx.q, n, i)
+        for i, (members, signs) in stab_of.items()
+    )
 
 
 def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
@@ -802,13 +769,14 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                 _, stable = st.kappa_stable(st.apply(elem.mat))
                 if kind == "B":
                     _, _, fixed = mb.fixed_points(elem, ctx)
-                    assert list(fixed) == [mb.INF]
+                    _check(list(fixed) == [mb.INF], "quot: B fixes only infinity", q, m, fixed)
                     away = np.zeros(st.count, bool)
                     away[: st.n0] = True
                     want = q * a1(n, q)
                 elif kind == "C":
                     _, _, fixed = mb.fixed_points(elem, ctx)
-                    assert set(fixed) == {mb.INF, mb.fin(0)}
+                    _check(set(fixed) == {mb.INF, mb.fin(0)}, "quot: C fixes 0 and infinity",
+                           q, m, fixed)
                     away = np.zeros(st.count, bool)
                     away[: st.n0] = st.V[: st.n0, n * m] != 0
                     want = (q - 1) * a2(n, q)
@@ -816,7 +784,8 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                     mu = _fixed_pair_quadratic(elem, ctx)
                     away = ~_divisible_by_quadratic(st, mu)
                     want = (q + 1) * a0(n, q)
-                assert int((stable & away).sum()) == want, (q, kind, m, n)
+                got = int((stable & away).sum())
+                _check(got == want, "quot: stable sets off the fixed locus", q, kind, m, n, got)
                 checks += 1
 
     for q in qs:
@@ -834,7 +803,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                     size += 1
                 if size == d:
                     pts.append(mb.fin(x))
-            assert len(pts) % d == 0
+            _check(len(pts) % d == 0, "quot: Frobenius orbits of size d", q, d, len(pts))
             strata.append((extd, embd, pts))
         for kind, m in _subtype_list(ctx):
             elem, _ = mb.subtype_representative(ctx, kind, m)
@@ -857,7 +826,8 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                         else:
                             nbrs.append(mb.INF)
                         for v in nbrs:
-                            assert v in pts_set, (q, kind, m, q_here)
+                            _check(v in pts_set, "quot: orbit stays in its stratum",
+                                   q, kind, m, q_here, v)
                             if v not in visited:
                                 visited.add(v)
                                 frontier.append(v)
@@ -872,7 +842,9 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             for n in range(1, strata_nmax + 1):
                 st = states[n]
                 _, stable = st.kappa_stable(st.apply(elem.mat))
-                assert int(stable.sum()) == ways[n], (q, kind, m, n)
+                got = int(stable.sum())
+                _check(got == ways[n], "quot: stable total == orbit generating function",
+                       q, kind, m, n, got)
                 checks += 1
     return {"suite": "quot", "checks": checks}
 

@@ -153,6 +153,18 @@ def test_checks_survive_python_O():
     assert "AGREES" in res.stdout
 
 
+def test_suite_checks_survive_python_O():
+    # a wrong closed form must fail the eps suite even with asserts compiled out
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import multiplier, oracle\n"
+        "multiplier.epsilon_closed_form = lambda gamma, s, ctx: 1\n"
+        "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
+    )
+    assert res.returncode != 0, res.stdout
+    assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
+
+
 def test_verify_suite_runs(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "norm", "--q", "3,5")
     assert code == 0

@@ -1,5 +1,7 @@
 """Field arithmetic unit tests."""
 
+import random
+
 import pytest
 
 from hypcensus import field as ff
@@ -161,3 +163,76 @@ def test_squarefree_matches_root_multiplicity():
     assert not ff.is_squarefree_poly(k, (0, 0, 1))
     assert ff.is_squarefree_poly(k, (1, 0, 1))
     assert ff.is_squarefree_poly(k, (2, 0, 1))
+
+
+def _digit_add(k, x, y):
+    return ff.from_digits(k, [a + b for a, b in zip(ff.to_digits(k, x), ff.to_digits(k, y))])
+
+
+def _euler(k, x):
+    # x^((q - 1) / 2) by square and multiply over the digit-vector product
+    acc, base, n = 1, x, (k.q - 1) // 2
+    while n:
+        if n & 1:
+            acc = ff._mul_raw(k, acc, base)
+        base = ff._mul_raw(k, base, base)
+        n >>= 1
+    return 1 if acc == 1 else -1
+
+
+def _check_against_reference(k, pairs, exps):
+    for x, y in pairs:
+        assert ff.mul(k, x, y) == ff._mul_raw(k, x, y), (x, y)
+        assert ff.add(k, x, y) == _digit_add(k, x, y), (x, y)
+    for x in sorted({x for pair in pairs for x in pair}):
+        assert ff.add(k, x, ff.neg(k, x)) == 0
+        acc = 1
+        for j in range(exps):
+            assert ff.pw(k, x, j) == acc, (x, j)
+            acc = ff._mul_raw(k, acc, x)
+        if x:
+            assert ff.mul(k, x, ff.inv(k, x)) == 1
+            assert ff.chi(x, k) == _euler(k, x)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (3, 4)])
+def test_table_arithmetic_matches_reference_exhaustive(p, e):
+    k = ff.make_field(p, e)
+    _check_against_reference(k, [(x, y) for x in range(k.q) for y in range(k.q)], k.q + 2)
+
+
+@pytest.mark.parametrize("p,e", [(5, 4), (7, 4), (3, 8)])
+def test_table_arithmetic_matches_reference_sampled(p, e):
+    k = ff.make_field(p, e)
+    rng = random.Random(p * 100 + e)
+    pairs = [(rng.randrange(k.q), rng.randrange(k.q)) for _ in range(1000)]
+    pairs += [(0, rng.randrange(k.q)), (rng.randrange(k.q), 0), (k.q - 1, 1)]
+    _check_against_reference(k, pairs, 12)
+    for x, _ in pairs[:50]:
+        if x:
+            assert ff.pw(k, x, k.q - 1) == 1
+            assert ff.pw(k, x, k.q) == x
+
+
+def test_mult_generator_values():
+    # the least generator, as computed by trial exponentiation
+    want = {(3, 2): 4, (5, 2): 6, (3, 3): 3, (7, 2): 9, (3, 4): 3, (5, 4): 6}
+    assert {pe: ff.mult_generator(ff.make_field(*pe)) for pe in want} == want
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_numpy_tables_match_scalar_ops(p, e):
+    k = ff.make_field(p, e)
+    t = ff.tables(k)
+    xs = range(k.q)
+    assert t.ADD.tolist() == [[ff.add(k, x, y) for y in xs] for x in xs]
+    assert t.MUL.tolist() == [[ff.mul(k, x, y) for y in xs] for x in xs]
+    assert t.INV.tolist() == [0] + [ff.inv(k, x) for x in xs[1:]]
+    assert t.CHI.tolist() == [0] + [ff.chi(x, k) for x in xs[1:]]
+
+
+def test_prime_factors_and_is_prime():
+    assert ff._prime_factors(1) == []
+    assert ff._prime_factors(6560) == [2, 5, 41]
+    assert ff._prime_factors(2401) == [7]
+    assert [n for n in range(30) if ff.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

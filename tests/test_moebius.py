@@ -179,3 +179,16 @@ def test_subtype_representative_validation():
         mo.subtype_representative(k, "A", 4)  # 4 does not divide 6
     with pytest.raises(ValueError):
         mo.subtype_representative(k, "Z", 2)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_pgl_table_matches_matrix_products(p, e):
+    k = K(p, e)
+    table = mo.pgl_table(k)
+    pgl = mo.enumerate_pgl(k)
+    assert table.index == {el.mat: i for i, el in enumerate(pgl)}
+    want = [
+        [table.index[mo.canonical_matrix(k, mo.mat_mul(k, x.mat, y.mat))] for y in pgl]
+        for x in pgl
+    ]
+    assert table.prod.tolist() == want

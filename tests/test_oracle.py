@@ -246,3 +246,21 @@ def test_suites_reduced_grids():
 def test_verify_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         oc.verify_suite("nope")
+
+
+def test_sign_homomorphism_reports_first_failing_pair():
+    ctx = ff.make_field(3, 1)
+    special = ns.make_nset(ctx, ff.pmul(ctx, (0, 2, 0, 1), (1, 0, 1)), True)
+    stab = ns.stabilizer(special, ctx)
+    index = mb.pgl_table(ctx).index
+    members = [index[el.mat] for el in stab]
+    signs = [mult.epsilon(el.mat, special, ctx) for el in stab]
+    assert oc._sign_homomorphism(ctx, members, signs) == len(stab) ** 2
+    # flipping one non-identity sign breaks sign(g h) for some member h
+    g = next(k for k, el in enumerate(stab) if el.kind != "identity")
+    flipped = signs[:g] + [-signs[g]] + signs[g + 1 :]
+    with pytest.raises(census.VerificationError, match="cocycle: homomorphism"):
+        oc._sign_homomorphism(ctx, members, flipped, "where")
+    # a product outside the members reads sign 0 and fails as well
+    with pytest.raises(census.VerificationError, match="cocycle: homomorphism"):
+        oc._sign_homomorphism(ctx, members[:g] + members[g + 1 :], signs[:g] + signs[g + 1 :])
