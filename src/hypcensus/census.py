@@ -18,40 +18,53 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Divisors of n >= 1, ascending, paired up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
 def phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        a, b = k, n
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count
+    """Euler's totient, as n times the product of (1 - 1/l) over primes l | n."""
+    for ell in _prime_factors(n):
+        n = n // ell * (ell - 1)
+    return n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q -> (p, e) with q = p^e, p an odd prime; rejects anything else."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 2
-    else:
-        return q, 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"q must be a prime power, got {q}")
+    p = primes[0]
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
     return p, e
 
 
@@ -231,7 +244,8 @@ def hyp(g: int, q: int) -> int:
 def y_nset_classes(g: int, q: int) -> int:
     """Number of (2g+2)-set orbits on the projective line (untwisted count)."""
     total = hyp(g, q) + sd(g, q)
-    assert total % 2 == 0
+    if total % 2 != 0:
+        raise VerificationError(f"hyp + sd = {total} is odd at g={g}, q={q}")
     return total // 2
 
 
@@ -296,7 +310,8 @@ def census_report(g: int, q: int) -> CensusReport:
     h_a, h_b, h_c, h_d = hyp_components(g, q)
     h = h_a + h_b + h_c + h_d
     s = sd(g, q)
-    assert (h + s) % 2 == 0
+    if (h + s) % 2 != 0:
+        raise VerificationError(f"hyp + sd = {h + s} is odd at g={g}, q={q}")
     return CensusReport(g, q, p, e, h, s, (h + s) // 2, h_a, h_b, h_c, h_d)
 
 

@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .census import _prime_factors
+
 
 class _Logs(NamedTuple):
     exp: list[int]  # exp[i] = g^(i mod (q - 1)) for 0 <= i < 2(q - 1)
@@ -70,21 +72,6 @@ class FieldCtx:
 
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 _EXT_CACHE: dict[tuple[FieldCtx, int], tuple[FieldCtx, tuple[int, ...]]] = {}
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_prime(n: int) -> bool:
@@ -421,18 +408,17 @@ def pmod(ctx: FieldCtx, f, g) -> tuple[int, ...]:
     g = pnorm(g)
     if not g:
         raise ZeroDivisionError("poly mod by zero")
-    r = list(f)
+    r = list(pnorm(f))
     dg = len(g) - 1
     ginv = inv(ctx, g[-1])
-    while len(pnorm(r)) - 1 >= dg and pnorm(r):
-        r = list(pnorm(r))
-        if len(r) - 1 < dg:
-            break
+    while len(r) - 1 >= dg:
         c = mul(ctx, r[-1], ginv)
         off = len(r) - 1 - dg
         for i, b in enumerate(g):
             r[off + i] = sub(ctx, r[off + i], mul(ctx, c, b))
-    return pnorm(r)
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
 
 
 def pgcd(ctx: FieldCtx, f, g) -> tuple[int, ...]:

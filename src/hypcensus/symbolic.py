@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations, compress
 from math import gcd
+from typing import NamedTuple
 
-from .census import divisors, factor_prime_power, phi
+from .census import VerificationError, _prime_factors, divisors, factor_prime_power, phi
 
 Poly = tuple[int, ...]
 
@@ -75,10 +77,12 @@ def poly_eval(f: Poly, q: int) -> int:
 
 
 def poly_divexact(num: Poly, den: Poly) -> Poly:
-    """Exact polynomial division over the integers; asserts remainder 0."""
+    """Exact polynomial division over the integers by a monic (or -monic)
+    divisor; raises VerificationError on a nonzero remainder."""
     num_l = list(num)
     den = poly_norm(den)
-    assert den and den[-1] in (1, -1)
+    if not den or den[-1] not in (1, -1):
+        raise ValueError(f"divisor {den} must have leading coefficient +-1")
     out = [0] * max(0, len(num_l) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c = num_l[i + len(den) - 1] // den[-1]
@@ -86,7 +90,10 @@ def poly_divexact(num: Poly, den: Poly) -> Poly:
         if c:
             for j, d in enumerate(den):
                 num_l[i + j] -= c * d
-    assert all(v == 0 for v in num_l), "division must be exact"
+    if any(num_l):
+        raise VerificationError(
+            f"division of {num} by {den} leaves remainder {poly_norm(num_l)}"
+        )
     return poly_norm(out)
 
 
@@ -191,6 +198,26 @@ class ConditionalPolynomial:
 _ACHIEVE_CACHE: dict[int, frozenset[int]] = {}
 
 
+def _powers(ell: int, mod: int) -> set[int]:
+    """The residues ell^k mod `mod`, k >= 1 (they end in a cycle)."""
+    x = ell % mod
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        x = x * ell % mod
+    return seen
+
+
+def _chain_residues(mod: int) -> set[int]:
+    """Residues mod `mod` of the powers of the odd primes dividing mod:
+    the achievable residues that are not units."""
+    out = set()
+    for ell in _prime_factors(mod):
+        if ell != 2:
+            out |= _powers(ell, mod)
+    return out
+
+
 def achievable_residues(mod: int) -> frozenset[int]:
     """Residues mod `mod` attained by some odd prime power q >= 3.
 
@@ -201,29 +228,10 @@ def achievable_residues(mod: int) -> frozenset[int]:
     hit = _ACHIEVE_CACHE.get(mod)
     if hit is not None:
         return hit
-    out = {r for r in range(mod) if gcd(r, mod) == 1}
-    # prime power chains for odd primes dividing mod
-    m = mod
-    while m % 2 == 0:
-        m //= 2
-    ell = 3
-    primes = []
-    while ell * ell <= m:
-        if m % ell == 0:
-            primes.append(ell)
-            while m % ell == 0:
-                m //= ell
-        ell += 2
-    if m > 1:
-        primes.append(m)
-    for ell in primes:
-        x = ell % mod
-        seen = set()
-        while x not in seen:
-            seen.add(x)
-            out.add(x)
-            x = x * ell % mod
-    res = frozenset(out)
+    unit = bytearray([1]) * mod
+    for ell in _prime_factors(mod):
+        unit[::ell] = bytes(len(range(0, mod, ell)))
+    res = frozenset(compress(range(mod), unit)) | _chain_residues(mod)
     _ACHIEVE_CACHE[mod] = res
     return res
 
@@ -232,11 +240,52 @@ def _achievable_in(mod: int, residues: frozenset[int]) -> frozenset[int]:
     return frozenset(r for r in residues if r in achievable_residues(mod))
 
 
+class _Lifts(NamedTuple):
+    """The achievable residues mod `mod`, by kind: the units, which the
+    prime factors count, and the chain residues, listed."""
+
+    mod: int
+    primes: list[int]
+    chain: set[int]
+
+
+def _lifts(mod: int) -> _Lifts:
+    return _Lifts(mod, _prime_factors(mod), _chain_residues(mod))
+
+
+def _unit_lifts(lifts: _Lifts, mprime: int, residues) -> int:
+    """How many units mod M = lifts.mod reduce mod mprime (a divisor of M)
+    into `residues`.
+
+    Reduction maps the units mod M onto the units mod mprime, each with
+    phi(M) / phi(mprime) preimages: M / mprime times (1 - 1/l) for every
+    prime l dividing M but not mprime.
+    """
+    mod, primes, _ = lifts
+    per_unit = mod // mprime
+    for ell in primes:
+        if mprime % ell:
+            per_unit = per_unit // ell * (ell - 1)
+    return per_unit * sum(1 for s in residues if gcd(s, mprime) == 1)
+
+
+def _chain_lifts(lifts: _Lifts, mprime: int, residues) -> int:
+    """How many chain residues mod M reduce mod mprime into `residues`."""
+    return sum(1 for c in lifts.chain if c % mprime in residues)
+
+
+def _lift_size(lifts: _Lifts, mprime: int, residues) -> int:
+    """How many achievable residues mod M reduce mod mprime into `residues`."""
+    return _unit_lifts(lifts, mprime, residues) + _chain_lifts(lifts, mprime, residues)
+
+
 # ---------------------------------------------------------------------------
 # raw building blocks as polynomials in q
 
 
 def a0_poly(n: int) -> Poly:
+    """(q^(n+1) - q^n - s1 q + s2) / (q^2 + 1), divided top down: the
+    quotient coefficient of q^k is num[k + 2] minus that of q^(k + 2)."""
     assert n >= 1
     s1 = -1 if ((n + 1) // 2) % 2 else 1
     s2 = -1 if (n // 2) % 2 else 1
@@ -245,7 +294,12 @@ def a0_poly(n: int) -> Poly:
     num[n] -= 1
     num[1] -= s1
     num[0] += s2
-    return poly_divexact(poly_norm(num), (1, 0, 1))
+    quot = [0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        quot[k] = num[k + 2] - quot[k + 2]
+    if quot[0] != num[0] or quot[1] != num[1]:
+        raise VerificationError(f"a0_poly({n}): q^2 + 1 does not divide {poly_norm(num)}")
+    return poly_norm(quot[:n])
 
 
 def a1_poly(n: int) -> Poly:
@@ -259,12 +313,9 @@ def a1_poly(n: int) -> Poly:
 
 
 def a2_poly(n: int) -> Poly:
+    """(q^n + s) / (q + 1) = q^(n-1) - q^(n-2) + ... + (-1)^(n-1)."""
     assert n >= 1
-    s = 1 if n % 2 else -1
-    num = [0] * (n + 1)
-    num[n] = 1
-    num[0] = s
-    return poly_divexact(poly_norm(num), (1, 1))
+    return tuple(-1 if (n - 1 - k) % 2 else 1 for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +333,14 @@ def _raw_hyp_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
         if k % 2 == 0:
             terms.append((guard_congruence(m, {-1}), poly_scale(phi(m), a0_poly(k))))
         terms.append((guard_congruence(m, {1}), poly_scale(phi(m), a2_poly(k))))
-        if _is_odd_prime(m):
+        if m % 2 and _prime_factors(m) == [m]:
             terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
     for m in divisors(2 * g + 1):
         if m == 1:
             continue
         k = (2 * g + 1) // m
         terms.append((guard_congruence(m, {1}), poly_scale(2 * phi(m), a2_poly(k))))
-        if _is_odd_prime(m):
+        if m % 2 and _prime_factors(m) == [m]:
             terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
     for m in divisors(2 * g):
         if m == 1:
@@ -327,17 +378,6 @@ def _raw_sd_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
     return (), terms
 
 
-def _is_odd_prime(m: int) -> bool:
-    if m < 3 or m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
 # ---------------------------------------------------------------------------
 # simplification
 
@@ -364,11 +404,7 @@ def _char_coverage(mod: int, ell: int) -> frozenset[int] | None:
     mod) with r in that set forces p = ell; None when that inference fails."""
     if mod % ell != 0:
         return None
-    x = ell % mod
-    seen = set()
-    while x not in seen:
-        seen.add(x)
-        x = x * ell % mod
+    seen = _powers(ell, mod)
     for r in seen:
         d = gcd(r, mod)
         if d == 1:
@@ -384,9 +420,11 @@ def _char_coverage(mod: int, ell: int) -> frozenset[int] | None:
 def _try_cover_merge(terms):
     """Find a subset of same-polynomial terms whose guards partition all
     admissible q; fold it into the generic part.  Returns (new_terms,
-    merged_poly) or None."""
-    from itertools import combinations
+    merged_poly) or None.
 
+    A partition of the achievable residues mod the lcm has coverage sizes
+    summing to their number, so subsets are first screened by counting
+    (_lift_size, no residue scan); those passing get the exact test."""
     by_poly: dict[Poly, list[int]] = {}
     for i, (g, f) in enumerate(terms):
         if g.char_gt is None:
@@ -404,56 +442,67 @@ def _try_cover_merge(terms):
                     ell = terms[i][0].char_eq
                     if ell is not None:
                         lcm = lcm * ell // gcd(lcm, ell)
+                lifts = _lifts(lcm)
                 cover = []
-                ok = True
+                total = 0
                 for i in subset:
                     gd = terms[i][0]
                     if gd.char_eq is not None:
                         if gd.mod != 1:
-                            ok = False
                             break
                         cov = _char_coverage(lcm, gd.char_eq)
                         if cov is None:
-                            ok = False
                             break
+                        total += len(cov)
                     else:
-                        cov = frozenset(
-                            r
-                            for r in achievable_residues(lcm)
-                            if r % gd.mod in gd.residues
-                        )
-                    cover.append(cov)
-                if not ok:
-                    continue
-                union = set()
-                disjoint = True
-                for cov in cover:
-                    if union & cov:
-                        disjoint = False
-                        break
-                    union |= cov
-                if disjoint and union == set(achievable_residues(lcm)):
-                    rest = [t for i, t in enumerate(terms) if i not in subset]
-                    return rest, f
+                        cov = None
+                        total += _lift_size(lifts, gd.mod, gd.residues)
+                    cover.append((gd, cov))
+                else:
+                    # every achievable residue reduces to 0 mod 1
+                    if total == _lift_size(lifts, 1, {0}) and _partitions(cover, lcm):
+                        rest = [t for i, t in enumerate(terms) if i not in subset]
+                        return rest, f
     return None
 
 
+def _partitions(cover, lcm: int) -> bool:
+    """Whether the guards' coverages mod lcm are disjoint and together hit
+    every achievable residue; cover holds (guard, characteristic coverage
+    or None for a congruence guard)."""
+    union: set[int] = set()
+    for gd, cov in cover:
+        if cov is None:
+            cov = frozenset(
+                r for r in achievable_residues(lcm) if r % gd.mod in gd.residues
+            )
+        if union & cov:
+            return False
+        union |= cov
+    return union == set(achievable_residues(lcm))
+
+
 def _reduce_modulus(g: Guard) -> Guard:
-    """Smallest modulus presenting the same set of admissible q."""
-    if g.mod == 1:
+    """Smallest modulus presenting the same set of admissible q.
+
+    R mod m' lifts back to every achievable residue mod M that reduces into
+    it.  That lift contains the residues R of an achievable guard, so it
+    equals R exactly when it has as many units and as many chain residues
+    as R (counted by _unit_lifts and _chain_lifts).
+    """
+    if g.mod == 1 or not g.residues <= achievable_residues(g.mod):
         return g
-    best = g
-    for mprime in divisors(g.mod):
-        if mprime >= best.mod:
-            continue
+    lifts = _lifts(g.mod)
+    chain = len(g.residues & lifts.chain)
+    units = len(g.residues) - chain
+    for mprime in divisors(g.mod)[:-1]:
         mapped = frozenset(r % mprime for r in g.residues)
-        back = frozenset(
-            r for r in achievable_residues(g.mod) if r % mprime in mapped
-        )
-        if back == g.residues:
-            mapped = _achievable_in(mprime, mapped)
-            best = Guard(mprime, mapped, g.char_eq, g.char_gt)
-    return best
+        if (
+            _unit_lifts(lifts, mprime, mapped) == units
+            and _chain_lifts(lifts, mprime, mapped) == chain
+        ):
+            return Guard(mprime, mapped, g.char_eq, g.char_gt)
+    return g
 
 
 def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
@@ -469,6 +518,7 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
         else:
             terms.append((g, f))
 
+    reduced_of: dict[Guard, Guard] = {}  # each distinct guard reduced once
     changed = True
     while changed:
         changed = False
@@ -494,7 +544,9 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
         # modulus reduction
         reduced = []
         for g, f in terms:
-            g2 = _reduce_modulus(g)
+            g2 = reduced_of.get(g)
+            if g2 is None:
+                g2 = reduced_of[g] = _reduce_modulus(g)
             if g2 != g:
                 changed = True
             if g2.is_always_true():

@@ -118,3 +118,26 @@ def test_census_report_roundtrip():
     rep30 = census.census_report(30, 997)
     d30 = rep30.to_json_dict()
     assert int(d30["hyp"]) == census.hyp(30, 997)
+
+
+def test_divisors_and_phi_match_brute_force():
+    from math import gcd
+
+    for n in range(1, 3001):
+        assert census.divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        assert census.phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
+
+
+def test_factor_prime_power_matches_trial_division():
+    for q in range(3, 3001, 2):
+        p = next(d for d in range(3, q + 1, 2) if q % d == 0)
+        e = 0
+        m = q
+        while m % p == 0:
+            m //= p
+            e += 1
+        if m == 1:
+            assert census.factor_prime_power(q) == (p, e), q
+        else:
+            with pytest.raises(ValueError):
+                census.factor_prime_power(q)

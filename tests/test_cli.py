@@ -165,6 +165,29 @@ def test_suite_checks_survive_python_O():
     assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
 
 
+def test_census_checks_survive_python_O():
+    # an sd one too large makes hyp + sd odd; the parity and exactness
+    # checks must still fail with asserts compiled out
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import census, symbolic\n"
+        "sd = census.sd\n"
+        "census.sd = lambda g, q: sd(g, q) + 1\n"
+        "for fn, args in ((census.census_report, (2, 3)), (census.y_nset_classes, (2, 3)),\n"
+        "                 (symbolic.poly_divexact, ((1, 1, 1), (1, 1)))):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except census.VerificationError as exc:\n"
+        "        print('raised', exc)\n"
+        "    else:\n"
+        "        print('passed')\n",
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["raised"] * 3, res.stdout
+    assert lines[0] == "raised hyp + sd = 77 is odd at g=2, q=3"
+
+
 def test_verify_suite_runs(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "norm", "--q", "3,5")
     assert code == 0

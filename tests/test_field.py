@@ -236,3 +236,31 @@ def test_prime_factors_and_is_prime():
     assert ff._prime_factors(6560) == [2, 5, 41]
     assert ff._prime_factors(2401) == [7]
     assert [n for n in range(30) if ff.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _pmod_reference(ctx, f, g):
+    # long division re-normalizing the remainder from scratch on every pass
+    g = ff.pnorm(g)
+    r = list(f)
+    dg = len(g) - 1
+    ginv = ff.inv(ctx, g[-1])
+    while len(ff.pnorm(r)) - 1 >= dg and ff.pnorm(r):
+        r = list(ff.pnorm(r))
+        c = ff.mul(ctx, r[-1], ginv)
+        off = len(r) - 1 - dg
+        for i, b in enumerate(g):
+            r[off + i] = ff.sub(ctx, r[off + i], ff.mul(ctx, c, b))
+    return ff.pnorm(r)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (7, 1)])
+def test_pmod_matches_reference(p, e):
+    k = ff.make_field(p, e)
+    rng = random.Random(11)
+    for _ in range(300):
+        f = [rng.randrange(k.q) for _ in range(rng.randrange(0, 9))]
+        f += [0] * rng.randrange(3)  # unnormalized input
+        g = [rng.randrange(k.q) for _ in range(rng.randrange(1, 5))] + [rng.randrange(1, k.q)]
+        assert ff.pmod(k, f, g) == _pmod_reference(k, f, g)
+    with pytest.raises(ZeroDivisionError):
+        ff.pmod(k, (1, 2), (0, 0))

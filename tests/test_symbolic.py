@@ -1,5 +1,10 @@
 """Tests for conditional-polynomial formulas and transcribed tables."""
 
+import hashlib
+import json
+import random
+from math import gcd
+
 import pytest
 
 from hypcensus import census, symbolic as sy, tables
@@ -165,6 +170,125 @@ def test_simplify_preserves_values():
         simp = sy.simplify(raw_cp)
         for q, p in census.odd_prime_powers(300):
             assert raw_cp.evaluate(q, p) == simp.evaluate(q, p), (g, q)
+
+
+# the simplified forms for g = 2..200, frozen when simplify and the raw
+# builders still scanned residue sets
+SYMBOLIC_DIGEST = "99980402572c9c73c83a713bd5d094ff7386262d9b611136f2e7c4ddf59b8fcf"
+
+
+def test_symbolic_output_frozen():
+    forms = [
+        [sy.cp_to_json_dict(sy.symbolic_hyp(g)), sy.cp_to_json_dict(sy.symbolic_sd(g))]
+        for g in range(2, 201)
+    ]
+    text = json.dumps(forms, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_DIGEST
+
+
+def _achievable_reference(mod):
+    # units by a gcd scan, plus the powers of every odd prime dividing mod
+    out = {r for r in range(mod) if gcd(r, mod) == 1}
+    for ell in range(3, mod + 1, 2):
+        if mod % ell == 0 and all(ell % d for d in range(3, ell, 2)):
+            x = ell % mod
+            seen = set()
+            while x not in seen:
+                seen.add(x)
+                x = x * ell % mod
+            out |= seen
+    return frozenset(out)
+
+
+def _reduce_modulus_reference(g):
+    # scan every achievable residue mod g.mod for each smaller divisor
+    if g.mod == 1:
+        return g
+    best = g
+    for mprime in census.divisors(g.mod):
+        if mprime >= best.mod:
+            continue
+        mapped = frozenset(r % mprime for r in g.residues)
+        back = frozenset(
+            r for r in sy.achievable_residues(g.mod) if r % mprime in mapped
+        )
+        if back == g.residues:
+            mapped = sy._achievable_in(mprime, mapped)
+            best = sy.Guard(mprime, mapped, g.char_eq, g.char_gt)
+    return best
+
+
+def test_achievable_residues_match_gcd_scan():
+    for m in range(1, 3001):
+        assert sy.achievable_residues(m) == _achievable_reference(m), m
+
+
+def test_reduce_modulus_matches_scan_on_simplify_guards(monkeypatch):
+    seen = set()
+    reduce = sy._reduce_modulus
+
+    def record(g):
+        seen.add(g)
+        return reduce(g)
+
+    monkeypatch.setattr(sy, "_reduce_modulus", record)
+    for g in range(2, 81):
+        for gen, raw in (sy._raw_hyp_terms(g), sy._raw_sd_terms(g)):
+            sy.simplify(sy.ConditionalPolynomial(gen, tuple(raw)))
+    assert len(seen) > 500
+    reduced = 0
+    for g in seen:
+        got = reduce(g)
+        assert got == _reduce_modulus_reference(g), g
+        reduced += got != g
+    assert reduced > 50
+
+
+def test_reduce_modulus_matches_scan_on_random_guards():
+    rng = random.Random(20)
+    reduced = 0
+    for mod in range(2, 801):
+        ach = sorted(sy.achievable_residues(mod))
+        divs = census.divisors(mod)
+        guards = [
+            sy.Guard(mod, frozenset(rng.sample(ach, rng.randrange(1, len(ach) + 1))))
+        ]
+        # the full lift of residues mod a random divisor reduces
+        mprime = rng.choice(divs)
+        sub = set(rng.sample(sorted(sy.achievable_residues(mprime)), 1))
+        guards.append(sy.Guard(mod, frozenset(r for r in ach if r % mprime in sub)))
+        guards.append(sy.Guard(mod, frozenset(ach), char_eq=rng.choice((None, 3))))
+        for g in guards:
+            got = sy._reduce_modulus(g)
+            assert got == _reduce_modulus_reference(g), g
+            reduced += got != g
+    assert reduced > 500
+    # a residue no odd prime power reaches keeps the guard as it is
+    g = sy.Guard(6, frozenset({0, 1}))
+    assert sy._reduce_modulus(g) == _reduce_modulus_reference(g) == g
+
+
+def test_a_polys_match_division():
+    for n in range(1, 201):
+        s1 = -1 if ((n + 1) // 2) % 2 else 1
+        s2 = -1 if (n // 2) % 2 else 1
+        num = [0] * (n + 2)
+        num[n + 1] += 1
+        num[n] -= 1
+        num[1] -= s1
+        num[0] += s2
+        assert sy.a0_poly(n) == sy.poly_divexact(sy.poly_norm(num), (1, 0, 1)), n
+        num = [0] * (n + 1)
+        num[n] = 1
+        num[0] = 1 if n % 2 else -1
+        assert sy.a2_poly(n) == sy.poly_divexact(sy.poly_norm(num), (1, 1)), n
+
+
+def test_poly_divexact_raises_verification_error():
+    with pytest.raises(census.VerificationError):
+        sy.poly_divexact((1, 0, 0, 1), (1, 0, 1))
+    with pytest.raises(ValueError):
+        sy.poly_divexact((1, 1), (1, 2))
 
 
 # ---------------------------------------------------------------------------
