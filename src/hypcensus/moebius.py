@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import field as ff
+from .census import VerificationError
 from .field import FieldCtx
 
 
@@ -122,18 +123,18 @@ def classify(ctx: FieldCtx, m: GlMatrix) -> MoebiusElem:
     while canonical_matrix(ctx, acc) != IDENTITY:
         acc = mat_mul(ctx, acc, cm)
         order += 1
-        assert order <= ctx.q + 1, "projective order exceeded q + 1"
+        if order > ctx.q + 1:
+            raise VerificationError(f"projective order exceeded q + 1: {m}")
     tr = ff.add(ctx, cm.a, cm.d)
     disc = ff.sub(ctx, ff.mul(ctx, tr, tr), ff.mul(ctx, 4 % ctx.p, mat_det(ctx, cm)))
     if disc == 0:
-        kind = "B"
-        assert order == ctx.p
+        kind, ok = "B", order == ctx.p
     elif ff.is_square(disc, ctx):
-        kind = "C"
-        assert (ctx.q - 1) % order == 0
+        kind, ok = "C", (ctx.q - 1) % order == 0
     else:
-        kind = "A"
-        assert (ctx.q + 1) % order == 0
+        kind, ok = "A", (ctx.q + 1) % order == 0
+    if not ok:
+        raise VerificationError(f"order {order} does not fit kind {kind}: {m}")
     return MoebiusElem(cm, order, kind)
 
 
@@ -159,7 +160,8 @@ def enumerate_pgl(ctx: FieldCtx) -> tuple[MoebiusElem, ...]:
             for d in range(q):
                 if d != bc:
                     out.append(classify(ctx, GlMatrix(1, b, c, d)))
-    assert len(out) == q**3 - q
+    if len(out) != q**3 - q:
+        raise VerificationError(f"|PGL2(F_{q})| = {len(out)}, not q^3 - q")
     res = tuple(out)
     _PGL_CACHE[ctx] = res
     return res
@@ -227,18 +229,24 @@ def fixed_points(elem: MoebiusElem, ctx: FieldCtx):
             if ff.mul(ext, cand, cand) == de:
                 sqrt = cand
                 break
-        assert sqrt is not None, "discriminant must be a square over the extension"
+        if sqrt is None:
+            raise VerificationError(f"discriminant must be a square over the extension: {m}")
         ad = emb[ff.sub(ctx, m.a, m.d)]
         twoc = emb[ff.mul(ctx, 2 % ctx.p, m.c)]
         r1 = ff.div(ext, ff.add(ext, ad, sqrt), twoc)
         r2 = ff.div(ext, ff.sub(ext, ad, sqrt), twoc)
         pts = [fin(x) for x in sorted({r1, r2})]
     expected = {"A": 2, "B": 1, "C": 2}[elem.kind]
-    assert len(pts) == expected
-    if elem.kind == "C":
-        back = set(emb)
-        assert all(p.x in back for p in pts if p.finite)
+    if len(pts) != expected:
+        raise VerificationError(f"kind {elem.kind} has {len(pts)} fixed points: {m}")
+    if elem.kind == "C" and not set(emb).issuperset(p.x for p in pts if p.finite):
+        raise VerificationError(f"kind C fixed points must be rational: {m}")
     return ext, emb, pts
+
+
+def _check_subtype(elem: MoebiusElem, kind: str, m: int) -> None:
+    if (elem.kind, elem.order) != (kind, m):
+        raise VerificationError(f"representative of {kind}{m} classified as {elem}")
 
 
 def subtype_representative(ctx: FieldCtx, kind: str, m: int):
@@ -254,13 +262,13 @@ def subtype_representative(ctx: FieldCtx, kind: str, m: int):
             raise ValueError(f"kind C requires m > 1 dividing q - 1, got m={m}")
         lam = ff.pw(ctx, ff.mult_generator(ctx), (q - 1) // m)
         elem = classify(ctx, GlMatrix(lam, 0, 0, 1))
-        assert elem.kind == "C" and elem.order == m
+        _check_subtype(elem, kind, m)
         return elem, None
     if kind == "B":
         if m != ctx.p:
             raise ValueError(f"kind B elements have order p = {ctx.p}, got m={m}")
         elem = classify(ctx, GlMatrix(1, 1, 0, 1))
-        assert elem.kind == "B" and elem.order == ctx.p
+        _check_subtype(elem, kind, m)
         return elem, None
     if kind == "A":
         if m <= 1 or (q + 1) % m != 0:
@@ -274,6 +282,6 @@ def subtype_representative(ctx: FieldCtx, kind: str, m: int):
         back = {v: i for i, v in enumerate(emb)}
         mat = GlMatrix(0, 1, ff.neg(ctx, back[norm]), back[trace])
         elem = classify(ctx, mat)
-        assert elem.kind == "A" and elem.order == m
+        _check_subtype(elem, kind, m)
         return elem, alpha
     raise ValueError(f"unknown kind {kind!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import field as ff
+from .census import VerificationError
 from .field import FieldCtx
 from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points
 from .nset import RationalNSet, act_form, apply_moebius, contains_point
@@ -92,17 +93,20 @@ def global_multiplier(mat: GlMatrix, s: RationalNSet, ctx: FieldCtx, debug: bool
             if den == 0 or lin == 0:
                 continue
             y0 = act_point(mat, ProjPoint(True, x0), fld, emb)
-            assert y0.finite
+            if not y0.finite:
+                raise VerificationError(f"finite point {x0} with c x0 + d != 0 mapped to infinity")
             num = ff.peval(fld, f_img, y0.x)
             j = ff.div(fld, ff.mul(fld, ff.pw(fld, lin, n), num), den)
             if back is not None:
-                assert j in back, "multiplier must descend to the base field"
+                if j not in back:
+                    raise VerificationError(f"multiplier must descend to the base field: {mat}, {s}")
                 j = back[j]
             values.append(j)
             if not debug or len(values) == 2:
-                assert all(v == values[0] for v in values)
+                if any(v != values[0] for v in values):
+                    raise VerificationError(f"multiplier depends on the evaluation point: {values}")
                 return values[0]
-    raise AssertionError("no valid evaluation point found")
+    raise VerificationError("no valid evaluation point found")
 
 
 def epsilon(gamma, s: RationalNSet, ctx: FieldCtx) -> int:
@@ -127,7 +131,8 @@ def epsilon_closed_form(gamma: MoebiusElem, s: RationalNSet, ctx: FieldCtx) -> i
         raise ValueError("epsilon is defined for even n only")
     if gamma.kind == "identity":
         raise ValueError("closed form requires a nonidentity element")
-    assert apply_moebius(gamma, s, ctx) == s, "closed form requires gamma S = S"
+    if apply_moebius(gamma, s, ctx) != s:
+        raise ValueError("closed form requires gamma S = S")
     if gamma.kind == "B":
         return 1
     m = gamma.order
@@ -137,11 +142,14 @@ def epsilon_closed_form(gamma: MoebiusElem, s: RationalNSet, ctx: FieldCtx) -> i
     if gamma.kind == "C":
         return -1 if (((ctx.q - 1) // m) % 2 == 1 and cnt == 2) else 1
     # kind A: the conjugate pair is in S together or not at all
-    assert cnt in (0, 2)
+    if cnt not in (0, 2):
+        raise VerificationError(f"kind A fixes a conjugate pair, {cnt} of it in S: {s}")
     if cnt == 2:
-        assert (n - 2) % m == 0
+        if (n - 2) % m:
+            raise VerificationError(f"order {m} must divide n - 2 = {n - 2}")
         return -1 if (((ctx.q + 1) // m + (n - 2) // m) % 2 == 1) else 1
-    assert n % m == 0
+    if n % m:
+        raise VerificationError(f"order {m} must divide n = {n}")
     return -1 if ((n // m) % 2 == 1) else 1
 
 
@@ -164,10 +172,12 @@ def norm_lemma_check(base: FieldCtx, alpha: int) -> NormLemmaReport:
     while x not in base_img:
         x = ff.mul(ext, x, alpha)
         m += 1
-        assert m <= ext.q, "alpha^m never landed in the base field"
+        if m > ext.q:
+            raise VerificationError(f"alpha^m never landed in the base field: {alpha}")
     q = base.q
     norm = ff.mul(ext, alpha, ff.frobenius(alpha, ext, q))
-    assert norm in base_img
+    if norm not in base_img:
+        raise VerificationError(f"the norm of {alpha} is not in the base field")
     back = {v: i for i, v in enumerate(emb)}
     stmt1 = ff.is_square(back[norm], base) == (((q + 1) // m) % 2 == 0)
     if m % 2 == 0:
@@ -187,15 +197,20 @@ def orbit_multiplier_check(
     The orbit must have size exactly the order; both returned values are
     codes of the quadratic extension.
     """
-    assert gamma.kind == "A"
+    if gamma.kind != "A":
+        raise ValueError(f"orbit lemma is for kind A elements, got {gamma.kind}")
     ext, emb = ff.extend(ctx, 2)
     orbit = [t]
     cur = act_point(gamma.mat, t, ext, emb)
     while cur != t:
         orbit.append(cur)
         cur = act_point(gamma.mat, cur, ext, emb)
-        assert len(orbit) <= gamma.order
-    assert len(orbit) == gamma.order, "non-fixed orbits have size exactly the order"
+        if len(orbit) > gamma.order:
+            raise VerificationError(f"orbit of {t} outgrew the order {gamma.order}")
+    if len(orbit) == 1:
+        raise ValueError(f"{t} is fixed by {gamma.mat}")
+    if len(orbit) != gamma.order:
+        raise VerificationError(f"non-fixed orbits have size exactly the order: {t}, {len(orbit)}")
     prod = 1
     for pt in orbit:
         prod = ff.mul(ext, prod, local_multiplier(gamma.mat, pt, ext, emb))

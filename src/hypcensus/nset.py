@@ -100,7 +100,8 @@ def enumerate_nsets(ctx: FieldCtx, n: int):
 def to_form(ctx: FieldCtx, s: RationalNSet, n: int | None = None) -> tuple[int, ...]:
     if n is None:
         n = s.n
-    assert s.n == n
+    if s.n != n:
+        raise ValueError(f"{s} is a {s.n}-set, not an {n}-set")
     d = len(s.f) - 1
     # F[i] = coeff of X^(n-i) Z^i = f[d - (i - (n - d))] shifted by has_inf
     form = [0] * (n + 1)
@@ -118,7 +119,8 @@ def from_form(ctx: FieldCtx, form) -> tuple[RationalNSet, int]:
         f = tuple(ff.mul(ctx, inv, form[n - j]) for j in range(n + 1))
         return RationalNSet(f, False), kappa
     kappa = form[1]
-    assert kappa != 0, "form has a double root at infinity"
+    if kappa == 0:
+        raise ValueError(f"form has a double root at infinity: {form}")
     inv = ff.inv(ctx, kappa)
     f = tuple(ff.mul(ctx, inv, form[n - j]) for j in range(n))
     return RationalNSet(f, True), kappa

@@ -15,8 +15,13 @@ The twisted census tracks pairs (twist scalar, n-set); an edge flips the
 twist class exactly when the substitution multiplier is a nonsquare.
 
 Field elements are int codes the whole way down and all arithmetic is
-exact: an integer matmul reduced mod p over a prime field, gathers from
-the field's addition and multiplication tables over an extension field.
+exact.  One kernel, ActionState._image_col, computes a single image
+coefficient for a set of rows: an int32 accumulation reduced mod p once
+over a prime field (it also holds the guard that keeps those sums below
+2**31), gathers from the field's addition and multiplication tables over
+an extension field.  apply stacks its columns; kappa_stable reads
+columns 0 and 1 of every row and the others only on the rows still
+standing, since few rows are fixed by any one element.
 Engine invariants and suite checks raise VerificationError, naming the
 check and a counterexample, so `python -O` keeps them.
 
@@ -27,6 +32,7 @@ counts) behind one entry point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -88,15 +94,19 @@ def _digits_cols(codes: np.ndarray, q: int, d: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
-    """Mask over monic degree-d polynomials in code order.
+    """Read-only mask over monic degree-d polynomials in code order.
 
     Sieve: every monic with a repeated factor is g**2 * h for some monic g
-    of degree >= 1, so mark those products and negate.
+    of degree >= 1, so mark those products and negate.  Cached, since the
+    suites build engines for the same few (q, n) again and again.
     """
     q = ctx.q
     if d <= 1:
-        return np.ones(q**d, dtype=bool)
+        mask = np.ones(q**d, dtype=bool)
+        mask.flags.writeable = False
+        return mask
     tabs = ff.tables(ctx)
     seen = np.zeros(q**d, dtype=bool)
     for k in range(1, d // 2 + 1):
@@ -119,6 +129,7 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
             seen[prod[:, :d] @ q ** np.arange(d)] = True
     mask = ~seen
     _check(int(mask.sum()) == q**d - q ** (d - 1), "squarefree count", q, d)
+    mask.flags.writeable = False
     return mask
 
 
@@ -128,7 +139,8 @@ class ActionState:
 
     Row order matches enumerate_nsets: first the sets avoiding infinity
     (form coefficient 0 equal to 1), then the rest (coefficients 0, 1
-    equal to 0, 1).  V[r, i] is the X^(n-i) Z^i coefficient of row r.
+    equal to 0, 1).  V[r, i] is the X^(n-i) Z^i coefficient of row r;
+    V is stored column-major, since the action reads it a column at a time.
     """
 
     def __init__(self, ctx: ff.FieldCtx, n: int):
@@ -142,7 +154,7 @@ class ActionState:
         codes1 = np.nonzero(squarefree_mask(ctx, n - 1))[0]
         n0 = len(codes0)
         count = n0 + len(codes1)
-        v = np.zeros((count, n + 1), np.int16)
+        v = np.zeros((count, n + 1), np.int16, order="F")
         d0 = _digits_cols(codes0, q, n)
         d1 = _digits_cols(codes1, q, n - 1)
         v[:n0, 0] = 1
@@ -166,42 +178,74 @@ class ActionState:
             return ns.RationalNSet(tuple(int(row[n - j]) for j in range(n + 1)), False)
         return ns.RationalNSet(tuple(int(row[n - j]) for j in range(n)), True)
 
+    def _image_col(self, rows, trow) -> np.ndarray:
+        """Image coefficient sum_k trow[k] V[rows, k] of the given rows (a
+        slice or an index array), as codes; trow is one row of
+        nset.substitution_matrix.
+
+        Over a prime field the codes are residues: an int32 accumulation
+        over the nonzero coefficients, reduced mod p once, exact while
+        (n + 1)(p - 1)^2 < 2**31.  Over an extension field the terms are
+        gathered from the field's multiplication and addition tables.
+        """
+        terms = [(k, c) for k, c in enumerate(trow) if c]
+        if not terms:
+            return np.zeros(len(self.V[rows, 0]), np.int16)
+        ctx, v = self.ctx, self.V
+        (k0, c0), rest = terms[0], terms[1:]
+        if ctx.e == 1:
+            p = ctx.p
+            if (self.n + 1) * (p - 1) ** 2 >= 2**31:
+                raise ValueError(f"p = {p}, n = {self.n} overflows the int32 action")
+            acc = np.multiply(v[rows, k0], c0, dtype=np.int32)
+            for k, c in rest:
+                acc += np.multiply(v[rows, k], c, dtype=np.int32)
+            return np.mod(acc, p, out=acc)
+        mul, add = self.tabs.MUL, self.tabs.ADD
+        acc = mul[c0][v[rows, k0]]
+        for k, c in rest:
+            acc = add[acc, mul[c][v[rows, k]]]
+        return acc
+
     def apply(self, mat: GlMatrix) -> np.ndarray:
         """Image form rows under nset.substitution_matrix, the matrix
-        act_form uses; entries are codes.
+        act_form uses; entries are codes.  Each image column comes from
+        _image_col, which also holds the int32 guard of prime fields."""
+        t = ns.substitution_matrix(self.ctx, mat, self.n)
+        g = np.empty((self.count, self.n + 1), np.int16, order="F")
+        for i, trow in enumerate(t):
+            g[:, i] = self._image_col(slice(None), trow)
+        return g
 
-        Over a prime field the codes are residues: an int32 matmul reduced
-        mod p, exact while each sum (at most (n + 1)(p - 1)^2) is < 2**31.
-        Over an extension field each image coefficient is accumulated by
-        gathers from the field's multiplication and addition tables.
+    def kappa_stable(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row leading scalar kappa at the source block position plus
+        the mask of rows fixed setwise (image form = kappa times own form).
+
+        kappa is the image column at the block's defining position (0 for
+        the rows avoiding infinity, 1 for the rest).  The other of columns
+        0 and 1 is tested over the whole block, since contiguous reads beat
+        gathering the many rows with kappa != 0; every later column only on
+        the rows still standing.
         """
-        ctx, n, p = self.ctx, self.n, self.ctx.p
-        t = ns.substitution_matrix(ctx, mat, n)
-        if ctx.e == 1:
-            if (n + 1) * (p - 1) ** 2 >= 2**31:
-                raise ValueError(f"p = {p}, n = {n} overflows the int32 action")
-            g = self.V.astype(np.int32) @ np.asarray(t, np.int32).T
-            np.mod(g, p, out=g)
-            return g.astype(np.int16)
-        mul, add = self.tabs.MUL, self.tabs.ADD
-        cols = self.V.T
-        g = np.zeros_like(cols)
-        for i, row in enumerate(t):
-            for k, c in enumerate(row):
-                if c:
-                    g[i] = add[g[i], mul[c][cols[k]]]
-        return g.T
-
-    def kappa_stable(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row leading scalar at the source block position plus the
-        mask of rows fixed setwise (image form = kappa times own form)."""
-        kappa = np.concatenate([g[: self.n0, 0], g[self.n0 :, 1]])
-        expected = self.tabs.MUL[kappa[:, None], self.V]
-        stable = (kappa != 0) & np.all(expected == g, axis=1)
+        t = ns.substitution_matrix(self.ctx, mat, self.n)
+        mul, v = self.tabs.MUL, self.V
+        kappa = np.empty(self.count, np.int16)
+        stable = np.zeros(self.count, bool)
+        for lead, block in ((0, slice(0, self.n0)), (1, slice(self.n0, self.count))):
+            kap = self._image_col(block, t[lead])
+            kappa[block] = kap
+            other = 1 - lead
+            ok = (kap != 0) & (self._image_col(block, t[other]) == mul[kap, v[block, other]])
+            live = np.flatnonzero(ok) + block.start
+            for i in range(2, self.n + 1):
+                if not len(live):
+                    break
+                live = live[self._image_col(live, t[i]) == mul[kappa[live], v[live, i]]]
+            stable[live] = True
         return kappa, stable
 
     def stable_indices(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
-        kappa, stable = self.kappa_stable(self.apply(mat))
+        kappa, stable = self.kappa_stable(mat)
         idx = np.nonzero(stable)[0]
         return idx, kappa[idx]
 
@@ -257,7 +301,7 @@ def _composed_actions(st: ActionState):
     gens = _generators(ctx)
     acts = []
     for mat in gens:  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
-        kappa, stable = st.kappa_stable(st.apply(mat))
+        kappa, stable = st.kappa_stable(mat)
         dest, flip = st.dest_flip(mat)
         _check(np.array_equal(dest == np.arange(st.count), stable), "fixed rows", mat)
         _check(np.array_equal(flip[stable], st.tabs.CHI[kappa[stable]] < 0), "flip", mat)
@@ -501,7 +545,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
                 continue
             for kind, m in _subtype_list(ctx):
                 elem, _ = mb.subtype_representative(ctx, kind, m)
-                kappa, stable = st.kappa_stable(st.apply(elem.mat))
+                kappa, stable = st.kappa_stable(elem.mat)
                 plain = int(stable.sum())
                 _check(plain == plain_fixed_count(q, n, kind, m), "counts: plain fixed",
                        q, n, kind, m, plain)
@@ -518,7 +562,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
             for elem in mb.enumerate_pgl(ctx):
                 if elem.kind == "identity":
                     continue
-                kappa, stable = st.kappa_stable(st.apply(elem.mat))
+                kappa, stable = st.kappa_stable(elem.mat)
                 plain = int(stable.sum())
                 twisted = 2 * int((st.tabs.CHI[kappa[stable]] == 1).sum())
                 tallies.setdefault((elem.kind, elem.order), set()).add((plain, twisted))
@@ -766,7 +810,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             elem, _ = mb.subtype_representative(ctx, kind, m)
             for n in range(1, nmax // m + 1):
                 st = ActionState(ctx, n * m)
-                _, stable = st.kappa_stable(st.apply(elem.mat))
+                _, stable = st.kappa_stable(elem.mat)
                 if kind == "B":
                     _, _, fixed = mb.fixed_points(elem, ctx)
                     _check(list(fixed) == [mb.INF], "quot: B fixes only infinity", q, m, fixed)
@@ -841,7 +885,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                     ways[j] += ways[j - sz]
             for n in range(1, strata_nmax + 1):
                 st = states[n]
-                _, stable = st.kappa_stable(st.apply(elem.mat))
+                _, stable = st.kappa_stable(elem.mat)
                 got = int(stable.sum())
                 _check(got == ways[n], "quot: stable total == orbit generating function",
                        q, kind, m, n, got)

@@ -165,6 +165,21 @@ def test_suite_checks_survive_python_O():
     assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
 
 
+def test_argument_checks_survive_python_O():
+    # an element that does not fix the set is a bad argument to the closed
+    # form: ValueError (exit 2 in the CLI), not a silent answer
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import field, moebius, multiplier, nset\n"
+        "k = field.make_field(3, 1)\n"
+        "e = moebius.classify(k, moebius.GlMatrix(1, 1, 0, 1))\n"
+        "s = nset.points_to_nset(k, [moebius.fin(0), moebius.fin(1)])\n"
+        "print(multiplier.epsilon_closed_form(e, s, k))",
+    )
+    assert res.returncode == 1, res.stdout
+    assert "ValueError: closed form requires gamma S = S" in res.stderr
+
+
 def test_census_checks_survive_python_O():
     # an sd one too large makes hyp + sd odd; the parity and exactness
     # checks must still fail with asserts compiled out

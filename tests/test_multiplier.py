@@ -120,7 +120,7 @@ def test_epsilon_closed_form_requires_stability():
     e = mo.classify(k, mo.GlMatrix(1, 1, 0, 1))
     s = ns.points_to_nset(k, [mo.fin(0), mo.fin(1)])
     assert ns.apply_moebius(e, s, k) != s
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="closed form requires gamma S = S"):
         mult.epsilon_closed_form(e, s, k)
 
 

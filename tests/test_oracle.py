@@ -79,7 +79,7 @@ def test_engine_action_matches_act_form(p, e, n):
     index = {s: i for i, s in enumerate(sets)}
     for elem in mb.enumerate_pgl(ctx):
         dest, flip = st.dest_flip(elem.mat)
-        kappa, stable = st.kappa_stable(st.apply(elem.mat))
+        kappa, stable = st.kappa_stable(elem.mat)
         for i, s in enumerate(sets):
             s2, kap = ns.act_form(ctx, elem.mat, s)
             assert int(dest[i]) == index[s2]
@@ -101,6 +101,66 @@ def test_engine_apply_exact_beyond_int16_sums():
             s2, kap = ns.act_form(ctx, mat, s)
             assert st.nset_at(int(dest[i])) == s2
             assert bool(flip[i]) == (ff.chi(kap, ctx) == -1)
+
+
+def _reference_apply(st, mat):
+    """The full-image action the column kernel replaced: an int32 matmul
+    reduced mod p over a prime field, table gathers over an extension."""
+    ctx, n, p = st.ctx, st.n, st.ctx.p
+    t = ns.substitution_matrix(ctx, mat, n)
+    if ctx.e == 1:
+        g = st.V.astype(np.int32) @ np.asarray(t, np.int32).T
+        np.mod(g, p, out=g)
+        return g.astype(np.int16)
+    mul, add = st.tabs.MUL, st.tabs.ADD
+    cols = st.V.T
+    g = np.zeros_like(cols)
+    for i, row in enumerate(t):
+        for k, c in enumerate(row):
+            if c:
+                g[i] = add[g[i], mul[c][cols[k]]]
+    return g.T
+
+
+def _reference_kappa_stable(st, g):
+    """kappa and the stable mask read off the full image rows g."""
+    kappa = np.concatenate([g[: st.n0, 0], g[st.n0 :, 1]])
+    expected = st.tabs.MUL[kappa[:, None], st.V]
+    stable = (kappa != 0) & np.all(expected == g, axis=1)
+    return kappa, stable
+
+
+def _assert_kernel_matches_reference(st, mat):
+    g = _reference_apply(st, mat)
+    got = st.apply(mat)
+    assert got.dtype == g.dtype and np.array_equal(got, g), mat
+    want_kappa, want_stable = _reference_kappa_stable(st, g)
+    kappa, stable = st.kappa_stable(mat)
+    assert kappa.dtype == want_kappa.dtype and np.array_equal(kappa, want_kappa), mat
+    assert np.array_equal(stable, want_stable), mat
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 4), (7, 1, 4), (3, 2, 4), (5, 2, 2)])
+def test_column_kernel_matches_full_image(p, e, n):
+    st = oc.ActionState(ff.make_field(p, e), n)
+    for elem in mb.enumerate_pgl(st.ctx):
+        _assert_kernel_matches_reference(st, elem.mat)
+
+
+def test_column_kernel_matches_full_image_beyond_int16_sums():
+    st = oc.ActionState(ff.make_field(131, 1), 2)
+    for mat in (mb.GlMatrix(47, 12, 92, 21), mb.GlMatrix(0, 1, 1, 0)):
+        _assert_kernel_matches_reference(st, mat)
+
+
+@pytest.mark.parametrize("p,e,d", [(3, 1, 6), (5, 1, 4), (3, 2, 3), (7, 1, 1), (7, 1, 0)])
+def test_squarefree_mask_cached_and_read_only(p, e, d):
+    ctx = ff.make_field(p, e)
+    mask = oc.squarefree_mask(ctx, d)
+    assert oc.squarefree_mask(ctx, d) is mask
+    assert np.array_equal(mask, oc.squarefree_mask.__wrapped__(ctx, d))
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
 
 
 @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 4), (3, 2, 4)])
