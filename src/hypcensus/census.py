@@ -146,6 +146,21 @@ def _adiv(fn, n: int, m: int, q: int) -> int:
     return fn(n // m, q) if n % m == 0 else 0
 
 
+def _check_order(q: int, kind: str, m: int) -> None:
+    """Raise ValueError unless a nonidentity element of the given kind can
+    have order m over F_q: m > 1 dividing q - 1 (C), q + 1 (A), or m = p (B)."""
+    if kind == "C":
+        ok = m > 1 and (q - 1) % m == 0
+    elif kind == "A":
+        ok = m > 1 and (q + 1) % m == 0
+    elif kind == "B":
+        ok = m == factor_prime_power(q)[0]
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not ok:
+        raise ValueError(f"no kind {kind} element of order {m} over F_{q}")
+
+
 def plain_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     """Rational n-sets fixed by a nonidentity class of the given kind.
 
@@ -155,37 +170,31 @@ def plain_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     """
     if n < 3:
         raise ValueError(f"fixed-count formulas need n >= 3, got {n}")
+    _check_order(q, kind, m)
     if kind == "C":
-        assert m > 1 and (q - 1) % m == 0
         return (q - 1) * (
             _adiv(a2, n, m, q) + 2 * _adiv(a2, n - 1, m, q) + _adiv(a2, n - 2, m, q)
         )
     if kind == "B":
         return q * (_adiv(a1, n, m, q) + _adiv(a1, n - 1, m, q))
-    if kind == "A":
-        assert m > 1 and (q + 1) % m == 0
-        return (q + 1) * (_adiv(a0, n, m, q) + _adiv(a0, n - 2, m, q))
-    raise ValueError(f"unknown kind {kind!r}")
+    return (q + 1) * (_adiv(a0, n, m, q) + _adiv(a0, n - 2, m, q))
 
 
 def twisted_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     """Fixed (twist, n-set) pairs of a nonidentity class; even n >= 4 only."""
     if n < 4 or n % 2 != 0:
         raise ValueError(f"twisted fixed counts need even n >= 4, got {n}")
+    _check_order(q, kind, m)
     if kind == "C":
-        assert m > 1 and (q - 1) % m == 0
         extra = _adiv(a2, n - 2, m, q) if ((q - 1) // m) % 2 == 0 else 0
         return 2 * (q - 1) * (_adiv(a2, n, m, q) + 2 * _adiv(a2, n - 1, m, q) + extra)
     if kind == "B":
         return 2 * q * (_adiv(a1, n, m, q) + _adiv(a1, n - 1, m, q))
-    if kind == "A":
-        assert m > 1 and (q + 1) % m == 0
-        t1 = a0(n // m, q) if n % m == 0 and (n // m) % 2 == 0 else 0
-        t2 = 0
-        if (n - 2) % m == 0 and ((n - 2) // m - (q + 1) // m) % 2 == 0:
-            t2 = a0((n - 2) // m, q)
-        return 2 * (q + 1) * (t1 + t2)
-    raise ValueError(f"unknown kind {kind!r}")
+    t1 = a0(n // m, q) if n % m == 0 and (n // m) % 2 == 0 else 0
+    t2 = 0
+    if (n - 2) % m == 0 and ((n - 2) // m - (q + 1) // m) % 2 == 0:
+        t2 = a0((n - 2) // m, q)
+    return 2 * (q + 1) * (t1 + t2)
 
 
 def _validate(g: int, q: int) -> tuple[int, int]:

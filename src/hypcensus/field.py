@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import _prime_factors
+from .census import VerificationError, _prime_factors
 
 
 class _Logs(NamedTuple):
@@ -200,7 +200,8 @@ def make_field(p: int, e: int) -> FieldCtx:
             if _irreducible(p, coeffs):
                 ctx = FieldCtx(p, e, p**e, coeffs)
                 break
-        assert ctx is not None
+        if ctx is None:
+            raise VerificationError(f"no monic irreducible of degree {e} over F_{p}")
     _FIELD_CACHE[key] = ctx
     return ctx
 
@@ -351,7 +352,8 @@ def extend(base: FieldCtx, d: int) -> tuple[FieldCtx, tuple[int, ...]]:
             if acc == 0:
                 root = cand
                 break
-        assert root is not None, "modulus must split in the extension"
+        if root is None:
+            raise VerificationError(f"modulus {base.modulus} must split in F_{ext.q}")
         emb_list = []
         for x in range(base.q):
             img = 0

@@ -1,33 +1,21 @@
 """Exhaustive verification engine for the census formulas.
 
-Counts isomorphism classes directly from the group action: every rational
-n-set is materialized as a canonical binary-form coefficient row, a 2x2
-matrix acts on all rows at once through a linear substitution matrix, and
-the class counts fall out either by Burnside summation over the whole
-group or by labelling the orbits of a generating set.  Only the three
-generators ever act on the rows: Burnside composes their row permutations
-along a spanning tree of the group, so a fault in how the generators move
-non-fixed rows would reach both methods alike.  Nothing here reuses the
-closed formulas: agreement with census.hyp / census.sd is the independent
-evidence.
+Every rational n-set is a canonical binary-form coefficient row; a 2x2
+matrix acts on all rows at once, a column of exact int codes at a time
+(ActionState._image_col).  Only the three group generators act on the
+rows: Burnside composes their row permutations along a spanning tree of
+PGL2 and the orbit census labels their graph, so a fault in how they move
+rows reaches both.  Nothing reuses the closed formulas: agreement with
+census.hyp / census.sd is the independent evidence.
 
-The twisted census tracks pairs (twist scalar, n-set); an edge flips the
-twist class exactly when the substitution multiplier is a nonsquare.
-
-Field elements are int codes the whole way down and all arithmetic is
-exact.  One kernel, ActionState._image_col, computes a single image
-coefficient for a set of rows: an int32 accumulation reduced mod p once
-over a prime field (it also holds the guard that keeps those sums below
-2**31), gathers from the field's addition and multiplication tables over
-an extension field.  apply stacks its columns; kappa_stable reads
-columns 0 and 1 of every row and the others only on the rows still
-standing, since few rows are fixed by any one element.
-Engine invariants and suite checks raise VerificationError, naming the
-check and a counterexample, so `python -O` keeps them.
-
-verify_suite() bundles the independent spot checks (multiplier identities,
-fixed-count formulas, norm and orbit lemmas, cocycle laws, quotient
-counts) behind one entry point.
+The twisted census tracks pairs (twist class, n-set); an edge flips the
+class when the substitution multiplier is a nonsquare.  One min-label pass
+carries that class as a parity bit per row (c = 2 label + bit): it labels
+each n-set orbit by its smallest row, and an orbit is self-dual (its two
+twist classes merge) when some generator edge contradicts the bits.
+Engine invariants and the checks of verify_suite() (multiplier, fixed
+counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
+VerificationError naming the check, so `python -O` keeps them.
 """
 
 from __future__ import annotations
@@ -161,15 +149,14 @@ class ActionState:
         v[:n0, 1:] = d0[:, ::-1]
         v[n0:, 1] = 1
         v[n0:, 2:] = d1[:, ::-1]
-        inv0 = np.full(q**n, -1, np.int32)
-        inv0[codes0] = np.arange(n0, dtype=np.int32)
-        inv1 = np.full(q ** (n - 1), -1, np.int32)
-        inv1[codes1] = np.arange(n0, count, dtype=np.int32)
+        # row of each monic code; the sets through infinity at q**n + code
+        row_of = np.full(q**n + q ** (n - 1), -1, np.int32)
+        row_of[codes0] = np.arange(n0, dtype=np.int32)
+        row_of[q**n + codes1] = np.arange(n0, count, dtype=np.int32)
         self.n0 = n0
         self.count = count
         self.V = v
-        self._inv0 = inv0
-        self._inv1 = inv1
+        self._row_of = row_of
 
     def nset_at(self, i: int) -> ns.RationalNSet:
         row = self.V[i]
@@ -250,25 +237,31 @@ class ActionState:
         return idx, kappa[idx]
 
     def dest_flip(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """Row permutation of the action and the twist-flip mask.
+        """Row permutation of the action (int32) and the twist-flip mask.
 
-        The flip is chi(multiplier) = -1; for even n the multiplier class
-        equals the class of the leading scalar kappa.
-        """
-        if self.n % 2:
-            raise ValueError(f"twist transport is defined for even n, got {self.n}")
+        kappa is image column 0, or 1 through infinity; the code of the
+        image over kappa is accumulated a column at a time (Horner in q).
+        The flip is chi(multiplier) = -1, for even n the class of kappa."""
         q, n = self.ctx.q, self.n
-        g = self.apply(mat)
-        kap = np.where(g[:, 0] != 0, g[:, 0], g[:, 1])
+        if n % 2:
+            raise ValueError(f"twist transport is defined for even n, got {n}")
+        if len(self._row_of) > 2**31:
+            raise ValueError(f"q = {q}, n = {n} overflows the int32 row codes")
+        t = ns.substitution_matrix(self.ctx, mat, n)
+        col0, col1 = (self._image_col(slice(None), trow) for trow in t[:2])
+        kap = np.where(col0 != 0, col0, col1)
         _check(kap.all(), "the image of an n-set must be an n-set", mat)
-        c = self.tabs.MUL[self.tabs.INV[kap][:, None], g]
-        weights = q ** np.arange(n, dtype=np.int64)
-        code0 = c[:, n:0:-1] @ weights
-        code1 = c[:, n:1:-1] @ weights[:-1]
-        dest = np.where(g[:, 0] != 0, self._inv0[code0], self._inv1[code1])
+        mul = self.tabs.MUL.ravel()
+        row = self.tabs.INV[kap].astype(np.int32) * q  # MUL row of 1 / kappa
+        code = mul[row + col1].astype(np.int32)  # 1 on the images through infinity
+        for trow in t[2:]:
+            code *= q
+            code += mul[row + self._image_col(slice(None), trow)]
+        # codes through infinity drop that 1 and start at q**n in _row_of
+        np.add(code, q**n - q ** (n - 1), out=code, where=col0 == 0)
+        dest = self._row_of[code]
         _check((dest >= 0).all(), "the image of an n-set must be a canonical row", mat)
-        flip = self.tabs.CHI[kap] == -1
-        return dest.astype(np.int64), flip
+        return dest, self.tabs.CHI[kap] == -1
 
 
 @dataclass(frozen=True)
@@ -326,9 +319,9 @@ def _composed_actions(st: ActionState):
         yield mats[u], dest, flip
         for v, k in children[u]:
             dest_gen, flip_gen = acts[k]
-            yield from walk(v, dest[dest_gen], flip[dest_gen] ^ flip_gen)
+            yield from walk(v, dest.take(dest_gen), flip.take(dest_gen) ^ flip_gen)
 
-    yield from walk(root, np.arange(st.count), np.zeros(st.count, bool))
+    yield from walk(root, np.arange(st.count, dtype=np.int32), np.zeros(st.count, bool))
 
 
 def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -349,56 +342,63 @@ def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     return total // order
 
 
-def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
-    """Smallest node of each node's orbit under the given permutations.
+def _parity_labels(acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One min-label pass over the rows permuted by the (dest, flip) pairs
+    of acts, e.g. dest_flip of the generators, that also carries the twist.
 
-    Min-label propagation with pointer jumping (Shiloach-Vishkin style):
-    a label is a node of the same orbit and never above its own node, so
-    label[label] is a valid shortcut.  Labels stop changing only when they
-    agree across every edge, so each orbit carries its smallest node.
-    """
-    lab = np.arange(len(perms[0]))
+    c[i] = 2 L + b (int32) says that (twist 0, row i) and (twist b, row L)
+    share a twisted orbit.  An edge i -> dest[i] with flip f makes
+    c[dest[i]] ^ f valid for c[i] too, and c[L] ^ b jumps the pointer, so
+    taking minima keeps c valid.  At the fixpoint c[i] <= c[dest[i]] ^ f
+    on every edge; generators permute rows in cycles, so L = c >> 1 is
+    constant on each orbit, hence its smallest row r (c[r] <= 2 r).
+    An orbit is merged (one twisted orbit) iff no twist bit fits every
+    edge: iff some generator edge in it has c[i] != c[dest[i]] ^ f.
+    Returns L and the twisted orbit keys 2 L + b of (twist 0, i) and
+    (twist 1, i), with b = 0 on merged orbits."""
+    c = np.arange(0, 2 * len(acts[0][0]), 2, dtype=np.int32)
     while True:
-        old = lab
-        for dest in perms:  # hook both ends of every edge to the smaller label
-            lab = np.minimum(lab, lab[dest])
-            lab[dest] = np.minimum(lab[dest], lab)
-        while not np.array_equal(jumped := lab[lab], lab):
-            lab = jumped
-        if np.array_equal(lab, old):
-            return lab
+        old = c
+        for dest, flip in acts:
+            c = np.minimum(c, c.take(dest) ^ flip)
+        while not np.array_equal(jumped := c.take(c >> 1) ^ (c & 1), c):
+            c = jumped
+        if np.array_equal(c, old):
+            break
+    merged = np.zeros(len(c), bool)
+    for dest, flip in acts:
+        off = c ^ c.take(dest) ^ flip  # 1 where the twist bits disagree
+        _check((off <= 1).all(), "orbit labels agree across every generator edge")
+        merged[c[off == 1] >> 1] = True
+    m = merged[c >> 1]
+    key0 = np.where(m, c & ~1, c)
+    return c >> 1, key0, key0 ^ ~m
 
 
 def _partition(st: ActionState) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit labels of the set action and of the twisted-pair action, read
-    off the generators; twisted node i + count is the nonsquare twist of i."""
-    n = st.count
-    acts = [st.dest_flip(mat) for mat in _generators(st.ctx)]
-    lab1 = _orbit_labels([dest for dest, _ in acts])
-    lab2 = _orbit_labels(
-        [np.concatenate([dest + n * flip, dest + n * ~flip]) for dest, flip in acts]
-    )
-    return lab1, lab2
+    """Smallest-member orbit labels of the set action and of the twisted
+    pairs; twisted node i + count is the nonsquare twist of row i."""
+    lab1, *keys = _parity_labels([st.dest_flip(mat) for mat in _generators(st.ctx)])
+    keys = np.concatenate(keys)
+    least = np.full(len(keys), len(keys), np.int32)
+    np.minimum.at(least, keys, np.arange(len(keys), dtype=np.int32))
+    return lab1, least[keys]
 
 
 def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Full orbit counts from the orbit labels of three group generators.
-
-    Twisted nodes are (twist class, n-set) pairs; a self-dual n-set orbit
-    is one whose two twisted lifts carry the same label.
-    """
+    """Orbit counts from one parity labelling of the generators: the n-set
+    classes are the self-labelled rows, sd the merged ones (both twisted
+    keys equal) and hyp the distinct twisted orbit keys."""
     check_budget(g, q, budget)
-    p, e = factor_prime_power(q)
-    ctx = ff.make_field(p, e)
-    st = ActionState(ctx, 2 * g + 2)
-    n = st.count
-    lab1, lab2 = _partition(st)
-    roots = np.flatnonzero(lab1 == np.arange(n))
-    y = len(roots)
-    hyp_count = int(np.count_nonzero(lab2 == np.arange(2 * n)))
-    merged = int(np.count_nonzero(lab2[roots] == lab2[roots + n]))
-    _check(hyp_count == 2 * y - merged, "hyp == 2y - merged", g, q, hyp_count, y, merged)
-    return OracleResult(g=g, q=q, n_sets=n, nset_classes=y, hyp=hyp_count, sd=merged)
+    st = ActionState(ff.make_field(*factor_prime_power(q)), 2 * g + 2)
+    lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(st.ctx)])
+    roots = np.flatnonzero(lab == np.arange(st.count))
+    sd = int(np.count_nonzero(key0[roots] == key1[roots]))
+    seen = np.zeros(2 * st.count, bool)  # one flag per key, none per node
+    seen[key0] = seen[key1] = True
+    hyp_count, y = int(np.count_nonzero(seen)), len(roots)
+    _check(hyp_count == 2 * y - sd, "hyp == 2y - merged", g, q, hyp_count, y, sd)
+    return OracleResult(g=g, q=q, n_sets=st.count, nset_classes=y, hyp=hyp_count, sd=sd)
 
 
 def twisted_act(gamma, lam: int, s: ns.RationalNSet, ctx: ff.FieldCtx):

@@ -283,10 +283,15 @@ def _lift_size(lifts: _Lifts, mprime: int, residues) -> int:
 # raw building blocks as polynomials in q
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def a0_poly(n: int) -> Poly:
     """(q^(n+1) - q^n - s1 q + s2) / (q^2 + 1), divided top down: the
     quotient coefficient of q^k is num[k + 2] minus that of q^(k + 2)."""
-    assert n >= 1
+    _check_degree(n)
     s1 = -1 if ((n + 1) // 2) % 2 else 1
     s2 = -1 if (n // 2) % 2 else 1
     num = [0] * (n + 2)
@@ -303,7 +308,7 @@ def a0_poly(n: int) -> Poly:
 
 
 def a1_poly(n: int) -> Poly:
-    assert n >= 1
+    _check_degree(n)
     if n == 1:
         return (1,)
     out = [0] * n
@@ -314,7 +319,7 @@ def a1_poly(n: int) -> Poly:
 
 def a2_poly(n: int) -> Poly:
     """(q^n + s) / (q + 1) = q^(n-1) - q^(n-2) + ... + (-1)^(n-1)."""
-    assert n >= 1
+    _check_degree(n)
     return tuple(-1 if (n - 1 - k) % 2 else 1 for k in range(n))
 
 

@@ -108,6 +108,18 @@ def test_validation_errors():
     assert census.factor_prime_power(13) == (13, 1)
 
 
+def test_fixed_counts_reject_impossible_orders():
+    # C needs m > 1 dividing q - 1, A m > 1 dividing q + 1, B m == p
+    for q, kind, m in ((3, "C", 3), (3, "C", 1), (7, "C", 4), (5, "A", 4),
+                       (7, "A", 1), (9, "B", 9), (5, "B", 2), (5, "D", 2)):
+        with pytest.raises(ValueError):
+            census.plain_fixed_count(q, 4, kind, m)
+        with pytest.raises(ValueError):
+            census.twisted_fixed_count(q, 4, kind, m)
+    assert census.plain_fixed_count(9, 4, "B", 3) >= 0
+    assert census.twisted_fixed_count(7, 4, "A", 4) >= 0
+
+
 def test_census_report_roundtrip():
     rep = census.census_report(2, 3)
     assert rep.hyp == 69 and rep.sd == 7 and rep.y == 38

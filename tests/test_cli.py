@@ -131,6 +131,21 @@ def test_oracle_engine_check_exits_1(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_oracle_orbit_engine_check_exits_1(capsys, monkeypatch):
+    # a corrupted flip mask must not let the orbit census pass either
+    dest_flip = oc.ActionState.dest_flip
+
+    def corrupt(self, mat):
+        dest, flip = dest_flip(self, mat)
+        return dest, ~flip
+
+    monkeypatch.setattr(oc.ActionState, "dest_flip", corrupt)
+    code, out, err = run(capsys, "oracle", "--g", "2", "--q", "3",
+                         "--method", "orbit")
+    assert code == 1
+    assert "MISMATCH" in out or "verification failed" in err
+
+
 def _run_optimized(*argv):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
@@ -178,6 +193,19 @@ def test_argument_checks_survive_python_O():
     )
     assert res.returncode == 1, res.stdout
     assert "ValueError: closed form requires gamma S = S" in res.stderr
+
+
+def test_fixed_count_checks_survive_python_O():
+    # no kind C element of order 3 exists over F_3; the count must raise,
+    # not return 4
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import census\n"
+        "print(census.plain_fixed_count(3, 4, 'C', 3))",
+    )
+    assert res.returncode == 1, res.stdout
+    assert res.stdout == ""
+    assert "ValueError: no kind C element of order 3 over F_3" in res.stderr
 
 
 def test_census_checks_survive_python_O():

@@ -48,6 +48,15 @@ def test_pair_2_9_both_paths():
     assert oc.burnside_hyp(2, 9) == res.hyp
 
 
+@pytest.mark.slow
+def test_orbit_census_past_default_budget():
+    # (2, 11) is refused at the default budget; a raised one runs it
+    res = oc.orbit_census(2, 11, budget=oc.action_cost(2, 11))
+    assert (res.hyp, res.sd, res.nset_classes) == (2813, 121, 1467)
+    assert res.hyp == census.hyp(2, 11)
+    assert res.sd == census.sd(2, 11)
+
+
 def test_budget_refusals():
     assert oc.action_cost(2, 3) == (3**3 - 3) * census.a_p1(6, 3)
     for g, q in ((2, 11), (3, 7), (4, 5)):
@@ -153,6 +162,49 @@ def test_column_kernel_matches_full_image_beyond_int16_sums():
         _assert_kernel_matches_reference(st, mat)
 
 
+def _reference_dest_flip(st, mat):
+    """The full-image dest_flip the column accumulation replaced: every
+    image row divided by its kappa, then coded by two int64 matmuls and
+    looked up in code -> row tables rebuilt here from V."""
+    q, n = st.ctx.q, st.n
+    g = _reference_apply(st, mat)
+    kap = np.where(g[:, 0] != 0, g[:, 0], g[:, 1])
+    assert kap.all(), mat
+    c = st.tabs.MUL[st.tabs.INV[kap][:, None], g]
+    weights = q ** np.arange(n, dtype=np.int64)
+    row_codes = st.V[:, n:0:-1] @ weights
+    inv0 = np.full(q**n, -1, np.int64)
+    inv0[row_codes[: st.n0]] = np.arange(st.n0)
+    inv1 = np.full(q ** (n - 1), -1, np.int64)
+    inv1[row_codes[st.n0 :] - q ** (n - 1)] = np.arange(st.n0, st.count)
+    code0 = c[:, n:0:-1] @ weights
+    code1 = c[:, n:1:-1] @ weights[:-1]
+    dest = np.where(g[:, 0] != 0, inv0[code0], inv1[code1])
+    assert (dest >= 0).all(), mat
+    return dest, st.tabs.CHI[kap] == -1
+
+
+def _assert_dest_flip_matches_reference(st, mat):
+    want_dest, want_flip = _reference_dest_flip(st, mat)
+    dest, flip = st.dest_flip(mat)
+    assert dest.dtype == np.int32, mat
+    assert np.array_equal(dest, want_dest), mat
+    assert flip.dtype == want_flip.dtype and np.array_equal(flip, want_flip), mat
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 4), (7, 1, 4), (3, 2, 4)])
+def test_column_dest_flip_matches_full_image(p, e, n):
+    st = oc.ActionState(ff.make_field(p, e), n)
+    for elem in mb.enumerate_pgl(st.ctx):
+        _assert_dest_flip_matches_reference(st, elem.mat)
+
+
+def test_column_dest_flip_matches_full_image_beyond_int16_sums():
+    st = oc.ActionState(ff.make_field(131, 1), 2)
+    for mat in (mb.GlMatrix(47, 12, 92, 21), mb.GlMatrix(0, 1, 1, 0)):
+        _assert_dest_flip_matches_reference(st, mat)
+
+
 @pytest.mark.parametrize("p,e,d", [(3, 1, 6), (5, 1, 4), (3, 2, 3), (7, 1, 1), (7, 1, 0)])
 def test_squarefree_mask_cached_and_read_only(p, e, d):
     ctx = ff.make_field(p, e)
@@ -194,11 +246,15 @@ def _uf_union(parent, a, b):
 
 def _reference_partition(st):
     """Union-find forests of the set and twisted-pair generator graphs."""
-    n = st.count
+    return _union_find(st.count, [st.dest_flip(mat) for mat in oc._generators(st.ctx)])
+
+
+def _union_find(n, acts):
+    """Union-find forests of the set and twisted-pair graphs of the
+    (dest, flip) pairs in acts."""
     parent1 = list(range(n))
     parent2 = list(range(2 * n))
-    for mat in oc._generators(st.ctx):
-        dest, flip = st.dest_flip(mat)
+    for dest, flip in acts:
         for i, (d, f) in enumerate(zip(dest.tolist(), flip.tolist())):
             _uf_union(parent1, i, d)
             _uf_union(parent2, i, d + n * f)
@@ -214,13 +270,44 @@ def _smallest_member(parent):
     return [least[r] for r in roots]
 
 
-@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 6), (3, 2, 4)])
+@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 6), (3, 2, 4), (7, 1, 4)])
 def test_orbit_labels_match_union_find(p, e, n):
     st = oc.ActionState(ff.make_field(p, e), n)
     lab1, lab2 = oc._partition(st)
     parent1, parent2 = _reference_partition(st)
     assert lab1.tolist() == _smallest_member(parent1)
     assert lab2.tolist() == _smallest_member(parent2)
+
+
+def _assert_parity_labels_match_union_find(n, acts):
+    lab, key0, key1 = oc._parity_labels(acts)
+    parent1, parent2 = _union_find(n, acts)
+    assert lab.tolist() == _smallest_member(parent1)
+    # twisted nodes share a key exactly when they share a twisted orbit
+    keys = np.concatenate([key0, key1]).tolist()
+    least = _smallest_member(parent2)
+    assert all(keys[x] == keys[r] for x, r in enumerate(least))
+    assert len(set(keys)) == len(set(least))
+
+
+def test_parity_labels_merge_an_odd_cycle():
+    # the flips around this 3-cycle add up to 1, so its two twist classes
+    # merge; at the fixpoint rows 1 and 2 carry twist bit 1, and the keys
+    # of a merged orbit must ignore it
+    acts = [(np.array([1, 2, 0], np.int32), np.array([False, False, True]))]
+    lab, key0, key1 = oc._parity_labels(acts)
+    assert lab.tolist() == [0, 0, 0]
+    assert key0.tolist() == key1.tolist() == [0, 0, 0]
+    _assert_parity_labels_match_union_find(3, acts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parity_labels_match_union_find_on_random_permutations(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    acts = [(rng.permutation(n).astype(np.int32), rng.random(n) < 0.5)
+            for _ in range(int(rng.integers(1, 4)))]
+    _assert_parity_labels_match_union_find(n, acts)
 
 
 def test_twisted_act_flip_matches_engine():

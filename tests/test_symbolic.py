@@ -47,6 +47,13 @@ def test_a_polys_match_exact_counts():
             assert sy.poly_eval(sy.a2_poly(n), q) == census.a2(n, q)
 
 
+def test_a_polys_reject_n_below_1():
+    for fn in (sy.a0_poly, sy.a1_poly, sy.a2_poly):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                fn(n)
+
+
 def test_guard_holds():
     g = sy.guard_congruence(8, [1, 3])
     assert g.holds(9, 3)
@@ -84,6 +91,20 @@ def test_symbolic_matches_census():
         for q, p in qs:
             assert hcp.evaluate(q, p) == census.hyp(g, q), (g, q)
             assert scp.evaluate(q, p) == census.sd(g, q), (g, q)
+
+
+def test_symbolic_matches_census_seeded_sweep():
+    # beyond the g <= 8, q <= 200 grid above: random genera up to 200 and
+    # odd prime powers up to 10^4
+    rng = random.Random(20071)
+    qs = census.odd_prime_powers(10**4)
+    for _ in range(100):
+        g = rng.randint(2, 200)
+        q, p = rng.choice(qs)
+        hyp, sd = census.hyp(g, q), census.sd(g, q)
+        assert sy.symbolic_hyp(g).evaluate(q, p) == hyp, (g, q)
+        assert sy.symbolic_sd(g).evaluate(q, p) == sd, (g, q)
+        assert (hyp + sd) % 2 == 0, (g, q)
 
 
 def test_genus_two_closed_form():
