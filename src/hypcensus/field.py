@@ -321,11 +321,6 @@ def tables(ctx: FieldCtx) -> Tables:
     return Tables(add_t, mul_t, inv_t, chi_t)
 
 
-def frobenius(x: int, ctx: FieldCtx, base_q: int) -> int:
-    """The base_q-power Frobenius of x inside ctx."""
-    return pw(ctx, x, base_q)
-
-
 def extend(base: FieldCtx, d: int) -> tuple[FieldCtx, tuple[int, ...]]:
     """Degree-d extension of base, d >= 2.
 

@@ -277,8 +277,8 @@ def subtype_representative(ctx: FieldCtx, kind: str, m: int):
         zeta = ff.mult_generator(ext)
         alpha = ff.pw(ext, zeta, (q + 1) // m)
         # companion matrix of the minimal polynomial of alpha over F_q
-        norm = ff.mul(ext, alpha, ff.frobenius(alpha, ext, q))
-        trace = ff.add(ext, alpha, ff.frobenius(alpha, ext, q))
+        norm = ff.mul(ext, alpha, ff.pw(ext, alpha, q))
+        trace = ff.add(ext, alpha, ff.pw(ext, alpha, q))
         back = {v: i for i, v in enumerate(emb)}
         mat = GlMatrix(0, 1, ff.neg(ctx, back[norm]), back[trace])
         elem = classify(ctx, mat)

@@ -175,7 +175,7 @@ def norm_lemma_check(base: FieldCtx, alpha: int) -> NormLemmaReport:
         if m > ext.q:
             raise VerificationError(f"alpha^m never landed in the base field: {alpha}")
     q = base.q
-    norm = ff.mul(ext, alpha, ff.frobenius(alpha, ext, q))
+    norm = ff.mul(ext, alpha, ff.pw(ext, alpha, q))
     if norm not in base_img:
         raise VerificationError(f"the norm of {alpha} is not in the base field")
     back = {v: i for i, v in enumerate(emb)}

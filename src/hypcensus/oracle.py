@@ -2,11 +2,13 @@
 
 Every rational n-set is a canonical binary-form coefficient row; a 2x2
 matrix acts on all rows at once, a column of exact int codes at a time
-(ActionState._image_col).  Only the three group generators act on the
-rows: Burnside composes their row permutations along a spanning tree of
-PGL2 and the orbit census labels their graph, so a fault in how they move
-rows reaches both.  Nothing reuses the closed formulas: agreement with
-census.hyp / census.sd is the independent evidence.
+(ActionState._image_col).  The two counts read different primitives.
+The orbit census labels the graph of the three generators' row
+permutations (dest_flip).  Burnside tests which rows one representative
+of each of the q + 2 conjugacy classes of PGL2 stabilizes (kappa_stable)
+and weights them by class size; it reads dest_flip only to cross-check
+the generators' fixed rows.  Nothing reuses the closed formulas:
+agreement with census.hyp / census.sd is the independent evidence.
 
 The twisted census tracks pairs (twist class, n-set); an edge flips the
 class when the substitution multiplier is a nonsquare.  One min-label pass
@@ -280,63 +282,57 @@ def _generators(ctx: ff.FieldCtx) -> tuple[GlMatrix, GlMatrix, GlMatrix]:
     return GlMatrix(1, 1, 0, 1), GlMatrix(zeta, 0, 0, 1), GlMatrix(0, 1, 1, 0)
 
 
-def _composed_actions(st: ActionState):
-    """Yield (matrix, dest, flip) for every element of PGL2 over st.ctx.
+def _class_key(ctx: ff.FieldCtx, m: GlMatrix) -> tuple[bool, int, int]:
+    """Conjugacy invariant of a PGL2 element over odd q: whether it is
+    scalar, tr^2 / det, and chi(tr^2 - 4 det) (0 at discriminant 0), which
+    splits the two classes of involutions, the only ones tr^2 / det mixes."""
+    tr = ff.add(ctx, m.a, m.d)
+    tr2, det = ff.mul(ctx, tr, tr), mb.mat_det(ctx, m)
+    disc = ff.sub(ctx, tr2, ff.mul(ctx, 4 % ctx.p, det))
+    scalar = m.b == m.c == 0 and m.a == m.d
+    return scalar, ff.div(ctx, tr2, det), int(ff.tables(ctx).CHI[disc])
 
-    Only the three generators act on the rows.  In a breadth-first
-    spanning tree over the edges m -> m * gen, the cocycle law of the
-    multiplier gives each child h = m * gen from its parent:
-    dest_h = dest_m[dest_gen], flip_h = flip_m[dest_gen] ^ flip_gen.
-    A depth-first walk holds only the arrays on the path from the root;
-    callers must not modify the yielded arrays.
-    """
-    ctx = st.ctx
-    gens = _generators(ctx)
-    acts = []
-    for mat in gens:  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
-        kappa, stable = st.kappa_stable(mat)
-        dest, flip = st.dest_flip(mat)
-        _check(np.array_equal(dest == np.arange(st.count), stable), "fixed rows", mat)
-        _check(np.array_equal(flip[stable], st.tabs.CHI[kappa[stable]] < 0), "flip", mat)
-        acts.append((dest, flip))
-    mats = [el.mat for el in mb.enumerate_pgl(ctx)]
-    index = {m: i for i, m in enumerate(mats)}
-    root = index[mb.IDENTITY]
-    children: list[list[tuple[int, int]]] = [[] for _ in mats]
-    seen = {root}
-    queue = [root]  # breadth first: the loop also visits what it appends
-    for u in queue:
-        for k, gen in enumerate(gens):
-            v = index[mb.canonical_matrix(ctx, mb.mat_mul(ctx, mats[u], gen))]
-            if v not in seen:
-                seen.add(v)
-                children[u].append((v, k))
-                queue.append(v)
+
+def _conjugacy_classes(ctx: ff.FieldCtx) -> dict[tuple, tuple[GlMatrix, int]]:
+    """Class key -> (first member in enumerate_pgl order, size)."""
     order = ctx.q**3 - ctx.q
-    _check(len(queue) == len(mats) == order, "spanning tree", len(queue), len(mats))
-
-    def walk(u, dest, flip):
-        yield mats[u], dest, flip
-        for v, k in children[u]:
-            dest_gen, flip_gen = acts[k]
-            yield from walk(v, dest.take(dest_gen), flip.take(dest_gen) ^ flip_gen)
-
-    yield from walk(root, np.arange(st.count, dtype=np.int32), np.zeros(st.count, bool))
+    classes: dict[tuple, tuple[GlMatrix, int]] = {}
+    for el in mb.enumerate_pgl(ctx):
+        key = _class_key(ctx, el.mat)
+        rep, size = classes.get(key, (el.mat, 0))
+        classes[key] = rep, size + 1
+    sizes = [size for _, size in classes.values()]
+    _check(len(sizes) == ctx.q + 2, "q + 2 conjugacy classes", ctx.q, len(sizes))
+    _check(sum(sizes) == order, "class sizes sum to |PGL2|", ctx.q, sizes)
+    _check(all(order % s == 0 for s in sizes), "class sizes divide |PGL2|", ctx.q, sizes)
+    return classes
 
 
 def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """hyp(g, q) by averaging twisted fixed pairs over the whole group: an
-    element fixes both twisted pairs over row i when it maps i to itself
-    without a flip, and neither otherwise."""
+    """hyp(g, q) by Burnside's lemma over the conjugacy classes of PGL2.
+
+    An element fixes both twisted pairs over an n-set it stabilizes with
+    chi(kappa) = 1 and neither otherwise.  That count is a class function
+    (conjugation moves the stable rows and keeps the sign), so one
+    kappa_stable call per class, weighted by the class size, does the sum.
+    The generators stand for their own classes, and their stable rows are
+    checked against the row permutations the orbit census reads.
+    """
     check_budget(g, q, budget)
-    p, e = factor_prime_power(q)
-    ctx = ff.make_field(p, e)
+    ctx = ff.make_field(*factor_prime_power(q))
     st = ActionState(ctx, 2 * g + 2)
-    rows = np.arange(st.count)
-    total = sum(
-        2 * int(np.count_nonzero((dest == rows) & ~flip))
-        for _, dest, flip in _composed_actions(st)
-    )
+    chi = st.tabs.CHI
+    tested = {}
+    for mat in _generators(ctx):  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
+        kappa, stable = st.kappa_stable(mat)
+        dest, flip = st.dest_flip(mat)
+        _check(np.array_equal(dest == np.arange(st.count), stable), "fixed rows", mat)
+        _check(np.array_equal(flip[stable], chi[kappa[stable]] < 0), "flip", mat)
+        tested.setdefault(_class_key(ctx, mat), (kappa, stable))
+    total = 0
+    for key, (rep, size) in _conjugacy_classes(ctx).items():
+        kappa, stable = tested[key] if key in tested else st.kappa_stable(rep)
+        total += size * 2 * int(np.count_nonzero(chi[kappa[stable]] == 1))
     order = q**3 - q
     _check(total % order == 0, "fixed-pair total divisible by |PGL2|", g, q, total)
     return total // order
@@ -621,7 +617,7 @@ def _random_nset(rng: random.Random, ctx: ff.FieldCtx, n: int) -> ns.RationalNSe
         has_inf = rng.random() < 0.5
         deg = n - (1 if has_inf else 0)
         f = tuple(rng.randrange(ctx.q) for _ in range(deg)) + (1,)
-        if ff.is_squarefree_poly(ctx, f):
+        if squarefree_mask(ctx, deg)[sum(c * ctx.q**j for j, c in enumerate(f[:-1]))]:
             return ns.RationalNSet(f, has_inf)
 
 
@@ -840,10 +836,10 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             extd, embd = ff.extend(ctx, d)
             pts = []
             for x in range(extd.q):
-                y = ff.frobenius(x, extd, q)
+                y = ff.pw(extd, x, q)
                 size = 1
                 while y != x:
-                    y = ff.frobenius(y, extd, q)
+                    y = ff.pw(extd, y, q)
                     size += 1
                 if size == d:
                     pts.append(mb.fin(x))
@@ -866,7 +862,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                         u = frontier.pop()
                         nbrs = [mb.act_point(elem.mat, u, ctxd, embd)]
                         if u.finite:
-                            nbrs.append(mb.fin(ff.frobenius(u.x, ctxd, q)))
+                            nbrs.append(mb.fin(ff.pw(ctxd, u.x, q)))
                         else:
                             nbrs.append(mb.INF)
                         for v in nbrs:

@@ -137,7 +137,7 @@ def test_fixed_points_rationality_by_kind():
             assert not rational
             # the two points are frobenius conjugates
             xs = {t.x for t in pts}
-            assert {ff.frobenius(x, ext, k.q) for x in xs} == xs
+            assert {ff.pw(ext, x, k.q) for x in xs} == xs
         else:
             assert rational
 

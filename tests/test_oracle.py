@@ -55,6 +55,7 @@ def test_orbit_census_past_default_budget():
     assert (res.hyp, res.sd, res.nset_classes) == (2813, 121, 1467)
     assert res.hyp == census.hyp(2, 11)
     assert res.sd == census.sd(2, 11)
+    assert oc.burnside_hyp(2, 11, budget=oc.action_cost(2, 11)) == 2813
 
 
 def test_budget_refusals():
@@ -215,12 +216,45 @@ def test_squarefree_mask_cached_and_read_only(p, e, d):
         mask[0] = not mask[0]
 
 
+def _composed_actions(st):
+    """Yield (matrix, dest, flip) for every element of PGL2 over st.ctx,
+    composing the generators' row permutations along a breadth-first
+    spanning tree over the edges m -> m * gen: by the cocycle law of the
+    multiplier, dest_h = dest_m[dest_gen] and flip_h = flip_m[dest_gen] ^
+    flip_gen for each child h = m * gen."""
+    ctx = st.ctx
+    gens = oc._generators(ctx)
+    acts = [st.dest_flip(mat) for mat in gens]
+    mats = [el.mat for el in mb.enumerate_pgl(ctx)]
+    index = {m: i for i, m in enumerate(mats)}
+    root = index[mb.IDENTITY]
+    children = [[] for _ in mats]
+    seen = {root}
+    queue = [root]  # breadth first: the loop also visits what it appends
+    for u in queue:
+        for k, gen in enumerate(gens):
+            v = index[mb.canonical_matrix(ctx, mb.mat_mul(ctx, mats[u], gen))]
+            if v not in seen:
+                seen.add(v)
+                children[u].append((v, k))
+                queue.append(v)
+    assert len(queue) == len(mats) == ctx.q**3 - ctx.q
+
+    def walk(u, dest, flip):
+        yield mats[u], dest, flip
+        for v, k in children[u]:
+            dest_gen, flip_gen = acts[k]
+            yield from walk(v, dest.take(dest_gen), flip.take(dest_gen) ^ flip_gen)
+
+    yield from walk(root, np.arange(st.count, dtype=np.int32), np.zeros(st.count, bool))
+
+
 @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 4), (3, 2, 4)])
 def test_composed_actions_match_direct(p, e, n):
     ctx = ff.make_field(p, e)
     st = oc.ActionState(ctx, n)
     walked = []
-    for mat, dest, flip in oc._composed_actions(st):
+    for mat, dest, flip in _composed_actions(st):
         want_dest, want_flip = st.dest_flip(mat)
         assert np.array_equal(dest, want_dest), mat
         assert np.array_equal(flip, want_flip), mat
@@ -228,6 +262,51 @@ def test_composed_actions_match_direct(p, e, n):
     pgl = [el.mat for el in mb.enumerate_pgl(ctx)]
     assert len(walked) == len(pgl) == len(set(walked))
     assert set(walked) == set(pgl)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_class_keys_are_conjugacy_classes(q):
+    # true conjugacy from the product table: x is labelled by the least
+    # position of g x g^-1 over all g
+    ctx = ff.make_field(*census.factor_prime_power(q))
+    table = mb.pgl_table(ctx)
+    inv = np.argmax(table.prod == table.index[mb.IDENTITY], axis=1)
+    labels = table.prod[table.prod, inv[:, None]].min(axis=0)
+    keys = [oc._class_key(ctx, el.mat) for el in mb.enumerate_pgl(ctx)]
+    pairs = set(zip(labels.tolist(), keys))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(keys)) == q + 2
+    classes = oc._conjugacy_classes(ctx)
+    assert sorted(size for _, size in classes.values()) == sorted(
+        np.unique(labels, return_counts=True)[1].tolist())
+
+
+@pytest.mark.parametrize("g,q", FAST_PAIRS)
+def test_class_sums_match_hyp_components(g, q):
+    # grouped by kind, the Burnside class sums are the paper's components,
+    # and the plain stable counts give y, hence sd = 2y - hyp
+    ctx = ff.make_field(*census.factor_prime_power(q))
+    st = oc.ActionState(ctx, 2 * g + 2)
+    order = q**3 - q
+    fixed_pairs = dict.fromkeys(("A", "B", "C", "identity"), 0)
+    fixed_sets = 0
+    for rep, size in oc._conjugacy_classes(ctx).values():
+        kappa, stable = st.kappa_stable(rep)
+        kind = mb.classify(ctx, rep).kind
+        fixed_pairs[kind] += size * 2 * int(np.count_nonzero(st.tabs.CHI[kappa[stable]] == 1))
+        fixed_sets += size * int(np.count_nonzero(stable))
+    want = census.hyp_components(g, q)
+    assert [fixed_pairs[k] for k in ("A", "B", "C", "identity")] == [order * h for h in want]
+    assert fixed_sets % order == 0
+    assert 2 * fixed_sets // order - census.hyp(g, q) == census.sd(g, q)
+
+
+def test_class_checks_reject_a_missing_class(monkeypatch):
+    # merging two classes under one key leaves q + 1 of them
+    ctx = ff.make_field(5, 1)
+    key = oc._class_key
+    monkeypatch.setattr(oc, "_class_key", lambda ctx, m: key(ctx, m)[:2])
+    with pytest.raises(census.VerificationError, match="q \\+ 2 conjugacy classes"):
+        oc._conjugacy_classes(ctx)
 
 
 def _uf_find(parent, x):
