@@ -77,46 +77,58 @@ def _check(ok, what: str, *where) -> None:
 # the n-set rows
 
 
-def _digits_cols(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    out = np.empty((len(codes), d), np.int16)
-    for j in range(d):
-        out[:, j] = codes // q**j % q
-    return out
+def _digits(q: int, d: int, j: int, dtype) -> np.ndarray:
+    """Digit j (the x^j coefficient) of every code 0 .. q**d - 1, without
+    division: arange(q) broadcast to shape (q**(d-1-j), q, q**j), whose C
+    order is code order."""
+    shape = (q ** (d - 1 - j), q, q**j)
+    return np.broadcast_to(np.arange(q, dtype=dtype)[:, None], shape).ravel()
 
 
 @functools.lru_cache(maxsize=32)
 def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
     """Read-only mask over monic degree-d polynomials in code order.
 
-    Sieve: every monic with a repeated factor is g**2 * h for some monic g
-    of degree >= 1, so mark those products and negate.  Cached, since the
-    suites build engines for the same few (q, n) again and again.
+    Sieve: every monic with a repeated factor is g**2 * h for monic g of
+    some degree k >= 1 and monic h of degree d - 2k, so mark those codes
+    and negate.  Per k, the coefficients of g**2 come from the digit
+    columns of all q**k polynomials g at once, and the code of g**2 * h
+    is accumulated by Horner over an outer product of all (g, h) pairs: the
+    Python loops run over degrees and coefficient positions only.  Cached,
+    since the suites build engines for the same few (q, n) again and again.
     """
     q = ctx.q
     if d <= 1:
         mask = np.ones(q**d, dtype=bool)
         mask.flags.writeable = False
         return mask
-    tabs = ff.tables(ctx)
+    # codes, and over a prime field the unreduced sums of products, in int32
+    itype = np.int32 if max(q**d, (d + 1) * (q - 1) ** 2) < 2**31 else np.int64
+    # dot(pairs): the field sum of the products a * b, elementwise
+    if ctx.e == 1:
+        def dot(pairs):
+            return sum(a * b for a, b in pairs) % q
+    else:
+        tabs = ff.tables(ctx)
+        mul, add = tabs.MUL.astype(itype).ravel(), tabs.ADD.astype(itype).ravel()
+        def dot(pairs):
+            acc = None
+            for a, b in pairs:
+                t = mul.take(a * q + b)
+                acc = t if acc is None else add.take(acc * q + t)
+            return acc
     seen = np.zeros(q**d, dtype=bool)
     for k in range(1, d // 2 + 1):
         hdeg = d - 2 * k
-        hcodes = np.arange(q**hdeg, dtype=np.int64)
-        hfull = np.concatenate(
-            [_digits_cols(hcodes, q, hdeg), np.ones((len(hcodes), 1), np.int16)],
-            axis=1,
-        )
-        for gcode in range(q**k):
-            gc = [(gcode // q**j) % q for j in range(k)]
-            g2 = ff.pmul(ctx, tuple(gc) + (1,), tuple(gc) + (1,))
-            prod = np.zeros((len(hcodes), d + 1), np.int16)
-            for i, gi in enumerate(g2):
-                if gi == 0:
-                    continue
-                row = tabs.MUL[gi]
-                for j in range(hdeg + 1):
-                    prod[:, i + j] = tabs.ADD[prod[:, i + j], row[hfull[:, j]]]
-            seen[prod[:, :d] @ q ** np.arange(d)] = True
+        g = [_digits(q, k, j, itype)[:, None] for j in range(k)] + [1]
+        h = [_digits(q, hdeg, j, itype) for j in range(hdeg)] + [1]
+        g2 = [dot([(g[a], g[i - a]) for a in range(max(0, i - k), min(i, k) + 1)])
+              for i in range(2 * k)] + [1]
+        code = 0
+        for m in reversed(range(d)):
+            code = code * q + dot([(g2[i], h[m - i])
+                                   for i in range(max(0, m - hdeg), min(2 * k, m) + 1)])
+        seen[code] = True
     mask = ~seen
     _check(int(mask.sum()) == q**d - q ** (d - 1), "squarefree count", q, d)
     mask.flags.writeable = False
@@ -131,6 +143,11 @@ class ActionState:
     (form coefficient 0 equal to 1), then the rest (coefficients 0, 1
     equal to 0, 1).  V[r, i] is the X^(n-i) Z^i coefficient of row r;
     V is stored column-major, since the action reads it a column at a time.
+
+    V is filled a column at a time from the sieve, with no division: in
+    code order, digit j runs through arange(q) in runs of q**j codes, so
+    its column repeats each digit as often as the sieve keeps codes in that
+    run (a mask select for j = 0, run counts summed up level by level).
     """
 
     def __init__(self, ctx: ff.FieldCtx, n: int):
@@ -140,21 +157,22 @@ class ActionState:
         self.n = n
         self.tabs = ff.tables(ctx)
         q = ctx.q
-        codes0 = np.nonzero(squarefree_mask(ctx, n))[0]
-        codes1 = np.nonzero(squarefree_mask(ctx, n - 1))[0]
-        n0 = len(codes0)
-        count = n0 + len(codes1)
+        masks = squarefree_mask(ctx, n), squarefree_mask(ctx, n - 1)
+        n0 = int(np.count_nonzero(masks[0]))
+        count = n0 + int(np.count_nonzero(masks[1]))
         v = np.zeros((count, n + 1), np.int16, order="F")
-        d0 = _digits_cols(codes0, q, n)
-        d1 = _digits_cols(codes1, q, n - 1)
-        v[:n0, 0] = 1
-        v[:n0, 1:] = d0[:, ::-1]
-        v[n0:, 1] = 1
-        v[n0:, 2:] = d1[:, ::-1]
         # row of each monic code; the sets through infinity at q**n + code
         row_of = np.full(q**n + q ** (n - 1), -1, np.int32)
-        row_of[codes0] = np.arange(n0, dtype=np.int32)
-        row_of[q**n + codes1] = np.arange(n0, count, dtype=np.int32)
+        blocks = (slice(0, n0), slice(q**n)), (slice(n0, count), slice(q**n, None))
+        ar = np.arange(q, dtype=np.int16)
+        for lead, (mask, (rows, codes)) in enumerate(zip(masks, blocks)):
+            v[rows, lead] = 1
+            runs = mask  # sieved codes in each run of q**j codes that share digit j
+            for j in range(n - lead):  # the x^j coefficient is column n - j
+                digit = np.tile(ar, len(runs) // q)
+                v[rows, n - j] = digit[runs] if j == 0 else np.repeat(digit, runs)
+                runs = runs.reshape(-1, q).sum(1)
+            row_of[codes][mask] = np.arange(rows.start, rows.stop, dtype=np.int32)
         self.n0 = n0
         self.count = count
         self.V = v
@@ -175,7 +193,8 @@ class ActionState:
         Over a prime field the codes are residues: an int32 accumulation
         over the nonzero coefficients, reduced mod p once, exact while
         (n + 1)(p - 1)^2 < 2**31.  Over an extension field the terms are
-        gathered from the field's multiplication and addition tables.
+        gathered from the field's tables: a row of MUL per coefficient,
+        and ADD flattened, at index acc * q + term.
         """
         terms = [(k, c) for k, c in enumerate(trow) if c]
         if not terms:
@@ -190,10 +209,10 @@ class ActionState:
             for k, c in rest:
                 acc += np.multiply(v[rows, k], c, dtype=np.int32)
             return np.mod(acc, p, out=acc)
-        mul, add = self.tabs.MUL, self.tabs.ADD
-        acc = mul[c0][v[rows, k0]]
+        q, mul, add = ctx.q, self.tabs.MUL, self.tabs.ADD.ravel()
+        acc = mul[c0].take(v[rows, k0])
         for k, c in rest:
-            acc = add[acc, mul[c][v[rows, k]]]
+            acc = add.take(np.multiply(acc, q, dtype=np.int32) + mul[c].take(v[rows, k]))
         return acc
 
     def apply(self, mat: GlMatrix) -> np.ndarray:
@@ -214,23 +233,32 @@ class ActionState:
         the rows avoiding infinity, 1 for the rest).  The other of columns
         0 and 1 is tested over the whole block, since contiguous reads beat
         gathering the many rows with kappa != 0; every later column only on
-        the rows still standing.
+        the rows still standing, read by slice until the first row drops
+        out (the identity keeps them all).
         """
         t = ns.substitution_matrix(self.ctx, mat, self.n)
-        mul, v = self.tabs.MUL, self.V
+        q, mul, v = self.ctx.q, self.tabs.MUL.ravel(), self.V
         kappa = np.empty(self.count, np.int16)
         stable = np.zeros(self.count, bool)
+
+        def times_kappa(rows, i):  # kappa times column i of V on the rows
+            return mul.take(np.multiply(kappa[rows], q, dtype=np.int32) + v[rows, i])
+
         for lead, block in ((0, slice(0, self.n0)), (1, slice(self.n0, self.count))):
             kap = self._image_col(block, t[lead])
             kappa[block] = kap
             other = 1 - lead
-            ok = (kap != 0) & (self._image_col(block, t[other]) == mul[kap, v[block, other]])
-            live = np.flatnonzero(ok) + block.start
+            ok = (kap != 0) & (self._image_col(block, t[other]) == times_kappa(block, other))
+            live = block  # a slice while every row of the block stands
             for i in range(2, self.n + 1):
-                if not len(live):
-                    break
-                live = live[self._image_col(live, t[i]) == mul[kappa[live], v[live, i]]]
-            stable[live] = True
+                if not ok.all():
+                    live = (live[ok] if isinstance(live, np.ndarray)
+                            else np.flatnonzero(ok) + block.start)
+                    if not len(live):
+                        break
+                ok = self._image_col(live, t[i]) == times_kappa(live, i)
+            else:  # no break: ok tests the last column on the live rows
+                stable[live] = ok
         return kappa, stable
 
     def stable_indices(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -387,14 +415,16 @@ def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
     keys equal) and hyp the distinct twisted orbit keys."""
     check_budget(g, q, budget)
     st = ActionState(ff.make_field(*factor_prime_power(q)), 2 * g + 2)
-    lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(st.ctx)])
-    roots = np.flatnonzero(lab == np.arange(st.count))
+    acts, count = [st.dest_flip(mat) for mat in _generators(st.ctx)], st.count
+    del st  # the labelling reads only the permutations: free V and the code table first
+    lab, key0, key1 = _parity_labels(acts)
+    roots = np.flatnonzero(lab == np.arange(count))
     sd = int(np.count_nonzero(key0[roots] == key1[roots]))
-    seen = np.zeros(2 * st.count, bool)  # one flag per key, none per node
+    seen = np.zeros(2 * count, bool)  # one flag per key, none per node
     seen[key0] = seen[key1] = True
     hyp_count, y = int(np.count_nonzero(seen)), len(roots)
     _check(hyp_count == 2 * y - sd, "hyp == 2y - merged", g, q, hyp_count, y, sd)
-    return OracleResult(g=g, q=q, n_sets=st.count, nset_classes=y, hyp=hyp_count, sd=sd)
+    return OracleResult(g=g, q=q, n_sets=count, nset_classes=y, hyp=hyp_count, sd=sd)
 
 
 def twisted_act(gamma, lam: int, s: ns.RationalNSet, ctx: ff.FieldCtx):

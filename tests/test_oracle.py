@@ -1,5 +1,7 @@
 """Group-action engine against the closed-form census."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,31 @@ def test_engine_enumeration_matches_nsets(p, e, n):
         assert st.nset_at(i) == s
 
 
+def _reference_rows(ctx, n):
+    """V and the code -> row table rebuilt from nset.enumerate_nsets, which
+    tests squarefreeness by a polynomial gcd, and nset.to_form."""
+    q = ctx.q
+    sets = list(ns.enumerate_nsets(ctx, n))
+    v = np.array([ns.to_form(ctx, s, n) for s in sets], np.int16, order="F")
+    row_of = np.full(q**n + q ** (n - 1), -1, np.int32)
+    for i, s in enumerate(sets):
+        row_of[q**n * s.has_inf + sum(c * q**j for j, c in enumerate(s.f[:-1]))] = i
+    return v, row_of
+
+
+@pytest.mark.parametrize(
+    "p,e,n", [(3, 1, 6), (5, 1, 4), (7, 1, 4), (3, 2, 4), (5, 2, 2), (3, 3, 3), (131, 1, 2)]
+)
+def test_rows_match_enumeration(p, e, n):
+    ctx = ff.make_field(p, e)
+    st = oc.ActionState(ctx, n)
+    v, row_of = _reference_rows(ctx, n)
+    assert st.V.dtype == np.int16 and st.V.flags.f_contiguous
+    assert np.array_equal(st.V, v)
+    assert st._row_of.dtype == np.int32 and np.array_equal(st._row_of, row_of)
+    assert st.n0 == int(np.count_nonzero(v[:, 0])) and st.count == len(v)
+
+
 @pytest.mark.parametrize("p,e,n", [(3, 1, 4), (3, 2, 2)])
 def test_engine_action_matches_act_form(p, e, n):
     ctx = ff.make_field(p, e)
@@ -140,8 +167,9 @@ def _reference_kappa_stable(st, g):
     return kappa, stable
 
 
-def _assert_kernel_matches_reference(st, mat):
-    g = _reference_apply(st, mat)
+def _assert_kernel_matches_reference(st, mat, g=None):
+    if g is None:
+        g = _reference_apply(st, mat)
     got = st.apply(mat)
     assert got.dtype == g.dtype and np.array_equal(got, g), mat
     want_kappa, want_stable = _reference_kappa_stable(st, g)
@@ -163,12 +191,13 @@ def test_column_kernel_matches_full_image_beyond_int16_sums():
         _assert_kernel_matches_reference(st, mat)
 
 
-def _reference_dest_flip(st, mat):
+def _reference_dest_flip(st, mat, g=None):
     """The full-image dest_flip the column accumulation replaced: every
     image row divided by its kappa, then coded by two int64 matmuls and
     looked up in code -> row tables rebuilt here from V."""
     q, n = st.ctx.q, st.n
-    g = _reference_apply(st, mat)
+    if g is None:
+        g = _reference_apply(st, mat)
     kap = np.where(g[:, 0] != 0, g[:, 0], g[:, 1])
     assert kap.all(), mat
     c = st.tabs.MUL[st.tabs.INV[kap][:, None], g]
@@ -185,8 +214,8 @@ def _reference_dest_flip(st, mat):
     return dest, st.tabs.CHI[kap] == -1
 
 
-def _assert_dest_flip_matches_reference(st, mat):
-    want_dest, want_flip = _reference_dest_flip(st, mat)
+def _assert_dest_flip_matches_reference(st, mat, g=None):
+    want_dest, want_flip = _reference_dest_flip(st, mat, g)
     dest, flip = st.dest_flip(mat)
     assert dest.dtype == np.int32, mat
     assert np.array_equal(dest, want_dest), mat
@@ -206,12 +235,89 @@ def test_column_dest_flip_matches_full_image_beyond_int16_sums():
         _assert_dest_flip_matches_reference(st, mat)
 
 
+@pytest.mark.slow
+def test_extension_gathers_match_full_image_on_f27():
+    # the generators and 64 seeded random GL2 matrices over F_27, each
+    # about 0.4 s at 530,712 rows: all of PGL2(F_27) is out of reach
+    ctx = ff.make_field(3, 3)
+    st = oc.ActionState(ctx, 4)
+    rng = random.Random(27)
+    mats = list(oc._generators(ctx))
+    while len(mats) < 3 + 64:
+        mat = mb.GlMatrix(*(rng.randrange(27) for _ in range(4)))
+        if mb.mat_det(ctx, mat):
+            mats.append(mat)
+    rows = np.array(sorted(rng.sample(range(st.count), 2000)))
+    for mat in mats:
+        g = _reference_apply(st, mat)
+        for i, trow in enumerate(ns.substitution_matrix(ctx, mat, st.n)):
+            col = st._image_col(rows, trow)
+            assert col.dtype == g.dtype and np.array_equal(col, g[rows, i]), mat
+        _assert_kernel_matches_reference(st, mat, g)
+        _assert_dest_flip_matches_reference(st, mat, g)
+
+
+def test_extension_gathers_beyond_int16_indices():
+    # over F_243 the flat ADD index acc * q + term reaches 243**2 - 1,
+    # past int16
+    ctx = ff.make_field(3, 5)
+    st = oc.ActionState(ctx, 2)
+    for mat in (*oc._generators(ctx), mb.GlMatrix(200, 17, 99, 242)):
+        g = _reference_apply(st, mat)
+        _assert_kernel_matches_reference(st, mat, g)
+        _assert_dest_flip_matches_reference(st, mat, g)
+
+
+def _reference_squarefree_mask(ctx, d):
+    """The per-polynomial sieve the vectorized one replaced: for each monic
+    g of degree k, g**2 by scalar polynomial multiplication, then g**2 * h
+    for every monic h of degree d - 2k by gathers in the field tables."""
+    q = ctx.q
+    if d <= 1:
+        return np.ones(q**d, dtype=bool)
+    tabs = ff.tables(ctx)
+    seen = np.zeros(q**d, dtype=bool)
+    for k in range(1, d // 2 + 1):
+        hdeg = d - 2 * k
+        hcodes = np.arange(q**hdeg, dtype=np.int64)
+        hfull = np.ones((len(hcodes), hdeg + 1), np.int16)
+        for j in range(hdeg):
+            hfull[:, j] = hcodes // q**j % q
+        for gcode in range(q**k):
+            gc = tuple((gcode // q**j) % q for j in range(k)) + (1,)
+            g2 = ff.pmul(ctx, gc, gc)
+            prod = np.zeros((len(hcodes), d + 1), np.int16)
+            for i, gi in enumerate(g2):
+                if gi == 0:
+                    continue
+                row = tabs.MUL[gi]
+                for j in range(hdeg + 1):
+                    prod[:, i + j] = tabs.ADD[prod[:, i + j], row[hfull[:, j]]]
+            seen[prod[:, :d] @ q ** np.arange(d)] = True
+    return ~seen
+
+
+@pytest.mark.parametrize(
+    "p,e,dlo,dhi",
+    [(3, 1, 0, 10), (5, 1, 0, 8), (7, 1, 0, 6), (3, 2, 0, 6), (5, 2, 0, 4), (3, 3, 0, 4),
+     (131, 1, 3, 3), (191, 1, 2, 2)],
+)
+def test_squarefree_mask_matches_reference(p, e, dlo, dhi):
+    # at q = 131 and 191, q**2 exceeds int16: the codes need int32
+    ctx = ff.make_field(p, e)
+    for d in range(dlo, dhi + 1):
+        mask = oc.squarefree_mask.__wrapped__(ctx, d)
+        assert mask.dtype == bool and not mask.flags.writeable, d
+        assert np.array_equal(mask, _reference_squarefree_mask(ctx, d)), d
+
+
 @pytest.mark.parametrize("p,e,d", [(3, 1, 6), (5, 1, 4), (3, 2, 3), (7, 1, 1), (7, 1, 0)])
 def test_squarefree_mask_cached_and_read_only(p, e, d):
     ctx = ff.make_field(p, e)
     mask = oc.squarefree_mask(ctx, d)
     assert oc.squarefree_mask(ctx, d) is mask
     assert np.array_equal(mask, oc.squarefree_mask.__wrapped__(ctx, d))
+    assert np.array_equal(mask, _reference_squarefree_mask(ctx, d))
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
 
