@@ -9,7 +9,10 @@ Nonidentity classes split into three kinds by the discriminant of the
 characteristic polynomial: "B" (zero discriminant, order p, one fixed
 point), "C" (square discriminant, order dividing q - 1, two rational
 fixed points), "A" (nonsquare discriminant, order dividing q + 1, two
-conjugate fixed points over the quadratic extension).
+conjugate fixed points over the quadratic extension).  The kind and the
+order are class functions: class_key (scalar or not, tr^2 / det and
+chi(disc)) names the q + 2 conjugacy classes, and enumerate_pgl runs the
+per-element classify on one member of each.
 """
 
 from __future__ import annotations
@@ -113,6 +116,24 @@ def act_point(mat: GlMatrix, t: ProjPoint, ctx: FieldCtx, emb=None) -> ProjPoint
     return fin(ff.div(ctx, num, den))
 
 
+def _invariants(ctx: FieldCtx, m: GlMatrix) -> tuple[int, int, int]:
+    """tr^2, det and the discriminant tr^2 - 4 det of the characteristic
+    polynomial of m."""
+    tr = ff.add(ctx, m.a, m.d)
+    tr2, det = ff.mul(ctx, tr, tr), mat_det(ctx, m)
+    return tr2, det, ff.sub(ctx, tr2, ff.mul(ctx, 4 % ctx.p, det))
+
+
+def class_key(ctx: FieldCtx, m: GlMatrix) -> tuple[bool, int, int]:
+    """Conjugacy invariant of a PGL2 element over odd q: whether it is
+    scalar, tr^2 / det, and chi(tr^2 - 4 det) (0 at discriminant 0), which
+    splits the two classes of involutions, the only ones tr^2 / det mixes.
+    Unchanged by scaling m, so any matrix of the class will do."""
+    tr2, det, disc = _invariants(ctx, m)
+    scalar = m.b == m.c == 0 and m.a == m.d
+    return scalar, ff.div(ctx, tr2, det), ff.chi(disc, ctx) if disc else 0
+
+
 def classify(ctx: FieldCtx, m: GlMatrix) -> MoebiusElem:
     """Canonicalize and attach projective order plus kind."""
     cm = canonical_matrix(ctx, m)
@@ -125,15 +146,9 @@ def classify(ctx: FieldCtx, m: GlMatrix) -> MoebiusElem:
         order += 1
         if order > ctx.q + 1:
             raise VerificationError(f"projective order exceeded q + 1: {m}")
-    tr = ff.add(ctx, cm.a, cm.d)
-    disc = ff.sub(ctx, ff.mul(ctx, tr, tr), ff.mul(ctx, 4 % ctx.p, mat_det(ctx, cm)))
-    if disc == 0:
-        kind, ok = "B", order == ctx.p
-    elif ff.is_square(disc, ctx):
-        kind, ok = "C", (ctx.q - 1) % order == 0
-    else:
-        kind, ok = "A", (ctx.q + 1) % order == 0
-    if not ok:
+    chi = class_key(ctx, cm)[2]
+    kind, period = {0: ("B", ctx.p), 1: ("C", ctx.q - 1), -1: ("A", ctx.q + 1)}[chi]
+    if period % order:  # by kind, the order (> 1) divides p, q - 1 or q + 1
         raise VerificationError(f"order {order} does not fit kind {kind}: {m}")
     return MoebiusElem(cm, order, kind)
 
@@ -145,23 +160,31 @@ def enumerate_pgl(ctx: FieldCtx) -> tuple[MoebiusElem, ...]:
     """All q^3 - q classes, canonical representatives, deterministic order.
 
     Representatives with a = 0 (so b = 1) come first, then the a = 1 block.
+    Order and kind are class functions, so classify runs on the first
+    member of each class_key only; the keys must number q + 2, the count of
+    conjugacy classes, or one of them would mix two classes.
     """
     hit = _PGL_CACHE.get(ctx)
     if hit is not None:
         return hit
     q = ctx.q
-    out = []
-    for c in range(1, q):
-        for d in range(q):
-            out.append(classify(ctx, GlMatrix(0, 1, c, d)))
+    mats = [GlMatrix(0, 1, c, d) for c in range(1, q) for d in range(q)]
     for b in range(q):
         for c in range(q):
             bc = ff.mul(ctx, b, c)
-            for d in range(q):
-                if d != bc:
-                    out.append(classify(ctx, GlMatrix(1, b, c, d)))
-    if len(out) != q**3 - q:
-        raise VerificationError(f"|PGL2(F_{q})| = {len(out)}, not q^3 - q")
+            mats.extend(GlMatrix(1, b, c, d) for d in range(q) if d != bc)
+    if len(mats) != q**3 - q:
+        raise VerificationError(f"|PGL2(F_{q})| = {len(mats)}, not q^3 - q")
+    first: dict[tuple, MoebiusElem] = {}
+    out = []
+    for m in mats:
+        key = class_key(ctx, m)
+        el = first.get(key)
+        if el is None:
+            el = first[key] = classify(ctx, m)
+        out.append(MoebiusElem(m, el.order, el.kind))
+    if len(first) != q + 2:
+        raise VerificationError(f"q + 2 conjugacy classes: F_{q} has {len(first)} class keys")
     res = tuple(out)
     _PGL_CACHE[ctx] = res
     return res
@@ -221,9 +244,7 @@ def fixed_points(elem: MoebiusElem, ctx: FieldCtx):
             pts.append(fin(emb[t]))
     else:
         # c t^2 + (d - a) t - b = 0; the discriminant is tr^2 - 4 det
-        tr = ff.add(ctx, m.a, m.d)
-        disc = ff.sub(ctx, ff.mul(ctx, tr, tr), ff.mul(ctx, 4 % ctx.p, mat_det(ctx, m)))
-        de = emb[disc]
+        de = emb[_invariants(ctx, m)[2]]
         sqrt = None
         for cand in range(ext.q):
             if ff.mul(ext, cand, cand) == de:

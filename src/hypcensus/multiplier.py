@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import field as ff
 from .census import VerificationError
 from .field import FieldCtx
-from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points
+from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
 from .nset import RationalNSet, act_form, apply_moebius, contains_point
 
 
@@ -48,10 +48,8 @@ def local_multiplier(mat: GlMatrix, t: ProjPoint, ctx: FieldCtx, emb=None) -> in
 
 def kappa_multiplier(mat: GlMatrix, s: RationalNSet, ctx: FieldCtx) -> int:
     """J via the leading scalar of the substituted form: det^n / kappa."""
-    n = s.n
     _, kappa = act_form(ctx, mat, s)
-    det = ff.sub(ctx, ff.mul(ctx, mat.a, mat.d), ff.mul(ctx, mat.b, mat.c))
-    return ff.div(ctx, ff.pw(ctx, det, n), kappa)
+    return ff.div(ctx, ff.pw(ctx, mat_det(ctx, mat), s.n), kappa)
 
 
 def _sweep_candidates(ctx: FieldCtx):

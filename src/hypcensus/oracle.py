@@ -5,16 +5,20 @@ matrix acts on all rows at once, a column of exact int codes at a time
 (ActionState._image_col).  The two counts read different primitives.
 The orbit census labels the graph of the three generators' row
 permutations (dest_flip).  Burnside tests which rows one representative
-of each of the q + 2 conjugacy classes of PGL2 stabilizes (kappa_stable)
-and weights them by class size; it reads dest_flip only to cross-check
-the generators' fixed rows.  Nothing reuses the closed formulas:
-agreement with census.hyp / census.sd is the independent evidence.
+of each of the q + 2 conjugacy classes of PGL2 (moebius.class_key)
+stabilizes (kappa_stable) and weights them by class size; it reads
+dest_flip only to cross-check the generators' fixed rows.  Nothing
+reuses the closed formulas: agreement with census.hyp / census.sd is the
+independent evidence.
 
 The twisted census tracks pairs (twist class, n-set); an edge flips the
 class when the substitution multiplier is a nonsquare.  One min-label pass
 carries that class as a parity bit per row (c = 2 label + bit): it labels
 each n-set orbit by its smallest row, and an orbit is self-dual (its two
 twist classes merge) when some generator edge contradicts the bits.
+It is the one orbit primitive: verify_points reads its twisted keys, and
+verify_quotient labels, with no twist, the joint orbits of an element and
+Frobenius on the points of P^1 over each extension.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -310,23 +314,12 @@ def _generators(ctx: ff.FieldCtx) -> tuple[GlMatrix, GlMatrix, GlMatrix]:
     return GlMatrix(1, 1, 0, 1), GlMatrix(zeta, 0, 0, 1), GlMatrix(0, 1, 1, 0)
 
 
-def _class_key(ctx: ff.FieldCtx, m: GlMatrix) -> tuple[bool, int, int]:
-    """Conjugacy invariant of a PGL2 element over odd q: whether it is
-    scalar, tr^2 / det, and chi(tr^2 - 4 det) (0 at discriminant 0), which
-    splits the two classes of involutions, the only ones tr^2 / det mixes."""
-    tr = ff.add(ctx, m.a, m.d)
-    tr2, det = ff.mul(ctx, tr, tr), mb.mat_det(ctx, m)
-    disc = ff.sub(ctx, tr2, ff.mul(ctx, 4 % ctx.p, det))
-    scalar = m.b == m.c == 0 and m.a == m.d
-    return scalar, ff.div(ctx, tr2, det), int(ff.tables(ctx).CHI[disc])
-
-
 def _conjugacy_classes(ctx: ff.FieldCtx) -> dict[tuple, tuple[GlMatrix, int]]:
     """Class key -> (first member in enumerate_pgl order, size)."""
     order = ctx.q**3 - ctx.q
     classes: dict[tuple, tuple[GlMatrix, int]] = {}
     for el in mb.enumerate_pgl(ctx):
-        key = _class_key(ctx, el.mat)
+        key = mb.class_key(ctx, el.mat)
         rep, size = classes.get(key, (el.mat, 0))
         classes[key] = rep, size + 1
     sizes = [size for _, size in classes.values()]
@@ -356,7 +349,7 @@ def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
         dest, flip = st.dest_flip(mat)
         _check(np.array_equal(dest == np.arange(st.count), stable), "fixed rows", mat)
         _check(np.array_equal(flip[stable], chi[kappa[stable]] < 0), "flip", mat)
-        tested.setdefault(_class_key(ctx, mat), (kappa, stable))
+        tested.setdefault(mb.class_key(ctx, mat), (kappa, stable))
     total = 0
     for key, (rep, size) in _conjugacy_classes(ctx).items():
         kappa, stable = tested[key] if key in tested else st.kappa_stable(rep)
@@ -399,14 +392,10 @@ def _parity_labels(acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c >> 1, key0, key0 ^ ~m
 
 
-def _partition(st: ActionState) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-member orbit labels of the set action and of the twisted
-    pairs; twisted node i + count is the nonsquare twist of row i."""
-    lab1, *keys = _parity_labels([st.dest_flip(mat) for mat in _generators(st.ctx)])
-    keys = np.concatenate(keys)
-    least = np.full(len(keys), len(keys), np.int32)
-    np.minimum.at(least, keys, np.arange(len(keys), dtype=np.int32))
-    return lab1, least[keys]
+def _orbit_labels(perms) -> np.ndarray:
+    """Smallest-member orbit labels of the group the int32 permutations
+    generate: _parity_labels with no twist."""
+    return _parity_labels([(p, np.zeros(len(p), bool)) for p in perms])[0]
 
 
 def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -432,8 +421,7 @@ def twisted_act(gamma, lam: int, s: ns.RationalNSet, ctx: ff.FieldCtx):
     the multiplier, so it is well defined up to squares."""
     mat = gamma.mat if isinstance(gamma, mb.MoebiusElem) else gamma
     s2, kappa = ns.act_form(ctx, mat, s)
-    det = ff.sub(ctx, ff.mul(ctx, mat.a, mat.d), ff.mul(ctx, mat.b, mat.c))
-    j = ff.div(ctx, ff.pw(ctx, det, s.n), kappa)
+    j = ff.div(ctx, ff.pw(ctx, mb.mat_det(ctx, mat), s.n), kappa)
     return ff.mul(ctx, lam, j), s2
 
 
@@ -480,26 +468,14 @@ def _subtype_list(ctx: ff.FieldCtx) -> list[tuple[str, int]]:
     return out
 
 
-def _first_irreducible_quadratic(ctx: ff.FieldCtx) -> tuple[int, int, int]:
-    for c1 in range(ctx.q):
-        for c0 in range(ctx.q):
-            f = (c0, c1, 1)
-            if all(ff.peval(ctx, f, x) != 0 for x in range(ctx.q)):
-                return f
-    raise AssertionError("no irreducible quadratic found")
-
-
 def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
     """Rows whose form is divisible by the monic quadratic mu.
 
-    Remainders mod mu are linear in the coefficients, so two column sums
-    decide divisibility in one vectorized pass.  Prime fields only: code
-    arithmetic is then arithmetic mod p.
+    The remainder mod mu is linear in the coefficients: with x^j = xm[j]
+    mod mu, its x^c coefficient is the image column of the row
+    row[k] = xm[n - k][c], since column k holds the x^(n - k) coefficient.
     """
-    ctx = st.ctx
-    if ctx.e != 1:
-        raise ValueError(f"prime fields only, got q = {ctx.q}")
-    q, n = ctx.q, st.n
+    ctx, n = st.ctx, st.n
     xm = [(1, 0), (0, 1)]  # x^j mod mu as ascending pairs
     for _ in range(2, n + 1):
         r0, r1 = xm[-1]
@@ -507,13 +483,9 @@ def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
             ff.mul(ctx, r1, ff.neg(ctx, mu[0])),
             ff.add(ctx, r0, ff.mul(ctx, r1, ff.neg(ctx, mu[1]))),
         ))
-    rem0 = np.zeros(st.count, np.int64)
-    rem1 = np.zeros(st.count, np.int64)
-    for j in range(n + 1):
-        col = st.V[:, n - j].astype(np.int64)
-        rem0 += col * xm[j][0]
-        rem1 += col * xm[j][1]
-    return ((rem0 % q) == 0) & ((rem1 % q) == 0)
+    rem0, rem1 = (st._image_col(slice(None), [xm[n - k][c] for k in range(n + 1)])
+                  for c in (0, 1))
+    return (rem0 == 0) & (rem1 == 0)
 
 
 def _fixed_pair_quadratic(elem: mb.MoebiusElem, ctx: ff.FieldCtx):
@@ -555,7 +527,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     checks = 0
     for q in qs:
         ctx = ff.make_field(q, 1)
-        mu = _first_irreducible_quadratic(ctx)
+        mu = ff.make_field(q, 2).modulus
         for n in range(1, nmax + 1):
             st = ActionState(ctx, n)
             # the line, the affine line, the torus, the line minus a
@@ -861,48 +833,29 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     for q in qs:
         ctx = ff.make_field(q, 1)
         states = {n: ActionState(ctx, n) for n in range(1, strata_nmax + 1)}
-        strata = [(ctx, None, [mb.INF] + [mb.fin(x) for x in range(q)])]
-        for d in range(2, strata_nmax + 1):
-            extd, embd = ff.extend(ctx, d)
-            pts = []
-            for x in range(extd.q):
-                y = ff.pw(extd, x, q)
-                size = 1
-                while y != x:
-                    y = ff.pw(extd, y, q)
-                    size += 1
-                if size == d:
-                    pts.append(mb.fin(x))
-            _check(len(pts) % d == 0, "quot: Frobenius orbits of size d", q, d, len(pts))
-            strata.append((extd, embd, pts))
+        # P^1(F_{q^d}) per d, infinity at index q^d, with the Frobenius
+        # permutation and the exact degree of each point: its Frobenius orbit size
+        strata = []
+        for d in range(1, strata_nmax + 1):
+            ctxd, embd = (ctx, None) if d == 1 else ff.extend(ctx, d)
+            pts = [mb.fin(x) for x in range(ctxd.q)] + [mb.INF]
+            frob = np.array([ff.pw(ctxd, x, q) for x in range(ctxd.q)] + [ctxd.q], np.int32)
+            lab = _orbit_labels([frob])
+            deg = np.bincount(lab)[lab]
+            _check((d % deg == 0).all(), "quot: Frobenius orbit sizes divide d", q, d)
+            strata.append((d, ctxd, embd, pts, frob, deg))
         for kind, m in _subtype_list(ctx):
             elem, _ = mb.subtype_representative(ctx, kind, m)
             sizes = []
-            for ctxd, embd, pts in strata:
-                q_here = ctxd.q
-                pts_set = set(pts)
-                visited: set[mb.ProjPoint] = set()
-                for t0 in pts:
-                    if t0 in visited:
-                        continue
-                    frontier = [t0]
-                    visited.add(t0)
-                    orb = 1
-                    while frontier:
-                        u = frontier.pop()
-                        nbrs = [mb.act_point(elem.mat, u, ctxd, embd)]
-                        if u.finite:
-                            nbrs.append(mb.fin(ff.pw(ctxd, u.x, q)))
-                        else:
-                            nbrs.append(mb.INF)
-                        for v in nbrs:
-                            _check(v in pts_set, "quot: orbit stays in its stratum",
-                                   q, kind, m, q_here, v)
-                            if v not in visited:
-                                visited.add(v)
-                                frontier.append(v)
-                                orb += 1
-                    sizes.append(orb)
+            for d, ctxd, embd, pts, frob, deg in strata:
+                images = (mb.act_point(elem.mat, t, ctxd, embd) for t in pts)
+                act = np.array([v.x if v.finite else ctxd.q for v in images], np.int32)
+                _check((deg[act] == deg).all(), "quot: orbit stays in its stratum",
+                       q, kind, m, d)
+                # the joint orbits of exact degree d, each at its smallest point
+                lab = _orbit_labels([frob, act])
+                roots = (lab == np.arange(len(lab))) & (deg == d)
+                sizes.extend(np.bincount(lab, minlength=len(lab))[roots].tolist())
             ways = [1] + [0] * strata_nmax
             for sz in sizes:
                 if sz > strata_nmax:
@@ -929,19 +882,20 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
         ctx = ff.make_field(q, 1)
         nonsq = next(x for x in range(1, q) if ff.chi(x, ctx) == -1)
         st = ActionState(ctx, n)
-        lab1, lab2 = _partition(st)
+        lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(ctx)])
         count = st.count
-        smooth = np.empty(2 * count, np.int64)
+        smooth = np.empty(2 * count, np.int64)  # twisted node i + count twists row i
         for i in range(count):
             s = st.nset_at(i)
             smooth[i] = curve_point_counts(ctx, 1, s)[1]
             smooth[i + count] = curve_point_counts(ctx, nonsq, s)[1]
-        # every twisted node against the smallest node of its orbit
-        off = np.flatnonzero(smooth != smooth[lab2])
+        # every twisted node against the node its orbit key 2 L + b names
+        keys = np.concatenate([key0, key1])
+        off = np.flatnonzero(smooth != smooth[(keys >> 1) + (keys & 1) * count])
         _check(len(off) == 0, "points: orbit-invariant point count", q, off[:1].tolist())
         checks += 2 * count
-        for i in np.flatnonzero(lab1 == np.arange(count)).tolist():
-            merged = bool(lab2[i] == lab2[i + count])
+        for i in np.flatnonzero(lab == np.arange(count)).tolist():
+            merged = bool(key0[i] == key1[i])
             _check(merged == selfdual_nset(st.nset_at(i), ctx), "points: sd", q, i)
             _check(not merged or smooth[i] == q + 1, "points: q + 1", q, i)
             checks += 1

@@ -32,6 +32,15 @@ def test_enumerate_sizes():
         assert sum(1 for e in elems if e.kind == "identity") == 1
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)])
+def test_enumerate_copies_the_classification_of_each_class(p, e):
+    # enumerate_pgl classifies one member per class key; every element
+    # must still read as the per-element classify would have it
+    k = K(p, e)
+    pgl = mo.enumerate_pgl(k)
+    assert pgl == tuple(mo.classify(k, el.mat) for el in pgl)
+
+
 def test_enumerate_f9():
     k = K(3, 2)
     elems = mo.enumerate_pgl(k)

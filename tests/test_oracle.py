@@ -378,7 +378,7 @@ def test_class_keys_are_conjugacy_classes(q):
     table = mb.pgl_table(ctx)
     inv = np.argmax(table.prod == table.index[mb.IDENTITY], axis=1)
     labels = table.prod[table.prod, inv[:, None]].min(axis=0)
-    keys = [oc._class_key(ctx, el.mat) for el in mb.enumerate_pgl(ctx)]
+    keys = [mb.class_key(ctx, el.mat) for el in mb.enumerate_pgl(ctx)]
     pairs = set(zip(labels.tolist(), keys))
     assert len(pairs) == len(set(labels.tolist())) == len(set(keys)) == q + 2
     classes = oc._conjugacy_classes(ctx)
@@ -407,12 +407,23 @@ def test_class_sums_match_hyp_components(g, q):
 
 
 def test_class_checks_reject_a_missing_class(monkeypatch):
-    # merging two classes under one key leaves q + 1 of them
+    # merging two classes under one key leaves q + 1 of them: both the
+    # class sum and enumerate_pgl, which classifies one member per key,
+    # must refuse
     ctx = ff.make_field(5, 1)
-    key = oc._class_key
-    monkeypatch.setattr(oc, "_class_key", lambda ctx, m: key(ctx, m)[:2])
+    mb.enumerate_pgl(ctx)
+    key = mb.class_key
+
+    def merged(ctx, m):  # the two classes of involutions (tr = 0) share a key
+        scalar, ratio, chi = key(ctx, m)
+        return scalar, ratio, 1 if ratio == 0 else chi
+
+    monkeypatch.setattr(mb, "class_key", merged)
     with pytest.raises(census.VerificationError, match="q \\+ 2 conjugacy classes"):
         oc._conjugacy_classes(ctx)
+    monkeypatch.setattr(mb, "_PGL_CACHE", {})
+    with pytest.raises(census.VerificationError, match="q \\+ 2 conjugacy classes"):
+        mb.enumerate_pgl(ctx)
 
 
 def _uf_find(parent, x):
@@ -427,11 +438,6 @@ def _uf_union(parent, a, b):
     rb = _uf_find(parent, b)
     if ra != rb:
         parent[rb] = ra
-
-
-def _reference_partition(st):
-    """Union-find forests of the set and twisted-pair generator graphs."""
-    return _union_find(st.count, [st.dest_flip(mat) for mat in oc._generators(st.ctx)])
 
 
 def _union_find(n, acts):
@@ -458,10 +464,8 @@ def _smallest_member(parent):
 @pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 6), (3, 2, 4), (7, 1, 4)])
 def test_orbit_labels_match_union_find(p, e, n):
     st = oc.ActionState(ff.make_field(p, e), n)
-    lab1, lab2 = oc._partition(st)
-    parent1, parent2 = _reference_partition(st)
-    assert lab1.tolist() == _smallest_member(parent1)
-    assert lab2.tolist() == _smallest_member(parent2)
+    _assert_parity_labels_match_union_find(
+        st.count, [st.dest_flip(mat) for mat in oc._generators(st.ctx)])
 
 
 def _assert_parity_labels_match_union_find(n, acts):
@@ -493,6 +497,17 @@ def test_parity_labels_match_union_find_on_random_permutations(seed):
     acts = [(rng.permutation(n).astype(np.int32), rng.random(n) < 0.5)
             for _ in range(int(rng.integers(1, 4)))]
     _assert_parity_labels_match_union_find(n, acts)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_divisible_by_quadratic_matches_pmod(p, e):
+    # the remainder columns come from _image_col, so extension fields work too
+    ctx = ff.make_field(p, e)
+    st = oc.ActionState(ctx, 4)
+    for mu in [(1, 0, 1), (2, 1, 1), (0, 1, 1)]:
+        got = oc._divisible_by_quadratic(st, mu)
+        want = [ff.pmod(ctx, st.nset_at(i).f, mu) == () for i in range(st.count)]
+        assert got.tolist() == want, mu
 
 
 def test_twisted_act_flip_matches_engine():
