@@ -76,6 +76,22 @@ def mat_mul(ctx: FieldCtx, m: GlMatrix, n: GlMatrix) -> GlMatrix:
     )
 
 
+def mat_codes(mats) -> np.ndarray:
+    """The entries (a, b, c, d) of the matrices as an (N, 4) int64 array."""
+    return np.array([(m.a, m.b, m.c, m.d) for m in mats], np.int64).reshape(-1, 4)
+
+
+def mat_mul_codes(ctx: FieldCtx, x, y) -> np.ndarray:
+    """Products x y of matrices given as entry codes (..., 4), broadcast
+    against each other, by gathers from the field tables."""
+    t = ff.tables(ctx)
+    add, mul = t.ADD, t.MUL
+    a, b, c, d = np.moveaxis(np.asarray(x), -1, 0)
+    e, f, g, h = np.moveaxis(np.asarray(y), -1, 0)
+    return np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
+                     add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]], axis=-1)
+
+
 def mat_inv(ctx: FieldCtx, m: GlMatrix) -> GlMatrix:
     # adjugate; same projective class as the true inverse
     return GlMatrix(m.d, ff.neg(ctx, m.b), ff.neg(ctx, m.c), m.a)
@@ -204,20 +220,16 @@ def pgl_table(ctx: FieldCtx) -> PglTable:
     time with numpy gathers from the field tables, so it serves every field."""
     q = ctx.q
     t = ff.tables(ctx)
-    add, mul, inv = t.ADD.astype(np.int64), t.MUL.astype(np.int64), t.INV.astype(np.int64)
+    mul, inv = t.MUL.astype(np.int64), t.INV.astype(np.int64)
     pgl = enumerate_pgl(ctx)
     n = len(pgl)
-    a, b, c, d = np.array([(m.mat.a, m.mat.b, m.mat.c, m.mat.d) for m in pgl], np.int64).T
+    codes = mat_codes(m.mat for m in pgl)
     at = np.full(q**4, -1, np.int32)  # position by entry code ((a q + b) q + c) q + d
-    at[((a * q + b) * q + c) * q + d] = np.arange(n, dtype=np.int32)
+    at[((codes[:, 0] * q + codes[:, 1]) * q + codes[:, 2]) * q + codes[:, 3]] = np.arange(n)
     prod = np.empty((n, n), np.int32)
     rows = max(1, 2**18 // n)  # left factors per block: bounds the temporaries
     for lo in range(0, n, rows):
-        ma, mb, mc, md = (v[lo : lo + rows, None] for v in (a, b, c, d))
-        pa = add[mul[ma, a], mul[mb, c]]
-        pb = add[mul[ma, b], mul[mb, d]]
-        pc = add[mul[mc, a], mul[md, c]]
-        pd = add[mul[mc, b], mul[md, d]]
+        pa, pb, pc, pd = np.moveaxis(mat_mul_codes(ctx, codes[lo : lo + rows, None], codes), -1, 0)
         s = inv[np.where(pa != 0, pa, pb)]  # scale the first nonzero entry to 1
         code = ((mul[s, pa] * q + mul[s, pb]) * q + mul[s, pc]) * q + mul[s, pd]
         prod[lo : lo + rows] = at[code]

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from . import field as ff
 from .census import VerificationError
 from .field import FieldCtx
 from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
-from .nset import RationalNSet, act_form, apply_moebius, contains_point
+from .nset import RationalNSet, act_form, act_forms, apply_moebius, contains_point
+from .nset import substitution_matrices
 
 
 def local_multiplier(mat: GlMatrix, t: ProjPoint, ctx: FieldCtx, emb=None) -> int:
@@ -50,6 +53,22 @@ def kappa_multiplier(mat: GlMatrix, s: RationalNSet, ctx: FieldCtx) -> int:
     """J via the leading scalar of the substituted form: det^n / kappa."""
     _, kappa = act_form(ctx, mat, s)
     return ff.div(ctx, ff.pw(ctx, mat_det(ctx, mat), s.n), kappa)
+
+
+def kappa_multipliers(ctx: FieldCtx, mats, forms) -> tuple[np.ndarray, np.ndarray]:
+    """kappa_multiplier of many pairs at once: J = det^n / kappa and the
+    image n-set forms, for matrices given as entry codes (..., 4) and
+    n-set forms (..., n+1), broadcast against each other as in act_forms."""
+    add, mul, inv, _ = ff.tables(ctx)
+    mats = np.asarray(mats)
+    n = np.shape(forms)[-1] - 1
+    img, kappa = act_forms(ctx, substitution_matrices(ctx, mats, n), forms)
+    a, b, c, d = np.moveaxis(mats, -1, 0)
+    det = add[mul[a, d], mul[ctx.p - 1, mul[b, c]]]
+    det_n = np.ones_like(det)
+    for _ in range(n):
+        det_n = mul[det_n, det]
+    return mul[det_n, inv[kappa]], img
 
 
 def _sweep_candidates(ctx: FieldCtx):

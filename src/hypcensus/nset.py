@@ -13,19 +13,25 @@ A matrix acts on forms by substitution with its adjugate, which realizes
 the point action t -> (at+b)/(ct+d) on roots; the image form equals the
 image n-set's form up to the nonzero leading scalar kappa recovered here.
 The substitution is one linear map on the n + 1 coefficients, and
-substitution_matrix is the only routine that expands it: act_form applies
-it to one form, the oracle engine to every form at once.
+substitution_matrices is the only routine that expands it, for a whole
+stack of matrices at once.  Everything else reads from it: act_forms
+applies a stack to many forms, stabilizer acts with all of PGL2 in one
+act_forms call, and substitution_matrix, its cached one-matrix view,
+serves the scalar act_form and the oracle engine.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import field as ff
 from .field import FieldCtx
-from .moebius import INF, GlMatrix, MoebiusElem, ProjPoint, act_point, enumerate_pgl, fin
+from .moebius import INF, GlMatrix, MoebiusElem, ProjPoint, act_point, enumerate_pgl, fin, mat_codes
 
 
 @dataclass(frozen=True)
@@ -126,33 +132,82 @@ def from_form(ctx: FieldCtx, form) -> tuple[RationalNSet, int]:
     return RationalNSet(f, True), kappa
 
 
+@functools.cache
+def _int_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADD, MUL and INV as intp arrays: gathers indexed by intp codes skip
+    the index conversion, which dominates on small stacks."""
+    tabs = ff.tables(ctx)
+    return tabs.ADD.astype(np.intp), tabs.MUL.astype(np.intp), tabs.INV.astype(np.intp)
+
+
+def substitution_matrices(ctx: FieldCtx, mats, n: int) -> np.ndarray:
+    """Substitution matrices of a stack of matrices given as entry codes
+    (a, b, c, d) of shape (..., 4): intp codes of shape (..., n+1, n+1),
+    where T[..., i, k] is the coefficient of X^(n-i) Z^i in
+    (dX - bZ)^(n-k) (-cX + aZ)^k, the image of the basis form X^(n-k) Z^k.
+    The image of a form F has coefficients sum_k T[i, k] F[k].
+
+    Row j of the powers of a linear form uX + vZ holds the Z^m
+    coefficients C(j, m) u^(j-m) v^m, gathered from a table of powers;
+    column k is the product of row n - k of the first form and row k of
+    the second, accumulated over the Z-degree of the second factor.  Every
+    product and sum is a gather from the field tables, so it serves every
+    field and every matrix of the stack at once.
+    """
+    add, mul, _ = _int_tables(ctx)
+    pw, binom, jm, m = _expansion_tables(ctx, n)
+    mats = np.asarray(mats, np.intp)
+    signed = np.concatenate((mats, mul[ctx.p - 1, mats]), -1)  # a b c d -a -b -c -d
+    u = signed[..., [3, 6], None, None]  # X coefficients d, -c of the two forms
+    v = signed[..., [5, 0], None, None]  # Z coefficients -b, a
+    rows = mul[binom, mul[pw[u, jm], pw[v, m]]]  # [..., form, j, m]
+    first, second = rows[..., 0, ::-1, :], rows[..., 1, :, :]  # row k: powers n - k, k
+    t = mul[first, second[..., :1]]  # t[..., k, i], the transpose
+    for j in range(1, n + 1):
+        t[..., j:] = add[t[..., j:], mul[first[..., : n + 1 - j], second[..., j : j + 1]]]
+    return np.swapaxes(t, -1, -2)
+
+
+@functools.lru_cache(maxsize=64)
+def _expansion_tables(ctx: FieldCtx, n: int):
+    """[x, e] = x^e for every code x and 0 <= e <= n, with 0^0 = 1; the
+    binomials C(j, m) as codes (0 for m > j); the exponents j - m (clipped
+    at 0, where the binomial vanishes) and m over 0 <= j, m <= n."""
+    _, mul, _ = _int_tables(ctx)
+    pw = np.ones((ctx.q, n + 1), np.intp)
+    for e in range(1, n + 1):
+        pw[:, e] = mul[pw[:, e - 1], np.arange(ctx.q)]
+    binom = np.array([[math.comb(j, m) % ctx.p for m in range(n + 1)] for j in range(n + 1)])
+    j, m = np.ogrid[: n + 1, : n + 1]
+    return pw, binom, np.maximum(j - m, 0), m
+
+
 @functools.lru_cache(maxsize=4096)
 def substitution_matrix(ctx: FieldCtx, mat: GlMatrix, n: int) -> tuple[tuple[int, ...], ...]:
-    """(n+1)x(n+1) matrix T of the adjugate substitution on form
-    coefficients: the image of a form F has coefficients sum_k T[i][k] F[k].
+    """substitution_matrices of the one matrix, as nested tuples of ints.
+    Cached, since the suites act with the same few matrices on many sets."""
+    t = substitution_matrices(ctx, (mat.a, mat.b, mat.c, mat.d), n)
+    return tuple(map(tuple, t.tolist()))
 
-    Column k holds the coefficients of (dX - bZ)^(n-k) (-cX + aZ)^k, the
-    image of the basis form X^(n-k) Z^k.  Cached, since the suites act with
-    the same few matrices on many sets.
+
+def act_forms(ctx: FieldCtx, subs, forms) -> tuple[np.ndarray, np.ndarray]:
+    """Image n-set forms and their kappas under stacks of substitution
+    matrices (..., n+1, n+1) and forms (..., n+1), broadcast against each
+    other as numpy does: paired rows, or one side a single row.
+
+    Each image form sum_k T[i, k] F[k] is returned divided by its kappa,
+    the coefficient 0, or 1 through infinity, so that it is the to_form of
+    the image n-set; kappa comes back beside it.
     """
-    l1 = (mat.d, ff.neg(ctx, mat.b))  # coeff of X, coeff of Z in the X-slot
-    l2 = (ff.neg(ctx, mat.c), mat.a)
-    # pow1[j] = coefficient vector of (dX - bZ)^j indexed by Z-degree
-    pow1 = [(1,)]
-    pow2 = [(1,)]
-    for _ in range(n):
-        pow1.append(_linmul(ctx, pow1[-1], l1))
-        pow2.append(_linmul(ctx, pow2[-1], l2))
-    t = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for j1, c1 in enumerate(pow1[n - k]):
-            if c1 == 0:
-                continue
-            for j2, c2 in enumerate(pow2[k]):
-                if c2 == 0:
-                    continue
-                t[j1 + j2][k] = ff.add(ctx, t[j1 + j2][k], ff.mul(ctx, c1, c2))
-    return tuple(map(tuple, t))
+    add, mul, inv = _int_tables(ctx)
+    subs, forms = np.asarray(subs, np.intp), np.asarray(forms, np.intp)
+    img = mul[subs[..., 0], forms[..., None, 0]]
+    for k in range(1, forms.shape[-1]):
+        img = add[img, mul[subs[..., k], forms[..., None, k]]]
+    kappa = np.where(img[..., 0] != 0, img[..., 0], img[..., 1])
+    if not kappa.all():
+        raise ValueError("an image form has a double root at infinity")
+    return mul[inv[kappa][..., None], img], kappa
 
 
 def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:
@@ -176,18 +231,6 @@ def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSe
     return from_form(ctx, tuple(out))
 
 
-def _linmul(ctx: FieldCtx, vec, lin):
-    # multiply a Z-degree-indexed coefficient vector by (u X + v Z)
-    u, v = lin
-    out = [0] * (len(vec) + 1)
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        out[i] = ff.add(ctx, out[i], ff.mul(ctx, c, u))
-        out[i + 1] = ff.add(ctx, out[i + 1], ff.mul(ctx, c, v))
-    return tuple(out)
-
-
 def apply_moebius(gamma, s: RationalNSet, ctx: FieldCtx) -> RationalNSet:
     mat = gamma.mat if isinstance(gamma, MoebiusElem) else gamma
     return act_form(ctx, mat, s)[0]
@@ -204,13 +247,19 @@ def contains_point(s: RationalNSet, t: ProjPoint, ctx: FieldCtx, emb=None) -> bo
     return ff.peval(ctx, lifted, t.x) == 0
 
 
+@functools.lru_cache(maxsize=16)
+def _pgl_substitutions(ctx: FieldCtx, n: int) -> np.ndarray:
+    """substitution_matrices of every element of enumerate_pgl, in order."""
+    return substitution_matrices(ctx, mat_codes(e.mat for e in enumerate_pgl(ctx)), n)
+
+
 def stabilizer(s: RationalNSet, ctx: FieldCtx) -> list[MoebiusElem]:
-    """All classes fixing the n-set (setwise)."""
-    out = []
-    for e in enumerate_pgl(ctx):
-        if apply_moebius(e, s, ctx) == s:
-            out.append(e)
-    return out
+    """All classes fixing the n-set (setwise), in enumerate_pgl order: one
+    act_forms call of every element against the form of s."""
+    form = np.array(to_form(ctx, s))
+    img, _ = act_forms(ctx, _pgl_substitutions(ctx, s.n), form)
+    pgl = enumerate_pgl(ctx)
+    return [pgl[i] for i in np.flatnonzero((img == form).all(-1))]
 
 
 def rational_points(s: RationalNSet, ctx: FieldCtx) -> list[ProjPoint]:

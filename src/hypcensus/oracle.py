@@ -660,7 +660,10 @@ def verify_cocycle(
 
     The multiplier satisfies J(ab, S) = J(b, S) J(a, bS) exactly at the
     matrix level, no stability needed; the sign is conjugation invariant
-    on stabilizers and multiplicative on each stabilizer subgroup.
+    on stabilizers and multiplicative on each stabilizer subgroup.  The
+    cocycle law is checked in batches (multiplier.kappa_multipliers): all
+    PGL2(F_3) pairs of one set at a time, and the random triples, drawn one
+    by one as always, in one batch per field.
     """
     checks = 0
     k3 = ff.make_field(3, 1)
@@ -668,33 +671,27 @@ def verify_cocycle(
     sample = list(itertools.islice(ns.enumerate_nsets(k3, 6), 4))
     special = ns.make_nset(k3, ff.pmul(k3, (0, 2, 0, 1), (1, 0, 1)), True)
     sample.append(special)
+    # every (rho, gam) pair of one set in one batch, [r, g] = (rho_r, gam_g)
+    g3 = mb.mat_codes(el.mat for el in pgl3)
     for s in sample:
-        for rho in pgl3:
-            s_r = ns.apply_moebius(rho, s, k3)
-            j_r = mult.kappa_multiplier(rho.mat, s, k3)
-            for gam in pgl3:
-                prod = mb.mat_mul(k3, gam.mat, rho.mat)
-                left = mult.kappa_multiplier(prod, s, k3)
-                right = ff.mul(k3, j_r, mult.kappa_multiplier(gam.mat, s_r, k3))
-                _check(left == right, "cocycle: cocycle law", s, rho.mat, gam.mat)
-                checks += 1
+        bad = np.argwhere(_cocycle_defects(k3, g3, g3[:, None], ns.to_form(k3, s)))
+        if len(bad):
+            r, g = bad[0]
+            _check(False, "cocycle: cocycle law", s, pgl3[r].mat, pgl3[g].mat)
+        checks += len(g3) ** 2
 
+    # random triples, drawn one at a time and checked in one batch per field
     rng = random.Random(seed)
     for q in (5, 7):
         k = ff.make_field(q, 1)
-        for _ in range(triples):
-            gam = _random_gl(rng, k)
-            rho = _random_gl(rng, k)
-            s = _random_nset(rng, k, 6)
-            s_r = ns.act_form(k, rho, s)[0]
-            left = mult.kappa_multiplier(mb.mat_mul(k, gam, rho), s, k)
-            right = ff.mul(
-                k,
-                mult.kappa_multiplier(rho, s, k),
-                mult.kappa_multiplier(gam, s_r, k),
-            )
-            _check(left == right, "cocycle: cocycle law, random triple", q, gam, rho, s)
-            checks += 1
+        draws = [(_random_gl(rng, k), _random_gl(rng, k), _random_nset(rng, k, 6))
+                 for _ in range(triples)]
+        gam, rho = (mb.mat_codes(d[i] for d in draws) for i in (0, 1))
+        forms = np.array([ns.to_form(k, d[2]) for d in draws]).reshape(-1, 7)
+        bad = np.flatnonzero(_cocycle_defects(k, gam, rho, forms))
+        if len(bad):
+            _check(False, "cocycle: cocycle law, random triple", q, *draws[bad[0]])
+        checks += triples
 
     # conjugation moves a stabilizing element to the image set, same sign
     stab = ns.stabilizer(special, k3)
@@ -708,11 +705,11 @@ def verify_cocycle(
         if mb.mat_det(k3, m) != 0
     ]
     _check(len(gl3) == 48, "cocycle: |GL2(F_3)|", len(gl3))
+    images = [ns.act_form(k3, rho, special)[0] for rho in gl3]
     for gam in stab:
         base_eps = mult.epsilon(gam.mat, special, k3)
-        for rho in gl3:
+        for rho, s_r in zip(gl3, images):
             conj = mb.mat_mul(k3, mb.mat_mul(k3, rho, gam.mat), mb.mat_inv(k3, rho))
-            s_r = ns.act_form(k3, rho, special)[0]
             _check(mult.epsilon(conj, s_r, k3) == base_eps, "cocycle: conjugation invariance",
                    gam.mat, rho)
             checks += 1
@@ -751,6 +748,16 @@ def verify_cocycle(
     return {"suite": "cocycle", "checks": checks}
 
 
+def _cocycle_defects(ctx: ff.FieldCtx, gam, rho, forms) -> np.ndarray:
+    """Mask of J(gam rho, S) != J(rho, S) J(gam, rho S) over stacks of
+    matrices gam and rho (entry codes) and n-set forms S, broadcast against
+    each other as in multiplier.kappa_multipliers."""
+    j_rho, images = mult.kappa_multipliers(ctx, rho, forms)
+    left, _ = mult.kappa_multipliers(ctx, mb.mat_mul_codes(ctx, gam, rho), forms)
+    j_gam, _ = mult.kappa_multipliers(ctx, gam, images)
+    return left != ff.tables(ctx).MUL[j_rho, j_gam]
+
+
 def _sign_homomorphism(ctx: ff.FieldCtx, members: list[int], signs: list[int], *where) -> int:
     """sign(ga rb) == sign(ga) sign(rb) for every ordered pair of members.
 
@@ -774,21 +781,41 @@ def _sign_homomorphism(ctx: ff.FieldCtx, members: list[int], signs: list[int], *
 
 def _exhaustive_sign_homomorphism(ctx: ff.FieldCtx, n: int) -> int:
     """Multiplicativity of the sign on the stabilizer of every single n-set,
-    read off the engine's stable masks."""
+    read off the engine's stable masks.
+
+    The stable memberships (row, element, sign) of every nonidentity
+    element are grouped by row with one sort, and one gather checks every
+    ordered pair of members of each row as _sign_homomorphism does for one
+    set.  A failure names the pair _sign_homomorphism would name first,
+    taking the rows in the order of their first stabilizing element.
+    """
     st = ActionState(ctx, n)
-    stab_of: dict[int, tuple[list[int], list[int]]] = {}
-    for gi, elem in enumerate(mb.enumerate_pgl(ctx)):
-        if elem.kind == "identity":
-            continue
-        idx, kappas = st.stable_indices(elem.mat)
-        for i, sg in zip(idx.tolist(), st.tabs.CHI[kappas].tolist()):
-            members, signs = stab_of.setdefault(i, ([], []))
-            members.append(gi)
-            signs.append(sg)
-    return sum(
-        _sign_homomorphism(ctx, members, signs, ctx.q, n, i)
-        for i, (members, signs) in stab_of.items()
-    )
+    pgl = mb.enumerate_pgl(ctx)
+    table = mb.pgl_table(ctx)
+    found = []
+    for gi, elem in enumerate(pgl):
+        if elem.kind != "identity":
+            idx, kappas = st.stable_indices(elem.mat)
+            found.append((idx, np.full(len(idx), gi), st.tabs.CHI[kappas]))
+    rows, elems, signs = (np.concatenate(x) for x in zip(*found))
+    order = np.argsort(rows, kind="stable")  # each row's members stay in pgl order
+    rows, elems, signs = rows[order], elems[order], signs[order]
+    start = np.flatnonzero(np.diff(rows, prepend=-1))  # first membership of each row
+    size = np.diff(start, append=len(rows))
+    group = np.repeat(np.arange(len(start)), size)  # row number of each membership
+    sign_of = np.zeros((len(start), len(pgl)), np.int8)  # 0 off the stabilizer
+    sign_of[:, table.index[mb.IDENTITY]] = 1
+    sign_of[group, elems] = signs
+    # every ordered pair (u, v) of memberships of one row
+    reps = size[group]
+    u = np.repeat(np.arange(len(rows)), reps)
+    v = np.repeat(start[group], reps) + np.arange(len(u)) - np.repeat(np.cumsum(reps) - reps, reps)
+    bad = np.flatnonzero(sign_of[group[u], table.prod[elems[u], elems[v]]] != signs[u] * signs[v])
+    if len(bad):
+        b = bad[np.lexsort((bad, elems[start[group[u[bad]]]]))[0]]
+        _check(False, "cocycle: homomorphism", ctx.q, n, int(rows[u[b]]),
+               (pgl[elems[u[b]]].mat, pgl[elems[v[b]]].mat))
+    return len(u)
 
 
 def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:

@@ -2,12 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from hypcensus import census
+from hypcensus import field as ff
 from hypcensus import oracle as oc
 from hypcensus.cli import main
 
@@ -178,6 +180,52 @@ def test_suite_checks_survive_python_O():
     )
     assert res.returncode != 0, res.stdout
     assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
+
+
+def test_cocycle_checks_survive_python_O():
+    # one multiplier of the batched random triples times 2: the cocycle law
+    # fails on that triple (2 J != 4 J) even with asserts compiled out, and
+    # the error names it as drawn, the fourth triple over F_5 of seed 5
+    rng = random.Random(5)
+    k = ff.make_field(5, 1)
+    for _ in range(4):
+        triple = (oc._random_gl(rng, k), oc._random_gl(rng, k), oc._random_nset(rng, k, 6))
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import field, multiplier, oracle\n"
+        "batched = multiplier.kappa_multipliers\n"
+        "def perturbed(ctx, mats, forms):\n"
+        "    j, img = batched(ctx, mats, forms)\n"
+        "    if j.shape == (7,):\n"
+        "        j = j.copy()\n"
+        "        j[3] = field.tables(ctx).MUL[2, j[3]]\n"
+        "    return j, img\n"
+        "multiplier.kappa_multipliers = perturbed\n"
+        "oracle.verify_cocycle(seed=5, triples=7, hom_exhaustive=(), hom_sampled=())\n",
+    )
+    assert res.returncode == 1, res.stdout
+    assert f"VerificationError: cocycle: cocycle law, random triple: {(5, *triple)}" in res.stderr
+
+
+def test_sign_homomorphism_checks_survive_python_O():
+    # the sign of x -> 1/x flipped on its first stable 6-set over F_3: the
+    # exhaustive homomorphism check must still raise under python -O
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import field, moebius, oracle\n"
+        "stable = oracle.ActionState.stable_indices\n"
+        "def flipped(self, mat):\n"
+        "    idx, kappa = stable(self, mat)\n"
+        "    if mat == moebius.GlMatrix(0, 1, 1, 0):\n"
+        "        kappa = kappa.copy()\n"
+        "        kappa[0] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[0]]\n"
+        "    return idx, kappa\n"
+        "oracle.ActionState.stable_indices = flipped\n"
+        "oracle._exhaustive_sign_homomorphism(field.make_field(3, 1), 6)\n",
+    )
+    assert res.returncode == 1, res.stdout
+    assert "VerificationError: cocycle: homomorphism: (3, 6, " in res.stderr
+    assert "GlMatrix(a=0, b=1, c=1, d=0)" in res.stderr.splitlines()[-1]
 
 
 def test_argument_checks_survive_python_O():

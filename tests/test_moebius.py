@@ -1,5 +1,6 @@
 """Transformation group unit tests."""
 
+import numpy as np
 import pytest
 
 from hypcensus import field as ff
@@ -190,14 +191,46 @@ def test_subtype_representative_validation():
         mo.subtype_representative(k, "Z", 2)
 
 
+def _reference_mul(ctx, x, y):
+    """Products of field elements given as base-p digit arrays (..., e),
+    independent of the exp/log tables: the digit polynomials are multiplied
+    and reduced modulo ctx.modulus, then mod p."""
+    p, e, mod = ctx.p, ctx.e, ctx.modulus
+    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    prod = np.zeros(shape + (2 * e - 1,), np.int64)
+    for s in range(e):
+        for t in range(e):
+            prod[..., s + t] += x[..., s] * y[..., t]
+    for deg in range(2 * e - 2, e - 1, -1):  # x^deg = x^(deg - e) (x^e - modulus)
+        lead = prod[..., deg] % p
+        for i in range(e):
+            prod[..., deg - e + i] -= lead * mod[i]
+    return prod[..., :e] % p
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
 def test_pgl_table_matches_matrix_products(p, e):
     k = K(p, e)
+    q = k.q
     table = mo.pgl_table(k)
     pgl = mo.enumerate_pgl(k)
     assert table.index == {el.mat: i for i, el in enumerate(pgl)}
-    want = [
-        [table.index[mo.canonical_matrix(k, mo.mat_mul(k, x.mat, y.mat))] for y in pgl]
-        for x in pgl
-    ]
-    assert table.prod.tolist() == want
+    place = p ** np.arange(e)
+    digits = mo.mat_codes(el.mat for el in pgl)[..., None] // place % p  # (|G|, 4, e)
+    at = np.full(q**4, -1)
+    at[((digits @ place) @ q ** np.arange(3, -1, -1))] = np.arange(len(pgl))
+    elems = np.arange(q)[:, None] // place % p
+    one = _reference_mul(k, elems[:, None], elems[None]) @ place == 1
+    inv = elems[one.argmax(1)]  # inv[x] x = 1 for x != 0
+    for lo in range(0, len(pgl), 120):
+        x, y = digits[lo : lo + 120, None], digits[None]
+        a, b, c, d = (x[..., i, :] for i in range(4))
+        e_, f, g, h = (y[..., i, :] for i in range(4))
+        prods = [(_reference_mul(k, u1, v1) + _reference_mul(k, u2, v2)) % p
+                 for u1, v1, u2, v2 in ((a, e_, b, g), (a, f, b, h), (c, e_, d, g), (c, f, d, h))]
+        lead = np.where((prods[0] != 0).any(-1, keepdims=True), prods[0], prods[1])
+        scale = inv[lead @ place]  # 1 / the first nonzero entry
+        code = 0
+        for entry in prods:
+            code = code * q + _reference_mul(k, scale, entry) @ place
+        assert np.array_equal(table.prod[lo : lo + 120], at[code])

@@ -1,10 +1,17 @@
 """n-set encoding and action unit tests."""
 
+import functools
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from hypcensus import field as ff
 from hypcensus import moebius as mo
+from hypcensus import multiplier as mult
 from hypcensus import nset as ns
+from hypcensus import oracle as oc
 from hypcensus.census import a_p1
 
 
@@ -149,3 +156,170 @@ def test_nset_str():
     assert ns.nset_str(s) == "1,0,1"
     s2 = ns.make_nset(k, (0, 1), True)
     assert ns.nset_str(s2) == "0,1;inf"
+
+
+@functools.cache
+def _scalar_ops(ctx):
+    """ff.add and ff.mul as nested lists, [x][y], from the scalar functions."""
+    codes = range(ctx.q)
+    return ([[ff.add(ctx, x, y) for y in codes] for x in codes],
+            [[ff.mul(ctx, x, y) for y in codes] for x in codes])
+
+
+def _reference_linmul(ctx, vec, lin):
+    # multiply a Z-degree-indexed coefficient vector by (u X + v Z)
+    add, mul = _scalar_ops(ctx)
+    u, v = lin
+    out = [0] * (len(vec) + 1)
+    for i, c in enumerate(vec):
+        if c == 0:
+            continue
+        out[i] = add[out[i]][mul[c][u]]
+        out[i + 1] = add[out[i + 1]][mul[c][v]]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_powers(ctx, mat, nmax=8):
+    """The powers 0 .. nmax of dX - bZ and of -cX + aZ as Z-degree-indexed
+    coefficient tuples, grown one linear factor at a time."""
+    l1 = (mat.d, ff.neg(ctx, mat.b))
+    l2 = (ff.neg(ctx, mat.c), mat.a)
+    pow1 = [(1,)]
+    pow2 = [(1,)]
+    for _ in range(nmax):
+        pow1.append(_reference_linmul(ctx, pow1[-1], l1))
+        pow2.append(_reference_linmul(ctx, pow2[-1], l2))
+    return pow1, pow2
+
+
+def _reference_substitution_matrix(ctx, mat, n):
+    """The scalar expansion substitution_matrices replaced, with scalar
+    field arithmetic: column k is the product of the powers n - k of
+    dX - bZ and k of -cX + aZ (shared between the n, n <= 8)."""
+    pow1, pow2 = _reference_powers(ctx, mat)
+    add, mul = _scalar_ops(ctx)
+    t = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        for j1, c1 in enumerate(pow1[n - k]):
+            if c1 == 0:
+                continue
+            for j2, c2 in enumerate(pow2[k]):
+                if c2 == 0:
+                    continue
+                t[j1 + j2][k] = add[t[j1 + j2][k]][mul[c1][c2]]
+    return tuple(map(tuple, t))
+
+
+def _random_gl(rng, ctx):
+    while True:
+        m = mo.GlMatrix(*(rng.randrange(ctx.q) for _ in range(4)))
+        if mo.mat_det(ctx, m):
+            return m
+
+
+def _random_nset(rng, ctx, n, has_inf=None):
+    while True:
+        inf = rng.random() < 0.5 if has_inf is None else has_inf
+        f = tuple(rng.randrange(ctx.q) for _ in range(n - inf)) + (1,)
+        if ff.is_squarefree_poly(ctx, f):
+            return ns.RationalNSet(f, inf)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_substitution_matrices_match_scalar_expansion(p, e):
+    k = K(p, e)
+    mats = [el.mat for el in mo.enumerate_pgl(k)]
+    codes = mo.mat_codes(mats)
+    for n in range(1, 9):
+        want = np.array([_reference_substitution_matrix(k, m, n) for m in mats])
+        assert np.array_equal(ns.substitution_matrices(k, codes, n), want), (p, e, n)
+        # any stack shape, and the cached one-matrix view
+        got = ns.substitution_matrices(k, codes[:6].reshape(2, 3, 4), n)
+        assert np.array_equal(got, want[:6].reshape(2, 3, n + 1, n + 1)), (p, e, n)
+        assert ns.substitution_matrix(k, mats[-1], n) == _reference_substitution_matrix(k, mats[-1], n)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 3, 4), (3, 5, 2)])
+def test_substitution_matrices_match_scalar_expansion_sampled(p, e, n):
+    k = K(p, e)
+    rng = random.Random(p**e)
+    mats = [_random_gl(rng, k) for _ in range(300)]
+    want = np.array([_reference_substitution_matrix(k, m, n) for m in mats])
+    assert np.array_equal(ns.substitution_matrices(k, mo.mat_codes(mats), n), want)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_act_forms_and_kappa_multipliers_match_scalar(p, e):
+    k = K(p, e)
+    rng = random.Random(10 * p + e)
+    for n in (2, 3, 4, 6):
+        mats = [_random_gl(rng, k) for _ in range(60)]
+        # the first sets pass through infinity, then avoid it, then either
+        sets = ([_random_nset(rng, k, n, True) for _ in range(20)]
+                + [_random_nset(rng, k, n, False) for _ in range(20)]
+                + [_random_nset(rng, k, n) for _ in range(20)])
+        codes = mo.mat_codes(mats)
+        forms = np.array([ns.to_form(k, s) for s in sets])
+        subs = ns.substitution_matrices(k, codes, n)
+        # paired rows
+        img, kappa = ns.act_forms(k, subs, forms)
+        j, img2 = mult.kappa_multipliers(k, codes, forms)
+        assert np.array_equal(img, img2)
+        for i, (m, s) in enumerate(zip(mats, sets)):
+            s2, kap = ns.act_form(k, m, s)
+            assert img[i].tolist() == list(ns.to_form(k, s2)), (m, s)
+            assert kappa[i] == kap and j[i] == mult.kappa_multiplier(m, s, k), (m, s)
+        # one form broadcast against every matrix, one matrix against every form
+        for s in sets[:3]:
+            img, kappa = ns.act_forms(k, subs, ns.to_form(k, s))
+            j, _ = mult.kappa_multipliers(k, codes, ns.to_form(k, s))
+            for i, m in enumerate(mats):
+                s2, kap = ns.act_form(k, m, s)
+                assert img[i].tolist() == list(ns.to_form(k, s2)) and kappa[i] == kap
+                assert j[i] == mult.kappa_multiplier(m, s, k)
+        j, img = mult.kappa_multipliers(k, codes[0], forms)
+        for i, s in enumerate(sets):
+            assert img[i].tolist() == list(ns.to_form(k, ns.act_form(k, mats[0], s)[0]))
+            assert j[i] == mult.kappa_multiplier(mats[0], s, k)
+        # every (form, matrix) pair, as the cocycle suite batches them
+        j, img = mult.kappa_multipliers(k, codes[:7], forms[:5, None])
+        assert j.shape == (5, 7) and img.shape == (5, 7, n + 1)
+        for (r, s), (g, m) in itertools.product(enumerate(sets[:5]), enumerate(mats[:7])):
+            assert j[r, g] == mult.kappa_multiplier(m, s, k)
+
+
+def test_act_forms_rejects_a_double_root_at_infinity():
+    k = K(5)
+    subs = ns.substitution_matrices(k, (1, 0, 0, 1), 3)
+    with pytest.raises(ValueError):
+        ns.act_forms(k, subs, (0, 0, 1, 2))
+
+
+def _reference_stabilizer(s, ctx):
+    """The scan stabilizer replaced: act_form with every element of PGL2."""
+    return [e for e in mo.enumerate_pgl(ctx) if ns.apply_moebius(e, s, ctx) == s]
+
+
+@pytest.mark.parametrize("q,n", [(3, 6), (5, 4)])
+def test_stabilizer_matches_scan_on_every_set(q, n):
+    k = K(q)
+    for s in ns.enumerate_nsets(k, n):
+        assert ns.stabilizer(s, k) == _reference_stabilizer(s, k), s
+
+
+@pytest.mark.parametrize("p,e,n", [(7, 1, 8), (3, 2, 4)])
+def test_stabilizer_matches_scan_on_sampled_sets(p, e, n):
+    k = K(p, e)
+    rng = random.Random(p + e + n)
+    sets = [_random_nset(rng, k, n) for _ in range(12)]
+    if p == 7:  # all of P^1(F_7), stabilized by the whole group
+        sets += [s for s in oc._stab_test_sets(7, k) if s.n == n]
+    else:  # P^1(F_3) inside P^1(F_9)
+        sets.append(ns.points_to_nset(k, [mo.fin(0), mo.fin(1), mo.fin(2), mo.INF]))
+    sizes = set()
+    for s in sets:
+        stab = ns.stabilizer(s, k)
+        assert stab == _reference_stabilizer(s, k), s
+        sizes.add(len(stab))
+    assert len(sizes) > 1

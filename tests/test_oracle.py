@@ -1,5 +1,6 @@
 """Group-action engine against the closed-form census."""
 
+import functools
 import random
 
 import numpy as np
@@ -140,23 +141,59 @@ def test_engine_apply_exact_beyond_int16_sums():
             assert bool(flip[i]) == (ff.chi(kap, ctx) == -1)
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_tables(st):
+    """Per state, rebuilt from V: the code -> row tables of the two blocks
+    (the int64 codes of the form coefficients), and over an extension field
+    the base-p digits of V, digit s of column k at column k e + s."""
+    q, n = st.ctx.q, st.n
+    weights = q ** np.arange(n, dtype=np.int64)
+    row_codes = st.V[:, n:0:-1] @ weights
+    inv0 = np.full(q**n, -1, np.int64)
+    inv0[row_codes[: st.n0]] = np.arange(st.n0)
+    inv1 = np.full(q ** (n - 1), -1, np.int64)
+    inv1[row_codes[st.n0 :] - q ** (n - 1)] = np.arange(st.n0, st.count)
+    digits = None
+    if st.ctx.e > 1:
+        p, e = st.ctx.p, st.ctx.e
+        place = p ** np.arange(e, dtype=np.int16)
+        digits = (st.V[:, :, None] // place % p).reshape(st.count, -1).astype(np.float32)
+    return inv0, inv1, digits
+
+
+@functools.cache
+def _reference_times(ctx):
+    """[c] = the e x e matrix over F_p of y -> c y on base-p digits: column
+    s holds the digits of c x^s, from ff.mul on the basis 1, x, .., x^(e-1)."""
+    basis = [ctx.p**s for s in range(ctx.e)]
+    return np.array([[ff.to_digits(ctx, ff.mul(ctx, c, b)) for b in basis]
+                     for c in range(ctx.q)]).transpose(0, 2, 1)
+
+
 def _reference_apply(st, mat):
-    """The full-image action the column kernel replaced: an int32 matmul
-    reduced mod p over a prime field, table gathers over an extension."""
+    """The full image of every row, independent of the field tables: an
+    int32 matmul reduced mod p over a prime field.  Over F_(p^e) the action
+    is F_p-linear on base-p digits, block (i, k) the matrix of y -> T[i][k] y
+    (_reference_times), so one matmul of the digits by the block matrix,
+    reduced mod p, gives every image digit.  Its entries are small
+    integers: a float32 (BLAS) product is exact, and fits int16, while
+    (n + 1) e (p - 1)^2 < 2**15."""
     ctx, n, p = st.ctx, st.n, st.ctx.p
     t = ns.substitution_matrix(ctx, mat, n)
     if ctx.e == 1:
         g = st.V.astype(np.int32) @ np.asarray(t, np.int32).T
         np.mod(g, p, out=g)
         return g.astype(np.int16)
-    mul, add = st.tabs.MUL, st.tabs.ADD
-    cols = st.V.T
-    g = np.zeros_like(cols)
-    for i, row in enumerate(t):
-        for k, c in enumerate(row):
-            if c:
-                g[i] = add[g[i], mul[c][cols[k]]]
-    return g.T
+    e = ctx.e
+    assert (n + 1) * e * (p - 1) ** 2 < 2**15
+    size = (n + 1) * e
+    block = _reference_times(ctx)[np.asarray(t)].transpose(0, 2, 1, 3).reshape(size, size)
+    img = (_reference_tables(st)[2] @ block.T.astype(np.float32)).astype(np.int16)
+    img %= p
+    g = img[:, e - 1 :: e]  # the codes, by Horner over the digits
+    for s in range(e - 2, -1, -1):
+        g = g * p + img[:, s::e]
+    return g
 
 
 def _reference_kappa_stable(st, g):
@@ -194,7 +231,7 @@ def test_column_kernel_matches_full_image_beyond_int16_sums():
 def _reference_dest_flip(st, mat, g=None):
     """The full-image dest_flip the column accumulation replaced: every
     image row divided by its kappa, then coded by two int64 matmuls and
-    looked up in code -> row tables rebuilt here from V."""
+    looked up in the code -> row tables rebuilt from V."""
     q, n = st.ctx.q, st.n
     if g is None:
         g = _reference_apply(st, mat)
@@ -202,11 +239,7 @@ def _reference_dest_flip(st, mat, g=None):
     assert kap.all(), mat
     c = st.tabs.MUL[st.tabs.INV[kap][:, None], g]
     weights = q ** np.arange(n, dtype=np.int64)
-    row_codes = st.V[:, n:0:-1] @ weights
-    inv0 = np.full(q**n, -1, np.int64)
-    inv0[row_codes[: st.n0]] = np.arange(st.n0)
-    inv1 = np.full(q ** (n - 1), -1, np.int64)
-    inv1[row_codes[st.n0 :] - q ** (n - 1)] = np.arange(st.n0, st.count)
+    inv0, inv1, _ = _reference_tables(st)
     code0 = c[:, n:0:-1] @ weights
     code1 = c[:, n:1:-1] @ weights[:-1]
     dest = np.where(g[:, 0] != 0, inv0[code0], inv1[code1])
@@ -611,3 +644,83 @@ def test_sign_homomorphism_reports_first_failing_pair():
     # a product outside the members reads sign 0 and fails as well
     with pytest.raises(census.VerificationError, match="cocycle: homomorphism"):
         oc._sign_homomorphism(ctx, members[:g] + members[g + 1 :], signs[:g] + signs[g + 1 :])
+
+
+def test_cocycle_grid_names_the_failing_pair(monkeypatch):
+    # J(gam rho, S) times 2 for one pair of the F_3 grid: the error names
+    # the first sample set, rho and gam, as the per-pair loop did
+    k3 = ff.make_field(3, 1)
+    pgl3 = mb.enumerate_pgl(k3)
+    batched = mult.kappa_multipliers
+
+    def perturbed(ctx, mats, forms):
+        j, img = batched(ctx, mats, forms)
+        if np.shape(mats) == (24, 24, 4):  # the products, [rho, gam]
+            j = j.copy()
+            j[5, 17] = ff.tables(ctx).MUL[2, j[5, 17]]
+        return j, img
+
+    monkeypatch.setattr(mult, "kappa_multipliers", perturbed)
+    first = next(ns.enumerate_nsets(k3, 6))
+    with pytest.raises(census.VerificationError) as err:
+        oc.verify_cocycle(triples=0, hom_exhaustive=(), hom_sampled=())
+    assert str(err.value) == f"cocycle: cocycle law: {(first, pgl3[5].mat, pgl3[17].mat)}"
+
+
+def _reference_exhaustive_sign_homomorphism(ctx, n):
+    """The per-set check the one-gather version replaced: a dict of
+    stabilizer lists in order of first appearance, then _sign_homomorphism
+    on each."""
+    st = oc.ActionState(ctx, n)
+    stab_of = {}
+    for gi, elem in enumerate(mb.enumerate_pgl(ctx)):
+        if elem.kind == "identity":
+            continue
+        idx, kappas = st.stable_indices(elem.mat)
+        for i, sg in zip(idx.tolist(), st.tabs.CHI[kappas].tolist()):
+            members, signs = stab_of.setdefault(i, ([], []))
+            members.append(gi)
+            signs.append(sg)
+    return sum(
+        oc._sign_homomorphism(ctx, members, signs, ctx.q, n, i)
+        for i, (members, signs) in stab_of.items()
+    )
+
+
+def _flip_signs(monkeypatch, mat, pick):
+    """Make stable_indices report a nonsquare multiple of kappa on the
+    stable rows of mat that pick (an index or a slice) selects: the sign of
+    mat on those sets flips."""
+    stable = oc.ActionState.stable_indices
+
+    def flipped(self, m):
+        idx, kappa = stable(self, m)
+        if m == mat and len(idx):
+            kappa = kappa.copy()
+            kappa[pick] = self.tabs.MUL[ff.mult_generator(self.ctx), kappa[pick]]
+        return idx, kappa
+
+    monkeypatch.setattr(oc.ActionState, "stable_indices", flipped)
+
+
+@pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (5, 6)])
+def test_exhaustive_sign_homomorphism_matches_per_set_check(q, n):
+    ctx = ff.make_field(q, 1)
+    assert oc._exhaustive_sign_homomorphism(ctx, n) == _reference_exhaustive_sign_homomorphism(ctx, n)
+
+
+@pytest.mark.parametrize(
+    "q,n,pos,pick",
+    [(3, 6, 0, 0), (3, 6, 2, -1), (3, 8, 14, 0), (5, 6, 40, -1), (5, 6, 70, 0),
+     # every stable row of one element: failures in many rows, the first
+     # named in order of first stabilizing element, not of row
+     (3, 8, 9, "all"), (5, 6, 30, "all")],
+)
+def test_exhaustive_sign_homomorphism_names_the_first_failing_pair(monkeypatch, q, n, pos, pick):
+    ctx = ff.make_field(q, 1)
+    _flip_signs(monkeypatch, mb.enumerate_pgl(ctx)[pos].mat, slice(None) if pick == "all" else pick)
+    with pytest.raises(census.VerificationError, match="cocycle: homomorphism") as want:
+        _reference_exhaustive_sign_homomorphism(ctx, n)
+    with pytest.raises(census.VerificationError) as got:
+        oc._exhaustive_sign_homomorphism(ctx, n)
+    assert str(got.value) == str(want.value)
