@@ -12,10 +12,23 @@ the twisted class (lambda, S) to (lambda, gamma S) or flips the twist.
 The closed forms below evaluate epsilon for stable S without computing J:
 kind B always +1; kind C via the parity of (q-1)/order and the number of
 fixed points inside S; kind A via divisibility of n by the order.
+
+Each quantity has a per-pair function, the reference, and a batched view
+over numpy stacks of entry codes and n-set forms that the verification
+suites call: kappa_multipliers beside kappa_multiplier, epsilons beside
+epsilon (the global_multiplier sweep), and epsilon_closed_forms, one
+element against many sets, beside epsilon_closed_form.  epsilons keeps
+the sweep order of _sweep_candidates: per pair it takes the least base
+field code x0 with f_S(x0) != 0 and c x0 + d != 0 from one table of f_S
+over F_q, then the least such code of the quadratic extension, and only
+the pairs left after that go to global_multiplier for the quartic level.
+It reads the image forms from act_forms, never kappa, so the eps suite
+still compares two independent routes to the sign.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +38,7 @@ from .census import VerificationError
 from .field import FieldCtx
 from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
 from .nset import RationalNSet, act_form, act_forms, apply_moebius, contains_point
-from .nset import substitution_matrices
+from .nset import _expansion_tables, _int_tables, form_values, from_form, substitution_matrices
 
 
 def local_multiplier(mat: GlMatrix, t: ProjPoint, ctx: FieldCtx, emb=None) -> int:
@@ -65,10 +78,12 @@ def kappa_multipliers(ctx: FieldCtx, mats, forms) -> tuple[np.ndarray, np.ndarra
     img, kappa = act_forms(ctx, substitution_matrices(ctx, mats, n), forms)
     a, b, c, d = np.moveaxis(mats, -1, 0)
     det = add[mul[a, d], mul[ctx.p - 1, mul[b, c]]]
-    det_n = np.ones_like(det)
-    for _ in range(n):
-        det_n = mul[det_n, det]
-    return mul[det_n, inv[kappa]], img
+    return mul[_pow(ctx, det, n), inv[kappa]], img
+
+
+def _pow(ctx: FieldCtx, x, n: int) -> np.ndarray:
+    """x^n for an array of codes, read from the cached power table."""
+    return _expansion_tables(ctx, n)[0][x, n]
 
 
 def _sweep_candidates(ctx: FieldCtx):
@@ -135,6 +150,79 @@ def epsilon(gamma, s: RationalNSet, ctx: FieldCtx) -> int:
     return 1 if ff.is_square(j, ctx) else -1
 
 
+def _sweep_level(fld: FieldCtx, mats, forms, img, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the sweep for paired rows already lifted into fld:
+    the mask of rows with a valid x0 in fld, and J there (codes of fld).
+
+    f_S over all of fld is one (rows, q) table; argmax takes the least
+    valid code, as global_multiplier's ascending loop does.
+    """
+    add, mul, inv = _int_tables(fld)
+    a, b, c, d = mats.T
+    xs = np.arange(fld.q)
+    fx = form_values(fld, forms[:, None], xs)
+    lin = add[mul[c[:, None], xs], d[:, None]]
+    valid = (fx != 0) & (lin != 0)
+    found = valid.any(1)
+    x0 = valid.argmax(1)
+    rows = np.arange(len(x0))
+    den, l0 = fx[rows, x0], lin[rows, x0]
+    num = form_values(fld, img, mul[add[mul[a, x0], b], inv[l0]])  # f_S' at gamma x0
+    if not num[found].all():
+        raise VerificationError("the image form vanishes at gamma x0")
+    return found, mul[mul[_pow(fld, l0, n), num], inv[den]]
+
+
+def _images(ctx: FieldCtx, mats, forms, n: int) -> np.ndarray:
+    """act_forms of paired rows, expanding each distinct matrix once."""
+    q = ctx.q
+    code = ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
+    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    return act_forms(ctx, substitution_matrices(ctx, mats[first], n)[which.ravel()], forms)[0]
+
+
+def epsilons(ctx: FieldCtx, mats, forms) -> np.ndarray:
+    """epsilon of many pairs at once: chi(J) as int8 for matrices given as
+    entry codes (..., 4) and even-n forms (..., n+1), paired rows or one
+    side a single row.
+
+    J = (c x0 + d)^n f_S'(gamma x0) / f_S(x0) as in global_multiplier,
+    with the image forms f_S' from act_forms.  Rows without a valid x0 in
+    F_q are swept over F_(q^2) through the embedding, and must descend to
+    F_q there; the rows left after that go to global_multiplier one by one.
+    """
+    mats, forms = np.asarray(mats, np.intp), np.asarray(forms, np.intp)
+    n = forms.shape[-1] - 1
+    if n % 2 != 0:
+        raise ValueError("epsilon is defined for even n only")
+    shape = np.broadcast_shapes(mats.shape[:-1], forms.shape[:-1])
+    mats = np.broadcast_to(mats, shape + (4,)).reshape(-1, 4)
+    forms = np.broadcast_to(forms, shape + (n + 1,)).reshape(-1, n + 1)
+    img = _images(ctx, mats, forms, n)
+    j = np.zeros(len(forms), np.intp)
+    rest = np.arange(len(forms))
+    for fld, emb, _ in itertools.islice(_sweep_candidates(ctx), 2):
+        if not len(rest):
+            break
+        lift = np.arange(ctx.q) if emb is None else np.asarray(emb)
+        found, jf = _sweep_level(fld, lift[mats[rest]], lift[forms[rest]], lift[img[rest]], n)
+        if emb is not None:
+            back = np.full(fld.q, -1)
+            back[lift] = np.arange(ctx.q)
+            jf = back[jf]
+            low = np.flatnonzero(found & (jf < 0))
+            if len(low):
+                i = rest[low[0]]
+                raise VerificationError(f"multiplier must descend to the base field: "
+                                        f"{mats[i].tolist()}, {forms[i].tolist()}")
+        j[rest[found]] = jf[found]
+        rest = rest[~found]
+    for i in rest.tolist():
+        s, _ = from_form(ctx, tuple(forms[i].tolist()))
+        j[i] = global_multiplier(GlMatrix(*mats[i].tolist()), s, ctx)
+    return ff.tables(ctx).CHI[j].reshape(shape)
+
+
 def epsilon_closed_form(gamma: MoebiusElem, s: RationalNSet, ctx: FieldCtx) -> int:
     """epsilon(gamma, S) for nonidentity gamma stabilizing S, without
     evaluating the cocycle.
@@ -168,6 +256,50 @@ def epsilon_closed_form(gamma: MoebiusElem, s: RationalNSet, ctx: FieldCtx) -> i
     if n % m:
         raise VerificationError(f"order {m} must divide n = {n}")
     return -1 if ((n // m) % 2 == 1) else 1
+
+
+def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray:
+    """epsilon_closed_form of one nonidentity element against many n-set
+    forms (m, n+1) that it stabilizes, as int8 signs.
+
+    gamma S = S is checked on every row by one act_forms call, and the
+    fixed points are found once: infinity is in S where the form has
+    F[0] = 0, and a finite fixed point where the lifted form vanishes
+    there, by F_(q^2) gathers.
+    """
+    forms = np.asarray(forms, np.intp)
+    n = forms.shape[-1] - 1
+    if n % 2 != 0:
+        raise ValueError("epsilon is defined for even n only")
+    if gamma.kind == "identity":
+        raise ValueError("closed form requires a nonidentity element")
+    mat = gamma.mat
+    img, _ = act_forms(ctx, substitution_matrices(ctx, (mat.a, mat.b, mat.c, mat.d), n), forms)
+    if (img != forms).any():
+        raise ValueError("closed form requires gamma S = S")
+    signs = np.ones(len(forms), np.int8)
+    if gamma.kind == "B":
+        return signs
+    m, q = gamma.order, ctx.q
+    ext, emb, pts = fixed_points(gamma, ctx)
+    lifted = np.asarray(emb)[forms]
+    cnt = sum(form_values(ext, lifted, t.x) == 0 if t.finite else forms[:, 0] == 0 for t in pts)
+    if gamma.kind == "C":
+        if ((q - 1) // m) % 2 == 1:
+            signs[cnt == 2] = -1
+        return signs
+    # kind A: the conjugate pair is in S together or not at all
+    if (cnt == 1).any():
+        s, _ = from_form(ctx, tuple(forms[np.argmax(cnt == 1)].tolist()))
+        raise VerificationError(f"kind A fixes a conjugate pair, 1 of it in S: {s}")
+    pair = cnt == 2
+    if pair.any() and (n - 2) % m:
+        raise VerificationError(f"order {m} must divide n - 2 = {n - 2}")
+    if not pair.all() and n % m:
+        raise VerificationError(f"order {m} must divide n = {n}")
+    signs[pair] = -1 if ((q + 1) // m + (n - 2) // m) % 2 == 1 else 1
+    signs[~pair] = -1 if (n // m) % 2 == 1 else 1
+    return signs
 
 
 class NormLemmaReport(NamedTuple):

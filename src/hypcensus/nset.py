@@ -15,9 +15,11 @@ image n-set's form up to the nonzero leading scalar kappa recovered here.
 The substitution is one linear map on the n + 1 coefficients, and
 substitution_matrices is the only routine that expands it, for a whole
 stack of matrices at once.  Everything else reads from it: act_forms
-applies a stack to many forms, stabilizer acts with all of PGL2 in one
-act_forms call, and substitution_matrix, its cached one-matrix view,
-serves the scalar act_form and the oracle engine.
+applies a stack to many forms, stabilizer_masks acts with all of PGL2 on
+many forms in one act_forms call, and substitution_matrix, its cached
+one-matrix view, serves the scalar act_form and the oracle engine.
+form_values evaluates many forms at many points by the same gathers, for
+the batched twist signs.
 """
 
 from __future__ import annotations
@@ -210,6 +212,19 @@ def act_forms(ctx: FieldCtx, subs, forms) -> tuple[np.ndarray, np.ndarray]:
     return mul[inv[kappa][..., None], img], kappa
 
 
+def form_values(ctx: FieldCtx, forms, x) -> np.ndarray:
+    """F(x, 1) of n-set forms (..., n+1) at codes x broadcast against
+    forms[..., 0]: the value of f, which the form dehomogenizes to with or
+    without the point at infinity.  Horner over the form columns, by
+    gathers from the field tables."""
+    add, mul, _ = _int_tables(ctx)
+    forms, x = np.asarray(forms, np.intp), np.asarray(x, np.intp)
+    val = np.broadcast_to(forms[..., 0], np.broadcast_shapes(forms[..., 0].shape, x.shape))
+    for k in range(1, forms.shape[-1]):
+        val = add[mul[val, x], forms[..., k]]
+    return val
+
+
 def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:
     """Image n-set under the point action plus the leading scalar kappa.
 
@@ -253,13 +268,19 @@ def _pgl_substitutions(ctx: FieldCtx, n: int) -> np.ndarray:
     return substitution_matrices(ctx, mat_codes(e.mat for e in enumerate_pgl(ctx)), n)
 
 
+def stabilizer_masks(ctx: FieldCtx, forms) -> np.ndarray:
+    """Masks (..., |PGL2|) of the enumerate_pgl elements fixing each of the
+    n-set forms (..., n+1) setwise: one act_forms call of every element
+    against every form."""
+    forms = np.asarray(forms, np.intp)[..., None, :]
+    img, _ = act_forms(ctx, _pgl_substitutions(ctx, forms.shape[-1] - 1), forms)
+    return (img == forms).all(-1)
+
+
 def stabilizer(s: RationalNSet, ctx: FieldCtx) -> list[MoebiusElem]:
-    """All classes fixing the n-set (setwise), in enumerate_pgl order: one
-    act_forms call of every element against the form of s."""
-    form = np.array(to_form(ctx, s))
-    img, _ = act_forms(ctx, _pgl_substitutions(ctx, s.n), form)
+    """All classes fixing the n-set (setwise), in enumerate_pgl order."""
     pgl = enumerate_pgl(ctx)
-    return [pgl[i] for i in np.flatnonzero((img == form).all(-1))]
+    return [pgl[i] for i in np.flatnonzero(stabilizer_masks(ctx, to_form(ctx, s)))]
 
 
 def rational_points(s: RationalNSet, ctx: FieldCtx) -> list[ProjPoint]:

@@ -19,6 +19,9 @@ twist classes merge) when some generator edge contradicts the bits.
 It is the one orbit primitive: verify_points reads its twisted keys, and
 verify_quotient labels, with no twist, the joint orbits of an element and
 Frobenius on the points of P^1 over each extension.
+The suites that read twist signs (eps, cocycle, points) take them in bulk
+from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
+views of the per-pair sweep and closed form, which stay as references.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -431,11 +434,18 @@ def selfdual_nset(s: ns.RationalNSet, ctx: ff.FieldCtx) -> bool:
     That happens exactly when some setwise stabilizer element carries the
     sign -1, and the answer is constant on the orbit of the n-set.
     """
-    return any(
-        mult.epsilon(el.mat, s, ctx) == -1
-        for el in ns.stabilizer(s, ctx)
-        if el.kind != "identity"
-    )
+    return bool(_selfdual_forms(ctx, [ns.to_form(ctx, s)])[0])
+
+
+def _selfdual_forms(ctx: ff.FieldCtx, forms) -> np.ndarray:
+    """selfdual_nset of many n-set forms (rows, n+1): the stabilizers of
+    all rows from one stabilizer_masks call, and the signs of every
+    (row, stabilizer element) pair from one multiplier.epsilons call."""
+    forms = np.asarray(forms)
+    row, elem = np.nonzero(ns.stabilizer_masks(ctx, forms))
+    codes = mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx))
+    signs = mult.epsilons(ctx, codes[elem], forms[row])
+    return np.bincount(row[signs == -1], minlength=len(forms)) > 0
 
 
 def curve_point_counts(ctx: ff.FieldCtx, lam: int, s: ns.RationalNSet):
@@ -454,6 +464,21 @@ def curve_point_counts(ctx: ff.FieldCtx, lam: int, s: ns.RationalNSet):
     else:
         at_inf = 1 + ff.chi(lam, ctx)
     return aff, aff + at_inf
+
+
+def smooth_point_counts(ctx: ff.FieldCtx, forms, lams) -> np.ndarray:
+    """curve_point_counts' smooth count for many n-set forms (rows, n+1)
+    and twist scalars at once, shape (rows, len(lams)).
+
+    With T = sum over x in F_q of chi(f(x)), from one table of f over F_q,
+    the affine count of y^2 = lam f(x) is q + chi(lam) T; over infinity
+    sit one point when the set holds infinity and 1 + chi(lam) otherwise.
+    """
+    chi = ff.tables(ctx).CHI
+    forms = np.asarray(forms)
+    t = chi[ns.form_values(ctx, forms[:, None], np.arange(ctx.q))].sum(1, dtype=np.int64)
+    c = chi[np.asarray(lams)].astype(np.int64)
+    return ctx.q + t[:, None] * c + np.where(forms[:, :1] == 0, 1, 1 + c)
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +525,35 @@ def _fixed_pair_quadratic(elem: mb.MoebiusElem, ctx: ff.FieldCtx):
 
 
 def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
-    """Every stable pair: engine sign == cocycle sweep == closed form."""
+    """Every stable pair: engine sign == cocycle sweep == closed form.
+
+    Per (q, n) the sweep signs of all stable (element, row) pairs come from
+    one multiplier.epsilons call, and the closed forms from one
+    epsilon_closed_forms call per element; a mismatch names the first
+    failing pair in element order, then row order.
+    """
     checks = 0
     for q in qs:
         ctx = ff.make_field(q, 1)
         for n in ns_list:
             st = ActionState(ctx, n)
-            for elem in mb.enumerate_pgl(ctx):
-                if elem.kind == "identity":
-                    continue
+            elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
+            pair_elem, rows, engine, closed = [], [], [], []
+            for k, elem in enumerate(elems):
                 idx, kappas = st.stable_indices(elem.mat)
-                for i, kap in zip(idx.tolist(), kappas.tolist()):
-                    s = st.nset_at(i)
-                    e0 = int(st.tabs.CHI[kap])
-                    e1 = mult.epsilon(elem.mat, s, ctx)
-                    e2 = mult.epsilon_closed_form(elem, s, ctx)
-                    _check(e0 == e1 == e2, "eps: engine == sweep == closed form",
-                           q, n, elem.mat, s, (e0, e1, e2))
-                    checks += 1
+                pair_elem.append(np.full(len(idx), k))
+                rows.append(idx)
+                engine.append(st.tabs.CHI[kappas])
+                closed.append(mult.epsilon_closed_forms(elem, st.V[idx], ctx))
+            pair_elem, rows, e0, e2 = map(np.concatenate, (pair_elem, rows, engine, closed))
+            e1 = mult.epsilons(ctx, mb.mat_codes(el.mat for el in elems)[pair_elem], st.V[rows])
+            bad = np.flatnonzero((e0 != e1) | (e1 != e2))
+            if len(bad):
+                b = bad[0]
+                _check(False, "eps: engine == sweep == closed form", q, n,
+                       elems[pair_elem[b]].mat, st.nset_at(rows[b]),
+                       (int(e0[b]), int(e1[b]), int(e2[b])))
+            checks += len(rows)
     return {"suite": "eps", "checks": checks}
 
 
@@ -663,7 +699,10 @@ def verify_cocycle(
     on stabilizers and multiplicative on each stabilizer subgroup.  The
     cocycle law is checked in batches (multiplier.kappa_multipliers): all
     PGL2(F_3) pairs of one set at a time, and the random triples, drawn one
-    by one as always, in one batch per field.
+    by one as always, in one batch per field.  The signs come from
+    multiplier.epsilons: the 8 x 48 conjugation pairs in one call, each
+    stabilizer test set in one call, and the sampled stabilizers of one
+    (q, n) in one call; the closed form stays per element on the test sets.
     """
     checks = 0
     k3 = ff.make_field(3, 1)
@@ -705,14 +744,18 @@ def verify_cocycle(
         if mb.mat_det(k3, m) != 0
     ]
     _check(len(gl3) == 48, "cocycle: |GL2(F_3)|", len(gl3))
-    images = [ns.act_form(k3, rho, special)[0] for rho in gl3]
-    for gam in stab:
-        base_eps = mult.epsilon(gam.mat, special, k3)
-        for rho, s_r in zip(gl3, images):
-            conj = mb.mat_mul(k3, mb.mat_mul(k3, rho, gam.mat), mb.mat_inv(k3, rho))
-            _check(mult.epsilon(conj, s_r, k3) == base_eps, "cocycle: conjugation invariance",
-                   gam.mat, rho)
-            checks += 1
+    # [g, r] = (gam_g, rho_r): rho gam rho^-1 on rho S against gam on S, one batch
+    form = ns.to_form(k3, special)
+    rho, gam = mb.mat_codes(gl3), mb.mat_codes(el.mat for el in stab)
+    adj = mb.mat_codes(mb.mat_inv(k3, r) for r in gl3)
+    conj = mb.mat_mul_codes(k3, mb.mat_mul_codes(k3, rho, gam[:, None]), adj)
+    images, _ = ns.act_forms(k3, ns.substitution_matrices(k3, rho, special.n), form)
+    base_eps = mult.epsilons(k3, gam, form)
+    bad = np.argwhere(mult.epsilons(k3, conj, images) != base_eps[:, None])
+    if len(bad):
+        g, r = bad[0]
+        _check(False, "cocycle: conjugation invariance", stab[g].mat, gl3[r])
+    checks += conj.shape[0] * conj.shape[1]
 
     # epsilon restricted to a stabilizer is a homomorphism to {1, -1}
     for q in (3, 5, 7):
@@ -721,8 +764,8 @@ def verify_cocycle(
         for s in _stab_test_sets(q, ctx):
             stab = ns.stabilizer(s, ctx)
             _check(len(stab) > 1, "cocycle: nontrivial stabilizer", q, s)
-            signs = [mult.epsilon(el.mat, s, ctx) for el in stab]
-            for el, e in zip(stab, signs):
+            signs = mult.epsilons(ctx, mb.mat_codes(el.mat for el in stab), ns.to_form(ctx, s))
+            for el, e in zip(stab, signs.tolist()):
                 if el.kind != "identity":
                     _check(e == mult.epsilon_closed_form(el, s, ctx),
                            "cocycle: closed form on a stabilizer", q, s, el.mat)
@@ -735,16 +778,19 @@ def verify_cocycle(
     # where it is not, full stabilizers of engine-picked stable sets
     for q, n in hom_sampled:
         ctx = ff.make_field(q, 1)
-        index = mb.pgl_table(ctx).index
         st = ActionState(ctx, n)
+        rows = []
         for kind, m in _subtype_list(ctx):
             elem, _ = mb.subtype_representative(ctx, kind, m)
             idx, _ = st.stable_indices(elem.mat)
-            for i in idx[:20].tolist():
-                s = st.nset_at(i)
-                stab = ns.stabilizer(s, ctx)
-                signs = [mult.epsilon(el.mat, s, ctx) for el in stab]
-                checks += _sign_homomorphism(ctx, [index[el.mat] for el in stab], signs, q, n, s)
+            rows.extend(idx[:20].tolist())
+        # every stabilizer at once, and the signs of every (set, member) pair
+        row, member = np.nonzero(ns.stabilizer_masks(ctx, st.V[rows]))
+        codes = mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx))
+        signs = mult.epsilons(ctx, codes[member], st.V[rows][row])
+        for r, i in enumerate(rows):
+            mine = row == r
+            checks += _sign_homomorphism(ctx, member[mine], signs[mine], q, n, st.nset_at(i))
     return {"suite": "cocycle", "checks": checks}
 
 
@@ -902,7 +948,12 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
 def verify_points(qs=(3, 5), g: int = 2) -> dict:
     """Model-level sanity: smooth point counts are constant on orbits and
     equal q + 1 exactly on the self-dual classes (where the curve and its
-    twist are isomorphic, and the two counts average to q + 1)."""
+    twist are isomorphic, and the two counts average to q + 1).
+
+    The counts of every row and both twists come from one table of f over
+    F_q (smooth_point_counts), and self-duality of every orbit root from
+    one stabilizer and sign batch (_selfdual_forms).
+    """
     checks = 0
     n = 2 * g + 2
     for q in qs:
@@ -911,20 +962,19 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
         st = ActionState(ctx, n)
         lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(ctx)])
         count = st.count
-        smooth = np.empty(2 * count, np.int64)  # twisted node i + count twists row i
-        for i in range(count):
-            s = st.nset_at(i)
-            smooth[i] = curve_point_counts(ctx, 1, s)[1]
-            smooth[i + count] = curve_point_counts(ctx, nonsq, s)[1]
+        # twisted node i + count twists row i
+        smooth = smooth_point_counts(ctx, st.V, (1, nonsq)).ravel(order="F")
         # every twisted node against the node its orbit key 2 L + b names
         keys = np.concatenate([key0, key1])
         off = np.flatnonzero(smooth != smooth[(keys >> 1) + (keys & 1) * count])
         _check(len(off) == 0, "points: orbit-invariant point count", q, off[:1].tolist())
         checks += 2 * count
-        for i in np.flatnonzero(lab == np.arange(count)).tolist():
-            merged = bool(key0[i] == key1[i])
-            _check(merged == selfdual_nset(st.nset_at(i), ctx), "points: sd", q, i)
-            _check(not merged or smooth[i] == q + 1, "points: q + 1", q, i)
+        roots = np.flatnonzero(lab == np.arange(count))
+        merged = key0[roots] == key1[roots]
+        sd = _selfdual_forms(ctx, st.V[roots])
+        for i, m, s in zip(roots.tolist(), merged.tolist(), sd.tolist()):
+            _check(m == s, "points: sd", q, i)
+            _check(not m or smooth[i] == q + 1, "points: q + 1", q, i)
             checks += 1
     return {"suite": "points", "checks": checks}
 

@@ -10,6 +10,7 @@ import pytest
 
 from hypcensus import census
 from hypcensus import field as ff
+from hypcensus import moebius as mo
 from hypcensus import oracle as oc
 from hypcensus.cli import main
 
@@ -174,12 +175,39 @@ def test_suite_checks_survive_python_O():
     # a wrong closed form must fail the eps suite even with asserts compiled out
     res = _run_optimized(
         "-c",
+        "import numpy\n"
         "from hypcensus import multiplier, oracle\n"
-        "multiplier.epsilon_closed_form = lambda gamma, s, ctx: 1\n"
+        "multiplier.epsilon_closed_forms = lambda gamma, forms, ctx: numpy.ones(len(forms))\n"
         "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
     )
-    assert res.returncode != 0, res.stdout
+    assert res.returncode == 1, res.stdout
     assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
+
+
+def test_sweep_sign_checks_survive_python_O():
+    # the first batched sweep sign flipped: the eps suite must still raise
+    # under python -O, naming the first stable pair as the per-pair loop did
+    k = ff.make_field(3, 1)
+    st = oc.ActionState(k, 4)
+    for el in mo.enumerate_pgl(k):
+        idx, kappas = st.stable_indices(el.mat)
+        if el.kind != "identity" and len(idx):
+            e0 = int(st.tabs.CHI[kappas[0]])
+            first = (3, 4, el.mat, st.nset_at(int(idx[0])), (e0, -e0, e0))
+            break
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import multiplier, oracle\n"
+        "batched = multiplier.epsilons\n"
+        "def flipped(ctx, mats, forms):\n"
+        "    signs = batched(ctx, mats, forms).copy()\n"
+        "    signs.flat[0] *= -1\n"
+        "    return signs\n"
+        "multiplier.epsilons = flipped\n"
+        "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
+    )
+    assert res.returncode == 1, res.stdout
+    assert f"VerificationError: eps: engine == sweep == closed form: {first}" in res.stderr
 
 
 def test_cocycle_checks_survive_python_O():

@@ -1,11 +1,15 @@
 """Multiplier cocycle unit tests."""
 
+import random
+
+import numpy as np
 import pytest
 
 from hypcensus import field as ff
 from hypcensus import moebius as mo
 from hypcensus import multiplier as mult
 from hypcensus import nset as ns
+from hypcensus import oracle as oc
 from hypcensus.census import divisors
 
 
@@ -99,6 +103,8 @@ def test_epsilon_scaling_invariance():
         assert mult.epsilon(scaled, s, k) == base
     with pytest.raises(ValueError):
         mult.epsilon(m, ns.make_nset(k, (0, 1), False), k)  # odd n
+    with pytest.raises(ValueError, match="even n"):
+        mult.epsilons(k, [1, 0, 0, 1], [1, 0, 1, 2])
 
 
 def test_epsilon_closed_form_exhaustive_q3_n4():
@@ -122,6 +128,14 @@ def test_epsilon_closed_form_requires_stability():
     assert ns.apply_moebius(e, s, k) != s
     with pytest.raises(ValueError, match="closed form requires gamma S = S"):
         mult.epsilon_closed_form(e, s, k)
+    # the batched view checks every row: one stable row, then one that moves
+    e = mo.classify(k, mo.GlMatrix(0, 1, 1, 0))
+    fixed = ns.points_to_nset(k, [mo.fin(1), mo.fin(2)])  # the fixed points of 1/x
+    forms = np.array([ns.to_form(k, fixed), ns.to_form(k, s)])
+    assert mult.epsilon_closed_forms(e, forms[:1], k).tolist() == [
+        mult.epsilon_closed_form(e, fixed, k)]
+    with pytest.raises(ValueError, match="closed form requires gamma S = S"):
+        mult.epsilon_closed_forms(e, forms, k)
 
 
 def test_epsilon_conjugation_invariance_on_stabilizer():
@@ -177,3 +191,73 @@ def test_orbit_multiplier_all_points_q3_q5():
                     continue
                 prod, expected = mult.orbit_multiplier_check(gamma, alpha, t, k)
                 assert prod == expected, (q, m, t)
+
+
+# ---------------------------------------------------------------------------
+# the batched views against the per-pair references
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_batched_signs_match_references_on_every_stable_pair(q):
+    k = K(q)
+    st = oc.ActionState(k, 6)
+    pairs = 0
+    for e in mo.enumerate_pgl(k):
+        if e.kind == "identity":
+            continue
+        idx, _ = st.stable_indices(e.mat)
+        sets = [st.nset_at(i) for i in idx.tolist()]
+        mats = mo.mat_codes([e.mat])
+        closed = mult.epsilon_closed_forms(e, st.V[idx], k)
+        swept = mult.epsilons(k, mats, st.V[idx])
+        assert closed.tolist() == [mult.epsilon_closed_form(e, s, k) for s in sets], e
+        assert swept.tolist() == [mult.epsilon(e.mat, s, k) for s in sets], e
+        pairs += len(sets)
+    assert pairs == {3: 264, 5: 3720}[q]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_epsilons_match_sweep_on_random_pairs(p, e):
+    k = K(p, e)
+    rng = random.Random(100 * p + e)
+    for n in (2, 4, 6, 8):
+        mats, sets = [], []
+        while len(mats) < 150:
+            m = mo.GlMatrix(*(rng.randrange(k.q) for _ in range(4)))
+            inf = rng.random() < 0.5
+            f = tuple(rng.randrange(k.q) for _ in range(n - inf)) + (1,)
+            if mo.mat_det(k, m) and ff.is_squarefree_poly(k, f):
+                mats.append(m)
+                sets.append(ns.RationalNSet(f, inf))
+        forms = np.array([ns.to_form(k, s) for s in sets])
+        got = mult.epsilons(k, mo.mat_codes(mats), forms)
+        assert got.tolist() == [mult.epsilon(m, s, k) for m, s in zip(mats, sets)], (p, e, n)
+        # one matrix against every form, and one form against every matrix
+        assert mult.epsilons(k, mo.mat_codes(mats[:1]), forms).tolist() == [
+            mult.epsilon(mats[0], s, k) for s in sets]
+        assert mult.epsilons(k, mo.mat_codes(mats), forms[0]).tolist() == [
+            mult.epsilon(m, sets[0], k) for m in mats]
+
+
+def test_epsilons_fall_back_level_by_level(monkeypatch):
+    k = K(3)
+    inv = mo.GlMatrix(0, 1, 1, 0)  # x -> 1/x, whose pole is 0
+    # P^1(F_3): no x0 in F_3, one in F_9
+    line = ns.points_to_nset(k, [mo.fin(0), mo.fin(1), mo.fin(2), mo.INF])
+    # (x^9 - x) / x vanishes on F_9 minus 0, the pole: x0 lies in F_81
+    quartic = ns.make_nset(k, (2, 0, 0, 0, 0, 0, 0, 0, 1), False)
+    ext, emb = ff.extend(k, 2)
+    f9 = tuple(emb[c] for c in quartic.f)
+    assert all(ff.peval(ext, f9, x) == 0 for x in range(1, 9))
+    assert mult.global_multiplier(inv, quartic, k) == mult.kappa_multiplier(inv, quartic, k)
+    want = [mult.epsilon(inv, s, k) for s in (line, quartic)]
+    # only the F_81 pair reaches the per-pair sweep
+    calls = []
+    reference = mult.global_multiplier
+    monkeypatch.setattr(mult, "global_multiplier",
+                        lambda mat, s, ctx: calls.append((mat, s)) or reference(mat, s, ctx))
+    assert mult.epsilons(k, mo.mat_codes([inv]), ns.to_form(k, line)).tolist() == want[:1]
+    assert not calls
+    assert mult.epsilons(k, mo.mat_codes([inv]), ns.to_form(k, quartic)).tolist() == want[1:]
+    assert calls == [(inv, quartic)]
+

@@ -610,6 +610,27 @@ def test_point_counts_smooth_vs_affine():
     assert (aff2, smooth2) == (2, 4)
 
 
+def test_smooth_point_counts_match_scalar_counts():
+    ctx = ff.make_field(3, 1)
+    st = oc.ActionState(ctx, 6)
+    got = oc.smooth_point_counts(ctx, st.V, (1, 2))
+    assert got.shape == (st.count, 2)
+    for i in range(st.count):
+        s = st.nset_at(i)
+        assert got[i].tolist() == [oc.curve_point_counts(ctx, lam, s)[1] for lam in (1, 2)], s
+
+
+def test_batched_selfdual_matches_per_pair_signs():
+    ctx = ff.make_field(3, 1)
+    st = oc.ActionState(ctx, 6)
+    got = oc._selfdual_forms(ctx, st.V)
+    for i in range(st.count):
+        s = st.nset_at(i)
+        want = any(mult.epsilon(el.mat, s, ctx) == -1 for el in ns.stabilizer(s, ctx))
+        assert got[i] == want == oc.selfdual_nset(s, ctx), s
+    assert got.any() and not got.all()
+
+
 def test_suites_reduced_grids():
     assert oc.verify_suite("eps", qs=(3,), ns_list=(6,))["checks"] > 0
     assert oc.verify_suite("counts", qs=(3, 5), nmax=6)["checks"] > 0
