@@ -38,7 +38,11 @@ def _parse_genus_range(s: str) -> list[int]:
 
 
 def _parse_q_list(s: str) -> list[int]:
-    return [int(part) for part in s.split(",") if part]
+    """The distinct field sizes of a comma list, ascending."""
+    qs = sorted({int(part) for part in s.split(",") if part})
+    if not qs:
+        raise ValueError(f"no field size in --q {s!r}")
+    return qs
 
 
 def _resolve_qs(args) -> list[int]:
@@ -70,7 +74,7 @@ def cmd_counts(args, which: str) -> int:
     try:
         gs = _parse_genus_range(args.g)
         qs = _resolve_qs(args)
-        reports = [census.census_report(g, q) for g in gs for q in sorted(set(qs))]
+        reports = [census.census_report(g, q) for g in gs for q in qs]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -181,7 +185,7 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pairs = sorted((g, q) for g in gs for q in set(qs))
+    pairs = sorted((g, q) for g in gs for q in qs)
     results = []
     for g, q in pairs:
         try:
@@ -232,11 +236,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.q is not None:
-        kwargs["qs"] = tuple(_parse_q_list(args.q))
     if args.triples is not None:
         kwargs["triples"] = args.triples
     try:
+        if args.q is not None:
+            kwargs["qs"] = tuple(_parse_q_list(args.q))
         result = oracle.verify_suite(args.suite, **kwargs)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,14 @@ exp[i] = g^i (stored twice over, so that log x + log y indexes it
 directly), the discrete logarithm log and the Zech logarithm
 zech[k] = log(1 + g^k), which turns addition into
 g^a + g^b = g^(a + zech[b - a]).  _mul_raw stays as the reference the
-tests compare against.  tables(ctx) holds the same arithmetic as numpy
-q x q arrays for the vectorized engine.
+tests compare against.
+
+tables(ctx) holds the same arithmetic as numpy q x q int16 arrays for the
+vectorized code, int_tables(ctx) its cached intp view (gathers indexed by
+intp codes skip the index conversion) and powers(ctx, n) the cached
+table of x^e.  dot(ctx, pairs) is the one F_q linear combination,
+sum c x elementwise over code arrays: every PGL2 action on forms and the
+squarefree sieve read it, so no other module branches on the field kind.
 
 Polynomials over a field are tuples of element codes in ascending degree
 order with no trailing zeros; the empty tuple is the zero polynomial.
@@ -319,6 +325,58 @@ def tables(ctx: FieldCtx) -> Tables:
     chi_t = np.where(lg % 2 == 0, 1, -1).astype(np.int8)
     chi_t[0] = 0
     return Tables(add_t, mul_t, inv_t, chi_t)
+
+
+@functools.cache
+def int_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADD, MUL and INV of tables(ctx) as intp arrays: gathers indexed by
+    intp codes skip the index conversion, which dominates on small stacks."""
+    tabs = tables(ctx)
+    return tabs.ADD.astype(np.intp), tabs.MUL.astype(np.intp), tabs.INV.astype(np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def powers(ctx: FieldCtx, n: int) -> np.ndarray:
+    """[x, e] = x^e as intp for every code x and 0 <= e <= n, with 0^0 = 1."""
+    _, mul, _ = int_tables(ctx)
+    pw = np.ones((ctx.q, n + 1), np.intp)
+    for e in range(1, n + 1):
+        pw[:, e] = mul[pw[:, e - 1], np.arange(ctx.q)]
+    return pw
+
+
+def dot(ctx: FieldCtx, pairs) -> np.ndarray:
+    """The field sum of c * x over the pairs (c, x), elementwise over code
+    arrays broadcast together; either factor may also be an int.  pairs may
+    be a generator: a caller that leaves out the zero coefficients never
+    reads their columns.
+
+    Over a prime field the products are summed in int32, in place where
+    the shapes allow, and in int64 once len(pairs) (p - 1)^2 reaches 2**31;
+    the sum is reduced mod p once.  Over an extension field the terms are
+    int16 gathers from the flattened tables: a row of MUL for an int
+    coefficient, MUL at c q + x for an array one, and ADD at acc q + term.
+    """
+    acc = None
+    if ctx.e == 1:
+        p, bound = ctx.p, 0
+        for c, x in pairs:
+            bound += (p - 1) ** 2  # the largest partial sum
+            term = np.multiply(x, c, dtype=np.int32 if bound < 2**31 else np.int64)
+            if acc is None:
+                acc = term
+            elif acc.shape == term.shape and acc.dtype == term.dtype:
+                acc += term
+            else:  # a wider shape or dtype
+                acc = acc + term
+        return np.mod(acc, p, out=acc)
+    q, tabs = ctx.q, tables(ctx)
+    add, mul = tabs.ADD.ravel(), tabs.MUL.ravel()
+    for c, x in pairs:  # int16 codes, so the int32 indices c q + x stay below 2**30
+        term = (tabs.MUL[c].take(x) if isinstance(c, int)
+                else mul.take(np.multiply(c, q, dtype=np.int32) + x))
+        acc = term if acc is None else add.take(np.multiply(acc, q, dtype=np.int32) + term)
+    return acc
 
 
 def extend(base: FieldCtx, d: int) -> tuple[FieldCtx, tuple[int, ...]]:

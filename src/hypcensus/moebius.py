@@ -83,13 +83,11 @@ def mat_codes(mats) -> np.ndarray:
 
 def mat_mul_codes(ctx: FieldCtx, x, y) -> np.ndarray:
     """Products x y of matrices given as entry codes (..., 4), broadcast
-    against each other, by gathers from the field tables."""
-    t = ff.tables(ctx)
-    add, mul = t.ADD, t.MUL
+    against each other, each entry one field.dot."""
     a, b, c, d = np.moveaxis(np.asarray(x), -1, 0)
     e, f, g, h = np.moveaxis(np.asarray(y), -1, 0)
-    return np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
-                     add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]], axis=-1)
+    return np.stack([ff.dot(ctx, ((a, e), (b, g))), ff.dot(ctx, ((a, f), (b, h))),
+                     ff.dot(ctx, ((c, e), (d, g))), ff.dot(ctx, ((c, f), (d, h)))], axis=-1)
 
 
 def mat_inv(ctx: FieldCtx, m: GlMatrix) -> GlMatrix:
@@ -219,8 +217,7 @@ def pgl_table(ctx: FieldCtx) -> PglTable:
     """Numbering and product table of PGL2(F_q), built a block of rows at a
     time with numpy gathers from the field tables, so it serves every field."""
     q = ctx.q
-    t = ff.tables(ctx)
-    mul, inv = t.MUL.astype(np.int64), t.INV.astype(np.int64)
+    _, mul, inv = ff.int_tables(ctx)
     pgl = enumerate_pgl(ctx)
     n = len(pgl)
     codes = mat_codes(m.mat for m in pgl)

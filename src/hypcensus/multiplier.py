@@ -38,7 +38,7 @@ from .census import VerificationError
 from .field import FieldCtx
 from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
 from .nset import RationalNSet, act_form, act_forms, apply_moebius, contains_point
-from .nset import _expansion_tables, _int_tables, form_values, from_form, substitution_matrices
+from .nset import form_values, from_form, substitution_matrices
 
 
 def local_multiplier(mat: GlMatrix, t: ProjPoint, ctx: FieldCtx, emb=None) -> int:
@@ -78,12 +78,7 @@ def kappa_multipliers(ctx: FieldCtx, mats, forms) -> tuple[np.ndarray, np.ndarra
     img, kappa = act_forms(ctx, substitution_matrices(ctx, mats, n), forms)
     a, b, c, d = np.moveaxis(mats, -1, 0)
     det = add[mul[a, d], mul[ctx.p - 1, mul[b, c]]]
-    return mul[_pow(ctx, det, n), inv[kappa]], img
-
-
-def _pow(ctx: FieldCtx, x, n: int) -> np.ndarray:
-    """x^n for an array of codes, read from the cached power table."""
-    return _expansion_tables(ctx, n)[0][x, n]
+    return mul[ff.powers(ctx, n)[det, n], inv[kappa]], img
 
 
 def _sweep_candidates(ctx: FieldCtx):
@@ -157,7 +152,7 @@ def _sweep_level(fld: FieldCtx, mats, forms, img, n: int) -> tuple[np.ndarray, n
     f_S over all of fld is one (rows, q) table; argmax takes the least
     valid code, as global_multiplier's ascending loop does.
     """
-    add, mul, inv = _int_tables(fld)
+    add, mul, inv = ff.int_tables(fld)
     a, b, c, d = mats.T
     xs = np.arange(fld.q)
     fx = form_values(fld, forms[:, None], xs)
@@ -170,7 +165,7 @@ def _sweep_level(fld: FieldCtx, mats, forms, img, n: int) -> tuple[np.ndarray, n
     num = form_values(fld, img, mul[add[mul[a, x0], b], inv[l0]])  # f_S' at gamma x0
     if not num[found].all():
         raise VerificationError("the image form vanishes at gamma x0")
-    return found, mul[mul[_pow(fld, l0, n), num], inv[den]]
+    return found, mul[mul[ff.powers(fld, n)[l0, n], num], inv[den]]
 
 
 def _images(ctx: FieldCtx, mats, forms, n: int) -> np.ndarray:

@@ -15,18 +15,18 @@ image n-set's form up to the nonzero leading scalar kappa recovered here.
 The substitution is one linear map on the n + 1 coefficients, and
 substitution_matrices is the only routine that expands it, for a whole
 stack of matrices at once.  Everything else reads from it: act_forms
-applies a stack to many forms, stabilizer_masks acts with all of PGL2 on
-many forms in one act_forms call, and substitution_matrix, its cached
-one-matrix view, serves the scalar act_form and the oracle engine.
-form_values evaluates many forms at many points by the same gathers, for
-the batched twist signs.
+applies a stack to many forms through field.dot, stabilizer_masks acts
+with all of PGL2 on many forms in one act_forms call, and
+substitution_matrix, its cached one-matrix view, serves the oracle
+engine and act_form, the one-pair view of act_forms.  form_values
+evaluates many forms at many points by gathers from the field tables,
+for the batched twist signs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +134,6 @@ def from_form(ctx: FieldCtx, form) -> tuple[RationalNSet, int]:
     return RationalNSet(f, True), kappa
 
 
-@functools.cache
-def _int_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ADD, MUL and INV as intp arrays: gathers indexed by intp codes skip
-    the index conversion, which dominates on small stacks."""
-    tabs = ff.tables(ctx)
-    return tabs.ADD.astype(np.intp), tabs.MUL.astype(np.intp), tabs.INV.astype(np.intp)
-
-
 def substitution_matrices(ctx: FieldCtx, mats, n: int) -> np.ndarray:
     """Substitution matrices of a stack of matrices given as entry codes
     (a, b, c, d) of shape (..., 4): intp codes of shape (..., n+1, n+1),
@@ -156,7 +148,7 @@ def substitution_matrices(ctx: FieldCtx, mats, n: int) -> np.ndarray:
     product and sum is a gather from the field tables, so it serves every
     field and every matrix of the stack at once.
     """
-    add, mul, _ = _int_tables(ctx)
+    add, mul, _ = ff.int_tables(ctx)
     pw, binom, jm, m = _expansion_tables(ctx, n)
     mats = np.asarray(mats, np.intp)
     signed = np.concatenate((mats, mul[ctx.p - 1, mats]), -1)  # a b c d -a -b -c -d
@@ -172,16 +164,12 @@ def substitution_matrices(ctx: FieldCtx, mats, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _expansion_tables(ctx: FieldCtx, n: int):
-    """[x, e] = x^e for every code x and 0 <= e <= n, with 0^0 = 1; the
-    binomials C(j, m) as codes (0 for m > j); the exponents j - m (clipped
-    at 0, where the binomial vanishes) and m over 0 <= j, m <= n."""
-    _, mul, _ = _int_tables(ctx)
-    pw = np.ones((ctx.q, n + 1), np.intp)
-    for e in range(1, n + 1):
-        pw[:, e] = mul[pw[:, e - 1], np.arange(ctx.q)]
+    """field.powers up to n; the binomials C(j, m) as codes (0 for m > j);
+    the exponents j - m (clipped at 0, where the binomial vanishes) and m
+    over 0 <= j, m <= n."""
     binom = np.array([[math.comb(j, m) % ctx.p for m in range(n + 1)] for j in range(n + 1)])
     j, m = np.ogrid[: n + 1, : n + 1]
-    return pw, binom, np.maximum(j - m, 0), m
+    return ff.powers(ctx, n), binom, np.maximum(j - m, 0), m
 
 
 @functools.lru_cache(maxsize=4096)
@@ -197,15 +185,14 @@ def act_forms(ctx: FieldCtx, subs, forms) -> tuple[np.ndarray, np.ndarray]:
     matrices (..., n+1, n+1) and forms (..., n+1), broadcast against each
     other as numpy does: paired rows, or one side a single row.
 
-    Each image form sum_k T[i, k] F[k] is returned divided by its kappa,
-    the coefficient 0, or 1 through infinity, so that it is the to_form of
-    the image n-set; kappa comes back beside it.
+    Each image form sum_k T[i, k] F[k], one field.dot over the columns, is
+    returned divided by its kappa, the coefficient 0, or 1 through
+    infinity, so that it is the to_form of the image n-set; kappa comes
+    back beside it.
     """
-    add, mul, inv = _int_tables(ctx)
-    subs, forms = np.asarray(subs, np.intp), np.asarray(forms, np.intp)
-    img = mul[subs[..., 0], forms[..., None, 0]]
-    for k in range(1, forms.shape[-1]):
-        img = add[img, mul[subs[..., k], forms[..., None, k]]]
+    _, mul, inv = ff.int_tables(ctx)
+    subs, forms = np.asarray(subs), np.asarray(forms)
+    img = ff.dot(ctx, ((subs[..., k], forms[..., None, k]) for k in range(forms.shape[-1])))
     kappa = np.where(img[..., 0] != 0, img[..., 0], img[..., 1])
     if not kappa.all():
         raise ValueError("an image form has a double root at infinity")
@@ -217,7 +204,7 @@ def form_values(ctx: FieldCtx, forms, x) -> np.ndarray:
     forms[..., 0]: the value of f, which the form dehomogenizes to with or
     without the point at infinity.  Horner over the form columns, by
     gathers from the field tables."""
-    add, mul, _ = _int_tables(ctx)
+    add, mul, _ = ff.int_tables(ctx)
     forms, x = np.asarray(forms, np.intp), np.asarray(x, np.intp)
     val = np.broadcast_to(forms[..., 0], np.broadcast_shapes(forms[..., 0].shape, x.shape))
     for k in range(1, forms.shape[-1]):
@@ -226,24 +213,13 @@ def form_values(ctx: FieldCtx, forms, x) -> np.ndarray:
 
 
 def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:
-    """Image n-set under the point action plus the leading scalar kappa.
-
-    The form is multiplied by the cached substitution_matrix, the adjugate
-    substitution (dX - bZ, -cX + aZ), so that roots of the image form are
-    exactly the images (at+b)/(ct+d) of roots.
+    """Image n-set under the point action plus the leading scalar kappa:
+    the one-pair view of act_forms with the cached substitution_matrix,
+    the adjugate substitution (dX - bZ, -cX + aZ), so that roots of the
+    image form are exactly the images (at+b)/(ct+d) of roots.
     """
-    form = to_form(ctx, s)
-    t = substitution_matrix(ctx, mat, s.n)
-    if ctx.e == 1:
-        p = ctx.p
-        out = [sum(map(operator.mul, row, form)) % p for row in t]
-    else:
-        out = [0] * len(form)
-        for i, row in enumerate(t):
-            for c, f in zip(row, form):
-                if c and f:
-                    out[i] = ff.add(ctx, out[i], ff.mul(ctx, c, f))
-    return from_form(ctx, tuple(out))
+    img, kappa = act_forms(ctx, substitution_matrix(ctx, mat, s.n), to_form(ctx, s))
+    return from_form(ctx, tuple(img.tolist()))[0], int(kappa)
 
 
 def apply_moebius(gamma, s: RationalNSet, ctx: FieldCtx) -> RationalNSet:

@@ -2,14 +2,14 @@
 
 Every rational n-set is a canonical binary-form coefficient row; a 2x2
 matrix acts on all rows at once, a column of exact int codes at a time
-(ActionState._image_col).  The two counts read different primitives.
-The orbit census labels the graph of the three generators' row
-permutations (dest_flip).  Burnside tests which rows one representative
-of each of the q + 2 conjugacy classes of PGL2 (moebius.class_key)
-stabilizes (kappa_stable) and weights them by class size; it reads
-dest_flip only to cross-check the generators' fixed rows.  Nothing
-reuses the closed formulas: agreement with census.hyp / census.sd is the
-independent evidence.
+(ActionState._image_col, one field.dot over the columns of V).  The two
+counts read different primitives.  The orbit census labels the graph of
+the three generators' row permutations (dest_flip).  Burnside tests
+which rows one representative of each of the q + 2 conjugacy classes of
+PGL2 (moebius.class_key) stabilizes (kappa_stable) and weights them by
+class size; it reads dest_flip only to cross-check the generators' fixed
+rows.  Nothing reuses the closed formulas: agreement with census.hyp /
+census.sd is the independent evidence.
 
 The twisted census tracks pairs (twist class, n-set); an edge flips the
 class when the substitution multiplier is a nonsquare.  One min-label pass
@@ -100,41 +100,28 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
     some degree k >= 1 and monic h of degree d - 2k, so mark those codes
     and negate.  Per k, the coefficients of g**2 come from the digit
     columns of all q**k polynomials g at once, and the code of g**2 * h
-    is accumulated by Horner over an outer product of all (g, h) pairs: the
-    Python loops run over degrees and coefficient positions only.  Cached,
-    since the suites build engines for the same few (q, n) again and again.
+    is accumulated by Horner over an outer product of all (g, h) pairs, each
+    coefficient one field.dot: the Python loops run over degrees and
+    coefficient positions only.  Cached, since the suites build engines for
+    the same few (q, n) again and again.
     """
     q = ctx.q
     if d <= 1:
         mask = np.ones(q**d, dtype=bool)
         mask.flags.writeable = False
         return mask
-    # codes, and over a prime field the unreduced sums of products, in int32
-    itype = np.int32 if max(q**d, (d + 1) * (q - 1) ** 2) < 2**31 else np.int64
-    # dot(pairs): the field sum of the products a * b, elementwise
-    if ctx.e == 1:
-        def dot(pairs):
-            return sum(a * b for a, b in pairs) % q
-    else:
-        tabs = ff.tables(ctx)
-        mul, add = tabs.MUL.astype(itype).ravel(), tabs.ADD.astype(itype).ravel()
-        def dot(pairs):
-            acc = None
-            for a, b in pairs:
-                t = mul.take(a * q + b)
-                acc = t if acc is None else add.take(acc * q + t)
-            return acc
+    itype = np.int32 if q**d < 2**31 else np.int64  # the codes
     seen = np.zeros(q**d, dtype=bool)
     for k in range(1, d // 2 + 1):
         hdeg = d - 2 * k
         g = [_digits(q, k, j, itype)[:, None] for j in range(k)] + [1]
         h = [_digits(q, hdeg, j, itype) for j in range(hdeg)] + [1]
-        g2 = [dot([(g[a], g[i - a]) for a in range(max(0, i - k), min(i, k) + 1)])
+        g2 = [ff.dot(ctx, [(g[a], g[i - a]) for a in range(max(0, i - k), min(i, k) + 1)])
               for i in range(2 * k)] + [1]
-        code = 0
+        code = np.zeros((), itype)  # Horner in itype, not in the int16 of extension gathers
         for m in reversed(range(d)):
-            code = code * q + dot([(g2[i], h[m - i])
-                                   for i in range(max(0, m - hdeg), min(2 * k, m) + 1)])
+            code = code * q + ff.dot(ctx, [(g2[i], h[m - i])
+                                           for i in range(max(0, m - hdeg), min(2 * k, m) + 1)])
         seen[code] = True
     mask = ~seen
     _check(int(mask.sum()) == q**d - q ** (d - 1), "squarefree count", q, d)
@@ -195,37 +182,14 @@ class ActionState:
     def _image_col(self, rows, trow) -> np.ndarray:
         """Image coefficient sum_k trow[k] V[rows, k] of the given rows (a
         slice or an index array), as codes; trow is one row of
-        nset.substitution_matrix.
-
-        Over a prime field the codes are residues: an int32 accumulation
-        over the nonzero coefficients, reduced mod p once, exact while
-        (n + 1)(p - 1)^2 < 2**31.  Over an extension field the terms are
-        gathered from the field's tables: a row of MUL per coefficient,
-        and ADD flattened, at index acc * q + term.
-        """
-        terms = [(k, c) for k, c in enumerate(trow) if c]
-        if not terms:
-            return np.zeros(len(self.V[rows, 0]), np.int16)
-        ctx, v = self.ctx, self.V
-        (k0, c0), rest = terms[0], terms[1:]
-        if ctx.e == 1:
-            p = ctx.p
-            if (self.n + 1) * (p - 1) ** 2 >= 2**31:
-                raise ValueError(f"p = {p}, n = {self.n} overflows the int32 action")
-            acc = np.multiply(v[rows, k0], c0, dtype=np.int32)
-            for k, c in rest:
-                acc += np.multiply(v[rows, k], c, dtype=np.int32)
-            return np.mod(acc, p, out=acc)
-        q, mul, add = ctx.q, self.tabs.MUL, self.tabs.ADD.ravel()
-        acc = mul[c0].take(v[rows, k0])
-        for k, c in rest:
-            acc = add.take(np.multiply(acc, q, dtype=np.int32) + mul[c].take(v[rows, k]))
-        return acc
+        nset.substitution_matrix, and never all zero.  One field.dot, which
+        reads the columns of the nonzero coefficients only."""
+        v = self.V
+        return ff.dot(self.ctx, ((c, v[rows, k]) for k, c in enumerate(trow) if c))
 
     def apply(self, mat: GlMatrix) -> np.ndarray:
         """Image form rows under nset.substitution_matrix, the matrix
-        act_form uses; entries are codes.  Each image column comes from
-        _image_col, which also holds the int32 guard of prime fields."""
+        act_form uses; entries are codes, each column from _image_col."""
         t = ns.substitution_matrix(self.ctx, mat, self.n)
         g = np.empty((self.count, self.n + 1), np.int16, order="F")
         for i, trow in enumerate(t):
@@ -267,11 +231,6 @@ class ActionState:
             else:  # no break: ok tests the last column on the live rows
                 stable[live] = ok
         return kappa, stable
-
-    def stable_indices(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
-        kappa, stable = self.kappa_stable(mat)
-        idx = np.nonzero(stable)[0]
-        return idx, kappa[idx]
 
     def dest_flip(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Row permutation of the action (int32) and the twist-flip mask.
@@ -540,10 +499,11 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
             elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
             pair_elem, rows, engine, closed = [], [], [], []
             for k, elem in enumerate(elems):
-                idx, kappas = st.stable_indices(elem.mat)
+                kappa, stable = st.kappa_stable(elem.mat)
+                idx = np.flatnonzero(stable)
                 pair_elem.append(np.full(len(idx), k))
                 rows.append(idx)
-                engine.append(st.tabs.CHI[kappas])
+                engine.append(st.tabs.CHI[kappa[idx]])
                 closed.append(mult.epsilon_closed_forms(elem, st.V[idx], ctx))
             pair_elem, rows, e0, e2 = map(np.concatenate, (pair_elem, rows, engine, closed))
             e1 = mult.epsilons(ctx, mb.mat_codes(el.mat for el in elems)[pair_elem], st.V[rows])
@@ -704,6 +664,8 @@ def verify_cocycle(
     stabilizer test set in one call, and the sampled stabilizers of one
     (q, n) in one call; the closed form stays per element on the test sets.
     """
+    if triples < 0:
+        raise ValueError(f"triples must be >= 0, got {triples}")
     checks = 0
     k3 = ff.make_field(3, 1)
     pgl3 = mb.enumerate_pgl(k3)
@@ -782,8 +744,7 @@ def verify_cocycle(
         rows = []
         for kind, m in _subtype_list(ctx):
             elem, _ = mb.subtype_representative(ctx, kind, m)
-            idx, _ = st.stable_indices(elem.mat)
-            rows.extend(idx[:20].tolist())
+            rows.extend(np.flatnonzero(st.kappa_stable(elem.mat)[1])[:20].tolist())
         # every stabilizer at once, and the signs of every (set, member) pair
         row, member = np.nonzero(ns.stabilizer_masks(ctx, st.V[rows]))
         codes = mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx))
@@ -841,8 +802,9 @@ def _exhaustive_sign_homomorphism(ctx: ff.FieldCtx, n: int) -> int:
     found = []
     for gi, elem in enumerate(pgl):
         if elem.kind != "identity":
-            idx, kappas = st.stable_indices(elem.mat)
-            found.append((idx, np.full(len(idx), gi), st.tabs.CHI[kappas]))
+            kappa, stable = st.kappa_stable(elem.mat)
+            idx = np.flatnonzero(stable)
+            found.append((idx, np.full(len(idx), gi), st.tabs.CHI[kappa[idx]]))
     rows, elems, signs = (np.concatenate(x) for x in zip(*found))
     order = np.argsort(rows, kind="stable")  # each row's members stay in pgl order
     rows, elems, signs = rows[order], elems[order], signs[order]

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hypcensus import census
@@ -190,10 +191,11 @@ def test_sweep_sign_checks_survive_python_O():
     k = ff.make_field(3, 1)
     st = oc.ActionState(k, 4)
     for el in mo.enumerate_pgl(k):
-        idx, kappas = st.stable_indices(el.mat)
-        if el.kind != "identity" and len(idx):
-            e0 = int(st.tabs.CHI[kappas[0]])
-            first = (3, 4, el.mat, st.nset_at(int(idx[0])), (e0, -e0, e0))
+        kappa, stable = st.kappa_stable(el.mat)
+        if el.kind != "identity" and stable.any():
+            i = int(np.flatnonzero(stable)[0])
+            e0 = int(st.tabs.CHI[kappa[i]])
+            first = (3, 4, el.mat, st.nset_at(i), (e0, -e0, e0))
             break
     res = _run_optimized(
         "-c",
@@ -241,14 +243,15 @@ def test_sign_homomorphism_checks_survive_python_O():
     res = _run_optimized(
         "-c",
         "from hypcensus import field, moebius, oracle\n"
-        "stable = oracle.ActionState.stable_indices\n"
+        "kappa_stable = oracle.ActionState.kappa_stable\n"
         "def flipped(self, mat):\n"
-        "    idx, kappa = stable(self, mat)\n"
+        "    kappa, stable = kappa_stable(self, mat)\n"
         "    if mat == moebius.GlMatrix(0, 1, 1, 0):\n"
+        "        i = stable.argmax()\n"
         "        kappa = kappa.copy()\n"
-        "        kappa[0] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[0]]\n"
-        "    return idx, kappa\n"
-        "oracle.ActionState.stable_indices = flipped\n"
+        "        kappa[i] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[i]]\n"
+        "    return kappa, stable\n"
+        "oracle.ActionState.kappa_stable = flipped\n"
         "oracle._exhaustive_sign_homomorphism(field.make_field(3, 1), 6)\n",
     )
     assert res.returncode == 1, res.stdout
@@ -331,6 +334,25 @@ def test_verify_wrong_option_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--suite", "cocycle", "--q", "3,5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--suite", "eps", "--q", "abc"), "invalid literal for int()"),
+    (("verify", "--suite", "eps", "--q", ","), "no field size in --q ','"),
+    (("hyp", "--g", "2", "--q", ","), "no field size in --q ','"),
+    (("verify", "--suite", "cocycle", "--triples", "-5"), "triples must be >= 0, got -5"),
+])
+def test_bad_input_exits_2(capsys, argv, message):
+    # no traceback (exit 1 reads as a mismatch) and no vacuous pass
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_counts_each_field_once(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "eps", "--q", "3,3")
+    assert code == 0
+    assert out == "suite eps: 888 checks ok\n"
 
 
 def test_unknown_suite_exits_2():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from hypcensus import field as ff
@@ -229,6 +230,37 @@ def test_numpy_tables_match_scalar_ops(p, e):
     assert t.MUL.tolist() == [[ff.mul(k, x, y) for y in xs] for x in xs]
     assert t.INV.tolist() == [0] + [ff.inv(k, x) for x in xs[1:]]
     assert t.CHI.tolist() == [0] + [ff.chi(x, k) for x in xs[1:]]
+    for wide, narrow in zip(ff.int_tables(k), t):
+        assert wide.dtype == np.intp and np.array_equal(wide, narrow)
+    assert ff.powers(k, 4).tolist() == [[ff.pw(k, x, j) for j in range(5)] for x in xs]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (131, 1), (32749, 1), (3, 2), (3, 3), (3, 5)])
+def test_dot_matches_scalar_fold(p, e):
+    # int, zero-int and (m, 1) array coefficients against (k,) columns and
+    # an int, summed into (m, k); columns of q - 1 make the prime-field
+    # partial sums largest: at p = 32749 the third term passes 2**31, and
+    # no q x q table of that field is built
+    k = ff.make_field(p, e)
+    rng = np.random.default_rng(p**e)
+    cols = rng.integers(k.q, size=(3, 6))
+    cols[:, :2] = k.q - 1
+    arrs = rng.integers(k.q, size=(2, 4, 1))
+    arrs[:, :2] = k.q - 1
+    pairs = [(k.q - 1, cols[0]), (0, cols[1]), (arrs[0], cols[2]),
+             (int(rng.integers(1, k.q)), cols[1]), (arrs[1], 1)]
+    got = ff.dot(k, iter(pairs))
+    want = np.zeros((4, 6), np.int64)
+    for i, j in np.ndindex(want.shape):
+        for c, x in pairs:
+            c = c if isinstance(c, int) else int(c[i, 0])
+            x = x if isinstance(x, int) else int(x[j])
+            want[i, j] = ff.add(k, int(want[i, j]), ff.mul(k, c, x))
+    assert np.array_equal(got, want)
+    if e > 1:
+        assert got.dtype == np.int16
+    else:
+        assert got.dtype == (np.int64 if p == 32749 else np.int32)
 
 
 def test_prime_factors_and_is_prime():

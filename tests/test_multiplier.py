@@ -205,7 +205,7 @@ def test_batched_signs_match_references_on_every_stable_pair(q):
     for e in mo.enumerate_pgl(k):
         if e.kind == "identity":
             continue
-        idx, _ = st.stable_indices(e.mat)
+        idx = np.flatnonzero(st.kappa_stable(e.mat)[1])
         sets = [st.nset_at(i) for i in idx.tolist()]
         mats = mo.mat_codes([e.mat])
         closed = mult.epsilon_closed_forms(e, st.V[idx], k)

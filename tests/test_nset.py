@@ -211,6 +211,17 @@ def _reference_substitution_matrix(ctx, mat, n):
     return tuple(map(tuple, t))
 
 
+def _reference_act_form(ctx, mat, s):
+    """The scalar loop act_form replaced: the form times the cached
+    substitution_matrix, a fold of ff.add and ff.mul per coefficient."""
+    form = ns.to_form(ctx, s)
+    out = [0] * len(form)
+    for i, row in enumerate(ns.substitution_matrix(ctx, mat, s.n)):
+        for c, f in zip(row, form):
+            out[i] = ff.add(ctx, out[i], ff.mul(ctx, c, f))
+    return ns.from_form(ctx, tuple(out))
+
+
 def _random_gl(rng, ctx):
     while True:
         m = mo.GlMatrix(*(rng.randrange(ctx.q) for _ in range(4)))
@@ -267,7 +278,8 @@ def test_act_forms_and_kappa_multipliers_match_scalar(p, e):
         j, img2 = mult.kappa_multipliers(k, codes, forms)
         assert np.array_equal(img, img2)
         for i, (m, s) in enumerate(zip(mats, sets)):
-            s2, kap = ns.act_form(k, m, s)
+            s2, kap = _reference_act_form(k, m, s)
+            assert ns.act_form(k, m, s) == (s2, kap), (m, s)
             assert img[i].tolist() == list(ns.to_form(k, s2)), (m, s)
             assert kappa[i] == kap and j[i] == mult.kappa_multiplier(m, s, k), (m, s)
         # one form broadcast against every matrix, one matrix against every form
@@ -275,12 +287,12 @@ def test_act_forms_and_kappa_multipliers_match_scalar(p, e):
             img, kappa = ns.act_forms(k, subs, ns.to_form(k, s))
             j, _ = mult.kappa_multipliers(k, codes, ns.to_form(k, s))
             for i, m in enumerate(mats):
-                s2, kap = ns.act_form(k, m, s)
+                s2, kap = _reference_act_form(k, m, s)
                 assert img[i].tolist() == list(ns.to_form(k, s2)) and kappa[i] == kap
                 assert j[i] == mult.kappa_multiplier(m, s, k)
         j, img = mult.kappa_multipliers(k, codes[0], forms)
         for i, s in enumerate(sets):
-            assert img[i].tolist() == list(ns.to_form(k, ns.act_form(k, mats[0], s)[0]))
+            assert img[i].tolist() == list(ns.to_form(k, _reference_act_form(k, mats[0], s)[0]))
             assert j[i] == mult.kappa_multiplier(mats[0], s, k)
         # every (form, matrix) pair, as the cocycle suite batches them
         j, img = mult.kappa_multipliers(k, codes[:7], forms[:5, None])
@@ -297,8 +309,9 @@ def test_act_forms_rejects_a_double_root_at_infinity():
 
 
 def _reference_stabilizer(s, ctx):
-    """The scan stabilizer replaced: act_form with every element of PGL2."""
-    return [e for e in mo.enumerate_pgl(ctx) if ns.apply_moebius(e, s, ctx) == s]
+    """The scan stabilizer replaced: the scalar act_form with every element
+    of PGL2."""
+    return [e for e in mo.enumerate_pgl(ctx) if _reference_act_form(ctx, e.mat, s)[0] == s]
 
 
 @pytest.mark.parametrize("q,n", [(3, 6), (5, 4)])

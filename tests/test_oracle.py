@@ -12,6 +12,7 @@ from hypcensus import moebius as mb
 from hypcensus import multiplier as mult
 from hypcensus import nset as ns
 from hypcensus import oracle as oc
+from test_nset import _reference_act_form
 
 # frozen engine outputs: (hyp, sd, n-set classes)
 ANCHORS = {
@@ -119,7 +120,7 @@ def test_engine_action_matches_act_form(p, e, n):
         dest, flip = st.dest_flip(elem.mat)
         kappa, stable = st.kappa_stable(elem.mat)
         for i, s in enumerate(sets):
-            s2, kap = ns.act_form(ctx, elem.mat, s)
+            s2, kap = _reference_act_form(ctx, elem.mat, s)
             assert int(dest[i]) == index[s2]
             assert bool(flip[i]) == (ff.chi(kap, ctx) == -1)
             assert bool(stable[i]) == (s2 == s)
@@ -136,7 +137,7 @@ def test_engine_apply_exact_beyond_int16_sums():
     for mat in (mb.GlMatrix(47, 12, 92, 21), mb.GlMatrix(0, 1, 1, 0)):
         dest, flip = st.dest_flip(mat)
         for i, s in enumerate(sets):
-            s2, kap = ns.act_form(ctx, mat, s)
+            s2, kap = _reference_act_form(ctx, mat, s)
             assert st.nset_at(int(dest[i])) == s2
             assert bool(flip[i]) == (ff.chi(kap, ctx) == -1)
 
@@ -697,8 +698,9 @@ def _reference_exhaustive_sign_homomorphism(ctx, n):
     for gi, elem in enumerate(mb.enumerate_pgl(ctx)):
         if elem.kind == "identity":
             continue
-        idx, kappas = st.stable_indices(elem.mat)
-        for i, sg in zip(idx.tolist(), st.tabs.CHI[kappas].tolist()):
+        kappa, stable = st.kappa_stable(elem.mat)
+        idx = np.flatnonzero(stable)
+        for i, sg in zip(idx.tolist(), st.tabs.CHI[kappa[idx]].tolist()):
             members, signs = stab_of.setdefault(i, ([], []))
             members.append(gi)
             signs.append(sg)
@@ -709,19 +711,20 @@ def _reference_exhaustive_sign_homomorphism(ctx, n):
 
 
 def _flip_signs(monkeypatch, mat, pick):
-    """Make stable_indices report a nonsquare multiple of kappa on the
-    stable rows of mat that pick (an index or a slice) selects: the sign of
-    mat on those sets flips."""
-    stable = oc.ActionState.stable_indices
+    """Make kappa_stable report a nonsquare multiple of kappa on the stable
+    rows of mat that pick (an index or a slice into them) selects: the sign
+    of mat on those sets flips."""
+    kappa_stable = oc.ActionState.kappa_stable
 
     def flipped(self, m):
-        idx, kappa = stable(self, m)
-        if m == mat and len(idx):
+        kappa, stable = kappa_stable(self, m)
+        if m == mat and stable.any():
+            rows = np.flatnonzero(stable)[pick]
             kappa = kappa.copy()
-            kappa[pick] = self.tabs.MUL[ff.mult_generator(self.ctx), kappa[pick]]
-        return idx, kappa
+            kappa[rows] = self.tabs.MUL[ff.mult_generator(self.ctx), kappa[rows]]
+        return kappa, stable
 
-    monkeypatch.setattr(oc.ActionState, "stable_indices", flipped)
+    monkeypatch.setattr(oc.ActionState, "kappa_stable", flipped)
 
 
 @pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (5, 6)])
