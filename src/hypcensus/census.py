@@ -2,20 +2,22 @@
 
 A genus-g curve is a pair (square class of the quadratic twist, rational
 (2g+2)-set of branch points on the projective line) up to the fractional
-linear action, so the count is a Burnside sum over the action's conjugacy
-classes.  Everything here is closed-form integer arithmetic in g and q;
-no field elements are touched.
+linear action, so the count is a Burnside sum: over the identity and the
+nonidentity subtypes of PGL2(F_q) (`subtypes`), the class size times the
+number of pairs one element fixes (`twisted_fixed_count`), divided by
+|PGL2| = q^3 - q.  The same sum over the n-sets alone (`plain_fixed_count`)
+counts the n-set orbits y, and sd = 2y - hyp.  Everything here is
+closed-form integer arithmetic in g and q; no field elements are touched.
 
-The building blocks a0/a1/a2 count n-sets weighted by the sign character
-for the three nontrivial element kinds (order m dividing q+1, order p,
-order m dividing q-1); a_p1 is the plain number of rational n-sets.
+Inside the fixed counts, a0/a1/a2 count n-sets weighted by the sign
+character for the three nontrivial element kinds (order m dividing q+1,
+order p, order m dividing q-1); a_p1 is the plain number of rational
+n-sets.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -31,6 +33,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def divisors(n: int) -> list[int]:
@@ -85,10 +91,11 @@ class VerificationError(AssertionError):
     `assert`, so that `python -O` cannot strip the check."""
 
 
-def _exact_int(x) -> int:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        raise VerificationError(f"non-integer value {x}")
-    return int(x)
+def _exact_div(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise VerificationError(f"non-integer value {num}/{den}")
+    return quot
 
 
 def a0(n: int, q) -> int:
@@ -101,9 +108,7 @@ def a0(n: int, q) -> int:
     n = int(n)
     s1 = -1 if ((n + 1) // 2) % 2 else 1
     s2 = -1 if (n // 2) % 2 else 1
-    num = q ** (n + 1) - q**n - s1 * q + s2
-    val = Fraction(num) / (q**2 + 1)
-    return _exact_int(val)
+    return _exact_div(q ** (n + 1) - q**n - s1 * q + s2, q**2 + 1)
 
 
 def a1(n: int, q) -> int:
@@ -113,7 +118,7 @@ def a1(n: int, q) -> int:
     n = int(n)
     if n == 1:
         return 1
-    return _exact_int(q ** (n - 1) - q ** (n - 2))
+    return q ** (n - 1) - q ** (n - 2)
 
 
 def a2(n: int, q) -> int:
@@ -122,8 +127,7 @@ def a2(n: int, q) -> int:
         return 0
     n = int(n)
     s = 1 if n % 2 else -1
-    val = Fraction(q**n + s) / (q + 1)
-    return _exact_int(val)
+    return _exact_div(q**n + s, q + 1)
 
 
 def a_p1(n: int, q) -> int:
@@ -135,10 +139,10 @@ def a_p1(n: int, q) -> int:
         return 0
     n = int(n)
     if n == 1:
-        return _exact_int(q + 1)
+        return q + 1
     if n == 2:
-        return _exact_int(q**2)
-    return _exact_int(q**n - q ** (n - 2))
+        return q**2
+    return q**n - q ** (n - 2)
 
 
 def _adiv(fn, n: int, m: int, q: int) -> int:
@@ -203,45 +207,52 @@ def _validate(g: int, q: int) -> tuple[int, int]:
     return factor_prime_power(q)
 
 
+def subtypes(q: int) -> list[tuple[str, int]]:
+    """The nonidentity subtypes (kind, order m) of PGL2(F_q): kind C for
+    each m > 1 dividing q - 1, kind B of order p, kind A for each m > 1
+    dividing q + 1."""
+    p, _ = factor_prime_power(q)
+    out = [("C", m) for m in divisors(q - 1) if m > 1]
+    out.append(("B", p))
+    out.extend(("A", m) for m in divisors(q + 1) if m > 1)
+    return out
+
+
+def class_size(q: int, kind: str, m: int) -> int:
+    """Elements of the subtype (kind, m) in PGL2(F_q): phi(m) in each of the
+    q(q+1)/2 split tori (kind C) or the q(q-1)/2 non-split ones (kind A),
+    and the q^2 - 1 elements of order p (kind B)."""
+    if kind == "B":
+        return q * q - 1
+    return q * (q + 1 if kind == "C" else q - 1) // 2 * phi(m)
+
+
+def _burnside(q: int, n: int, fixed) -> dict[str, int]:
+    """Per kind, the sum over its subtypes of class size times fixed(kind, m).
+
+    An element of order m moves every point but its at most two fixed
+    points in m-cycles, so it fixes no n-set unless n mod m <= 2.
+    """
+    sums = {"A": 0, "B": 0, "C": 0}
+    for kind, m in subtypes(q):
+        if n % m <= 2:
+            sums[kind] += class_size(q, kind, m) * fixed(kind, m)
+    return sums
+
+
 def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
     """The four conjugacy-kind contributions (h_a, h_b, h_c, h_d) to hyp.
 
-    h_d is the identity term 2q^(2g-1); h_a, h_b, h_c gather the elements
-    of order dividing q+1, of order p, and of order dividing q-1.  All four
-    are integers and sum to hyp(g, q).
+    Each is its kind's share of the Burnside sum of twisted fixed counts
+    over |PGL2|: h_d is the identity term 2q^(2g-1); h_a, h_b, h_c gather
+    the elements of order dividing q+1, of order p, and of order dividing
+    q-1.  All four are integers and sum to hyp(g, q).
     """
-    p, _ = _validate(g, q)
-    h_a = 0
-    h_b = 0
-    h_c = 0
-    h_d = 2 * q ** (2 * g - 1)
-    for m in divisors(2 * g + 2):
-        if m == 1:
-            continue
-        k = (2 * g + 2) // m
-        if (q + 1) % m == 0 and k % 2 == 0:
-            h_a += phi(m) * a0(k, q)
-        if (q - 1) % m == 0:
-            h_c += phi(m) * a2(k, q)
-        if m == p:
-            h_b += 2 * a1(k, q)
-    for m in divisors(2 * g + 1):
-        if m == 1:
-            continue
-        k = (2 * g + 1) // m
-        if (q - 1) % m == 0:
-            h_c += 2 * phi(m) * a2(k, q)
-        if m == p:
-            h_b += 2 * a1(k, q)
-    for m in divisors(2 * g):
-        if m == 1:
-            continue
-        k = (2 * g) // m
-        if (q + 1) % m == 0 and (k - (q + 1) // m) % 2 == 0:
-            h_a += phi(m) * a0(k, q)
-        if (q - 1) % m == 0 and ((q - 1) // m) % 2 == 0:
-            h_c += phi(m) * a2(k, q)
-    return h_a, h_b, h_c, h_d
+    _validate(g, q)
+    n, order = 2 * g + 2, q**3 - q
+    sums = _burnside(q, n, lambda kind, m: twisted_fixed_count(q, n, kind, m))
+    h_a, h_b, h_c = (_exact_div(sums[kind], order) for kind in "ABC")
+    return h_a, h_b, h_c, _exact_div(2 * a_p1(n, q), order)
 
 
 def hyp(g: int, q: int) -> int:
@@ -259,24 +270,16 @@ def y_nset_classes(g: int, q: int) -> int:
 
 
 def sd(g: int, q: int) -> int:
-    """Number of self-dual classes: curves isomorphic to their own twist."""
+    """Number of self-dual classes: curves isomorphic to their own twist.
+
+    The Burnside sum of 2 plain - twisted fixed counts, twice the n-sets an
+    element fixes with twist sign -1, of which the identity has none.
+    """
     _validate(g, q)
-    total = 0
-    for m in divisors(2 * g + 2):
-        if m == 1:
-            continue
-        k = (2 * g + 2) // m
-        if (q + 1) % m == 0 and k % 2 == 1:
-            total += phi(m) * a0(k, q)
-    for m in divisors(2 * g):
-        if m == 1:
-            continue
-        k = (2 * g) // m
-        if (q + 1) % m == 0 and (k - (q + 1) // m) % 2 == 1:
-            total += phi(m) * a0(k, q)
-        if (q - 1) % m == 0 and ((q - 1) // m) % 2 == 1:
-            total += phi(m) * a2(k, q)
-    return total
+    n = 2 * g + 2
+    sums = _burnside(q, n, lambda kind, m: 2 * plain_fixed_count(q, n, kind, m)
+                     - twisted_fixed_count(q, n, kind, m))
+    return _exact_div(sum(sums.values()), q**3 - q)
 
 
 @dataclass(frozen=True)
@@ -322,7 +325,3 @@ def census_report(g: int, q: int) -> CensusReport:
     if (h + s) % 2 != 0:
         raise VerificationError(f"hyp + sd = {h + s} is odd at g={g}, q={q}")
     return CensusReport(g, q, p, e, h, s, (h + s) // 2, h_a, h_b, h_c, h_d)
-
-
-def report_json(reports: list[CensusReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import census, oracle, tables
-from .field import is_prime
+from .census import is_prime
 from .symbolic import (
     ConditionalPolynomial,
     cp_to_json_dict,

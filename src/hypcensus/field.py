@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import VerificationError, _prime_factors
+from .census import VerificationError, _prime_factors, is_prime
 
 
 class _Logs(NamedTuple):
@@ -78,10 +78,6 @@ class FieldCtx:
 
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 _EXT_CACHE: dict[tuple[FieldCtx, int], tuple[FieldCtx, tuple[int, ...]]] = {}
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
 
 
 def to_digits(ctx: FieldCtx, x: int) -> list[int]:
@@ -430,16 +426,6 @@ def pnorm(f) -> tuple[int, ...]:
     while f and f[-1] == 0:
         f.pop()
     return tuple(f)
-
-
-def padd(ctx: FieldCtx, f, g) -> tuple[int, ...]:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(add(ctx, a, b))
-    return pnorm(out)
 
 
 def pscale(ctx: FieldCtx, c: int, f) -> tuple[int, ...]:

@@ -45,9 +45,10 @@ from .census import (
     a1,
     a2,
     a_p1,
-    divisors,
     factor_prime_power,
+    is_prime,
     plain_fixed_count,
+    subtypes,
     twisted_fixed_count,
     VerificationError,
 )
@@ -444,12 +445,12 @@ def smooth_point_counts(ctx: ff.FieldCtx, forms, lams) -> np.ndarray:
 # verification suites
 
 
-def _subtype_list(ctx: ff.FieldCtx) -> list[tuple[str, int]]:
-    q = ctx.q
-    out = [("C", m) for m in divisors(q - 1) if m > 1]
-    out.append(("B", ctx.p))
-    out.extend(("A", m) for m in divisors(q + 1) if m > 1)
-    return out
+def _prime_field(suite: str, q: int) -> ff.FieldCtx:
+    """F_q for a suite that only takes prime field sizes; any other size
+    is refused with the suite's name."""
+    if not is_prime(q):
+        raise ValueError(f"suite {suite} takes prime field sizes, got {q}")
+    return ff.make_field(q, 1)
 
 
 def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
@@ -493,7 +494,7 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """
     checks = 0
     for q in qs:
-        ctx = ff.make_field(q, 1)
+        ctx = _prime_field("eps", q)
         for n in ns_list:
             st = ActionState(ctx, n)
             elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
@@ -522,7 +523,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     counts, all against the closed counting polynomials."""
     checks = 0
     for q in qs:
-        ctx = ff.make_field(q, 1)
+        ctx = _prime_field("counts", q)
         mu = ff.make_field(q, 2).modulus
         for n in range(1, nmax + 1):
             st = ActionState(ctx, n)
@@ -537,7 +538,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
             checks += 4
             if n < 3:
                 continue
-            for kind, m in _subtype_list(ctx):
+            for kind, m in subtypes(q):
                 elem, _ = mb.subtype_representative(ctx, kind, m)
                 kappa, stable = st.kappa_stable(elem.mat)
                 plain = int(stable.sum())
@@ -584,12 +585,10 @@ def verify_orbit_lemma(qs=(3, 5, 7)) -> dict:
     m-th power of the eigenvalue, for every point and every subtype."""
     checks = 0
     for q in qs:
-        ctx = ff.make_field(q, 1)
+        ctx = _prime_field("orbit_lemma", q)
         ext2, _ = ff.extend(ctx, 2)
         allpts = [mb.INF] + [mb.fin(x) for x in range(ext2.q)]
-        for m in divisors(q + 1):
-            if m == 1:
-                continue
+        for m in (m for kind, m in subtypes(q) if kind == "A"):
             elem, alpha = mb.subtype_representative(ctx, "A", m)
             _, _, fixed = mb.fixed_points(elem, ctx)
             fixedset = set(fixed)
@@ -742,7 +741,7 @@ def verify_cocycle(
         ctx = ff.make_field(q, 1)
         st = ActionState(ctx, n)
         rows = []
-        for kind, m in _subtype_list(ctx):
+        for kind, m in subtypes(q):
             elem, _ = mb.subtype_representative(ctx, kind, m)
             rows.extend(np.flatnonzero(st.kappa_stable(elem.mat)[1])[:20].tolist())
         # every stabilizer at once, and the signs of every (set, member) pair
@@ -838,8 +837,8 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     """
     checks = 0
     for q in qs:
-        ctx = ff.make_field(q, 1)
-        for kind, m in _subtype_list(ctx):
+        ctx = _prime_field("quot", q)
+        for kind, m in subtypes(q):
             elem, _ = mb.subtype_representative(ctx, kind, m)
             for n in range(1, nmax // m + 1):
                 st = ActionState(ctx, n * m)
@@ -866,7 +865,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                 checks += 1
 
     for q in qs:
-        ctx = ff.make_field(q, 1)
+        ctx = _prime_field("quot", q)
         states = {n: ActionState(ctx, n) for n in range(1, strata_nmax + 1)}
         # P^1(F_{q^d}) per d, infinity at index q^d, with the Frobenius
         # permutation and the exact degree of each point: its Frobenius orbit size
@@ -879,7 +878,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             deg = np.bincount(lab)[lab]
             _check((d % deg == 0).all(), "quot: Frobenius orbit sizes divide d", q, d)
             strata.append((d, ctxd, embd, pts, frob, deg))
-        for kind, m in _subtype_list(ctx):
+        for kind, m in subtypes(q):
             elem, _ = mb.subtype_representative(ctx, kind, m)
             sizes = []
             for d, ctxd, embd, pts, frob, deg in strata:
@@ -919,7 +918,7 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
     checks = 0
     n = 2 * g + 2
     for q in qs:
-        ctx = ff.make_field(q, 1)
+        ctx = _prime_field("points", q)
         nonsq = next(x for x in range(1, q) if ff.chi(x, ctx) == -1)
         st = ActionState(ctx, n)
         lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(ctx)])

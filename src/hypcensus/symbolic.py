@@ -26,7 +26,7 @@ from itertools import combinations, compress
 from math import gcd
 from typing import NamedTuple
 
-from .census import VerificationError, _prime_factors, divisors, factor_prime_power, phi
+from .census import VerificationError, _prime_factors, divisors, factor_prime_power, is_prime, phi
 
 Poly = tuple[int, ...]
 
@@ -327,60 +327,42 @@ def a2_poly(n: int) -> Poly:
 # raw census rows
 
 
-def _raw_hyp_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
-    n = 2 * g + 2
-    generic: Poly = poly_norm([0] * (2 * g - 1) + [2])
+def _raw_terms(g: int, t: int) -> list[tuple[Guard, Poly]]:
+    """The raw terms of hyp (t = 0) or of sd (t = 1), per kind and order
+    m > 1 dividing n = 2g+2, 2g+1 or 2g, with k = n / m.
+
+    Each term goes to the target whose parity t it meets.  For 2g+2 the A
+    term has k = t mod 2, and the C and B terms are hyp's; for 2g+1 every
+    term is hyp's; for 2g the A term needs (q+1)/m = k + t and the C term
+    (q-1)/m = t mod 2.
+    """
     terms: list[tuple[Guard, Poly]] = []
-    for m in divisors(n):
-        if m == 1:
-            continue
-        k = n // m
-        if k % 2 == 0:
-            terms.append((guard_congruence(m, {-1}), poly_scale(phi(m), a0_poly(k))))
-        terms.append((guard_congruence(m, {1}), poly_scale(phi(m), a2_poly(k))))
-        if m % 2 and _prime_factors(m) == [m]:
-            terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
-    for m in divisors(2 * g + 1):
-        if m == 1:
-            continue
-        k = (2 * g + 1) // m
-        terms.append((guard_congruence(m, {1}), poly_scale(2 * phi(m), a2_poly(k))))
-        if m % 2 and _prime_factors(m) == [m]:
-            terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
-    for m in divisors(2 * g):
-        if m == 1:
-            continue
-        k = (2 * g) // m
-        # q = -1 mod m with (q+1)/m = k mod 2, i.e. q = k m - 1 mod 2m
-        r = (k * m - 1) % (2 * m)
-        if r % 2 == 1:
-            terms.append((guard_congruence(2 * m, {r}), poly_scale(phi(m), a0_poly(k))))
-        # q = 1 mod m with (q-1)/m even, i.e. q = 1 mod 2m
-        terms.append((guard_congruence(2 * m, {1}), poly_scale(phi(m), a2_poly(k))))
-    return generic, terms
+    for n in (2 * g + 2, 2 * g + 1, 2 * g):
+        for m in divisors(n)[1:]:
+            k, c = n // m, phi(m)
+            if n == 2 * g:
+                # q = (k + t) m - 1 and q = t m + 1 mod 2m, where odd
+                for r, poly in ((((k + t) * m - 1) % (2 * m), a0_poly),
+                                ((t * m + 1) % (2 * m), a2_poly)):
+                    if r % 2:
+                        terms.append((guard_congruence(2 * m, {r}), poly_scale(c, poly(k))))
+                continue
+            if n % 2 == 0 and k % 2 == t:
+                terms.append((guard_congruence(m, {-1}), poly_scale(c, a0_poly(k))))
+            if t == 0:
+                scale = c if n % 2 == 0 else 2 * c
+                terms.append((guard_congruence(m, {1}), poly_scale(scale, a2_poly(k))))
+                if m % 2 and is_prime(m):
+                    terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
+    return terms
+
+
+def _raw_hyp_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
+    return poly_norm([0] * (2 * g - 1) + [2]), _raw_terms(g, 0)
 
 
 def _raw_sd_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
-    terms: list[tuple[Guard, Poly]] = []
-    for m in divisors(2 * g + 2):
-        if m == 1:
-            continue
-        k = (2 * g + 2) // m
-        if k % 2 == 1:
-            terms.append((guard_congruence(m, {-1}), poly_scale(phi(m), a0_poly(k))))
-    for m in divisors(2 * g):
-        if m == 1:
-            continue
-        k = (2 * g) // m
-        # q = -1 mod m with (q+1)/m = k+1 mod 2
-        r = ((k + 1) * m - 1) % (2 * m)
-        if r % 2 == 1:
-            terms.append((guard_congruence(2 * m, {r}), poly_scale(phi(m), a0_poly(k))))
-        # q = 1 mod m with (q-1)/m odd, i.e. q = m+1 mod 2m (m even only)
-        r = (m + 1) % (2 * m)
-        if r % 2 == 1:
-            terms.append((guard_congruence(2 * m, {r}), poly_scale(phi(m), a2_poly(k))))
-    return (), terms
+    return (), _raw_terms(g, 1)
 
 
 # ---------------------------------------------------------------------------

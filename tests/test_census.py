@@ -5,9 +5,15 @@ enumeration of the twisted group action (see tests/test_oracle.py for the
 live equality checks).
 """
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from hypcensus import census
+from hypcensus import field as ff
+from hypcensus import moebius as mb
 
 
 # (g, q) -> (hyp, sd, y); frozen from the brute-force oracle
@@ -118,6 +124,28 @@ def test_fixed_counts_reject_impossible_orders():
             census.twisted_fixed_count(q, 4, kind, m)
     assert census.plain_fixed_count(9, 4, "B", 3) >= 0
     assert census.twisted_fixed_count(7, 4, "A", 4) >= 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_subtype_class_sizes_match_enumeration(q):
+    # every nonidentity element of PGL2(F_q), counted by (kind, order)
+    pgl = mb.enumerate_pgl(ff.make_field(*census.factor_prime_power(q)))
+    counts = Counter((el.kind, el.order) for el in pgl if el.kind != "identity")
+    sizes = {(kind, m): census.class_size(q, kind, m) for kind, m in census.subtypes(q)}
+    assert sizes == counts
+    assert sum(sizes.values()) == q**3 - q - 1
+
+
+# census_report(g, q).to_json_dict() for g = 2..60 and every odd prime
+# power q <= 500, frozen from the hand-expanded divisor sums over 2g+2,
+# 2g+1 and 2g that preceded the Burnside sum over subtypes
+CENSUS_DIGEST = "dac300f73440effb6db70da2d2718cb5ec98832db21836b56041faee7d3b22e5"
+
+
+def test_census_output_frozen():
+    rows = [census.census_report(g, q).to_json_dict()
+            for g in range(2, 61) for q, _ in census.odd_prime_powers(500)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CENSUS_DIGEST
 
 
 def test_census_report_roundtrip():

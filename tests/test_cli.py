@@ -160,9 +160,8 @@ def _run_optimized(*argv):
 def test_checks_survive_python_O():
     res = _run_optimized(
         "-c",
-        "from fractions import Fraction\n"
-        "from hypcensus.census import _exact_int\n"
-        "_exact_int(Fraction(1, 2))",
+        "from hypcensus.census import _exact_div\n"
+        "_exact_div(1, 2)",
     )
     assert res.returncode == 1
     assert "VerificationError: non-integer value 1/2" in res.stderr
@@ -287,6 +286,21 @@ def test_fixed_count_checks_survive_python_O():
     assert "ValueError: no kind C element of order 3 over F_3" in res.stderr
 
 
+def test_component_checks_survive_python_O():
+    # one fixed pair too many for every kind C element is no whole number
+    # of curves; the exact division must raise with asserts compiled out
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import census\n"
+        "twisted = census.twisted_fixed_count\n"
+        "census.twisted_fixed_count = lambda q, n, kind, m: twisted(q, n, kind, m) + (kind == 'C')\n"
+        "print(census.hyp_components(2, 5))",
+    )
+    assert res.returncode == 1, res.stdout
+    assert res.stdout == ""
+    assert "VerificationError: non-integer value" in res.stderr
+
+
 def test_census_checks_survive_python_O():
     # an sd one too large makes hyp + sd odd; the parity and exactness
     # checks must still fail with asserts compiled out
@@ -341,6 +355,7 @@ def test_verify_wrong_option_exits_2(capsys):
     (("verify", "--suite", "eps", "--q", ","), "no field size in --q ','"),
     (("hyp", "--g", "2", "--q", ","), "no field size in --q ','"),
     (("verify", "--suite", "cocycle", "--triples", "-5"), "triples must be >= 0, got -5"),
+    (("verify", "--suite", "counts", "--q", "9"), "suite counts takes prime field sizes, got 9"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     # no traceback (exit 1 reads as a mismatch) and no vacuous pass

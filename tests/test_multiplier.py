@@ -52,9 +52,12 @@ def test_global_equals_kappa_sampled_q5_q9():
         k = K(p, e)
         sets = list(ns.enumerate_nsets(k, 4))[::7]
         mats = [el.mat for el in mo.enumerate_pgl(k)[::13]]
-        for s in sets:
-            for m in mats:
-                assert mult.global_multiplier(m, s, k) == mult.kappa_multiplier(m, s, k)
+        # the kappa side in one batch per field, [i, j] = (sets[i], mats[j])
+        forms = np.array([ns.to_form(k, s) for s in sets])
+        kappa, _ = mult.kappa_multipliers(k, mo.mat_codes(mats), forms[:, None])
+        for s, row in zip(sets, kappa.tolist()):
+            for m, j in zip(mats, row):
+                assert mult.global_multiplier(m, s, k) == j
 
 
 def test_debug_mode_double_evaluates():

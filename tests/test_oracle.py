@@ -420,24 +420,25 @@ def test_class_keys_are_conjugacy_classes(q):
         np.unique(labels, return_counts=True)[1].tolist())
 
 
-@pytest.mark.parametrize("g,q", FAST_PAIRS)
+@pytest.mark.parametrize("g,q", FAST_PAIRS + [(2, 9)])
 def test_class_sums_match_hyp_components(g, q):
-    # grouped by kind, the Burnside class sums are the paper's components,
-    # and the plain stable counts give y, hence sd = 2y - hyp
+    # grouped by kind, the Burnside class sums of the fixed twisted pairs
+    # are the paper's components; the same sum over the stable sets of
+    # twist sign -1 is sd
     ctx = ff.make_field(*census.factor_prime_power(q))
     st = oc.ActionState(ctx, 2 * g + 2)
     order = q**3 - q
     fixed_pairs = dict.fromkeys(("A", "B", "C", "identity"), 0)
-    fixed_sets = 0
+    fixed_sd = 0
     for rep, size in oc._conjugacy_classes(ctx).values():
         kappa, stable = st.kappa_stable(rep)
+        chi = st.tabs.CHI[kappa[stable]]
         kind = mb.classify(ctx, rep).kind
-        fixed_pairs[kind] += size * 2 * int(np.count_nonzero(st.tabs.CHI[kappa[stable]] == 1))
-        fixed_sets += size * int(np.count_nonzero(stable))
+        fixed_pairs[kind] += size * 2 * int(np.count_nonzero(chi == 1))
+        fixed_sd += size * 2 * int(np.count_nonzero(chi == -1))
     want = census.hyp_components(g, q)
     assert [fixed_pairs[k] for k in ("A", "B", "C", "identity")] == [order * h for h in want]
-    assert fixed_sets % order == 0
-    assert 2 * fixed_sets // order - census.hyp(g, q) == census.sd(g, q)
+    assert fixed_sd == order * census.sd(g, q)
 
 
 def test_class_checks_reject_a_missing_class(monkeypatch):
@@ -643,6 +644,12 @@ def test_suites_reduced_grids():
     assert r["checks"] > 0
     assert oc.verify_suite("quot", qs=(3,))["checks"] > 0
     assert oc.verify_suite("points", qs=(3,))["checks"] > 0
+
+
+@pytest.mark.parametrize("suite", ["eps", "counts", "orbit_lemma", "quot", "points"])
+def test_prime_field_suites_name_themselves_on_extension_fields(suite):
+    with pytest.raises(ValueError, match=f"^suite {suite} takes prime field sizes, got 9$"):
+        oc.verify_suite(suite, qs=(9,))
 
 
 def test_verify_suite_rejects_unknown_name():
