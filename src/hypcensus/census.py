@@ -273,12 +273,14 @@ def sd(g: int, q: int) -> int:
     """Number of self-dual classes: curves isomorphic to their own twist.
 
     The Burnside sum of 2 plain - twisted fixed counts, twice the n-sets an
-    element fixes with twist sign -1, of which the identity has none.
+    element fixes with twist sign -1, of which the identity has none.  Kind
+    B is skipped: its twisted count is twice its plain one (both twists of
+    every fixed n-set are fixed), so it adds 0.
     """
     _validate(g, q)
     n = 2 * g + 2
-    sums = _burnside(q, n, lambda kind, m: 2 * plain_fixed_count(q, n, kind, m)
-                     - twisted_fixed_count(q, n, kind, m))
+    sums = _burnside(q, n, lambda kind, m: 0 if kind == "B" else
+                     2 * plain_fixed_count(q, n, kind, m) - twisted_fixed_count(q, n, kind, m))
     return _exact_div(sum(sums.values()), q**3 - q)
 
 

@@ -16,17 +16,29 @@ simplify() normalizes raw term lists into the compact reference shape:
 it prunes residues no odd prime power can hit, folds families of equal
 polynomials whose guards partition all admissible q into the generic
 part, reduces moduli, and unions residue sets at the same modulus.
+Reducing a guard with u > 0 unit residues mod M only tries the divisors
+m' with phi(M) / phi(m') dividing u: every unit mod m' has that many
+lifts among the units mod M.  A lone unit thus reduces only to M / 2,
+and only when M = 2 (mod 4).
+
+Memos: every one is a module-level dict named *_CACHE, the built forms
+per genus and, per modulus, its number theory (_MODULUS_CACHE: prime
+factors, divisors with phi of each, chain residues; _ACHIEVE_CACHE: the
+achievable residues).  Nothing else here keeps computed data, and no
+function is wrapped in a functools cache, so clearing the *_CACHE dicts
+together gives a cold build; the census benchmark does that before every
+query.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations, compress, zip_longest
 from math import gcd
 from typing import NamedTuple
 
-from .census import VerificationError, _prime_factors, divisors, factor_prime_power, is_prime, phi
+from .census import VerificationError, _prime_factors, factor_prime_power
 
 Poly = tuple[int, ...]
 
@@ -39,10 +51,7 @@ def poly_norm(cs) -> Poly:
 
 
 def poly_add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return poly_norm(
-        [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    )
+    return poly_norm([a + b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def poly_neg(f: Poly) -> Poly:
@@ -56,7 +65,9 @@ def poly_sub(f: Poly, g: Poly) -> Poly:
 def poly_scale(k: int, f: Poly) -> Poly:
     if k == 0:
         return ()
-    return tuple(k * c for c in f)
+    if k == 1:
+        return tuple(f)
+    return tuple([k * c for c in f])
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
@@ -192,9 +203,23 @@ class ConditionalPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# residue achievability: which residues mod M are hit by odd prime powers
+# per-modulus number theory: which residues mod M odd prime powers hit
 
 
+class _Modulus(NamedTuple):
+    """One modulus M as simplify reads it: its prime factors, its divisors
+    (ascending) with phi of each, and the chain residues (powers of its
+    odd prime factors: the achievable residues that are not units)."""
+
+    mod: int
+    primes: list[int]
+    phi_of: dict[int, int]
+    chain: frozenset[int]
+
+
+_MODULUS_CACHE: dict[int, _Modulus] = {}
+# built from the _Modulus entry on demand: the lcm moduli of
+# _try_cover_merge run to 10^5, and most never need their residue set
 _ACHIEVE_CACHE: dict[int, frozenset[int]] = {}
 
 
@@ -208,14 +233,29 @@ def _powers(ell: int, mod: int) -> set[int]:
     return seen
 
 
-def _chain_residues(mod: int) -> set[int]:
-    """Residues mod `mod` of the powers of the odd primes dividing mod:
-    the achievable residues that are not units."""
-    out = set()
-    for ell in _prime_factors(mod):
-        if ell != 2:
-            out |= _powers(ell, mod)
-    return out
+def _divisor_phis(mod: int, primes: list[int]) -> dict[int, int]:
+    """Every divisor d of mod, ascending, mapped to phi(d), built up one
+    prime power of mod at a time (phi is multiplicative)."""
+    out = {1: 1}
+    for ell in primes:
+        below = list(out.items())
+        power, phi_power = 1, 1
+        while mod % (power * ell) == 0:
+            phi_power *= ell - 1 if power == 1 else ell
+            power *= ell
+            for d, f in below:
+                out[d * power] = f * phi_power
+    return dict(sorted(out.items()))
+
+
+def _modulus(mod: int) -> _Modulus:
+    """The _Modulus of mod, computed once and kept in _MODULUS_CACHE."""
+    hit = _MODULUS_CACHE.get(mod)
+    if hit is None:
+        primes = _prime_factors(mod)
+        chain = frozenset().union(*(_powers(ell, mod) for ell in primes if ell != 2))
+        hit = _MODULUS_CACHE[mod] = _Modulus(mod, primes, _divisor_phis(mod, primes), chain)
+    return hit
 
 
 def achievable_residues(mod: int) -> frozenset[int]:
@@ -226,57 +266,38 @@ def achievable_residues(mod: int) -> frozenset[int]:
     single odd prime dividing mod.
     """
     hit = _ACHIEVE_CACHE.get(mod)
-    if hit is not None:
-        return hit
-    unit = bytearray([1]) * mod
-    for ell in _prime_factors(mod):
-        unit[::ell] = bytes(len(range(0, mod, ell)))
-    res = frozenset(compress(range(mod), unit)) | _chain_residues(mod)
-    _ACHIEVE_CACHE[mod] = res
-    return res
+    if hit is None:
+        info = _modulus(mod)
+        unit = bytearray([1]) * mod
+        for ell in info.primes:
+            unit[::ell] = bytes(len(range(0, mod, ell)))
+        hit = _ACHIEVE_CACHE[mod] = frozenset(compress(range(mod), unit)) | info.chain
+    return hit
 
 
 def _achievable_in(mod: int, residues: frozenset[int]) -> frozenset[int]:
-    return frozenset(r for r in residues if r in achievable_residues(mod))
+    return residues & achievable_residues(mod)
 
 
-class _Lifts(NamedTuple):
-    """The achievable residues mod `mod`, by kind: the units, which the
-    prime factors count, and the chain residues, listed."""
-
-    mod: int
-    primes: list[int]
-    chain: set[int]
-
-
-def _lifts(mod: int) -> _Lifts:
-    return _Lifts(mod, _prime_factors(mod), _chain_residues(mod))
-
-
-def _unit_lifts(lifts: _Lifts, mprime: int, residues) -> int:
-    """How many units mod M = lifts.mod reduce mod mprime (a divisor of M)
+def _unit_lifts(info: _Modulus, mprime: int, residues) -> int:
+    """How many units mod M = info.mod reduce mod mprime (a divisor of M)
     into `residues`.
 
     Reduction maps the units mod M onto the units mod mprime, each with
-    phi(M) / phi(mprime) preimages: M / mprime times (1 - 1/l) for every
-    prime l dividing M but not mprime.
+    phi(M) / phi(mprime) preimages.
     """
-    mod, primes, _ = lifts
-    per_unit = mod // mprime
-    for ell in primes:
-        if mprime % ell:
-            per_unit = per_unit // ell * (ell - 1)
+    per_unit = info.phi_of[info.mod] // info.phi_of[mprime]
     return per_unit * sum(1 for s in residues if gcd(s, mprime) == 1)
 
 
-def _chain_lifts(lifts: _Lifts, mprime: int, residues) -> int:
+def _chain_lifts(info: _Modulus, mprime: int, residues) -> int:
     """How many chain residues mod M reduce mod mprime into `residues`."""
-    return sum(1 for c in lifts.chain if c % mprime in residues)
+    return sum(1 for c in info.chain if c % mprime in residues)
 
 
-def _lift_size(lifts: _Lifts, mprime: int, residues) -> int:
+def _lift_size(info: _Modulus, mprime: int, residues) -> int:
     """How many achievable residues mod M reduce mod mprime into `residues`."""
-    return _unit_lifts(lifts, mprime, residues) + _chain_lifts(lifts, mprime, residues)
+    return _unit_lifts(info, mprime, residues) + _chain_lifts(info, mprime, residues)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +311,9 @@ def _check_degree(n: int) -> None:
 
 def a0_poly(n: int) -> Poly:
     """(q^(n+1) - q^n - s1 q + s2) / (q^2 + 1), divided top down: the
-    quotient coefficient of q^k is num[k + 2] minus that of q^(k + 2)."""
+    quotient coefficient of q^k is num[k + 2] minus that of q^(k + 2), so
+    from q^(n-1) down it runs 1, -1, -1, 1 over and over, and the division
+    is exact when the two lowest coefficients of num match it."""
     _check_degree(n)
     s1 = -1 if ((n + 1) // 2) % 2 else 1
     s2 = -1 if (n // 2) % 2 else 1
@@ -299,12 +322,10 @@ def a0_poly(n: int) -> Poly:
     num[n] -= 1
     num[1] -= s1
     num[0] += s2
-    quot = [0] * (n + 2)
-    for k in range(n - 1, -1, -1):
-        quot[k] = num[k + 2] - quot[k + 2]
-    if quot[0] != num[0] or quot[1] != num[1]:
+    quot = ((1, -1, -1, 1) * (n // 4 + 1))[n - 1::-1]
+    if (*quot, 0)[:2] != tuple(num[:2]):
         raise VerificationError(f"a0_poly({n}): q^2 + 1 does not divide {poly_norm(num)}")
-    return poly_norm(quot[:n])
+    return quot
 
 
 def a1_poly(n: int) -> Poly:
@@ -320,7 +341,7 @@ def a1_poly(n: int) -> Poly:
 def a2_poly(n: int) -> Poly:
     """(q^n + s) / (q + 1) = q^(n-1) - q^(n-2) + ... + (-1)^(n-1)."""
     _check_degree(n)
-    return tuple(-1 if (n - 1 - k) % 2 else 1 for k in range(n))
+    return ((-1, 1) * n)[n % 2 : n % 2 + n]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +359,9 @@ def _raw_terms(g: int, t: int) -> list[tuple[Guard, Poly]]:
     """
     terms: list[tuple[Guard, Poly]] = []
     for n in (2 * g + 2, 2 * g + 1, 2 * g):
-        for m in divisors(n)[1:]:
-            k, c = n // m, phi(m)
+        info = _modulus(n)
+        for m, c in list(info.phi_of.items())[1:]:
+            k = n // m
             if n == 2 * g:
                 # q = (k + t) m - 1 and q = t m + 1 mod 2m, where odd
                 for r, poly in ((((k + t) * m - 1) % (2 * m), a0_poly),
@@ -352,7 +374,7 @@ def _raw_terms(g: int, t: int) -> list[tuple[Guard, Poly]]:
             if t == 0:
                 scale = c if n % 2 == 0 else 2 * c
                 terms.append((guard_congruence(m, {1}), poly_scale(scale, a2_poly(k))))
-                if m % 2 and is_prime(m):
+                if m % 2 and m in info.primes:
                     terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
     return terms
 
@@ -376,6 +398,12 @@ def _normalize_term(g: Guard, f: Poly):
     if not f:
         return None
     if g.mod > 1:
+        if g.mod > 2 and len(g.residues) == 1:
+            # a lone unit mod M > 2 is achievable, and is not all of the
+            # achievable set, which holds phi(M) > 1 units
+            (r,) = g.residues
+            if r < g.mod and gcd(r, g.mod) == 1:
+                return g, f
         res = _achievable_in(g.mod, g.residues)
         if not res:
             return None
@@ -429,7 +457,7 @@ def _try_cover_merge(terms):
                     ell = terms[i][0].char_eq
                     if ell is not None:
                         lcm = lcm * ell // gcd(lcm, ell)
-                lifts = _lifts(lcm)
+                info = _modulus(lcm)
                 cover = []
                 total = 0
                 for i in subset:
@@ -443,11 +471,11 @@ def _try_cover_merge(terms):
                         total += len(cov)
                     else:
                         cov = None
-                        total += _lift_size(lifts, gd.mod, gd.residues)
+                        total += _lift_size(info, gd.mod, gd.residues)
                     cover.append((gd, cov))
                 else:
                     # every achievable residue reduces to 0 mod 1
-                    if total == _lift_size(lifts, 1, {0}) and _partitions(cover, lcm):
+                    if total == _lift_size(info, 1, {0}) and _partitions(cover, lcm):
                         rest = [t for i, t in enumerate(terms) if i not in subset]
                         return rest, f
     return None
@@ -476,17 +504,38 @@ def _reduce_modulus(g: Guard) -> Guard:
     it.  That lift contains the residues R of an achievable guard, so it
     equals R exactly when it has as many units and as many chain residues
     as R (counted by _unit_lifts and _chain_lifts).
+
+    Each unit mod m' has phi(M) / phi(m') unit lifts, so when R holds
+    u > 0 units, only an m' where that ratio divides u can qualify; the
+    others are skipped before their residues are mapped.  For a single
+    unit r that leaves only m' = M/2 with M = 2 (mod 4), and there r mod
+    m' lifts to no chain residue (a power of a prime dividing m'), so the
+    guard reduces without looking at M's divisors.
     """
-    if g.mod == 1 or not g.residues <= achievable_residues(g.mod):
+    if g.mod == 1:
         return g
-    lifts = _lifts(g.mod)
-    chain = len(g.residues & lifts.chain)
+    if len(g.residues) == 1:
+        (r,) = g.residues
+        if r < g.mod and gcd(r, g.mod) == 1:
+            if g.mod % 4 != 2:
+                return g
+            half = g.mod // 2
+            return Guard(half, frozenset({r % half}), g.char_eq, g.char_gt)
+    if not g.residues <= achievable_residues(g.mod):
+        return g
+    info = _modulus(g.mod)
+    chain = len(g.residues & info.chain)
     units = len(g.residues) - chain
-    for mprime in divisors(g.mod)[:-1]:
+    phi_mod = info.phi_of[g.mod]
+    for mprime, phi_mprime in info.phi_of.items():
+        if mprime == g.mod:
+            break
+        if units % (phi_mod // phi_mprime):
+            continue
         mapped = frozenset(r % mprime for r in g.residues)
         if (
-            _unit_lifts(lifts, mprime, mapped) == units
-            and _chain_lifts(lifts, mprime, mapped) == chain
+            _unit_lifts(info, mprime, mapped) == units
+            and _chain_lifts(info, mprime, mapped) == chain
         ):
             return Guard(mprime, mapped, g.char_eq, g.char_gt)
     return g
@@ -510,17 +559,14 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
     while changed:
         changed = False
         # identical guards merge by adding polynomials
-        merged: dict = {}
-        order: list = []
+        merged: dict[Guard, Poly] = {}
         for g, f in terms:
-            k = g.key()
-            if k in merged:
-                merged[k] = (g, poly_add(merged[k][1], f))
+            if g in merged:
+                merged[g] = poly_add(merged[g], f)
                 changed = True
             else:
-                merged[k] = (g, f)
-                order.append(k)
-        terms = [merged[k] for k in order if poly_norm(merged[k][1])]
+                merged[g] = f
+        terms = [(g, f) for g, f in merged.items() if f]
         # guard partitions folding into the generic part
         hit = _try_cover_merge(terms)
         if hit is not None:

@@ -148,6 +148,19 @@ def test_census_output_frozen():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CENSUS_DIGEST
 
 
+def test_sd_skips_kind_b_which_adds_nothing():
+    # sd leaves kind B out of its Burnside sum: its 2 plain - twisted is 0
+    # (sd itself is pinned by CENSUS_DIGEST above)
+    for g in range(2, 31):
+        n = 2 * g + 2
+        for q, p in census.odd_prime_powers(200):
+            full = census._burnside(q, n, lambda kind, m: 2 * census.plain_fixed_count(q, n, kind, m)
+                                    - census.twisted_fixed_count(q, n, kind, m))
+            assert census.sd(g, q) == census._exact_div(sum(full.values()), q**3 - q), (g, q)
+            # the one B subtype has order p
+            assert 2 * census.plain_fixed_count(q, n, "B", p) == census.twisted_fixed_count(q, n, "B", p), (g, q)
+
+
 def test_census_report_roundtrip():
     rep = census.census_report(2, 3)
     assert rep.hyp == 69 and rep.sd == 7 and rep.y == 38

@@ -1,5 +1,6 @@
 """Tests for conditional-polynomial formulas and transcribed tables."""
 
+import functools
 import hashlib
 import json
 import random
@@ -198,13 +199,53 @@ def test_simplify_preserves_values():
 SYMBOLIC_DIGEST = "99980402572c9c73c83a713bd5d094ff7386262d9b611136f2e7c4ddf59b8fcf"
 
 
+def _forms_digest(forms):
+    text = json.dumps(forms, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_symbolic_output_frozen():
     forms = [
         [sy.cp_to_json_dict(sy.symbolic_hyp(g)), sy.cp_to_json_dict(sy.symbolic_sd(g))]
         for g in range(2, 201)
     ]
-    text = json.dumps(forms, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_DIGEST
+    assert _forms_digest(forms) == SYMBOLIC_DIGEST
+
+
+def _clear_caches():
+    for name, val in vars(sy).items():
+        if name.endswith("_CACHE"):
+            val.clear()
+
+
+def test_symbolic_output_frozen_when_built_cold():
+    # the census benchmark clears every *_CACHE dict before each query, so
+    # each genus builds from empty per-modulus tables, hyp first, then sd
+    forms = []
+    for g in range(2, 201):
+        _clear_caches()
+        forms.append([sy.cp_to_json_dict(sy.symbolic_hyp(g)), sy.cp_to_json_dict(sy.symbolic_sd(g))])
+    assert _forms_digest(forms) == SYMBOLIC_DIGEST
+
+
+def test_every_memo_is_a_cache_dict():
+    # the census benchmark times cold builds by clearing the module's
+    # *_CACHE dicts; a functools cache or a table under another name would
+    # keep build work out of its figures
+    def cached(fn):
+        return hasattr(fn, "cache_info") or isinstance(fn, functools.cached_property)
+
+    for name, val in vars(sy).items():
+        if name.startswith("__"):
+            continue
+        assert not cached(val), name
+        if isinstance(val, type) and val.__module__ == sy.__name__:
+            for attr, member in vars(val).items():
+                assert not cached(member), f"{name}.{attr}"
+        if name.endswith("_CACHE"):
+            assert isinstance(val, dict), name
+        else:
+            assert not isinstance(val, (dict, set, frozenset, list)), name
 
 
 def _achievable_reference(mod):
@@ -242,6 +283,19 @@ def _reduce_modulus_reference(g):
 def test_achievable_residues_match_gcd_scan():
     for m in range(1, 3001):
         assert sy.achievable_residues(m) == _achievable_reference(m), m
+
+
+def test_modulus_tables_match_census_and_scan():
+    _clear_caches()
+    for mod in range(1, 3001):
+        info = sy._modulus(mod)
+        ach = _achievable_reference(mod)
+        assert info.mod == mod
+        assert info.primes == census._prime_factors(mod), mod
+        assert list(info.phi_of) == census.divisors(mod), mod
+        assert list(info.phi_of.values()) == [census.phi(d) for d in info.phi_of], mod
+        assert info.chain == {r for r in ach if gcd(r, mod) != 1}, mod
+        assert sy.achievable_residues(mod) == ach, mod
 
 
 def test_reduce_modulus_matches_scan_on_simplify_guards(monkeypatch):
@@ -287,6 +341,37 @@ def test_reduce_modulus_matches_scan_on_random_guards():
     # a residue no odd prime power reaches keeps the guard as it is
     g = sy.Guard(6, frozenset({0, 1}))
     assert sy._reduce_modulus(g) == _reduce_modulus_reference(g) == g
+
+
+def test_reduce_modulus_matches_scan_at_the_phi_bound():
+    # _reduce_modulus skips a divisor m' unless phi(M) / phi(m') divides
+    # the number u of units in the guard; probe u = 1, 2, all but one, and
+    # a full lift of one unit mod m' (u = phi(M) / phi(m')) with and
+    # without one of its residues
+    rng = random.Random(15)
+    reduced = 0
+    for mod in range(2, 801):
+        ach = sorted(sy.achievable_residues(mod))
+        units = [r for r in ach if gcd(r, mod) == 1]
+        chain = [r for r in ach if gcd(r, mod) != 1]
+        mprime = rng.choice(census.divisors(mod))
+        s = rng.choice([r for r in range(mprime) if gcd(r, mprime) == 1])
+        lift = [r for r in units if r % mprime == s]
+        picks = [
+            rng.sample(units, 1),
+            rng.sample(units, min(2, len(units))),
+            units[1:] + chain,
+            units[:-1],
+            lift,
+            lift[1:] + chain[:1],
+        ]
+        for residues in picks:
+            if residues:
+                g = sy.Guard(mod, frozenset(residues))
+                got = sy._reduce_modulus(g)
+                assert got == _reduce_modulus_reference(g), g
+                reduced += got != g
+    assert reduced > 500
 
 
 def test_a_polys_match_division():
