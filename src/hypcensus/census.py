@@ -9,6 +9,14 @@ number of pairs one element fixes (`twisted_fixed_count`), divided by
 counts the n-set orbits y, and sd = 2y - hyp.  Everything here is
 closed-form integer arithmetic in g and q; no field elements are touched.
 
+hyp and sd each validate q once (`_validate`); the order check of the
+public fixed counts factors it again only for kind B, and only when an
+element of order p can fix an n-set.  Their Burnside sums skip the
+subtypes that fix no n-set and read phi(m) of the others from
+`_divisor_phis`, the one routine that lists a number's divisors with their
+phi from its prime factors; `symbolic` builds its modulus tables with it.
+Nothing here is memoized across calls.
+
 Inside the fixed counts, a0/a1/a2 count n-sets weighted by the sign
 character for the three nontrivial element kinds (order m dividing q+1,
 order p, order m dividing q-1); a_p1 is the plain number of rational
@@ -18,6 +26,7 @@ n-sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -57,6 +66,21 @@ def phi(n: int) -> int:
     for ell in _prime_factors(n):
         n = n // ell * (ell - 1)
     return n
+
+
+def _divisor_phis(n: int, primes: list[int]) -> dict[int, int]:
+    """Every divisor d of n, ascending, mapped to phi(d), built up one prime
+    power of n at a time from its prime factors (phi is multiplicative)."""
+    out = {1: 1}
+    for ell in primes:
+        below = list(out.items())
+        power, phi_power = 1, 1
+        while n % (power * ell) == 0:
+            phi_power *= ell - 1 if power == 1 else ell
+            power *= ell
+            for d, f in below:
+                out[d * power] = f * phi_power
+    return dict(sorted(out.items()))
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -218,25 +242,47 @@ def subtypes(q: int) -> list[tuple[str, int]]:
     return out
 
 
+def _class_size(q: int, kind: str, phi_m: int) -> int:
+    if kind == "B":
+        return q * q - 1
+    return q * (q + 1 if kind == "C" else q - 1) // 2 * phi_m
+
+
 def class_size(q: int, kind: str, m: int) -> int:
     """Elements of the subtype (kind, m) in PGL2(F_q): phi(m) in each of the
     q(q+1)/2 split tori (kind C) or the q(q-1)/2 non-split ones (kind A),
     and the q^2 - 1 elements of order p (kind B)."""
-    if kind == "B":
-        return q * q - 1
-    return q * (q + 1 if kind == "C" else q - 1) // 2 * phi(m)
+    return _class_size(q, kind, phi(m))
 
 
-def _burnside(q: int, n: int, fixed) -> dict[str, int]:
-    """Per kind, the sum over its subtypes of class size times fixed(kind, m).
+def _fixing_orders(t: int, n: int) -> dict[int, int]:
+    """The orders m > 1 dividing t with n mod m <= 2, mapped to phi(m).
+
+    They are the divisors of gcd(t, n - j), j = 0, 1, 2, so only those
+    gcds (at most n) are factored, not t = q - 1 or q + 1.
+    """
+    out: dict[int, int] = {}
+    for j in range(3):
+        d = gcd(t, n - j)
+        out.update(_divisor_phis(d, _prime_factors(d)))
+    del out[1]
+    return out
+
+
+def _burnside(q: int, p: int, n: int, fixed) -> dict[str, int]:
+    """Per kind, the sum over the subtypes of PGL2(F_q), q a power of p, of
+    class size times fixed(kind, m).
 
     An element of order m moves every point but its at most two fixed
-    points in m-cycles, so it fixes no n-set unless n mod m <= 2.
+    points in m-cycles, so it fixes no n-set unless n mod m <= 2; the
+    other subtypes are left out.
     """
     sums = {"A": 0, "B": 0, "C": 0}
-    for kind, m in subtypes(q):
-        if n % m <= 2:
-            sums[kind] += class_size(q, kind, m) * fixed(kind, m)
+    for kind, t in (("C", q - 1), ("A", q + 1)):
+        for m, phi_m in _fixing_orders(t, n).items():
+            sums[kind] += _class_size(q, kind, phi_m) * fixed(kind, m)
+    if n % p <= 2:
+        sums["B"] = _class_size(q, "B", p - 1) * fixed("B", p)
     return sums
 
 
@@ -248,9 +294,9 @@ def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
     the elements of order dividing q+1, of order p, and of order dividing
     q-1.  All four are integers and sum to hyp(g, q).
     """
-    _validate(g, q)
+    p, _ = _validate(g, q)
     n, order = 2 * g + 2, q**3 - q
-    sums = _burnside(q, n, lambda kind, m: twisted_fixed_count(q, n, kind, m))
+    sums = _burnside(q, p, n, lambda kind, m: twisted_fixed_count(q, n, kind, m))
     h_a, h_b, h_c = (_exact_div(sums[kind], order) for kind in "ABC")
     return h_a, h_b, h_c, _exact_div(2 * a_p1(n, q), order)
 
@@ -277,9 +323,9 @@ def sd(g: int, q: int) -> int:
     B is skipped: its twisted count is twice its plain one (both twists of
     every fixed n-set are fixed), so it adds 0.
     """
-    _validate(g, q)
+    p, _ = _validate(g, q)
     n = 2 * g + 2
-    sums = _burnside(q, n, lambda kind, m: 0 if kind == "B" else
+    sums = _burnside(q, p, n, lambda kind, m: 0 if kind == "B" else
                      2 * plain_fixed_count(q, n, kind, m) - twisted_fixed_count(q, n, kind, m))
     return _exact_div(sum(sums.values()), q**3 - q)
 

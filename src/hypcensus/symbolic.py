@@ -21,6 +21,18 @@ m' with phi(M) / phi(m') dividing u: every unit mod m' has that many
 lifts among the units mod M.  A lone unit thus reduces only to M / 2,
 and only when M = 2 (mod 4).
 
+The order of those steps fixes the normal form.  Each pass merges
+identical guards, tries one fold, and only then reduces and unions, and
+passes repeat while a fold or a reduction or union changes the terms.
+Guards that meet only after a reduction must be merged and offered to
+the fold again: a single sweep (merge, reduce, fold, union) leaves hyp at
+g = 8 with two q = 1 (mod 3) terms.  The loop stops without a confirming
+pass: a pass whose reduction and union change nothing leaves the very
+terms its fold rejected, with no two guards alike, every guard reduced
+(_reduce_modulus returns the smallest qualifying modulus, a fixed point,
+and each distinct guard is reduced once) and no union key shared, so
+another pass would change nothing.
+
 Memos: every one is a module-level dict named *_CACHE, the built forms
 per genus and, per modulus, its number theory (_MODULUS_CACHE: prime
 factors, divisors with phi of each, chain residues; _ACHIEVE_CACHE: the
@@ -33,17 +45,20 @@ query.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, compress, zip_longest
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
-from .census import VerificationError, _prime_factors, factor_prime_power
+from .census import VerificationError, _divisor_phis, _prime_factors, factor_prime_power
 
 Poly = tuple[int, ...]
 
 
 def poly_norm(cs) -> Poly:
+    if type(cs) is tuple and (not cs or cs[-1]):
+        return cs
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -136,10 +151,10 @@ def poly_str(f: Poly, var: str = "q") -> str:
     return out
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """Conjunction of a congruence condition on q and a characteristic
-    condition on p.  mod=1 means no congruence condition."""
+    condition on p.  mod=1 means no congruence condition.  A named tuple,
+    so hashing and equality run in C: simplify keys dicts on guards."""
 
     mod: int = 1
     residues: frozenset[int] = frozenset({0})
@@ -165,14 +180,6 @@ class Guard:
             self.char_eq or 0,
             self.char_gt or 0,
         )
-
-
-def guard_congruence(mod: int, residues) -> Guard:
-    return Guard(mod=mod, residues=frozenset(r % mod for r in residues))
-
-
-def guard_char(p: int) -> Guard:
-    return Guard(char_eq=p)
 
 
 def guard_str(g: Guard) -> str:
@@ -231,21 +238,6 @@ def _powers(ell: int, mod: int) -> set[int]:
         seen.add(x)
         x = x * ell % mod
     return seen
-
-
-def _divisor_phis(mod: int, primes: list[int]) -> dict[int, int]:
-    """Every divisor d of mod, ascending, mapped to phi(d), built up one
-    prime power of mod at a time (phi is multiplicative)."""
-    out = {1: 1}
-    for ell in primes:
-        below = list(out.items())
-        power, phi_power = 1, 1
-        while mod % (power * ell) == 0:
-            phi_power *= ell - 1 if power == 1 else ell
-            power *= ell
-            for d, f in below:
-                out[d * power] = f * phi_power
-    return dict(sorted(out.items()))
 
 
 def _modulus(mod: int) -> _Modulus:
@@ -310,10 +302,15 @@ def _check_degree(n: int) -> None:
 
 
 def a0_poly(n: int) -> Poly:
-    """(q^(n+1) - q^n - s1 q + s2) / (q^2 + 1), divided top down: the
-    quotient coefficient of q^k is num[k + 2] minus that of q^(k + 2), so
-    from q^(n-1) down it runs 1, -1, -1, 1 over and over, and the division
-    is exact when the two lowest coefficients of num match it."""
+    """(q^(n+1) - q^n - s1 q + s2) / (q^2 + 1)."""
+    return _a0_scaled(n, 1)
+
+
+def _a0_scaled(n: int, c: int) -> Poly:
+    """c * a0_poly(n), c != 0.  Divided top down, the quotient coefficient
+    of q^k is c * num[k + 2] minus that of q^(k + 2), so from q^(n-1) down
+    it runs c, -c, -c, c over and over, and the division is exact when the
+    two lowest coefficients of c * num match it."""
     _check_degree(n)
     s1 = -1 if ((n + 1) // 2) % 2 else 1
     s2 = -1 if (n // 2) % 2 else 1
@@ -322,8 +319,8 @@ def a0_poly(n: int) -> Poly:
     num[n] -= 1
     num[1] -= s1
     num[0] += s2
-    quot = ((1, -1, -1, 1) * (n // 4 + 1))[n - 1::-1]
-    if (*quot, 0)[:2] != tuple(num[:2]):
+    quot = ((c, -c, -c, c) * (n // 4 + 1))[n - 1::-1]
+    if (*quot[:2], 0)[:2] != (c * num[0], c * num[1]):
         raise VerificationError(f"a0_poly({n}): q^2 + 1 does not divide {poly_norm(num)}")
     return quot
 
@@ -340,8 +337,13 @@ def a1_poly(n: int) -> Poly:
 
 def a2_poly(n: int) -> Poly:
     """(q^n + s) / (q + 1) = q^(n-1) - q^(n-2) + ... + (-1)^(n-1)."""
+    return _a2_scaled(n, 1)
+
+
+def _a2_scaled(n: int, c: int) -> Poly:
+    """c * a2_poly(n): c, -c, c, ... from q^(n-1) down."""
     _check_degree(n)
-    return ((-1, 1) * n)[n % 2 : n % 2 + n]
+    return ((-c, c) * n)[n % 2 : n % 2 + n]
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +366,18 @@ def _raw_terms(g: int, t: int) -> list[tuple[Guard, Poly]]:
             k = n // m
             if n == 2 * g:
                 # q = (k + t) m - 1 and q = t m + 1 mod 2m, where odd
-                for r, poly in ((((k + t) * m - 1) % (2 * m), a0_poly),
-                                ((t * m + 1) % (2 * m), a2_poly)):
+                for r, poly in ((((k + t) * m - 1) % (2 * m), _a0_scaled),
+                                ((t * m + 1) % (2 * m), _a2_scaled)):
                     if r % 2:
-                        terms.append((guard_congruence(2 * m, {r}), poly_scale(c, poly(k))))
+                        terms.append((Guard(2 * m, frozenset((r,))), poly(k, c)))
                 continue
             if n % 2 == 0 and k % 2 == t:
-                terms.append((guard_congruence(m, {-1}), poly_scale(c, a0_poly(k))))
+                terms.append((Guard(m, frozenset((m - 1,))), _a0_scaled(k, c)))
             if t == 0:
                 scale = c if n % 2 == 0 else 2 * c
-                terms.append((guard_congruence(m, {1}), poly_scale(scale, a2_poly(k))))
+                terms.append((Guard(m, frozenset((1,))), _a2_scaled(k, scale)))
                 if m % 2 and m in info.primes:
-                    terms.append((guard_char(m), poly_scale(2, a1_poly(k))))
+                    terms.append((Guard(char_eq=m), poly_scale(2, a1_poly(k))))
     return terms
 
 
@@ -437,9 +439,10 @@ def _try_cover_merge(terms):
     admissible q; fold it into the generic part.  Returns (new_terms,
     merged_poly) or None.
 
-    A partition of the achievable residues mod the lcm has coverage sizes
-    summing to their number, so subsets are first screened by counting
-    (_lift_size, no residue scan); those passing get the exact test."""
+    A partition of the achievable residues mod the lcm covers each unit
+    once and has coverage sizes summing to their number, so subsets are
+    first screened by counting (_unit_lifts, then _lift_size, no residue
+    scan); those passing get the exact test."""
     by_poly: dict[Poly, list[int]] = {}
     for i, (g, f) in enumerate(terms):
         if g.char_gt is None:
@@ -458,6 +461,12 @@ def _try_cover_merge(terms):
                     if ell is not None:
                         lcm = lcm * ell // gcd(lcm, ell)
                 info = _modulus(lcm)
+                # the congruence guards must cover each unit mod lcm once
+                # (a characteristic guard covers none)
+                units = sum(_unit_lifts(info, terms[i][0].mod, terms[i][0].residues)
+                            for i in subset if terms[i][0].char_eq is None)
+                if units != info.phi_of[lcm]:
+                    continue
                 cover = []
                 total = 0
                 for i in subset:
@@ -521,11 +530,11 @@ def _reduce_modulus(g: Guard) -> Guard:
                 return g
             half = g.mod // 2
             return Guard(half, frozenset({r % half}), g.char_eq, g.char_gt)
-    if not g.residues <= achievable_residues(g.mod):
-        return g
     info = _modulus(g.mod)
     chain = len(g.residues & info.chain)
-    units = len(g.residues) - chain
+    units = sum(1 for r in g.residues if r < g.mod and gcd(r, g.mod) == 1)
+    if chain + units < len(g.residues):
+        return g  # a residue no odd prime power reaches
     phi_mod = info.phi_of[g.mod]
     for mprime, phi_mprime in info.phi_of.items():
         if mprime == g.mod:
@@ -541,8 +550,16 @@ def _reduce_modulus(g: Guard) -> Guard:
     return g
 
 
+def _add_into(acc: list[int], f: Poly) -> None:
+    """acc += f in place, acc a coefficient list: a long generic part is
+    not copied for every short term folded into it."""
+    if len(f) > len(acc):
+        acc.extend([0] * (len(f) - len(acc)))
+    acc[: len(f)] = map(add, acc, f)
+
+
 def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
-    generic = poly_norm(cp.generic)
+    generic = list(cp.generic)
     terms: list[tuple[Guard, Poly]] = []
     for g, f in cp.terms:
         norm = _normalize_term(g, f)
@@ -550,63 +567,61 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
             continue
         g, f = norm
         if g.is_always_true():
-            generic = poly_add(generic, f)
+            _add_into(generic, f)
         else:
             terms.append((g, f))
 
-    reduced_of: dict[Guard, Guard] = {}  # each distinct guard reduced once
-    changed = True
-    while changed:
-        changed = False
+    # each distinct guard reduced once: _reduce_modulus returns the smallest
+    # qualifying divisor, so its result is its own fixed point
+    reduced_of: dict[Guard, Guard] = {}
+    while True:
         # identical guards merge by adding polynomials
         merged: dict[Guard, Poly] = {}
         for g, f in terms:
-            if g in merged:
-                merged[g] = poly_add(merged[g], f)
-                changed = True
-            else:
-                merged[g] = f
-        terms = [(g, f) for g, f in merged.items() if f]
+            prev = merged.get(g)
+            merged[g] = f if prev is None else poly_add(prev, f)
+        if len(merged) < len(terms):
+            terms = [(g, f) for g, f in merged.items() if f]
         # guard partitions folding into the generic part
         hit = _try_cover_merge(terms)
         if hit is not None:
             terms, f = hit
-            generic = poly_add(generic, f)
-            changed = True
+            _add_into(generic, f)
             continue
         # modulus reduction
+        changed = False
         reduced = []
         for g, f in terms:
             g2 = reduced_of.get(g)
             if g2 is None:
                 g2 = reduced_of[g] = _reduce_modulus(g)
+                reduced_of[g2] = g2
             if g2 != g:
                 changed = True
-            if g2.is_always_true():
-                generic = poly_add(generic, f)
-                changed = True
-            else:
-                reduced.append((g2, f))
-        terms = reduced
+                if g2.is_always_true():
+                    _add_into(generic, f)
+                    continue
+            reduced.append((g2, f))
         # same modulus, same characteristic condition, same polynomial:
         # union the residue sets
         bykey: dict = {}
-        out = []
-        for g, f in terms:
+        for g, f in reduced:
             k = (g.mod, g.char_eq, g.char_gt, f)
-            if k in bykey:
-                prev = bykey[k]
-                bykey[k] = Guard(
-                    g.mod, prev.residues | g.residues, g.char_eq, g.char_gt
-                )
-                changed = True
-            else:
+            prev = bykey.get(k)
+            if prev is None:
                 bykey[k] = g
-                out.append(k)
-        terms = [(bykey[k], k[3]) for k in out]
+            else:
+                bykey[k] = Guard(g.mod, prev.residues | g.residues, g.char_eq, g.char_gt)
+                changed = True
+        if not changed:
+            # the terms are the ones the cover-merge just rejected, free of
+            # duplicate guards, reduced and without a union key in common:
+            # another pass would change nothing
+            break
+        terms = [(g, k[3]) for k, g in bykey.items()]
 
     terms.sort(key=lambda t: (t[0].key(), t[1]))
-    return ConditionalPolynomial(generic, tuple(terms))
+    return ConditionalPolynomial(poly_norm(generic), tuple(terms))
 
 
 _HYP_CACHE: dict[int, ConditionalPolynomial] = {}

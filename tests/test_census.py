@@ -5,6 +5,7 @@ enumeration of the twisted group action (see tests/test_oracle.py for the
 live equality checks).
 """
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -154,11 +155,28 @@ def test_sd_skips_kind_b_which_adds_nothing():
     for g in range(2, 31):
         n = 2 * g + 2
         for q, p in census.odd_prime_powers(200):
-            full = census._burnside(q, n, lambda kind, m: 2 * census.plain_fixed_count(q, n, kind, m)
+            full = census._burnside(q, p, n, lambda kind, m: 2 * census.plain_fixed_count(q, n, kind, m)
                                     - census.twisted_fixed_count(q, n, kind, m))
             assert census.sd(g, q) == census._exact_div(sum(full.values()), q**3 - q), (g, q)
             # the one B subtype has order p
             assert 2 * census.plain_fixed_count(q, n, "B", p) == census.twisted_fixed_count(q, n, "B", p), (g, q)
+
+
+def test_census_keeps_no_memo():
+    # the census benchmark clears the symbolic *_CACHE dicts before each
+    # query but never census.py, so a memo here would keep work out of its
+    # figures: no functools cache, and no module-level container
+    def cached(fn):
+        return hasattr(fn, "cache_info") or isinstance(fn, functools.cached_property)
+
+    for name, val in vars(census).items():
+        if name.startswith("__"):
+            continue
+        assert not cached(val), name
+        if isinstance(val, type) and val.__module__ == census.__name__:
+            for attr, member in vars(val).items():
+                assert not cached(member), f"{name}.{attr}"
+        assert not isinstance(val, (dict, set, frozenset, list)), name
 
 
 def test_census_report_roundtrip():

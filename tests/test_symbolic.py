@@ -56,11 +56,11 @@ def test_a_polys_reject_n_below_1():
 
 
 def test_guard_holds():
-    g = sy.guard_congruence(8, [1, 3])
+    g = sy.Guard(mod=8, residues=frozenset({1, 3}))
     assert g.holds(9, 3)
     assert g.holds(17, 17)
     assert not g.holds(7, 7)
-    c = sy.guard_char(5)
+    c = sy.Guard(char_eq=5)
     assert c.holds(25, 5)
     assert not c.holds(27, 3)
     both = sy.Guard(mod=3, residues=frozenset({1}), char_eq=7)
@@ -185,13 +185,24 @@ def test_render_formats():
 
 
 def test_simplify_preserves_values():
-    # simplify must never change the function, only its presentation
-    for g in (2, 3, 4):
-        gen, raw = sy._raw_hyp_terms(g)
-        raw_cp = sy.ConditionalPolynomial(gen, tuple(raw))
-        simp = sy.simplify(raw_cp)
-        for q, p in census.odd_prime_powers(300):
-            assert raw_cp.evaluate(q, p) == simp.evaluate(q, p), (g, q)
+    # simplify must never change the function, only its presentation: hyp
+    # and sd at g = 2, 3, 4 and at a seeded sample of genera up to 200
+    genera = [2, 3, 4] + random.Random(16).sample(range(5, 201), 12)
+    for g in genera:
+        for raw_terms in (sy._raw_hyp_terms, sy._raw_sd_terms):
+            gen, raw = raw_terms(g)
+            raw_cp = sy.ConditionalPolynomial(gen, tuple(raw))
+            simp = sy.simplify(raw_cp)
+            for q, p in census.odd_prime_powers(300):
+                assert raw_cp.evaluate(q, p) == simp.evaluate(q, p), (g, raw_terms.__name__, q)
+
+
+def test_simplify_reaches_its_normal_form():
+    # the loop in simplify stops without a confirming pass, so a second
+    # simplify must find nothing left to do
+    for g in range(2, 201):
+        for cp in (sy.symbolic_hyp(g), sy.symbolic_sd(g)):
+            assert sy.simplify(cp) == cp, g
 
 
 # the simplified forms for g = 2..200, frozen when simplify and the raw
@@ -319,28 +330,40 @@ def test_reduce_modulus_matches_scan_on_simplify_guards(monkeypatch):
     assert reduced > 50
 
 
-def test_reduce_modulus_matches_scan_on_random_guards():
+def _random_guards():
+    # per modulus up to 800: a random achievable residue set, the full lift
+    # of a residue mod a random divisor (which reduces), and every
+    # achievable residue with or without a characteristic condition
     rng = random.Random(20)
-    reduced = 0
     for mod in range(2, 801):
         ach = sorted(sy.achievable_residues(mod))
         divs = census.divisors(mod)
-        guards = [
-            sy.Guard(mod, frozenset(rng.sample(ach, rng.randrange(1, len(ach) + 1))))
-        ]
-        # the full lift of residues mod a random divisor reduces
+        yield sy.Guard(mod, frozenset(rng.sample(ach, rng.randrange(1, len(ach) + 1))))
         mprime = rng.choice(divs)
         sub = set(rng.sample(sorted(sy.achievable_residues(mprime)), 1))
-        guards.append(sy.Guard(mod, frozenset(r for r in ach if r % mprime in sub)))
-        guards.append(sy.Guard(mod, frozenset(ach), char_eq=rng.choice((None, 3))))
-        for g in guards:
-            got = sy._reduce_modulus(g)
-            assert got == _reduce_modulus_reference(g), g
-            reduced += got != g
-    assert reduced > 500
+        yield sy.Guard(mod, frozenset(r for r in ach if r % mprime in sub))
+        yield sy.Guard(mod, frozenset(ach), char_eq=rng.choice((None, 3)))
     # a residue no odd prime power reaches keeps the guard as it is
+    yield sy.Guard(6, frozenset({0, 1}))
+
+
+def test_reduce_modulus_matches_scan_on_random_guards():
+    reduced = 0
+    for g in _random_guards():
+        got = sy._reduce_modulus(g)
+        assert got == _reduce_modulus_reference(g), g
+        reduced += got != g
+    assert reduced > 500
     g = sy.Guard(6, frozenset({0, 1}))
     assert sy._reduce_modulus(g) == _reduce_modulus_reference(g) == g
+
+
+def test_reduce_modulus_is_idempotent():
+    # simplify reduces each distinct guard once and takes the result as
+    # its own fixed point
+    for g in _random_guards():
+        once = sy._reduce_modulus(g)
+        assert sy._reduce_modulus(once) == once, g
 
 
 def test_reduce_modulus_matches_scan_at_the_phi_bound():
