@@ -9,18 +9,19 @@ number of pairs one element fixes (`twisted_fixed_count`), divided by
 counts the n-set orbits y, and sd = 2y - hyp.  Everything here is
 closed-form integer arithmetic in g and q; no field elements are touched.
 
-hyp and sd each validate q once (`_validate`); the order check of the
-public fixed counts factors it again only for kind B, and only when an
-element of order p can fix an n-set.  Their Burnside sums skip the
-subtypes that fix no n-set and read phi(m) of the others from
-`_divisor_phis`, the one routine that lists a number's divisors with their
-phi from its prime factors; `symbolic` builds its modulus tables with it.
-Nothing here is memoized across calls.
-
-Inside the fixed counts, a0/a1/a2 count n-sets weighted by the sign
-character for the three nontrivial element kinds (order m dividing q+1,
-order p, order m dividing q-1); a_p1 is the plain number of rational
-n-sets.
+The one rule for fixed n-sets lives here (CONFIGURATIONS): an element of
+order m fixes an n-set S when S holds j of its fixed points and the other
+n - j points form (n - j)/m free m-cycles, counted by `free_count`;
+`twist_sign` says whether both twists of S are fixed (+1) or neither (-1).
+The fixed counts, the Burnside pass `_burnside` (hyp from its +1 parts,
+sd from its -1 parts, both at once in `census_report`),
+`multiplier.epsilon_closed_forms` and the counts/quot suites read it.  The
+pass visits only subtypes that can fix an n-set, with phi(m) from
+`_divisor_phis`, the one routine that lists divisors with their phi (also
+behind `divisors` and `symbolic`'s modulus tables).  Nothing here is
+memoized across calls.  a0/a1/a2 count n-sets weighted by the sign
+character for the element kinds of order dividing q+1, order p and order
+dividing q-1; a_p1 counts rational n-sets.
 """
 
 from __future__ import annotations
@@ -49,23 +50,13 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """Divisors of n >= 1, ascending, paired up to sqrt(n)."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """Divisors of n >= 1, ascending."""
+    return list(_divisor_phis(n, _prime_factors(n)))
 
 
 def phi(n: int) -> int:
-    """Euler's totient, as n times the product of (1 - 1/l) over primes l | n."""
-    for ell in _prime_factors(n):
-        n = n // ell * (ell - 1)
-    return n
+    """Euler's totient of n >= 1."""
+    return _divisor_phis(n, _prime_factors(n))[n]
 
 
 def _divisor_phis(n: int, primes: list[int]) -> dict[int, int]:
@@ -169,24 +160,52 @@ def a_p1(n: int, q) -> int:
     return q**n - q ** (n - 2)
 
 
-def _adiv(fn, n: int, m: int, q: int) -> int:
-    # fn(n / m) with the convention that a non-integral argument counts 0
-    return fn(n // m, q) if n % m == 0 else 0
-
-
 def _check_order(q: int, kind: str, m: int) -> None:
-    """Raise ValueError unless a nonidentity element of the given kind can
-    have order m over F_q: m > 1 dividing q - 1 (C), q + 1 (A), or m = p (B)."""
-    if kind == "C":
-        ok = m > 1 and (q - 1) % m == 0
-    elif kind == "A":
-        ok = m > 1 and (q + 1) % m == 0
-    elif kind == "B":
-        ok = m == factor_prime_power(q)[0]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if not ok:
+    """Raise ValueError unless (kind, m) is a nonidentity subtype of PGL2(F_q)."""
+    if (kind, m) not in subtypes(q):
         raise ValueError(f"no kind {kind} element of order {m} over F_{q}")
+
+
+# per kind, the (j, ways) of the n-sets its elements fix: a set holds j of
+# the element's fixed points (C: 0 and infinity; B: infinity; A: a conjugate
+# pair, both or neither) in `ways` ways, its other n - j points in free cycles
+CONFIGURATIONS = (("C", ((0, 1), (1, 2), (2, 1))), ("B", ((0, 1), (1, 1))),
+                  ("A", ((0, 1), (2, 1))))
+
+
+def free_count(q: int, kind: str, k: int) -> int:
+    """k-sets of free orbits of an element of the kind: rational k-sets of its
+    quotient, the torus P^1 - {0, infinity} (C), the affine line (B) or the
+    line minus a conjugate pair (A); at m = 1, n-sets off the fixed locus."""
+    if kind == "C":
+        return (q - 1) * a2(k, q)
+    if kind == "B":
+        return q * a1(k, q)
+    return (q + 1) * a0(k, q)
+
+
+def twist_sign(q: int, kind: str, m: int, j: int, k: int) -> int:
+    """Twist sign of the n-sets an order-m element of the kind fixes with j
+    fixed points and k free m-cycles: (-1)^((q-1)/m) for C with both, (-1)^k
+    for A without its pair and (-1)^(k + (q+1)/m) with it, else +1."""
+    if kind == "C":
+        e = j // 2 * ((q - 1) // m)
+    elif kind == "A":
+        e = k + j // 2 * ((q + 1) // m)
+    else:
+        e = 0
+    return -1 if e % 2 else 1
+
+
+def _fixed_pieces(q: int, n: int, kind: str, m: int, rows) -> list[tuple[int, int, int]]:
+    """(j, count, twist sign) of the n-sets one element of the subtype fixes,
+    per row (j, ways) of its kind with m | n - j; no argument checks."""
+    out = []
+    for j, ways in rows:
+        if (n - j) % m == 0:
+            k = (n - j) // m
+            out.append((j, ways * free_count(q, kind, k), twist_sign(q, kind, m, j, k)))
+    return out
 
 
 def plain_fixed_count(q: int, n: int, kind: str, m: int) -> int:
@@ -199,13 +218,7 @@ def plain_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     if n < 3:
         raise ValueError(f"fixed-count formulas need n >= 3, got {n}")
     _check_order(q, kind, m)
-    if kind == "C":
-        return (q - 1) * (
-            _adiv(a2, n, m, q) + 2 * _adiv(a2, n - 1, m, q) + _adiv(a2, n - 2, m, q)
-        )
-    if kind == "B":
-        return q * (_adiv(a1, n, m, q) + _adiv(a1, n - 1, m, q))
-    return (q + 1) * (_adiv(a0, n, m, q) + _adiv(a0, n - 2, m, q))
+    return sum(count for _, count, _ in _fixed_pieces(q, n, kind, m, dict(CONFIGURATIONS)[kind]))
 
 
 def twisted_fixed_count(q: int, n: int, kind: str, m: int) -> int:
@@ -213,16 +226,8 @@ def twisted_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"twisted fixed counts need even n >= 4, got {n}")
     _check_order(q, kind, m)
-    if kind == "C":
-        extra = _adiv(a2, n - 2, m, q) if ((q - 1) // m) % 2 == 0 else 0
-        return 2 * (q - 1) * (_adiv(a2, n, m, q) + 2 * _adiv(a2, n - 1, m, q) + extra)
-    if kind == "B":
-        return 2 * q * (_adiv(a1, n, m, q) + _adiv(a1, n - 1, m, q))
-    t1 = a0(n // m, q) if n % m == 0 and (n // m) % 2 == 0 else 0
-    t2 = 0
-    if (n - 2) % m == 0 and ((n - 2) // m - (q + 1) // m) % 2 == 0:
-        t2 = a0((n - 2) // m, q)
-    return 2 * (q + 1) * (t1 + t2)
+    pieces = _fixed_pieces(q, n, kind, m, dict(CONFIGURATIONS)[kind])
+    return 2 * sum(count for _, count, sign in pieces if sign > 0)
 
 
 def _validate(g: int, q: int) -> tuple[int, int]:
@@ -255,35 +260,38 @@ def class_size(q: int, kind: str, m: int) -> int:
     return _class_size(q, kind, phi(m))
 
 
-def _fixing_orders(t: int, n: int) -> dict[int, int]:
-    """The orders m > 1 dividing t with n mod m <= 2, mapped to phi(m).
-
-    They are the divisors of gcd(t, n - j), j = 0, 1, 2, so only those
-    gcds (at most n) are factored, not t = q - 1 or q + 1.
+def _burnside(q: int, p: int, n: int) -> dict[str, tuple[int, int]]:
+    """Per kind, the sum over the nonidentity subtypes of PGL2(F_q), q a
+    power of p, of class size times the n-sets one element fixes, split
+    into its twist sign +1 and -1 parts.  Only the orders m > 1 dividing
+    gcd(t, n - j) for a configuration j can fix an n-set, t = q - 1 (C),
+    p (B) or q + 1 (A): those gcds (at most n) are factored, not q +- 1.
     """
-    out: dict[int, int] = {}
-    for j in range(3):
-        d = gcd(t, n - j)
-        out.update(_divisor_phis(d, _prime_factors(d)))
-    del out[1]
-    return out
-
-
-def _burnside(q: int, p: int, n: int, fixed) -> dict[str, int]:
-    """Per kind, the sum over the subtypes of PGL2(F_q), q a power of p, of
-    class size times fixed(kind, m).
-
-    An element of order m moves every point but its at most two fixed
-    points in m-cycles, so it fixes no n-set unless n mod m <= 2; the
-    other subtypes are left out.
-    """
-    sums = {"A": 0, "B": 0, "C": 0}
-    for kind, t in (("C", q - 1), ("A", q + 1)):
-        for m, phi_m in _fixing_orders(t, n).items():
-            sums[kind] += _class_size(q, kind, phi_m) * fixed(kind, m)
-    if n % p <= 2:
-        sums["B"] = _class_size(q, "B", p - 1) * fixed("B", p)
+    sums = {}
+    for (kind, rows), t in zip(CONFIGURATIONS, (q - 1, p, q + 1)):
+        orders = {}
+        for j, _ in rows:
+            d = gcd(t, n - j)
+            orders.update(_divisor_phis(d, _prime_factors(d)))
+        del orders[1]
+        parts = [0, 0]  # twist sign +1, -1
+        for m, phi_m in orders.items():
+            size = _class_size(q, kind, phi_m)
+            for _, count, sign in _fixed_pieces(q, n, kind, m, rows):
+                parts[sign < 0] += size * count
+        sums[kind] = tuple(parts)
     return sums
+
+
+def _hyp_parts(q: int, n: int, sums) -> tuple[int, int, int, int]:
+    # both twists of a fixed n-set of sign +1 are fixed, neither of sign -1
+    order = q**3 - q
+    h_a, h_b, h_c = (_exact_div(2 * sums[kind][0], order) for kind in "ABC")
+    return h_a, h_b, h_c, _exact_div(2 * a_p1(n, q), order)
+
+
+def _sd(q: int, sums) -> int:
+    return _exact_div(2 * sum(minus for _, minus in sums.values()), q**3 - q)
 
 
 def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
@@ -295,39 +303,29 @@ def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
     q-1.  All four are integers and sum to hyp(g, q).
     """
     p, _ = _validate(g, q)
-    n, order = 2 * g + 2, q**3 - q
-    sums = _burnside(q, p, n, lambda kind, m: twisted_fixed_count(q, n, kind, m))
-    h_a, h_b, h_c = (_exact_div(sums[kind], order) for kind in "ABC")
-    return h_a, h_b, h_c, _exact_div(2 * a_p1(n, q), order)
+    n = 2 * g + 2
+    return _hyp_parts(q, n, _burnside(q, p, n))
 
 
 def hyp(g: int, q: int) -> int:
     """Number of F_q-isomorphism classes of genus-g hyperelliptic curves."""
-    h_a, h_b, h_c, h_d = hyp_components(g, q)
-    return h_a + h_b + h_c + h_d
+    return sum(hyp_components(g, q))
 
 
 def y_nset_classes(g: int, q: int) -> int:
     """Number of (2g+2)-set orbits on the projective line (untwisted count)."""
-    total = hyp(g, q) + sd(g, q)
-    if total % 2 != 0:
-        raise VerificationError(f"hyp + sd = {total} is odd at g={g}, q={q}")
-    return total // 2
+    return census_report(g, q).y
 
 
 def sd(g: int, q: int) -> int:
     """Number of self-dual classes: curves isomorphic to their own twist.
 
-    The Burnside sum of 2 plain - twisted fixed counts, twice the n-sets an
-    element fixes with twist sign -1, of which the identity has none.  Kind
-    B is skipped: its twisted count is twice its plain one (both twists of
-    every fixed n-set are fixed), so it adds 0.
+    The Burnside sum of 2 plain - twisted fixed counts: twice the n-sets
+    an element fixes with twist sign -1, of which the identity and kind B
+    have none.
     """
     p, _ = _validate(g, q)
-    n = 2 * g + 2
-    sums = _burnside(q, p, n, lambda kind, m: 0 if kind == "B" else
-                     2 * plain_fixed_count(q, n, kind, m) - twisted_fixed_count(q, n, kind, m))
-    return _exact_div(sum(sums.values()), q**3 - q)
+    return _sd(q, _burnside(q, p, 2 * g + 2))
 
 
 @dataclass(frozen=True)
@@ -366,10 +364,12 @@ class CensusReport:
 
 
 def census_report(g: int, q: int) -> CensusReport:
+    """hyp, its components, sd and y at (g, q) from one Burnside pass."""
     p, e = _validate(g, q)
-    h_a, h_b, h_c, h_d = hyp_components(g, q)
-    h = h_a + h_b + h_c + h_d
-    s = sd(g, q)
+    n = 2 * g + 2
+    sums = _burnside(q, p, n)
+    parts = _hyp_parts(q, n, sums)
+    h, s = sum(parts), _sd(q, sums)
     if (h + s) % 2 != 0:
         raise VerificationError(f"hyp + sd = {h + s} is odd at g={g}, q={q}")
-    return CensusReport(g, q, p, e, h, s, (h + s) // 2, h_a, h_b, h_c, h_d)
+    return CensusReport(g, q, p, e, h, s, (h + s) // 2, *parts)

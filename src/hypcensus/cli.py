@@ -189,11 +189,11 @@ def cmd_oracle(args) -> int:
     results = []
     for g, q in pairs:
         try:
-            want_hyp = census.hyp(g, q)
-            want_sd = census.sd(g, q)
+            report = census.census_report(g, q)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        want_hyp, want_sd = report.hyp, report.sd
         entry = {"g": g, "q": q, "method": args.method,
                  "census_hyp": want_hyp, "census_sd": want_sd}
         try:

@@ -11,7 +11,9 @@ The sign epsilon(gamma, S) = chi(J) for even n decides whether gamma maps
 the twisted class (lambda, S) to (lambda, gamma S) or flips the twist.
 The closed forms below evaluate epsilon for stable S without computing J:
 kind B always +1; kind C via the parity of (q-1)/order and the number of
-fixed points inside S; kind A via divisibility of n by the order.
+fixed points inside S; kind A via divisibility of n by the order.  The
+per-pair epsilon_closed_form, the reference, writes that rule out; the
+batched epsilon_closed_forms reads it from census.twist_sign.
 
 Each quantity has a per-pair function, the reference, and a batched view
 over numpy stacks of entry codes and n-set forms that the verification
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import field as ff
-from .census import VerificationError
+from .census import CONFIGURATIONS, VerificationError, twist_sign
 from .field import FieldCtx
 from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
 from .nset import RationalNSet, act_form, act_forms, apply_moebius, contains_point
@@ -260,7 +262,7 @@ def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray
     gamma S = S is checked on every row by one act_forms call, and the
     fixed points are found once: infinity is in S where the form has
     F[0] = 0, and a finite fixed point where the lifted form vanishes
-    there, by F_(q^2) gathers.
+    there, by F_(q^2) gathers.  Rows with j of them take census.twist_sign.
     """
     forms = np.asarray(forms, np.intp)
     n = forms.shape[-1] - 1
@@ -272,28 +274,20 @@ def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray
     img, _ = act_forms(ctx, substitution_matrices(ctx, (mat.a, mat.b, mat.c, mat.d), n), forms)
     if (img != forms).any():
         raise ValueError("closed form requires gamma S = S")
-    signs = np.ones(len(forms), np.int8)
-    if gamma.kind == "B":
-        return signs
-    m, q = gamma.order, ctx.q
+    kind, m = gamma.kind, gamma.order
     ext, emb, pts = fixed_points(gamma, ctx)
     lifted = np.asarray(emb)[forms]
     cnt = sum(form_values(ext, lifted, t.x) == 0 if t.finite else forms[:, 0] == 0 for t in pts)
-    if gamma.kind == "C":
-        if ((q - 1) // m) % 2 == 1:
-            signs[cnt == 2] = -1
-        return signs
-    # kind A: the conjugate pair is in S together or not at all
-    if (cnt == 1).any():
-        s, _ = from_form(ctx, tuple(forms[np.argmax(cnt == 1)].tolist()))
-        raise VerificationError(f"kind A fixes a conjugate pair, 1 of it in S: {s}")
-    pair = cnt == 2
-    if pair.any() and (n - 2) % m:
-        raise VerificationError(f"order {m} must divide n - 2 = {n - 2}")
-    if not pair.all() and n % m:
-        raise VerificationError(f"order {m} must divide n = {n}")
-    signs[pair] = -1 if ((q + 1) // m + (n - 2) // m) % 2 == 1 else 1
-    signs[~pair] = -1 if (n // m) % 2 == 1 else 1
+    signs = np.zeros(len(forms), np.int8)
+    for j, _ in dict(CONFIGURATIONS)[kind]:
+        rows = cnt == j
+        if rows.any() and (n - j) % m:
+            raise VerificationError(f"order {m} must divide n - {j} = {n - j}")
+        signs[rows] = twist_sign(ctx.q, kind, m, j, (n - j) // m)
+    if not signs.all():  # j fixed points in S, not a configuration of the kind
+        i = np.flatnonzero(signs == 0)[0]
+        s, _ = from_form(ctx, tuple(forms[i].tolist()))
+        raise VerificationError(f"kind {kind} fixes {len(pts)} points, {cnt[i]} of them in S: {s}")
     return signs
 
 

@@ -22,6 +22,8 @@ Frobenius on the points of P^1 over each extension.
 The suites that read twist signs (eps, cocycle, points) take them in bulk
 from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
 views of the per-pair sweep and closed form, which stay as references.
+The counts and quot suites read the census rule for fixed n-sets: rows
+off an element's fixed locus (_off_fixed_locus) against free_count.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -41,11 +43,9 @@ from . import moebius as mb
 from . import multiplier as mult
 from . import nset as ns
 from .census import (
-    a0,
-    a1,
-    a2,
     a_p1,
     factor_prime_power,
+    free_count,
     is_prime,
     plain_fixed_count,
     subtypes,
@@ -473,6 +473,16 @@ def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
     return (rem0 == 0) & (rem1 == 0)
 
 
+def _off_fixed_locus(st: ActionState, kind: str, mu=None) -> np.ndarray:
+    """Rows avoiding the fixed locus of the kind: infinity (B), 0 and
+    infinity (C), or the roots of the irreducible monic quadratic mu (A)."""
+    if kind == "A":
+        return ~_divisible_by_quadratic(st, mu)
+    away = np.zeros(st.count, bool)
+    away[: st.n0] = True if kind == "B" else st.V[: st.n0, st.n] != 0
+    return away
+
+
 def _fixed_pair_quadratic(elem: mb.MoebiusElem, ctx: ff.FieldCtx):
     """Monic quadratic over the base field whose roots are the conjugate
     fixed pair of an irrational-fixed-point element."""
@@ -527,14 +537,13 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
         mu = ff.make_field(q, 2).modulus
         for n in range(1, nmax + 1):
             st = ActionState(ctx, n)
-            # the line, the affine line, the torus, the line minus a
-            # conjugate quadratic pair
+            # the line, then the affine line, the torus and the line minus
+            # a conjugate quadratic pair: the quotient check at m = 1
             _check(st.count == a_p1(n, q), "counts: the line", q, n, st.count)
-            _check(st.n0 == q * a1(n, q), "counts: the affine line", q, n, st.n0)
-            torus = int((st.V[: st.n0, n] != 0).sum())
-            _check(torus == (q - 1) * a2(n, q), "counts: the torus", q, n, torus)
-            punctured = st.count - int(_divisible_by_quadratic(st, mu).sum())
-            _check(punctured == (q + 1) * a0(n, q), "counts: the punctured line", q, n, punctured)
+            for kind, name in (("B", "the affine line"), ("C", "the torus"),
+                               ("A", "the punctured line")):
+                got = int(_off_fixed_locus(st, kind, mu).sum())
+                _check(got == free_count(q, kind, n), f"counts: {name}", q, n, got)
             checks += 4
             if n < 3:
                 continue
@@ -840,28 +849,18 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
         ctx = _prime_field("quot", q)
         for kind, m in subtypes(q):
             elem, _ = mb.subtype_representative(ctx, kind, m)
+            mu = _fixed_pair_quadratic(elem, ctx) if kind == "A" else None
+            if kind != "A":
+                _, _, fixed = mb.fixed_points(elem, ctx)
+                want, what = (([mb.INF], "B fixes only infinity") if kind == "B"
+                              else ([mb.INF, mb.fin(0)], "C fixes 0 and infinity"))
+                _check(list(fixed) == want, f"quot: {what}", q, m, fixed)
             for n in range(1, nmax // m + 1):
                 st = ActionState(ctx, n * m)
                 _, stable = st.kappa_stable(elem.mat)
-                if kind == "B":
-                    _, _, fixed = mb.fixed_points(elem, ctx)
-                    _check(list(fixed) == [mb.INF], "quot: B fixes only infinity", q, m, fixed)
-                    away = np.zeros(st.count, bool)
-                    away[: st.n0] = True
-                    want = q * a1(n, q)
-                elif kind == "C":
-                    _, _, fixed = mb.fixed_points(elem, ctx)
-                    _check(set(fixed) == {mb.INF, mb.fin(0)}, "quot: C fixes 0 and infinity",
-                           q, m, fixed)
-                    away = np.zeros(st.count, bool)
-                    away[: st.n0] = st.V[: st.n0, n * m] != 0
-                    want = (q - 1) * a2(n, q)
-                else:
-                    mu = _fixed_pair_quadratic(elem, ctx)
-                    away = ~_divisible_by_quadratic(st, mu)
-                    want = (q + 1) * a0(n, q)
-                got = int((stable & away).sum())
-                _check(got == want, "quot: stable sets off the fixed locus", q, kind, m, n, got)
+                got = int((stable & _off_fixed_locus(st, kind, mu)).sum())
+                _check(got == free_count(q, kind, n), "quot: stable sets off the fixed locus",
+                       q, kind, m, n, got)
                 checks += 1
 
     for q in qs:

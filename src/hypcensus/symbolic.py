@@ -603,22 +603,26 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
                     continue
             reduced.append((g2, f))
         # same modulus, same characteristic condition, same polynomial:
-        # union the residue sets
+        # union disjoint residue sets; overlapping ones stay apart
         bykey: dict = {}
+        apart = []
         for g, f in reduced:
             k = (g.mod, g.char_eq, g.char_gt, f)
             prev = bykey.get(k)
             if prev is None:
                 bykey[k] = g
-            else:
+            elif prev.residues.isdisjoint(g.residues):
                 bykey[k] = Guard(g.mod, prev.residues | g.residues, g.char_eq, g.char_gt)
                 changed = True
+            else:
+                apart.append((g, f))
         if not changed:
             # the terms are the ones the cover-merge just rejected, free of
-            # duplicate guards, reduced and without a union key in common:
+            # duplicate guards, reduced and with nothing left to union:
             # another pass would change nothing
             break
         terms = [(g, k[3]) for k, g in bykey.items()]
+        terms += apart
 
     terms.sort(key=lambda t: (t[0].key(), t[1]))
     return ConditionalPolynomial(poly_norm(generic), tuple(terms))

@@ -150,14 +150,19 @@ def test_census_output_frozen():
 
 
 def test_sd_skips_kind_b_which_adds_nothing():
-    # sd leaves kind B out of its Burnside sum: its 2 plain - twisted is 0
-    # (sd itself is pinned by CENSUS_DIGEST above)
+    # sd is twice the twist sign -1 parts of the Burnside pass, and kind B
+    # has no -1 piece: its 2 plain - twisted is 0.  sd equals the full sum
+    # of 2 plain - twisted over every subtype (sd itself is pinned by
+    # CENSUS_DIGEST above)
     for g in range(2, 31):
         n = 2 * g + 2
         for q, p in census.odd_prime_powers(200):
-            full = census._burnside(q, p, n, lambda kind, m: 2 * census.plain_fixed_count(q, n, kind, m)
-                                    - census.twisted_fixed_count(q, n, kind, m))
-            assert census.sd(g, q) == census._exact_div(sum(full.values()), q**3 - q), (g, q)
+            sums = census._burnside(q, p, n)
+            assert sums["B"][1] == 0, (g, q)
+            full = sum(census.class_size(q, kind, m) * (2 * census.plain_fixed_count(q, n, kind, m)
+                                                        - census.twisted_fixed_count(q, n, kind, m))
+                       for kind, m in census.subtypes(q))
+            assert census.sd(g, q) == census._exact_div(full, q**3 - q), (g, q)
             # the one B subtype has order p
             assert 2 * census.plain_fixed_count(q, n, "B", p) == census.twisted_fixed_count(q, n, "B", p), (g, q)
 

@@ -1,5 +1,6 @@
 """Exit codes and output formats of the command line front end."""
 
+import dataclasses
 import json
 import os
 import random
@@ -111,7 +112,9 @@ def test_oracle_budget_refusal(capsys):
 
 
 def test_oracle_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(census, "hyp", lambda g, q: 999)
+    report = census.census_report
+    monkeypatch.setattr(census, "census_report",
+                        lambda g, q: dataclasses.replace(report(g, q), hyp=999))
     code, out, err = run(capsys, "oracle", "--g", "2", "--q", "3",
                          "--method", "orbit")
     assert code == 1
@@ -287,13 +290,13 @@ def test_fixed_count_checks_survive_python_O():
 
 
 def test_component_checks_survive_python_O():
-    # one fixed pair too many for every kind C element is no whole number
-    # of curves; the exact division must raise with asserts compiled out
+    # one n-set too many in every kind C piece is no whole number of
+    # curves; the exact division must raise with asserts compiled out
     res = _run_optimized(
         "-c",
         "from hypcensus import census\n"
-        "twisted = census.twisted_fixed_count\n"
-        "census.twisted_fixed_count = lambda q, n, kind, m: twisted(q, n, kind, m) + (kind == 'C')\n"
+        "free = census.free_count\n"
+        "census.free_count = lambda q, kind, k: free(q, kind, k) + (kind == 'C')\n"
         "print(census.hyp_components(2, 5))",
     )
     assert res.returncode == 1, res.stdout
@@ -302,13 +305,19 @@ def test_component_checks_survive_python_O():
 
 
 def test_census_checks_survive_python_O():
-    # an sd one too large makes hyp + sd odd; the parity and exactness
-    # checks must still fail with asserts compiled out
+    # an sd one too large (half the group order more in the twist sign -1
+    # part of the one Burnside pass) makes hyp + sd odd; the parity and
+    # exactness checks must still fail with asserts compiled out
     res = _run_optimized(
         "-c",
         "from hypcensus import census, symbolic\n"
-        "sd = census.sd\n"
-        "census.sd = lambda g, q: sd(g, q) + 1\n"
+        "burnside = census._burnside\n"
+        "def shifted(q, p, n):\n"
+        "    sums = burnside(q, p, n)\n"
+        "    plus, minus = sums['C']\n"
+        "    sums['C'] = (plus, minus + (q**3 - q) // 2)\n"
+        "    return sums\n"
+        "census._burnside = shifted\n"
         "for fn, args in ((census.census_report, (2, 3)), (census.y_nset_classes, (2, 3)),\n"
         "                 (symbolic.poly_divexact, ((1, 1, 1), (1, 1)))):\n"
         "    try:\n"

@@ -1,5 +1,6 @@
 """Group-action engine against the closed-form census."""
 
+import collections
 import functools
 import random
 
@@ -439,6 +440,33 @@ def test_class_sums_match_hyp_components(g, q):
     want = census.hyp_components(g, q)
     assert [fixed_pairs[k] for k in ("A", "B", "C", "identity")] == [order * h for h in want]
     assert fixed_sd == order * census.sd(g, q)
+
+
+# even n = 4..8 over F_3, F_5, F_7 and F_9, all but F_9 at n = 8 (43 M rows)
+CONFIGURATION_PAIRS = [(q, n) for q in (3, 5, 7, 9) for n in (4, 6, 8) if q**n < 10**7]
+
+
+@pytest.mark.parametrize("q,n", CONFIGURATION_PAIRS)
+def test_fixed_configurations_match_engine(q, n):
+    # each subtype representative's stable rows, grouped by j (how many of
+    # its fixed points the set holds) and by chi(kappa), are census's
+    # pieces count for count and sign: a wrong sign or multiplicity moves
+    # rows between groups even where the totals still balance
+    ctx = ff.make_field(*census.factor_prime_power(q))
+    st = oc.ActionState(ctx, n)
+    for kind, m in census.subtypes(q):
+        elem, _ = mb.subtype_representative(ctx, kind, m)
+        kappa, stable = st.kappa_stable(elem.mat)
+        rows = st.V[stable].astype(np.intp)
+        ext, emb, pts = mb.fixed_points(elem, ctx)
+        lifted = np.asarray(emb)[rows]
+        j = sum(ns.form_values(ext, lifted, t.x) == 0 if t.finite else rows[:, 0] == 0
+                for t in pts)
+        chi = st.tabs.CHI[kappa[stable]]
+        got = collections.Counter(zip(j.tolist(), chi.tolist()))
+        pieces = census._fixed_pieces(q, n, kind, m, dict(census.CONFIGURATIONS)[kind])
+        want = {(jj, sign): count for jj, count, sign in pieces if count}
+        assert dict(got) == want, (q, n, kind, m)
 
 
 def test_class_checks_reject_a_missing_class(monkeypatch):

@@ -205,6 +205,32 @@ def test_simplify_reaches_its_normal_form():
             assert sy.simplify(cp) == cp, g
 
 
+def test_simplify_keeps_both_summands_of_overlapping_guards():
+    # [1]_{q = 1 (mod 8)} + [1]_{q = 1,3 (mod 8)} is 2 at q = 17, not 1
+    cp = sy.ConditionalPolynomial((), ((sy.Guard(8, frozenset({1})), (1,)),
+                                       (sy.Guard(8, frozenset({1, 3})), (1,))))
+    assert sy.simplify(cp).evaluate(17, 17) == cp.evaluate(17, 17) == 2
+
+
+def test_simplify_preserves_values_of_overlapping_guards():
+    # seeded random sums of guards sharing a modulus and a polynomial, with
+    # residue sets that overlap as often as not, and characteristic guards
+    rng = random.Random(17)
+    qs = census.odd_prime_powers(400)
+    for trial in range(300):
+        mod = rng.choice((3, 4, 5, 8, 12, 16, 24))
+        terms = []
+        for _ in range(rng.randint(2, 6)):
+            residues = frozenset(rng.sample(range(mod), rng.randint(1, mod)))
+            char_eq, char_gt = rng.choice(((None, None), (None, None), (3, None), (None, 3)))
+            terms.append((sy.Guard(mod, residues, char_eq, char_gt),
+                          rng.choice(((1,), (0, 1), (2, 0, -1)))))
+        cp = sy.ConditionalPolynomial(rng.choice(((), (1,))), tuple(terms))
+        simp = sy.simplify(cp)
+        for q, p in qs:
+            assert simp.evaluate(q, p) == cp.evaluate(q, p), (trial, terms, q)
+
+
 # the simplified forms for g = 2..200, frozen when simplify and the raw
 # builders still scanned residue sets
 SYMBOLIC_DIGEST = "99980402572c9c73c83a713bd5d094ff7386262d9b611136f2e7c4ddf59b8fcf"
