@@ -13,13 +13,13 @@ The one rule for fixed n-sets lives here (CONFIGURATIONS): an element of
 order m fixes an n-set S when S holds j of its fixed points and the other
 n - j points form (n - j)/m free m-cycles, counted by `free_count`;
 `twist_sign` says whether both twists of S are fixed (+1) or neither (-1).
-The fixed counts, the Burnside pass `_burnside` (hyp from its +1 parts,
-sd from its -1 parts, both at once in `census_report`),
-`multiplier.epsilon_closed_forms` and the counts/quot suites read it.  The
-pass visits only subtypes that can fix an n-set, with phi(m) from
-`_divisor_phis`, the one routine that lists divisors with their phi (also
-behind `divisors` and `symbolic`'s modulus tables).  Nothing here is
-memoized across calls.  a0/a1/a2 count n-sets weighted by the sign
+The fixed counts, the Burnside pass `_burnside` (one twist sign a pass,
+whose free counts alone are computed: +1 for hyp, -1 for sd, both for
+`census_report`), `multiplier.epsilon_closed_forms` and the counts/quot
+suites read it.  The pass visits only subtypes that can fix an n-set,
+with phi(m) from `_divisor_phis`, the one routine that lists divisors with
+their phi (also behind `divisors` and `symbolic`'s modulus tables).
+Nothing here is memoized across calls.  a0/a1/a2 count n-sets weighted by the sign
 character for the element kinds of order dividing q+1, order p and order
 dividing q-1; a_p1 counts rational n-sets.
 """
@@ -197,14 +197,18 @@ def twist_sign(q: int, kind: str, m: int, j: int, k: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _fixed_pieces(q: int, n: int, kind: str, m: int, rows) -> list[tuple[int, int, int]]:
+def _fixed_pieces(q: int, n: int, kind: str, m: int, rows,
+                  signs=(1, -1)) -> list[tuple[int, int, int]]:
     """(j, count, twist sign) of the n-sets one element of the subtype fixes,
-    per row (j, ways) of its kind with m | n - j; no argument checks."""
+    per row (j, ways) of its kind with m | n - j whose sign is in signs; the
+    count is computed only for those.  No argument checks."""
     out = []
     for j, ways in rows:
         if (n - j) % m == 0:
             k = (n - j) // m
-            out.append((j, ways * free_count(q, kind, k), twist_sign(q, kind, m, j, k)))
+            sign = twist_sign(q, kind, m, j, k)
+            if sign in signs:
+                out.append((j, ways * free_count(q, kind, k), sign))
     return out
 
 
@@ -226,8 +230,8 @@ def twisted_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"twisted fixed counts need even n >= 4, got {n}")
     _check_order(q, kind, m)
-    pieces = _fixed_pieces(q, n, kind, m, dict(CONFIGURATIONS)[kind])
-    return 2 * sum(count for _, count, sign in pieces if sign > 0)
+    pieces = _fixed_pieces(q, n, kind, m, dict(CONFIGURATIONS)[kind], (1,))
+    return 2 * sum(count for _, count, _ in pieces)
 
 
 def _validate(g: int, q: int) -> tuple[int, int]:
@@ -260,12 +264,13 @@ def class_size(q: int, kind: str, m: int) -> int:
     return _class_size(q, kind, phi(m))
 
 
-def _burnside(q: int, p: int, n: int) -> dict[str, tuple[int, int]]:
+def _burnside(q: int, p: int, n: int, sign: int) -> dict[str, int]:
     """Per kind, the sum over the nonidentity subtypes of PGL2(F_q), q a
-    power of p, of class size times the n-sets one element fixes, split
-    into its twist sign +1 and -1 parts.  Only the orders m > 1 dividing
-    gcd(t, n - j) for a configuration j can fix an n-set, t = q - 1 (C),
-    p (B) or q + 1 (A): those gcds (at most n) are factored, not q +- 1.
+    power of p, of class size times the n-sets one element fixes with the
+    given twist sign (kind B has none of sign -1).  Only the orders m > 1
+    dividing gcd(t, n - j) for a configuration j can fix an n-set,
+    t = q - 1 (C), p (B) or q + 1 (A): those gcds (at most n) are
+    factored, not q +- 1.
     """
     sums = {}
     for (kind, rows), t in zip(CONFIGURATIONS, (q - 1, p, q + 1)):
@@ -274,24 +279,21 @@ def _burnside(q: int, p: int, n: int) -> dict[str, tuple[int, int]]:
             d = gcd(t, n - j)
             orders.update(_divisor_phis(d, _prime_factors(d)))
         del orders[1]
-        parts = [0, 0]  # twist sign +1, -1
-        for m, phi_m in orders.items():
-            size = _class_size(q, kind, phi_m)
-            for _, count, sign in _fixed_pieces(q, n, kind, m, rows):
-                parts[sign < 0] += size * count
-        sums[kind] = tuple(parts)
+        sums[kind] = sum(_class_size(q, kind, phi_m) * count
+                         for m, phi_m in orders.items()
+                         for _, count, _ in _fixed_pieces(q, n, kind, m, rows, (sign,)))
     return sums
 
 
-def _hyp_parts(q: int, n: int, sums) -> tuple[int, int, int, int]:
+def _hyp_parts(q: int, n: int, plus) -> tuple[int, int, int, int]:
     # both twists of a fixed n-set of sign +1 are fixed, neither of sign -1
     order = q**3 - q
-    h_a, h_b, h_c = (_exact_div(2 * sums[kind][0], order) for kind in "ABC")
+    h_a, h_b, h_c = (_exact_div(2 * plus[kind], order) for kind in "ABC")
     return h_a, h_b, h_c, _exact_div(2 * a_p1(n, q), order)
 
 
-def _sd(q: int, sums) -> int:
-    return _exact_div(2 * sum(minus for _, minus in sums.values()), q**3 - q)
+def _sd(q: int, minus) -> int:
+    return _exact_div(2 * sum(minus.values()), q**3 - q)
 
 
 def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
@@ -304,7 +306,7 @@ def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
     """
     p, _ = _validate(g, q)
     n = 2 * g + 2
-    return _hyp_parts(q, n, _burnside(q, p, n))
+    return _hyp_parts(q, n, _burnside(q, p, n, 1))
 
 
 def hyp(g: int, q: int) -> int:
@@ -325,7 +327,7 @@ def sd(g: int, q: int) -> int:
     have none.
     """
     p, _ = _validate(g, q)
-    return _sd(q, _burnside(q, p, 2 * g + 2))
+    return _sd(q, _burnside(q, p, 2 * g + 2, -1))
 
 
 @dataclass(frozen=True)
@@ -364,12 +366,12 @@ class CensusReport:
 
 
 def census_report(g: int, q: int) -> CensusReport:
-    """hyp, its components, sd and y at (g, q) from one Burnside pass."""
+    """hyp, its components, sd and y at (g, q) from one Burnside pass per
+    twist sign."""
     p, e = _validate(g, q)
     n = 2 * g + 2
-    sums = _burnside(q, p, n)
-    parts = _hyp_parts(q, n, sums)
-    h, s = sum(parts), _sd(q, sums)
+    parts = _hyp_parts(q, n, _burnside(q, p, n, 1))
+    h, s = sum(parts), _sd(q, _burnside(q, p, n, -1))
     if (h + s) % 2 != 0:
         raise VerificationError(f"hyp + sd = {h + s} is odd at g={g}, q={q}")
     return CensusReport(g, q, p, e, h, s, (h + s) // 2, *parts)

@@ -16,13 +16,7 @@ import sys
 
 from . import census, oracle, tables
 from .census import is_prime
-from .symbolic import (
-    ConditionalPolynomial,
-    cp_to_json_dict,
-    render,
-    symbolic_hyp,
-    symbolic_sd,
-)
+from .symbolic import cp_to_json_dict, render, symbolic_hyp, symbolic_sd
 
 FORMATS = ("text", "json", "csv", "markdown")
 
@@ -57,17 +51,23 @@ def _resolve_qs(args) -> list[int]:
     raise ValueError("missing --q or --p")
 
 
-def _print_markdown(headers: list[str], rows: list[list[str]]) -> None:
-    print("| " + " | ".join(headers) + " |")
-    print("|" + "|".join(" --- " for _ in headers) + "|")
-    for row in rows:
-        print("| " + " | ".join(row) + " |")
-
-
-def _print_csv(headers: list[str], rows: list[list[str]]) -> None:
-    w = csv.writer(sys.stdout)
-    w.writerow(headers)
-    w.writerows(rows)
+def _emit(fmt: str, payload: dict, headers: list[str], rows: list[list[str]], line) -> None:
+    """Print payload as JSON, or rows as csv, as a markdown table or as
+    one line(*row) each."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        w = csv.writer(sys.stdout)
+        w.writerow(headers)
+        w.writerows(rows)
+    elif fmt == "markdown":
+        print("| " + " | ".join(headers) + " |")
+        print("|" + "|".join(" --- " for _ in headers) + "|")
+        for row in rows:
+            print("| " + " | ".join(row) + " |")
+    else:
+        for row in rows:
+            print(line(*row))
 
 
 def cmd_counts(args, which: str) -> int:
@@ -79,24 +79,20 @@ def cmd_counts(args, which: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports.sort(key=lambda r: (r.g, r.q))
-    if args.format == "json":
-        print(json.dumps({"command": which,
-                          "results": [r.to_json_dict() for r in reports]}, indent=2))
-        return 0
-    rows = [[str(r.g), str(r.q), str(getattr(r, which))] for r in reports]
-    headers = ["g", "q", which]
-    if args.format == "csv":
-        _print_csv(headers, rows)
-    elif args.format == "markdown":
-        _print_markdown(headers, rows)
-    else:
-        for g, q, v in rows:
-            print(f"g={g} q={q} {which}={v}")
+    _emit(args.format, {"command": which, "results": [r.to_json_dict() for r in reports]},
+          ["g", "q", which], [[str(r.g), str(r.q), str(getattr(r, which))] for r in reports],
+          lambda g, q, v: f"g={g} q={q} {which}={v}")
     return 0
 
 
-def _symbolic_for(which: str, g: int) -> ConditionalPolynomial:
-    return symbolic_hyp(g) if which == "hyp" else symbolic_sd(g)
+def _emit_forms(args, gs: list[int], line, **extra) -> None:
+    """Print the symbolic forms of args.which at the genera gs; extra goes
+    into the JSON payload after the rows."""
+    which = args.which
+    forms = [(g, symbolic_hyp(g) if which == "hyp" else symbolic_sd(g)) for g in gs]
+    payload = {"command": args.command, "which": which,
+               "rows": [{"g": g, "form": cp_to_json_dict(cp)} for g, cp in forms], **extra}
+    _emit(args.format, payload, ["g", which], [[str(g), render(cp)] for g, cp in forms], line)
 
 
 def cmd_table(args) -> int:
@@ -109,72 +105,35 @@ def cmd_table(args) -> int:
     if bad:
         print(f"error: no reference rows for genus {bad}", file=sys.stderr)
         return 2
-    which = args.which
-    forms = [(g, _symbolic_for(which, g)) for g in gs]
-    if args.format == "json":
-        payload = {
-            "command": "table",
-            "which": which,
-            "rows": [{"g": g, "form": cp_to_json_dict(cp)} for g, cp in forms],
+    extra, diffs = {}, {}
+    if args.compare_paper:
+        compare = (tables.compare_hyp_with_formula if args.which == "hyp"
+                   else tables.compare_sd_with_formula)
+        diffs = {g: compare(g) for g in gs}
+        extra["discrepancies"] = {
+            g: [{"q": q, "row": str(tv), "formula": str(fv)} for q, tv, fv in rows]
+            for g, rows in diffs.items()
         }
-        if args.compare_paper:
-            payload["discrepancies"] = {
-                g: [
-                    {"q": q, "row": str(tv), "formula": str(fv)}
-                    for q, tv, fv in _compare(which, g)
-                ]
-                for g in gs
-            }
-        print(json.dumps(payload, indent=2))
+    _emit_forms(args, gs, lambda g, form: f"g={g}: {form}", **extra)
+    if args.format == "json":
         return 0
-    rows = [[str(g), render(cp)] for g, cp in forms]
-    if args.format == "csv":
-        _print_csv(["g", which], rows)
-    elif args.format == "markdown":
-        _print_markdown(["g", which], rows)
-    else:
-        for g, form in rows:
-            print(f"g={g}: {form}")
-    if args.compare_paper and args.format != "json":
-        for g in gs:
-            diffs = _compare(which, g)
-            if not diffs:
-                print(f"# g={g}: reference row matches the formula at all q <= 499")
-                continue
-            print(f"# g={g}: reference row differs at {len(diffs)} prime powers")
-            for q, tv, fv in diffs:
-                print(f"#   q={q}: row={tv} formula={fv} (delta {tv - fv})")
+    for g, rows in diffs.items():
+        if not rows:
+            print(f"# g={g}: reference row matches the formula at all q <= 499")
+            continue
+        print(f"# g={g}: reference row differs at {len(rows)} prime powers")
+        for q, tv, fv in rows:
+            print(f"#   q={q}: row={tv} formula={fv} (delta {tv - fv})")
     return 0
-
-
-def _compare(which: str, g: int):
-    if which == "hyp":
-        return tables.compare_hyp_with_formula(g)
-    return tables.compare_sd_with_formula(g)
 
 
 def cmd_symbolic(args) -> int:
     try:
         gs = _parse_genus_range(args.g)
-        forms = [(g, _symbolic_for(args.which, g)) for g in gs]
+        _emit_forms(args, gs, lambda g, form: f"{args.which}({g}) = {form}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps({
-            "command": "symbolic",
-            "which": args.which,
-            "rows": [{"g": g, "form": cp_to_json_dict(cp)} for g, cp in forms],
-        }, indent=2))
-        return 0
-    rows = [[str(g), render(cp)] for g, cp in forms]
-    if args.format == "csv":
-        _print_csv(["g", args.which], rows)
-    elif args.format == "markdown":
-        _print_markdown(["g", args.which], rows)
-    else:
-        for g, form in rows:
-            print(f"{args.which}({g}) = {form}")
     return 0
 
 

@@ -27,6 +27,17 @@ squarefree sieve read it, so no other module branches on the field kind.
 
 Polynomials over a field are tuples of element codes in ascending degree
 order with no trailing zeros; the empty tuple is the zero polynomial.
+pmul, pmod, pgcd and peval are the one polynomial arithmetic over F_q,
+and the fields are built with it.  make_field takes the first monic
+irreducible of degree e whose lower coefficients are the base-p digits
+of 0, 1, 2, ..., tested by Ben-Or: gcd(x^(p^i) - x, f) = 1 over F_p for
+i <= e / 2.  extend(base, d) sends the power-basis generator of base to
+the least root of base.modulus in the extension (found with peval, since
+the codes 0..p-1 are the prime field in every field) and each base code
+to its digits evaluated there.  _poly_mulmod_p, the digit-vector product
+mod a monic modulus over F_p, keeps the two jobs that come before any
+table exists: Ben-Or's p-th powers of x mod a candidate modulus, and the
+powers that bootstrap the log tables (with _mul_raw, its one-product view).
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import VerificationError, _prime_factors, is_prime
+from .census import VerificationError, is_prime
 
 
 class _Logs(NamedTuple):
@@ -116,59 +127,19 @@ def _poly_mulmod_p(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> 
 
 
 def _irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Checks x^(p^e) == x mod f together with gcd(x^(p^(e/l)) - x, f) = 1
-    for every prime l dividing e.
-    """
+    """Ben-Or's test: a monic f of degree e is irreducible over F_p exactly
+    when gcd(x^(p^i) - x, f) = 1 for every 1 <= i <= e // 2."""
     e = len(coeffs) - 1
-    if e == 1:
-        return True
-
-    def powx(k: int) -> list[int]:
-        # x^(p^k) mod coeffs via repeated p-th powers
-        cur = [0, 1] + [0] * (e - 2) if e >= 2 else [0]
-        for _ in range(k):
-            acc = [1] + [0] * (e - 1)
-            base = cur
-            n = p
-            while n:
-                if n & 1:
-                    acc = _poly_mulmod_p(acc, base, coeffs, p)
-                base = _poly_mulmod_p(base, base, coeffs, p)
-                n >>= 1
-            cur = acc
-        return cur
-
-    xq = powx(e)
-    if xq != [0, 1] + [0] * (e - 2):
-        return False
-    for ell in _prime_factors(e):
-        h = powx(e // ell)
-        h = [(hv - (1 if i == 1 else 0)) % p for i, hv in enumerate(h)]
-        # gcd(h, coeffs) over F_p; coeffs is irreducible iff gcd is 1
-        a = [c % p for c in coeffs]
-        b = list(h)
-        while any(b):
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            lead = b[-1]
-            linv = pow(lead, p - 2, p)
-            while len(a) >= len(b) and any(a):
-                while a and a[-1] == 0:
-                    a.pop()
-                if len(a) < len(b):
-                    break
-                f = a[-1] * linv % p
-                off = len(a) - len(b)
-                for i, bv in enumerate(b):
-                    a[off + i] = (a[off + i] - f * bv) % p
-            a, b = b, a
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) != 1:
+    h = [0, 1] + [0] * (e - 2)  # x^(p^i) mod f, one p-th power at a time
+    for _ in range(e // 2):
+        acc, base, k = [1] + [0] * (e - 1), h, p
+        while k:
+            if k & 1:
+                acc = _poly_mulmod_p(acc, base, coeffs, p)
+            base = _poly_mulmod_p(base, base, coeffs, p)
+            k >>= 1
+        h = acc
+        if len(pgcd(make_field(p, 1), [(c - (i == 1)) % p for i, c in enumerate(h)], coeffs)) != 1:
             return False
     return True
 
@@ -188,23 +159,13 @@ def make_field(p: int, e: int) -> FieldCtx:
         raise ValueError(f"p must be an odd prime, got {p}")
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
-    if e == 1:
-        ctx = FieldCtx(p, 1, p, (0, 1))
+    for code in range(p**e):
+        coeffs = tuple(code // p**i % p for i in range(e)) + (1,)
+        if _irreducible(p, coeffs):
+            break
     else:
-        ctx = None
-        for code in range(p**e):
-            lower = []
-            c = code
-            for _ in range(e):
-                c, r = divmod(c, p)
-                lower.append(r)
-            coeffs = tuple(lower) + (1,)
-            if _irreducible(p, coeffs):
-                ctx = FieldCtx(p, e, p**e, coeffs)
-                break
-        if ctx is None:
-            raise VerificationError(f"no monic irreducible of degree {e} over F_{p}")
-    _FIELD_CACHE[key] = ctx
+        raise VerificationError(f"no monic irreducible of degree {e} over F_{p}")
+    ctx = _FIELD_CACHE[key] = FieldCtx(p, e, p**e, coeffs)
     return ctx
 
 
@@ -390,29 +351,12 @@ def extend(base: FieldCtx, d: int) -> tuple[FieldCtx, tuple[int, ...]]:
     if hit is not None:
         return hit
     ext = make_field(base.p, base.e * d)
-    if base.e == 1:
-        emb = tuple(range(base.q))
-    else:
-        root = None
-        for cand in range(ext.q):
-            acc = 0
-            for c in reversed(base.modulus):
-                acc = add(ext, mul(ext, acc, cand), c)
-            if acc == 0:
-                root = cand
-                break
-        if root is None:
-            raise VerificationError(f"modulus {base.modulus} must split in F_{ext.q}")
-        emb_list = []
-        for x in range(base.q):
-            img = 0
-            rp = 1
-            for dgt in to_digits(base, x):
-                if dgt:
-                    img = add(ext, img, mul(ext, dgt, rp))
-                rp = mul(ext, rp, root)
-            emb_list.append(img)
-        emb = tuple(emb_list)
+    # the codes 0..p-1 are the prime field in every field, so base.modulus
+    # reads as a polynomial over ext
+    root = next((t for t in range(ext.q) if peval(ext, base.modulus, t) == 0), None)
+    if root is None:
+        raise VerificationError(f"modulus {base.modulus} must split in F_{ext.q}")
+    emb = tuple(peval(ext, to_digits(base, x), root) for x in range(base.q))
     _EXT_CACHE[key] = (ext, emb)
     return ext, emb
 

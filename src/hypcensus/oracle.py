@@ -461,13 +461,7 @@ def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
     row[k] = xm[n - k][c], since column k holds the x^(n - k) coefficient.
     """
     ctx, n = st.ctx, st.n
-    xm = [(1, 0), (0, 1)]  # x^j mod mu as ascending pairs
-    for _ in range(2, n + 1):
-        r0, r1 = xm[-1]
-        xm.append((
-            ff.mul(ctx, r1, ff.neg(ctx, mu[0])),
-            ff.add(ctx, r0, ff.mul(ctx, r1, ff.neg(ctx, mu[1]))),
-        ))
+    xm = [ff.pmod(ctx, (0,) * j + (1,), mu) + (0, 0) for j in range(n + 1)]
     rem0, rem1 = (st._image_col(slice(None), [xm[n - k][c] for k in range(n + 1)])
                   for c in (0, 1))
     return (rem0 == 0) & (rem1 == 0)

@@ -1,6 +1,7 @@
 """Exit codes and output formats of the command line front end."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -14,13 +15,50 @@ from hypcensus import census
 from hypcensus import field as ff
 from hypcensus import moebius as mo
 from hypcensus import oracle as oc
-from hypcensus.cli import main
+from hypcensus.cli import FORMATS, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# sha256 of (argv, exit code, stdout, stderr) for each case below in every
+# --format, error exits included
+CLI_GOLDEN_DIGEST = "415c6207f062931e463a1ae6e024e0a74cff76969451d9f6ce7bbe9839cd0e29"
+GOLDEN_ARGV = (
+    ("hyp", "--g", "2..3", "--q", "9,3"),
+    ("hyp", "--g", "2", "--p", "3", "--e", "2"),
+    ("hyp", "--g", "2", "--q", "4"),
+    ("hyp", "--g", "1", "--q", "3"),
+    ("sd", "--g", "2..3", "--q", "9,3"),
+    ("sd", "--g", "3", "--p", "5"),
+    ("sd", "--g", "2", "--q", "abc"),
+    ("sd", "--g", "1", "--q", "3"),
+    ("table", "--g", "2..3"),
+    ("table", "--g", "8..9", "--compare-paper"),
+    ("table", "--g", "2..10", "--which", "sd", "--compare-paper"),
+    ("table", "--g", "2..10", "--which", "hyp", "--compare-paper"),
+    ("table", "--g", "11"),
+    ("symbolic", "--g", "2..3"),
+    ("symbolic", "--g", "2", "--which", "sd"),
+    ("symbolic", "--g", "1"),
+    ("oracle", "--g", "2", "--q", "3,5"),
+    ("oracle", "--g", "2", "--q", "4"),
+    ("verify", "--suite", "norm"),
+    ("verify", "--suite", "counts", "--q", "9"),
+)
+
+
+def test_cli_output_frozen(capsys):
+    cases = []
+    for fmt in FORMATS:
+        for argv in GOLDEN_ARGV:
+            argv = [*argv, "--format", fmt]
+            cases.append([argv, *run(capsys, *argv)])
+    digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+    assert digest == CLI_GOLDEN_DIGEST
 
 
 def test_hyp_json_decimal_strings(capsys):
@@ -305,17 +343,17 @@ def test_component_checks_survive_python_O():
 
 
 def test_census_checks_survive_python_O():
-    # an sd one too large (half the group order more in the twist sign -1
-    # part of the one Burnside pass) makes hyp + sd odd; the parity and
+    # an sd one too large (half the group order more in the kind C sum of
+    # the twist sign -1 Burnside pass) makes hyp + sd odd; the parity and
     # exactness checks must still fail with asserts compiled out
     res = _run_optimized(
         "-c",
         "from hypcensus import census, symbolic\n"
         "burnside = census._burnside\n"
-        "def shifted(q, p, n):\n"
-        "    sums = burnside(q, p, n)\n"
-        "    plus, minus = sums['C']\n"
-        "    sums['C'] = (plus, minus + (q**3 - q) // 2)\n"
+        "def shifted(q, p, n, sign):\n"
+        "    sums = burnside(q, p, n, sign)\n"
+        "    if sign < 0:\n"
+        "        sums['C'] += (q**3 - q) // 2\n"
         "    return sums\n"
         "census._burnside = shifted\n"
         "for fn, args in ((census.census_report, (2, 3)), (census.y_nset_classes, (2, 3)),\n"

@@ -1,10 +1,13 @@
 """Field arithmetic unit tests."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
+from hypcensus import census
 from hypcensus import field as ff
 
 
@@ -132,6 +135,57 @@ def test_extend_nonprime_base_is_homomorphism():
             assert emb[ff.mul(base, x, y)] == ff.mul(ext, emb[x], emb[y])
     with pytest.raises(ValueError):
         ff.extend(base, 1)
+
+
+def _divides_mod_p(g, f, p):
+    # g | f over F_p for monic g, by long division on plain ints
+    r = list(f)
+    for off in range(len(f) - len(g), -1, -1):
+        c = r[off + len(g) - 1]
+        for i, b in enumerate(g):
+            r[off + i] = (r[off + i] - c * b) % p
+    return not any(r)
+
+
+def _monic(p, d):
+    # every monic polynomial of degree d over F_p, ascending coefficients
+    for code in range(p**d):
+        yield tuple(code // p**i % p for i in range(d)) + (1,)
+
+
+def test_irreducible_matches_divisor_scan():
+    # reducible exactly when a monic divisor of degree <= e / 2 exists;
+    # 1674 polynomials in all
+    for p, emax in ((3, 5), (5, 4), (7, 3), (11, 2)):
+        for e in range(1, emax + 1):
+            for f in _monic(p, e):
+                reducible = any(_divides_mod_p(g, f, p)
+                                for d in range(1, e // 2 + 1) for g in _monic(p, d))
+                assert ff._irreducible(p, f) == (not reducible), (p, f)
+
+
+# sha256 of the moduli of make_field(p, e) for every odd p <= 23 with
+# p^e <= 3 * 10^5, then (modulus, embedding) of extend(base, d) for the
+# bases and degrees the suites and the engine build: the first monic
+# irreducible in code order and the least root fix every field code
+FIELD_DIGEST = "e0371a5e6e7d2d032afc8e6538e6f047d45fe6c050a58d7973add1110a944f4a"
+EXTENSIONS = (((3, 1), (2, 3, 4)), ((5, 1), (2, 3, 4)), ((7, 1), (2, 3, 4)),
+              ((11, 1), (2, 3)), ((13, 1), (2, 3)), ((3, 2), (2, 3)), ((5, 2), (2,)),
+              ((3, 3), (2,)))
+
+
+def test_field_construction_frozen():
+    rows = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        e = 1
+        while p**e <= 3 * 10**5:
+            rows.append([p, e, list(ff.make_field(p, e).modulus)])
+            e += 1
+    for (p, e), ds in EXTENSIONS:
+        for d in ds:
+            ext, emb = ff.extend(ff.make_field(p, e), d)
+            rows.append([p, e, d, list(ext.modulus), list(emb)])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FIELD_DIGEST
 
 
 def test_frobenius_fixes_base_field():
@@ -264,9 +318,9 @@ def test_dot_matches_scalar_fold(p, e):
 
 
 def test_prime_factors_and_is_prime():
-    assert ff._prime_factors(1) == []
-    assert ff._prime_factors(6560) == [2, 5, 41]
-    assert ff._prime_factors(2401) == [7]
+    assert census._prime_factors(1) == []
+    assert census._prime_factors(6560) == [2, 5, 41]
+    assert census._prime_factors(2401) == [7]
     assert [n for n in range(30) if ff.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
