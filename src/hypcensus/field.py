@@ -9,9 +9,10 @@ hidden context; every operation takes the field context explicitly.
 
 Prime fields compute with plain int arithmetic mod p.  Every other field
 computes by table lookup (Zech logarithms).  On first use (arithmetic over
-an extension field, mult_generator or tables) a context walks the powers
-of 2, 3, ... by digit-vector products, the arithmetic of _mul_raw, until
-one code g reaches all q - 1 units.  From this least generator it keeps
+an extension field, mult_generator or tables) a context takes the least
+code g of order q - 1, the first of 2, 3, ... with g^((q - 1) / l) != 1
+for every prime l dividing q - 1, and walks its powers by digit-vector
+products, the arithmetic of _mul_raw.  From this least generator it keeps
 exp[i] = g^i (stored twice over, so that log x + log y indexes it
 directly), the discrete logarithm log and the Zech logarithm
 zech[k] = log(1 + g^k), which turns addition into
@@ -24,6 +25,8 @@ intp codes skip the index conversion) and powers(ctx, n) the cached
 table of x^e.  dot(ctx, pairs) is the one F_q linear combination,
 sum c x elementwise over code arrays: every PGL2 action on forms and the
 squarefree sieve read it, so no other module branches on the field kind.
+kernels(ctx, a) gives the null spaces of a stack of square matrices by one
+batched Gauss-Jordan elimination over the same tables.
 
 Polynomials over a field are tuples of element codes in ascending degree
 order with no trailing zeros; the empty tuple is the zero polynomial.
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .census import VerificationError, is_prime
+from .census import VerificationError, _prime_factors, is_prime
 
 
 class _Logs(NamedTuple):
@@ -68,18 +71,20 @@ class FieldCtx:
 
     @functools.cached_property
     def _logs(self) -> _Logs:
-        p, one = self.p, [1] + [0] * (self.e - 1)
-        for g in range(2, self.q):  # the first code whose powers reach every unit
-            gen = cur = to_digits(self, g)
-            exp = [1]
-            while cur != one and len(exp) < self.q:
-                exp.append(from_digits(self, cur))
-                cur = _poly_mulmod_p(cur, gen, self.modulus, p)
-            if len(exp) == self.q - 1:
-                break
-        else:
+        p, q, one = self.p, self.q, [1] + [0] * (self.e - 1)
+        # the least code of order q - 1: g^((q - 1) / l) != 1 for each prime l | q - 1
+        cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
+        g = next((g for g in range(2, q)
+                  if all(_poly_powmod_p(to_digits(self, g), k, self.modulus, p) != one
+                         for k in cofactors)), 0)
+        gen = cur = to_digits(self, g)
+        exp = [1]
+        while cur != one and len(exp) < q:
+            exp.append(from_digits(self, cur))
+            cur = _poly_mulmod_p(cur, gen, self.modulus, p)
+        if len(exp) != q - 1:
             raise ValueError(f"no generator of the units: {self.modulus} is reducible")
-        log = [-1] * self.q
+        log = [-1] * q
         for i, x in enumerate(exp):
             log[x] = i
         # 1 + x raises the constant digit of x by one
@@ -126,19 +131,24 @@ def _poly_mulmod_p(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> 
     return out
 
 
+def _poly_powmod_p(a: list[int], k: int, mod: tuple[int, ...], p: int) -> list[int]:
+    # a^k mod the monic modulus by square-and-multiply, k >= 0
+    acc = [1] + [0] * (len(mod) - 2)
+    while k:
+        if k & 1:
+            acc = _poly_mulmod_p(acc, a, mod, p)
+        a = _poly_mulmod_p(a, a, mod, p)
+        k >>= 1
+    return acc
+
+
 def _irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     """Ben-Or's test: a monic f of degree e is irreducible over F_p exactly
     when gcd(x^(p^i) - x, f) = 1 for every 1 <= i <= e // 2."""
     e = len(coeffs) - 1
     h = [0, 1] + [0] * (e - 2)  # x^(p^i) mod f, one p-th power at a time
     for _ in range(e // 2):
-        acc, base, k = [1] + [0] * (e - 1), h, p
-        while k:
-            if k & 1:
-                acc = _poly_mulmod_p(acc, base, coeffs, p)
-            base = _poly_mulmod_p(base, base, coeffs, p)
-            k >>= 1
-        h = acc
+        h = _poly_powmod_p(h, p, coeffs, p)
         if len(pgcd(make_field(p, 1), [(c - (i == 1)) % p for i, c in enumerate(h)], coeffs)) != 1:
             return False
     return True
@@ -334,6 +344,58 @@ def dot(ctx: FieldCtx, pairs) -> np.ndarray:
                 else mul.take(np.multiply(c, q, dtype=np.int32) + x))
         acc = term if acc is None else add.take(np.multiply(acc, q, dtype=np.int32) + term)
     return acc
+
+
+def kernels(ctx: FieldCtx, a) -> tuple[np.ndarray, np.ndarray]:
+    """Null spaces of a stack of square matrices of codes (..., m, m), by
+    one Gauss-Jordan elimination of the whole stack (_eliminate, a column
+    at a time) to reduced row echelon form R.
+
+    Returns (basis, free), intp codes (..., m, m) and a mask (..., m).
+    free marks the columns of R without a pivot; for each free column j,
+    basis[..., j, :] is the kernel vector with 1 at j, 0 at the other free
+    columns and -R[i, j] at the pivot column of row i.  The rows at pivot
+    columns are zero, so the free rows are a basis of the kernel and its
+    dimension is free.sum(-1); the coordinates of a kernel vector in that
+    basis are its entries at the free columns.
+    """
+    a = np.array(a, np.intp)
+    shape, m = a.shape[:-2], a.shape[-1]
+    r = a.reshape(-1, m, m)
+    rank = np.zeros(len(r), np.intp)
+    pivot_col = np.zeros((len(r), m), np.intp)  # of rows 0 .. rank - 1
+    free = np.empty((len(r), m), bool)
+    for c in range(m):
+        free[:, c] = ~_eliminate(ctx, r, rank, pivot_col, c)
+    basis = np.zeros_like(r)
+    basis[:, np.arange(m), np.arange(m)] = free
+    mat, row = np.nonzero(np.arange(m) < rank[:, None])
+    basis[mat, :, pivot_col[mat, row]] = np.where(free[mat], dot(ctx, [(ctx.p - 1, r[mat, row])]), 0)
+    return basis.reshape(a.shape), free.reshape(*shape, m)
+
+
+def _eliminate(ctx: FieldCtx, r, rank, pivot_col, c: int) -> np.ndarray:
+    """One Gauss-Jordan step on column c of the stack r (k, m, m), in
+    place: in each matrix with a nonzero entry in column c at or below row
+    rank, the first such row is swapped to row rank and scaled to a leading
+    1, column c is cleared in every other row, and rank grows by one.
+    Returns the mask of the matrices that took a pivot."""
+    m = r.shape[-1]
+    cand = (r[:, :, c] != 0) & (np.arange(m) >= rank[:, None])
+    took = cand.any(1)
+    sel = np.flatnonzero(took)
+    at, k = np.arange(len(sel)), rank[sel]
+    rows = r[sel]
+    piv = cand[sel].argmax(1)
+    top = rows[at, piv]
+    rows[at, piv] = rows[at, k]
+    rows[at, k] = top = dot(ctx, [(tables(ctx).INV[top[:, c, None]], top)])
+    factor = dot(ctx, [(ctx.p - 1, rows[:, :, c])])  # minus the entry of column c
+    factor[at, k] = 0
+    r[sel] = dot(ctx, ((1, rows), (factor[:, :, None], top[:, None, :])))
+    pivot_col[sel, k] = c
+    rank[sel] += 1
+    return took
 
 
 def extend(base: FieldCtx, d: int) -> tuple[FieldCtx, tuple[int, ...]]:

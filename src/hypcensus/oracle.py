@@ -4,11 +4,14 @@ Every rational n-set is a canonical binary-form coefficient row; a 2x2
 matrix acts on all rows at once, a column of exact int codes at a time
 (ActionState._image_col, one field.dot over the columns of V).  The two
 counts read different primitives.  The orbit census labels the graph of
-the three generators' row permutations (dest_flip).  Burnside tests
-which rows one representative of each of the q + 2 conjugacy classes of
-PGL2 (moebius.class_key) stabilizes (kappa_stable) and weights them by
-class size; it reads dest_flip only to cross-check the generators' fixed
-rows.  Nothing reuses the closed formulas: agreement with census.hyp /
+the three generators' row permutations (dest_flip).  Burnside reads the
+rows that one representative of each of the q + 2 conjugacy classes of
+PGL2 (moebius.class_key) fixes off the eigenspaces of its substitution
+matrix, and weights them by class size.  ActionState.fixed_rows finds
+those eigenspaces for a whole stack of matrices with one field.kernels
+call and looks their normalized vectors up as rows, so it never scans V;
+Burnside reads dest_flip only to cross-check the generators' fixed rows.
+Nothing reuses the closed formulas: agreement with census.hyp /
 census.sd is the independent evidence.
 
 The twisted census tracks pairs (twist class, n-set); an edge flips the
@@ -22,8 +25,10 @@ Frobenius on the points of P^1 over each extension.
 The suites that read twist signs (eps, cocycle, points) take them in bulk
 from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
 views of the per-pair sweep and closed form, which stay as references.
-The counts and quot suites read the census rule for fixed n-sets: rows
-off an element's fixed locus (_off_fixed_locus) against free_count.
+The suites that need fixed n-sets (eps, counts, cocycle, quot) read them
+from one fixed_rows call per ActionState.  The counts and quot suites
+check them against the census rule for fixed n-sets: rows off an
+element's fixed locus (_off_fixed_locus) against free_count.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -197,40 +202,75 @@ class ActionState:
             g[:, i] = self._image_col(slice(None), trow)
         return g
 
-    def kappa_stable(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row leading scalar kappa at the source block position plus
-        the mask of rows fixed setwise (image form = kappa times own form).
+    def fixed_rows(self, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(element, row, kappa) of every row fixed setwise by a matrix of
+        the stack mats (entry codes (k, 4)), sorted by element and then by
+        row: element indexes mats, and kappa (int16) is the image coefficient
+        at the row's defining position.
 
-        kappa is the image column at the block's defining position (0 for
-        the rows avoiding infinity, 1 for the rest).  The other of columns
-        0 and 1 is tested over the whole block, since contiguous reads beat
-        gathering the many rows with kappa != 0; every later column only on
-        the rows still standing, read by slice until the first row drops
-        out (the identity keeps them all).
+        gamma fixes the n-set of form F with kappa lam exactly when
+        T F = lam F, T = nset.substitution_matrices(gamma), so the fixed
+        forms are the squarefree vectors of the eigenspaces ker(T - lam I),
+        lam in F_q*.  One field.kernels call finds them for every (element,
+        lam), and each basis vector is checked to satisfy T v = lam v.  A
+        kernel's q^dim vectors are field.dot sums over the digits of their
+        coordinates, at most count vectors a chunk; the one multiple of a
+        form with F[0] = 1, or F[0] = 0 and F[1] = 1, is looked up in
+        _row_of, where -1 marks a form that is not squarefree.  T = lam I
+        fixes every row.
         """
-        t = ns.substitution_matrix(self.ctx, mat, self.n)
-        q, mul, v = self.ctx.q, self.tabs.MUL.ravel(), self.V
-        kappa = np.empty(self.count, np.int16)
+        ctx, n, q = self.ctx, self.n, self.ctx.q
+        m = n + 1
+        mats = np.asarray(mats, np.intp).reshape(-1, 4)
+        t = ns.substitution_matrices(ctx, mats, n)
+        lam = np.arange(1, q)
+        diag = np.arange(m)
+        a = np.repeat(t[:, None], q - 1, axis=1)  # [element, lam - 1] = T - lam I
+        a[..., diag, diag] = ff.dot(ctx, ((1, a[..., diag, diag]), (ctx.p - 1, lam[:, None])))
+        basis, free = ff.kernels(ctx, a)
+        residue = ff.dot(ctx, ((a[..., None, :, k], basis[..., :, None, k]) for k in range(m)))
+        bad = np.argwhere(free & residue.any(-1))
+        if len(bad):
+            e, l, j = bad[0]
+            _check(False, "fixed_rows: T v == lam v on every kernel basis vector",
+                   q, n, mb.GlMatrix(*mats[e].tolist()), int(lam[l]), basis[e, l, j].tolist())
+        dim = free.sum(-1)
+        found = []
+        for e, l in np.argwhere(dim == m):
+            found.append((np.full(self.count, e), np.arange(self.count), np.full(self.count, lam[l])))
+        weight = q ** np.arange(n - 1, -1, -1)  # of the form columns 1 .. n
+        for d in range(1, m):
+            which = np.argwhere(dim == d)
+            if not len(which):
+                continue
+            kern = basis[free & (dim == d)[..., None]].reshape(-1, d, m)
+            coords = [_digits(q, d, j, np.intp) for j in range(d)]
+            step = max(1, self.count // q**d)
+            for lo in range(0, len(kern), step):
+                part = kern[lo : lo + step]
+                f0, f1 = (ff.dot(ctx, ((coords[j], part[:, j, i, None]) for j in range(d)))
+                          for i in (0, 1))
+                k, c = np.nonzero((f0 == 1) | ((f0 == 0) & (f1 == 1)))
+                code = ff.dot(ctx, ((coords[j][c], part[k, j, 1:].T) for j in range(d))).T @ weight
+                code += np.where(f0[k, c] == 0, q**n - q ** (n - 1), 0)
+                row = self._row_of[code]
+                keep = row >= 0
+                e, l = which[lo + k[keep]].T
+                found.append((e, row[keep], lam[l]))
+        if not found:
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.int16)
+        elem, rows, kappa = (np.concatenate(x) for x in zip(*found))
+        order = np.lexsort((rows, elem))
+        return elem[order], rows[order].astype(np.intp), kappa[order].astype(np.int16)
+
+    def kappa_stable(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """fixed_rows of the one matrix as per-row arrays: kappa (int16, 0
+        off the stable rows) and the mask of the rows fixed setwise."""
+        _, rows, kap = self.fixed_rows(mb.mat_codes([mat]))
+        kappa = np.zeros(self.count, np.int16)
+        kappa[rows] = kap
         stable = np.zeros(self.count, bool)
-
-        def times_kappa(rows, i):  # kappa times column i of V on the rows
-            return mul.take(np.multiply(kappa[rows], q, dtype=np.int32) + v[rows, i])
-
-        for lead, block in ((0, slice(0, self.n0)), (1, slice(self.n0, self.count))):
-            kap = self._image_col(block, t[lead])
-            kappa[block] = kap
-            other = 1 - lead
-            ok = (kap != 0) & (self._image_col(block, t[other]) == times_kappa(block, other))
-            live = block  # a slice while every row of the block stands
-            for i in range(2, self.n + 1):
-                if not ok.all():
-                    live = (live[ok] if isinstance(live, np.ndarray)
-                            else np.flatnonzero(ok) + block.start)
-                    if not len(live):
-                        break
-                ok = self._image_col(live, t[i]) == times_kappa(live, i)
-            else:  # no break: ok tests the last column on the live rows
-                stable[live] = ok
+        stable[rows] = True
         return kappa, stable
 
     def dest_flip(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -297,26 +337,34 @@ def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
 
     An element fixes both twisted pairs over an n-set it stabilizes with
     chi(kappa) = 1 and neither otherwise.  That count is a class function
-    (conjugation moves the stable rows and keeps the sign), so one
-    kappa_stable call per class, weighted by the class size, does the sum.
-    The generators stand for their own classes, and their stable rows are
-    checked against the row permutations the orbit census reads.
+    (conjugation moves the stable rows and keeps the sign), so the fixed
+    rows of one representative per class, weighted by the class size, do
+    the sum.  The generators stand for their own classes, and their fixed
+    rows are checked against the row permutations the orbit census reads;
+    one fixed_rows call serves the generators and the other classes.
     """
     check_budget(g, q, budget)
     ctx = ff.make_field(*factor_prime_power(q))
     st = ActionState(ctx, 2 * g + 2)
     chi = st.tabs.CHI
-    tested = {}
-    for mat in _generators(ctx):  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
-        kappa, stable = st.kappa_stable(mat)
+    gens = _generators(ctx)
+    mats, index = list(gens), {}  # class key -> position of its representative in mats
+    for i, mat in enumerate(gens):
+        index.setdefault(mb.class_key(ctx, mat), i)
+    classes = _conjugacy_classes(ctx)
+    for key, (rep, _) in classes.items():
+        if key not in index:
+            index[key] = len(mats)
+            mats.append(rep)
+    elem, rows, kappa = st.fixed_rows(mb.mat_codes(mats))
+    for i, mat in enumerate(gens):  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
+        mine = elem == i
         dest, flip = st.dest_flip(mat)
-        _check(np.array_equal(dest == np.arange(st.count), stable), "fixed rows", mat)
-        _check(np.array_equal(flip[stable], chi[kappa[stable]] < 0), "flip", mat)
-        tested.setdefault(mb.class_key(ctx, mat), (kappa, stable))
-    total = 0
-    for key, (rep, size) in _conjugacy_classes(ctx).items():
-        kappa, stable = tested[key] if key in tested else st.kappa_stable(rep)
-        total += size * 2 * int(np.count_nonzero(chi[kappa[stable]] == 1))
+        _check(np.array_equal(np.flatnonzero(dest == np.arange(st.count)), rows[mine]),
+               "fixed rows", mat)
+        _check(np.array_equal(flip[rows[mine]], chi[kappa[mine]] < 0), "flip", mat)
+    fixed = np.bincount(elem[chi[kappa] == 1], minlength=len(mats))
+    total = sum(size * 2 * int(fixed[index[key]]) for key, (_, size) in classes.items())
     order = q**3 - q
     _check(total % order == 0, "fixed-pair total divisible by |PGL2|", g, q, total)
     return total // order
@@ -491,27 +539,24 @@ def _fixed_pair_quadratic(elem: mb.MoebiusElem, ctx: ff.FieldCtx):
 def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """Every stable pair: engine sign == cocycle sweep == closed form.
 
-    Per (q, n) the sweep signs of all stable (element, row) pairs come from
-    one multiplier.epsilons call, and the closed forms from one
-    epsilon_closed_forms call per element; a mismatch names the first
-    failing pair in element order, then row order.
+    Per (q, n) the stable (element, row) pairs come from one fixed_rows
+    call, their sweep signs from one multiplier.epsilons call, and the
+    closed forms from one epsilon_closed_forms call per element; a mismatch
+    names the first failing pair in element order, then row order.
     """
     checks = 0
     for q in qs:
         ctx = _prime_field("eps", q)
+        elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
+        codes = mb.mat_codes(el.mat for el in elems)
         for n in ns_list:
             st = ActionState(ctx, n)
-            elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
-            pair_elem, rows, engine, closed = [], [], [], []
-            for k, elem in enumerate(elems):
-                kappa, stable = st.kappa_stable(elem.mat)
-                idx = np.flatnonzero(stable)
-                pair_elem.append(np.full(len(idx), k))
-                rows.append(idx)
-                engine.append(st.tabs.CHI[kappa[idx]])
-                closed.append(mult.epsilon_closed_forms(elem, st.V[idx], ctx))
-            pair_elem, rows, e0, e2 = map(np.concatenate, (pair_elem, rows, engine, closed))
-            e1 = mult.epsilons(ctx, mb.mat_codes(el.mat for el in elems)[pair_elem], st.V[rows])
+            pair_elem, rows, kappa = st.fixed_rows(codes)
+            e0 = st.tabs.CHI[kappa]
+            cut = np.searchsorted(pair_elem, np.arange(1, len(elems)))
+            e2 = np.concatenate([mult.epsilon_closed_forms(elem, st.V[idx], ctx)
+                                 for elem, idx in zip(elems, np.split(rows, cut))])
+            e1 = mult.epsilons(ctx, codes[pair_elem], st.V[rows])
             bad = np.flatnonzero((e0 != e1) | (e1 != e2))
             if len(bad):
                 b = bad[0]
@@ -529,6 +574,8 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     for q in qs:
         ctx = _prime_field("counts", q)
         mu = ff.make_field(q, 2).modulus
+        kinds = subtypes(q)
+        reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
         for n in range(1, nmax + 1):
             st = ActionState(ctx, n)
             # the line, then the affine line, the torus and the line minus
@@ -541,33 +588,35 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
             checks += 4
             if n < 3:
                 continue
-            for kind, m in subtypes(q):
-                elem, _ = mb.subtype_representative(ctx, kind, m)
-                kappa, stable = st.kappa_stable(elem.mat)
-                plain = int(stable.sum())
-                _check(plain == plain_fixed_count(q, n, kind, m), "counts: plain fixed",
-                       q, n, kind, m, plain)
+            plain, twisted = _fixed_tallies(st, reps)
+            for i, (kind, m) in enumerate(kinds):
+                _check(plain[i] == plain_fixed_count(q, n, kind, m), "counts: plain fixed",
+                       q, n, kind, m, plain[i])
                 checks += 1
                 if n % 2 == 0 and n >= 4:
-                    twisted = 2 * int((st.tabs.CHI[kappa[stable]] == 1).sum())
-                    _check(twisted == twisted_fixed_count(q, n, kind, m), "counts: twisted fixed",
-                           q, n, kind, m, twisted)
+                    _check(twisted[i] == twisted_fixed_count(q, n, kind, m),
+                           "counts: twisted fixed", q, n, kind, m, twisted[i])
                     checks += 1
         # fixed tallies depend only on the subtype, not the element
         if q <= 5 and nmax >= 6:
-            st = ActionState(ctx, 6)
+            elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
             tallies: dict[tuple[str, int], set] = {}
-            for elem in mb.enumerate_pgl(ctx):
-                if elem.kind == "identity":
-                    continue
-                kappa, stable = st.kappa_stable(elem.mat)
-                plain = int(stable.sum())
-                twisted = 2 * int((st.tabs.CHI[kappa[stable]] == 1).sum())
-                tallies.setdefault((elem.kind, elem.order), set()).add((plain, twisted))
+            for elem, tally in zip(elems, zip(*_fixed_tallies(ActionState(ctx, 6), elems))):
+                tallies.setdefault((elem.kind, elem.order), set()).add(tally)
             for key, vals in tallies.items():
                 _check(len(vals) == 1, "counts: one tally per subtype", q, key, vals)
                 checks += 1
     return {"suite": "counts", "checks": checks}
+
+
+def _fixed_tallies(st: ActionState, elems) -> tuple[list[int], list[int]]:
+    """Per element (MoebiusElem), from one fixed_rows call: the number of
+    stable rows and twice the number with chi(kappa) = 1, the plain and
+    twisted fixed counts."""
+    elem, _, kappa = st.fixed_rows(mb.mat_codes(el.mat for el in elems))
+    plain = np.bincount(elem, minlength=len(elems))
+    square = np.bincount(elem[st.tabs.CHI[kappa] == 1], minlength=len(elems))
+    return plain.tolist(), (2 * square).tolist()
 
 
 def verify_norm(qs=(3, 5, 7, 9, 11, 13)) -> dict:
@@ -743,10 +792,9 @@ def verify_cocycle(
     for q, n in hom_sampled:
         ctx = ff.make_field(q, 1)
         st = ActionState(ctx, n)
-        rows = []
-        for kind, m in subtypes(q):
-            elem, _ = mb.subtype_representative(ctx, kind, m)
-            rows.extend(np.flatnonzero(st.kappa_stable(elem.mat)[1])[:20].tolist())
+        reps = [mb.subtype_representative(ctx, kind, m)[0].mat for kind, m in subtypes(q)]
+        elem, fixed, _ = st.fixed_rows(mb.mat_codes(reps))
+        rows = [i for k in range(len(reps)) for i in fixed[elem == k][:20].tolist()]
         # every stabilizer at once, and the signs of every (set, member) pair
         row, member = np.nonzero(ns.stabilizer_masks(ctx, st.V[rows]))
         codes = mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx))
@@ -790,24 +838,21 @@ def _sign_homomorphism(ctx: ff.FieldCtx, members: list[int], signs: list[int], *
 
 def _exhaustive_sign_homomorphism(ctx: ff.FieldCtx, n: int) -> int:
     """Multiplicativity of the sign on the stabilizer of every single n-set,
-    read off the engine's stable masks.
+    read off the engine's fixed rows.
 
     The stable memberships (row, element, sign) of every nonidentity
-    element are grouped by row with one sort, and one gather checks every
-    ordered pair of members of each row as _sign_homomorphism does for one
-    set.  A failure names the pair _sign_homomorphism would name first,
-    taking the rows in the order of their first stabilizing element.
+    element, from one fixed_rows call, are grouped by row with one sort,
+    and one gather checks every ordered pair of members of each row as
+    _sign_homomorphism does for one set.  A failure names the pair
+    _sign_homomorphism would name first, taking the rows in the order of
+    their first stabilizing element.
     """
     st = ActionState(ctx, n)
     pgl = mb.enumerate_pgl(ctx)
     table = mb.pgl_table(ctx)
-    found = []
-    for gi, elem in enumerate(pgl):
-        if elem.kind != "identity":
-            kappa, stable = st.kappa_stable(elem.mat)
-            idx = np.flatnonzero(stable)
-            found.append((idx, np.full(len(idx), gi), st.tabs.CHI[kappa[idx]]))
-    rows, elems, signs = (np.concatenate(x) for x in zip(*found))
+    nonid = np.array([gi for gi, elem in enumerate(pgl) if elem.kind != "identity"])
+    at, rows, kappa = st.fixed_rows(mb.mat_codes(pgl[gi].mat for gi in nonid))
+    elems, signs = nonid[at], st.tabs.CHI[kappa]
     order = np.argsort(rows, kind="stable")  # each row's members stay in pgl order
     rows, elems, signs = rows[order], elems[order], signs[order]
     start = np.flatnonzero(np.diff(rows, prepend=-1))  # first membership of each row
@@ -836,30 +881,41 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     automorphism is a variety of the same shape, so the stable counts are
     the same closed counts as in verify_counts, evaluated at n = (nm)/m.
     A second pass cross-checks raw stable totals against the generating
-    function of the joint orbits of the element and Frobenius.
+    function of the joint orbits of the element and Frobenius.  Both passes
+    read one ActionState per (q, N), and one fixed_rows call on it for
+    every subtype representative.
     """
     checks = 0
+    totals = {}  # (q, N) -> the stable N-sets of each subtype representative
     for q in qs:
         ctx = _prime_field("quot", q)
-        for kind, m in subtypes(q):
-            elem, _ = mb.subtype_representative(ctx, kind, m)
-            mu = _fixed_pair_quadratic(elem, ctx) if kind == "A" else None
+        kinds = subtypes(q)
+        reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
+        mus = []
+        for (kind, m), elem in zip(kinds, reps):
+            mus.append(_fixed_pair_quadratic(elem, ctx) if kind == "A" else None)
             if kind != "A":
                 _, _, fixed = mb.fixed_points(elem, ctx)
                 want, what = (([mb.INF], "B fixes only infinity") if kind == "B"
                               else ([mb.INF, mb.fin(0)], "C fixes 0 and infinity"))
                 _check(list(fixed) == want, f"quot: {what}", q, m, fixed)
+        off = {}  # (subtype, n) -> its stable nm-sets off the fixed locus
+        nm = {n * m for _, m in kinds for n in range(1, nmax // m + 1)}
+        for size in sorted(nm | set(range(1, strata_nmax + 1))):
+            st = ActionState(ctx, size)
+            elem, rows, _ = st.fixed_rows(mb.mat_codes(el.mat for el in reps))
+            totals[q, size] = np.bincount(elem, minlength=len(reps)).tolist()
+            for i, ((kind, m), mu) in enumerate(zip(kinds, mus)):
+                if size % m == 0 and size <= nmax:
+                    off[i, size // m] = int(_off_fixed_locus(st, kind, mu)[rows[elem == i]].sum())
+        for i, (kind, m) in enumerate(kinds):
             for n in range(1, nmax // m + 1):
-                st = ActionState(ctx, n * m)
-                _, stable = st.kappa_stable(elem.mat)
-                got = int((stable & _off_fixed_locus(st, kind, mu)).sum())
-                _check(got == free_count(q, kind, n), "quot: stable sets off the fixed locus",
-                       q, kind, m, n, got)
+                _check(off[i, n] == free_count(q, kind, n), "quot: stable sets off the fixed locus",
+                       q, kind, m, n, off[i, n])
                 checks += 1
 
     for q in qs:
         ctx = _prime_field("quot", q)
-        states = {n: ActionState(ctx, n) for n in range(1, strata_nmax + 1)}
         # P^1(F_{q^d}) per d, infinity at index q^d, with the Frobenius
         # permutation and the exact degree of each point: its Frobenius orbit size
         strata = []
@@ -871,7 +927,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             deg = np.bincount(lab)[lab]
             _check((d % deg == 0).all(), "quot: Frobenius orbit sizes divide d", q, d)
             strata.append((d, ctxd, embd, pts, frob, deg))
-        for kind, m in subtypes(q):
+        for i, (kind, m) in enumerate(subtypes(q)):
             elem, _ = mb.subtype_representative(ctx, kind, m)
             sizes = []
             for d, ctxd, embd, pts, frob, deg in strata:
@@ -890,9 +946,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                 for j in range(strata_nmax, sz - 1, -1):
                     ways[j] += ways[j - sz]
             for n in range(1, strata_nmax + 1):
-                st = states[n]
-                _, stable = st.kappa_stable(elem.mat)
-                got = int(stable.sum())
+                got = totals[q, n][i]
                 _check(got == ways[n], "quot: stable total == orbit generating function",
                        q, kind, m, n, got)
                 checks += 1

@@ -282,21 +282,46 @@ def test_sign_homomorphism_checks_survive_python_O():
     # exhaustive homomorphism check must still raise under python -O
     res = _run_optimized(
         "-c",
-        "from hypcensus import field, moebius, oracle\n"
-        "kappa_stable = oracle.ActionState.kappa_stable\n"
-        "def flipped(self, mat):\n"
-        "    kappa, stable = kappa_stable(self, mat)\n"
-        "    if mat == moebius.GlMatrix(0, 1, 1, 0):\n"
-        "        i = stable.argmax()\n"
+        "import numpy\n"
+        "from hypcensus import field, oracle\n"
+        "fixed_rows = oracle.ActionState.fixed_rows\n"
+        "def flipped(self, mats):\n"
+        "    elem, rows, kappa = fixed_rows(self, mats)\n"
+        "    hit = numpy.flatnonzero((numpy.asarray(mats) == (0, 1, 1, 0)).all(-1))\n"
+        "    if len(hit):\n"
+        "        i = (elem == hit[0]).argmax()\n"
         "        kappa = kappa.copy()\n"
         "        kappa[i] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[i]]\n"
-        "    return kappa, stable\n"
-        "oracle.ActionState.kappa_stable = flipped\n"
+        "    return elem, rows, kappa\n"
+        "oracle.ActionState.fixed_rows = flipped\n"
         "oracle._exhaustive_sign_homomorphism(field.make_field(3, 1), 6)\n",
     )
     assert res.returncode == 1, res.stdout
     assert "VerificationError: cocycle: homomorphism: (3, 6, " in res.stderr
     assert "GlMatrix(a=0, b=1, c=1, d=0)" in res.stderr.splitlines()[-1]
+
+
+def test_kernel_checks_survive_python_O():
+    # one Gauss-Jordan step corrupted: after the pivot of column 0, the
+    # first such matrix of the stack gets 1 added at the end of its pivot
+    # row, so a kernel basis vector of x -> 1/x misses T v = lam v, and
+    # fixed_rows must raise under python -O before any sign is read
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import field, oracle\n"
+        "step = field._eliminate\n"
+        "def corrupted(ctx, r, rank, pivot_col, c):\n"
+        "    took = step(ctx, r, rank, pivot_col, c)\n"
+        "    if c == 0 and took.any():\n"
+        "        b = took.argmax()\n"
+        "        r[b, 0, -1] = (r[b, 0, -1] + 1) % ctx.p\n"
+        "    return took\n"
+        "field._eliminate = corrupted\n"
+        "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
+    )
+    assert res.returncode == 1, res.stdout
+    assert ("VerificationError: fixed_rows: T v == lam v on every kernel basis vector: "
+            "(3, 4, GlMatrix(a=0, b=1, c=1, d=0), 1, [0, 0, 0, 0, 1])") in res.stderr
 
 
 def test_argument_checks_survive_python_O():

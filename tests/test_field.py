@@ -1,6 +1,7 @@
 """Field arithmetic unit tests."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -273,6 +274,55 @@ def test_mult_generator_values():
     # the least generator, as computed by trial exponentiation
     want = {(3, 2): 4, (5, 2): 6, (3, 3): 3, (7, 2): 9, (3, 4): 3, (5, 4): 6}
     assert {pe: ff.mult_generator(ff.make_field(*pe)) for pe in want} == want
+
+
+def test_mult_generator_is_least_code_of_full_order():
+    # brute force over every odd q <= 729: the order of 2, 3, ... by
+    # walking its powers with the reference product, up to the first of
+    # order q - 1
+    for p in (p for p in range(3, 730) if ff.is_prime(p)):
+        e = 1
+        while p**e <= 729:
+            k = ff.make_field(p, e)
+            for g in range(2, k.q):
+                x, order = g, 1
+                while x != 1:
+                    x, order = ff._mul_raw(k, x, g), order + 1
+                if order == k.q - 1:
+                    break
+            assert ff.mult_generator(k) == g, (p, e)
+            e += 1
+
+
+def test_kernels_match_brute_force_null_space():
+    # seeded square matrices of sizes 1..4 over F_3, F_5 and F_9, with
+    # the zero matrix (rank 0), rank-1 and column-dropped ones and full
+    # rank; each kernel against every vector v with a v = 0
+    rng = np.random.default_rng(9)
+    for p, e in ((3, 1), (5, 1), (3, 2)):
+        k = ff.make_field(p, e)
+        for m in (1, 2, 3, 4):
+            mats = rng.integers(k.q, size=(12, m, m))
+            mats[0] = 0
+            mats[1] = ff.tables(k).MUL[rng.integers(k.q, size=(m, 1)), mats[1, :1]]  # rank <= 1
+            mats[2, :, : m // 2] = 0
+            mats[3] = np.eye(m, dtype=int)
+            basis, free = ff.kernels(k, mats)
+            assert basis.shape == mats.shape and free.shape == mats.shape[:2]
+            vecs = np.array(list(itertools.product(range(k.q), repeat=m)))
+            ranks = set()
+            for a, b, f in zip(mats, basis, free):
+                image = ff.dot(k, ((a[:, j, None], vecs[:, j]) for j in range(m)))
+                want = vecs[~image.any(0)]
+                got = np.zeros((1, m), int)  # the span of the free rows of b
+                if f.any():
+                    coords = vecs[:, : f.sum()]  # every coordinate vector, repeated
+                    span = ff.dot(k, ((coords[:, i, None], b[f][i]) for i in range(f.sum())))
+                    got = np.unique(span, axis=0)
+                assert np.array_equal(got, want), (p, e, a.tolist())
+                assert not b[~f].any()
+                ranks.add(m - int(f.sum()))
+            assert {0, m} <= ranks, (p, e, m)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2)])

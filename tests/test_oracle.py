@@ -207,21 +207,52 @@ def _reference_kappa_stable(st, g):
 
 
 def _assert_kernel_matches_reference(st, mat, g=None):
+    """apply and kappa_stable of one matrix against the full image; returns
+    the reference kappa and stable mask."""
     if g is None:
         g = _reference_apply(st, mat)
     got = st.apply(mat)
     assert got.dtype == g.dtype and np.array_equal(got, g), mat
     want_kappa, want_stable = _reference_kappa_stable(st, g)
     kappa, stable = st.kappa_stable(mat)
-    assert kappa.dtype == want_kappa.dtype and np.array_equal(kappa, want_kappa), mat
     assert np.array_equal(stable, want_stable), mat
+    assert kappa.dtype == want_kappa.dtype, mat
+    assert np.array_equal(kappa[stable], want_kappa[stable]), mat
+    assert not kappa[~stable].any(), mat
+    return want_kappa, want_stable
 
 
-@pytest.mark.parametrize("p,e,n", [(3, 1, 6), (5, 1, 4), (7, 1, 4), (3, 2, 4), (5, 2, 2)])
+@pytest.mark.parametrize(
+    "p,e,n", [(3, 1, n) for n in range(1, 9)]
+    + [(5, 1, 4), (5, 1, 6), (7, 1, 4), (3, 2, 4), (5, 2, 2)])
 def test_column_kernel_matches_full_image(p, e, n):
+    # per element, and fixed_rows of all of PGL2 in one call: the stable
+    # (row, kappa) of each element, sorted by element and then by row
     st = oc.ActionState(ff.make_field(p, e), n)
-    for elem in mb.enumerate_pgl(st.ctx):
-        _assert_kernel_matches_reference(st, elem.mat)
+    pgl = mb.enumerate_pgl(st.ctx)
+    elem, rows, kappa = st.fixed_rows(mb.mat_codes(el.mat for el in pgl))
+    assert kappa.dtype == np.int16
+    assert np.array_equal(np.lexsort((rows, elem)), np.arange(len(rows)))
+    for i, el in enumerate(pgl):
+        want_kappa, want_stable = _assert_kernel_matches_reference(st, el.mat)
+        mine = elem == i
+        assert np.array_equal(rows[mine], np.flatnonzero(want_stable)), el.mat
+        assert np.array_equal(kappa[mine], want_kappa[want_stable]), el.mat
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 1), (5, 1, 4), (7, 1, 3), (3, 2, 2)])
+def test_fixed_rows_of_scalar_and_empty_stacks(p, e, n):
+    # (a, 0, 0, a) substitutes a^n times each form: every row, kappa a^n;
+    # an empty stack fixes nothing
+    ctx = ff.make_field(p, e)
+    st = oc.ActionState(ctx, n)
+    scalars = [(a, 0, 0, a) for a in range(1, ctx.q)]
+    elem, rows, kappa = st.fixed_rows(scalars)
+    assert np.array_equal(elem, np.repeat(np.arange(ctx.q - 1), st.count))
+    assert np.array_equal(rows, np.tile(np.arange(st.count), ctx.q - 1))
+    assert kappa.tolist() == [ff.pw(ctx, a, n) for a in range(1, ctx.q) for _ in range(st.count)]
+    for got in st.fixed_rows(np.zeros((0, 4), int)):
+        assert got.shape == (0,)
 
 
 def test_column_kernel_matches_full_image_beyond_int16_sums():
@@ -746,20 +777,23 @@ def _reference_exhaustive_sign_homomorphism(ctx, n):
 
 
 def _flip_signs(monkeypatch, mat, pick):
-    """Make kappa_stable report a nonsquare multiple of kappa on the stable
+    """Make fixed_rows report a nonsquare multiple of kappa on the fixed
     rows of mat that pick (an index or a slice into them) selects: the sign
     of mat on those sets flips."""
-    kappa_stable = oc.ActionState.kappa_stable
+    fixed_rows = oc.ActionState.fixed_rows
+    codes = mb.mat_codes([mat])
 
-    def flipped(self, m):
-        kappa, stable = kappa_stable(self, m)
-        if m == mat and stable.any():
-            rows = np.flatnonzero(stable)[pick]
-            kappa = kappa.copy()
-            kappa[rows] = self.tabs.MUL[ff.mult_generator(self.ctx), kappa[rows]]
-        return kappa, stable
+    def flipped(self, mats):
+        elem, rows, kappa = fixed_rows(self, mats)
+        for k in np.flatnonzero((np.asarray(mats) == codes).all(-1)):
+            mine = np.flatnonzero(elem == k)
+            if len(mine):
+                mine = mine[pick]
+                kappa = kappa.copy()
+                kappa[mine] = self.tabs.MUL[ff.mult_generator(self.ctx), kappa[mine]]
+        return elem, rows, kappa
 
-    monkeypatch.setattr(oc.ActionState, "kappa_stable", flipped)
+    monkeypatch.setattr(oc.ActionState, "fixed_rows", flipped)
 
 
 @pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (5, 6)])
