@@ -173,17 +173,13 @@ def cmd_oracle(args) -> int:
         ) and entry.get("orbit_sd", want_sd) == want_sd
         entry["agrees"] = agrees
         results.append(entry)
-    if args.format == "json":
-        out = [{k: (str(v) if isinstance(v, int) and k not in ("g", "q") else v)
-                for k, v in e.items()} for e in results]
-        print(json.dumps({"command": "oracle", "results": out}, indent=2))
-    else:
-        for e in results:
-            got = [f"{k}={e[k]}" for k in
-                   ("orbit_hyp", "orbit_sd", "burnside_hyp") if k in e]
-            verdict = "AGREES" if e["agrees"] else "MISMATCH"
-            print(f"g={e['g']} q={e['q']} census_hyp={e['census_hyp']} "
-                  f"census_sd={e['census_sd']} {' '.join(got)} {verdict}")
+    out = [{k: (str(v) if isinstance(v, int) and k not in ("g", "q") else v)
+            for k, v in e.items()} for e in results]
+    keys = ["g", "q", "census_hyp", "census_sd",
+            *(k for k in ("orbit_hyp", "orbit_sd", "burnside_hyp") if k in results[0])]
+    rows = [[str(e[k]) for k in keys] + ["AGREES" if e["agrees"] else "MISMATCH"] for e in results]
+    _emit(args.format, {"command": "oracle", "results": out}, keys + ["verdict"], rows,
+          lambda *row: " ".join(f"{k}={v}" for k, v in zip(keys, row)) + f" {row[-1]}")
     failures = [e for e in results if not e["agrees"]]
     if failures:
         print("counterexamples:", file=sys.stderr)
@@ -208,10 +204,8 @@ def cmd_verify(args) -> int:
         print(f"verification failed: suite {args.suite!r}, "
               f"counterexample {exc.args!r}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(result))
-    else:
-        print(f"suite {result['suite']}: {result['checks']} checks ok")
+    _emit(args.format, result, ["suite", "checks"], [[result["suite"], str(result["checks"])]],
+          lambda suite, checks: f"suite {suite}: {checks} checks ok")
     return 0
 
 

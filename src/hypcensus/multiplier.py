@@ -22,15 +22,17 @@ epsilon (the global_multiplier sweep), and epsilon_closed_forms, one
 element against many sets, beside epsilon_closed_form.  epsilons keeps
 the sweep order of _sweep_candidates: per pair it takes the least base
 field code x0 with f_S(x0) != 0 and c x0 + d != 0 from one table of f_S
-over F_q, then the least such code of the quadratic extension, and only
-the pairs left after that go to global_multiplier for the quartic level.
+over F_q, then the least such code of the quadratic extension, then of
+the quartic one, each level in one batch over the pairs still left.
 It reads the image forms from act_forms, never kappa, so the eps suite
-still compares two independent routes to the sign.
+still compares two independent routes to the sign.  The batched closed
+form counts the fixed points in S with nset.fixed_point_counts, over F_q;
+the per-pair one finds them over F_(q^2), so the tests comparing the two
+compare two derivations of that count.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +42,7 @@ from .census import CONFIGURATIONS, VerificationError, twist_sign
 from .field import FieldCtx
 from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
 from .nset import RationalNSet, act_form, act_forms, apply_moebius, contains_point
-from .nset import form_values, from_form, substitution_matrices
+from .nset import fixed_point_counts, form_values, from_form, substitution_matrices
 
 
 def local_multiplier(mat: GlMatrix, t: ProjPoint, ctx: FieldCtx, emb=None) -> int:
@@ -93,14 +95,14 @@ def _sweep_candidates(ctx: FieldCtx):
     yield ext4, emb4, range(ext4.q)
 
 
-def global_multiplier(mat: GlMatrix, s: RationalNSet, ctx: FieldCtx, debug: bool = False) -> int:
+def global_multiplier(mat: GlMatrix, s: RationalNSet, ctx: FieldCtx) -> int:
     """J(gamma, S) by evaluating the form ratio at a generic point.
 
     Sweeps x0 through the base field and then the quadratic and quartic
-    extensions until f_S(x0) != 0 and c x0 + d != 0; such a point always
-    exists over the quartic extension since at most n + 1 <= 9 values are
-    excluded.  J = (c x0 + d)^n f_S'(gamma x0) / f_S(x0), which lies in
-    the base field; with debug=True a second valid x0 re-derives it.
+    extensions for points with f_S(x0) != 0 and c x0 + d != 0; at most
+    n + 1 values are excluded, so the quartic extension holds two of them
+    for n < q^4 - 2.  J = (c x0 + d)^n f_S'(gamma x0) / f_S(x0) lies in the
+    base field, and is derived at the first two valid x0, which must agree.
     """
     n = s.n
     s_img = apply_moebius(mat, s, ctx)
@@ -131,11 +133,11 @@ def global_multiplier(mat: GlMatrix, s: RationalNSet, ctx: FieldCtx, debug: bool
                     raise VerificationError(f"multiplier must descend to the base field: {mat}, {s}")
                 j = back[j]
             values.append(j)
-            if not debug or len(values) == 2:
-                if any(v != values[0] for v in values):
+            if len(values) == 2:
+                if values[0] != j:
                     raise VerificationError(f"multiplier depends on the evaluation point: {values}")
-                return values[0]
-    raise VerificationError("no valid evaluation point found")
+                return j
+    raise VerificationError(f"fewer than two valid evaluation points: {mat}, {s}")
 
 
 def epsilon(gamma, s: RationalNSet, ctx: FieldCtx) -> int:
@@ -185,8 +187,8 @@ def epsilons(ctx: FieldCtx, mats, forms) -> np.ndarray:
 
     J = (c x0 + d)^n f_S'(gamma x0) / f_S(x0) as in global_multiplier,
     with the image forms f_S' from act_forms.  Rows without a valid x0 in
-    F_q are swept over F_(q^2) through the embedding, and must descend to
-    F_q there; the rows left after that go to global_multiplier one by one.
+    F_q are swept over F_(q^2), and the rows left after that over F_(q^4),
+    each level in one batch through the embedding; J must descend to F_q.
     """
     mats, forms = np.asarray(mats, np.intp), np.asarray(forms, np.intp)
     n = forms.shape[-1] - 1
@@ -198,9 +200,7 @@ def epsilons(ctx: FieldCtx, mats, forms) -> np.ndarray:
     img = _images(ctx, mats, forms, n)
     j = np.zeros(len(forms), np.intp)
     rest = np.arange(len(forms))
-    for fld, emb, _ in itertools.islice(_sweep_candidates(ctx), 2):
-        if not len(rest):
-            break
+    for fld, emb, _ in _sweep_candidates(ctx):
         lift = np.arange(ctx.q) if emb is None else np.asarray(emb)
         found, jf = _sweep_level(fld, lift[mats[rest]], lift[forms[rest]], lift[img[rest]], n)
         if emb is not None:
@@ -214,10 +214,10 @@ def epsilons(ctx: FieldCtx, mats, forms) -> np.ndarray:
                                         f"{mats[i].tolist()}, {forms[i].tolist()}")
         j[rest[found]] = jf[found]
         rest = rest[~found]
-    for i in rest.tolist():
-        s, _ = from_form(ctx, tuple(forms[i].tolist()))
-        j[i] = global_multiplier(GlMatrix(*mats[i].tolist()), s, ctx)
-    return ff.tables(ctx).CHI[j].reshape(shape)
+        if not len(rest):
+            return ff.tables(ctx).CHI[j].reshape(shape)
+    i = rest[0]
+    raise VerificationError(f"no valid evaluation point: {mats[i].tolist()}, {forms[i].tolist()}")
 
 
 def epsilon_closed_form(gamma: MoebiusElem, s: RationalNSet, ctx: FieldCtx) -> int:
@@ -260,9 +260,9 @@ def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray
     forms (m, n+1) that it stabilizes, as int8 signs.
 
     gamma S = S is checked on every row by one act_forms call, and the
-    fixed points are found once: infinity is in S where the form has
-    F[0] = 0, and a finite fixed point where the lifted form vanishes
-    there, by F_(q^2) gathers.  Rows with j of them take census.twist_sign.
+    number j of gamma's fixed points in S comes from
+    nset.fixed_point_counts, over F_q alone; epsilon_closed_form finds the
+    points over F_(q^2) instead.  Rows with j of them take census.twist_sign.
     """
     forms = np.asarray(forms, np.intp)
     n = forms.shape[-1] - 1
@@ -275,9 +275,7 @@ def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray
     if (img != forms).any():
         raise ValueError("closed form requires gamma S = S")
     kind, m = gamma.kind, gamma.order
-    ext, emb, pts = fixed_points(gamma, ctx)
-    lifted = np.asarray(emb)[forms]
-    cnt = sum(form_values(ext, lifted, t.x) == 0 if t.finite else forms[:, 0] == 0 for t in pts)
+    cnt = fixed_point_counts(ctx, mat, forms)
     signs = np.zeros(len(forms), np.int8)
     for j, _ in dict(CONFIGURATIONS)[kind]:
         rows = cnt == j
@@ -287,7 +285,7 @@ def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray
     if not signs.all():  # j fixed points in S, not a configuration of the kind
         i = np.flatnonzero(signs == 0)[0]
         s, _ = from_form(ctx, tuple(forms[i].tolist()))
-        raise VerificationError(f"kind {kind} fixes {len(pts)} points, {cnt[i]} of them in S: {s}")
+        raise VerificationError(f"kind {kind} has {cnt[i]} of its fixed points in S: {s}")
     return signs
 
 

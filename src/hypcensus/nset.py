@@ -20,7 +20,10 @@ with all of PGL2 on many forms in one act_forms call, and
 substitution_matrix, its cached one-matrix view, serves the oracle
 engine and act_form, the one-pair view of act_forms.  form_values
 evaluates many forms at many points by gathers from the field tables,
-for the batched twist signs.
+for the batched twist signs.  fixed_point_counts says how many fixed
+points of one element each of many forms holds, in base-field arithmetic:
+the j of census.CONFIGURATIONS, which the closed-form signs and the
+counts and quot suites read.
 """
 
 from __future__ import annotations
@@ -84,7 +87,9 @@ def enumerate_nsets(ctx: FieldCtx, n: int):
     First the sets avoiding infinity (monic squarefree f of degree n),
     then the sets containing it (degree n - 1), each block ordered by the
     integer whose base-q digits are the non-leading coefficients (constant
-    coefficient least significant).  Total count is a_p1(n, q).
+    coefficient least significant).  Total count is a_p1(n, q).  It is
+    the reference the tests hold the engine's row order (ActionState)
+    against.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -210,6 +215,47 @@ def form_values(ctx: FieldCtx, forms, x) -> np.ndarray:
     for k in range(1, forms.shape[-1]):
         val = add[mul[val, x], forms[..., k]]
     return val
+
+
+def fixed_point_counts(ctx: FieldCtx, mat: GlMatrix, forms) -> np.ndarray:
+    """How many fixed points of the nonidentity matrix mat each n-set form
+    (..., n+1) holds, as int8, in F_q arithmetic only.
+
+    With c = 0 they are infinity, held where F[0] = 0, and unless d = a
+    the point t = b/(d - a), held where f(t) = 0.  Otherwise they are the
+    roots of mu = x^2 + e1 x + e0, e1 = (d - a)/c, e0 = -b/c, and
+    f mod mu = r0 + r1 x, with x^j mod mu = A_j + B_j x from
+    x^(j+1) = -e0 B_j + (A_j - e1 B_j) x.  r = 0 holds both roots; else
+    one is held where the resultant r0^2 - e1 r0 r1 + e0 r1^2 (f at one
+    root times f at the other) vanishes.  An irreducible mu (nonsquare
+    discriminant) has conjugate roots, held together or not at all.  A
+    double root (kind B) is held where the resultant vanishes, since an
+    n-set form has no square factor.
+    """
+    forms = np.asarray(forms)
+    n = forms.shape[-1] - 1
+    a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    if c == 0:
+        count = (forms[..., 0] == 0).astype(np.int8)
+        if d != a:
+            t = ff.div(ctx, b, ff.sub(ctx, d, a))
+            powers = [ff.pw(ctx, t, n - i) for i in range(n + 1)]
+            count += ff.dot(ctx, ((w, forms[..., i]) for i, w in enumerate(powers) if w)) == 0
+        return count
+    e1, e0 = ff.div(ctx, ff.sub(ctx, d, a), c), ff.neg(ctx, ff.div(ctx, b, c))
+    xm = [(1, 0)]
+    for _ in range(n):
+        aj, bj = xm[-1]
+        xm.append((ff.neg(ctx, ff.mul(ctx, e0, bj)), ff.sub(ctx, aj, ff.mul(ctx, e1, bj))))
+    r0, r1 = (ff.dot(ctx, ((xm[n - i][k], forms[..., i]) for i in range(n + 1) if xm[n - i][k]))
+              for k in (0, 1))
+    both = (r0 == 0) & (r1 == 0)
+    disc = ff.sub(ctx, ff.mul(ctx, e1, e1), ff.mul(ctx, 4 % ctx.p, e0))
+    if ff.tables(ctx).CHI[disc] == -1:
+        return 2 * both.astype(np.int8)
+    half = ff.dot(ctx, ((1, r0), (ff.neg(ctx, e1), r1)))  # r0 - e1 r1
+    res = ff.dot(ctx, ((r0, half), (r1, ff.dot(ctx, ((e0, r1),)))))
+    return np.where(both, 2, res == 0).astype(np.int8)
 
 
 def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:

@@ -27,8 +27,9 @@ from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
 views of the per-pair sweep and closed form, which stay as references.
 The suites that need fixed n-sets (eps, counts, cocycle, quot) read them
 from one fixed_rows call per ActionState.  The counts and quot suites
-check them against the census rule for fixed n-sets: rows off an
-element's fixed locus (_off_fixed_locus) against free_count.
+check them against the census rule for fixed n-sets: the rows holding
+none of an element's fixed points (nset.fixed_point_counts) against
+free_count.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -501,41 +502,6 @@ def _prime_field(suite: str, q: int) -> ff.FieldCtx:
     return ff.make_field(q, 1)
 
 
-def _divisible_by_quadratic(st: ActionState, mu) -> np.ndarray:
-    """Rows whose form is divisible by the monic quadratic mu.
-
-    The remainder mod mu is linear in the coefficients: with x^j = xm[j]
-    mod mu, its x^c coefficient is the image column of the row
-    row[k] = xm[n - k][c], since column k holds the x^(n - k) coefficient.
-    """
-    ctx, n = st.ctx, st.n
-    xm = [ff.pmod(ctx, (0,) * j + (1,), mu) + (0, 0) for j in range(n + 1)]
-    rem0, rem1 = (st._image_col(slice(None), [xm[n - k][c] for k in range(n + 1)])
-                  for c in (0, 1))
-    return (rem0 == 0) & (rem1 == 0)
-
-
-def _off_fixed_locus(st: ActionState, kind: str, mu=None) -> np.ndarray:
-    """Rows avoiding the fixed locus of the kind: infinity (B), 0 and
-    infinity (C), or the roots of the irreducible monic quadratic mu (A)."""
-    if kind == "A":
-        return ~_divisible_by_quadratic(st, mu)
-    away = np.zeros(st.count, bool)
-    away[: st.n0] = True if kind == "B" else st.V[: st.n0, st.n] != 0
-    return away
-
-
-def _fixed_pair_quadratic(elem: mb.MoebiusElem, ctx: ff.FieldCtx):
-    """Monic quadratic over the base field whose roots are the conjugate
-    fixed pair of an irrational-fixed-point element."""
-    ext, emb, pts = mb.fixed_points(elem, ctx)
-    t1, t2 = pts[0].x, pts[1].x
-    back = {v: i for i, v in enumerate(emb)}
-    e1 = ff.add(ext, t1, t2)
-    e2 = ff.mul(ext, t1, t2)
-    return (back[e2], ff.neg(ctx, back[e1]), 1)
-
-
 def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """Every stable pair: engine sign == cocycle sweep == closed form.
 
@@ -573,17 +539,18 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     checks = 0
     for q in qs:
         ctx = _prime_field("counts", q)
-        mu = ff.make_field(q, 2).modulus
         kinds = subtypes(q)
         reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
+        rep_of = {kind: rep for (kind, _), rep in zip(kinds, reps)}  # any one of the kind
         for n in range(1, nmax + 1):
             st = ActionState(ctx, n)
             # the line, then the affine line, the torus and the line minus
-            # a conjugate quadratic pair: the quotient check at m = 1
+            # a conjugate quadratic pair, each off the fixed locus of an
+            # element of the kind: the quotient check at m = 1
             _check(st.count == a_p1(n, q), "counts: the line", q, n, st.count)
             for kind, name in (("B", "the affine line"), ("C", "the torus"),
                                ("A", "the punctured line")):
-                got = int(_off_fixed_locus(st, kind, mu).sum())
+                got = int(np.count_nonzero(ns.fixed_point_counts(ctx, rep_of[kind].mat, st.V) == 0))
                 _check(got == free_count(q, kind, n), f"counts: {name}", q, n, got)
             checks += 4
             if n < 3:
@@ -720,7 +687,8 @@ def verify_cocycle(
     checks = 0
     k3 = ff.make_field(3, 1)
     pgl3 = mb.enumerate_pgl(k3)
-    sample = list(itertools.islice(ns.enumerate_nsets(k3, 6), 4))
+    st3 = ActionState(k3, 6)
+    sample = [st3.nset_at(i) for i in range(4)]  # the first rows, as enumerate_nsets orders them
     special = ns.make_nset(k3, ff.pmul(k3, (0, 2, 0, 1), (1, 0, 1)), True)
     sample.append(special)
     # every (rho, gam) pair of one set in one batch, [r, g] = (rho_r, gam_g)
@@ -891,23 +859,16 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
         ctx = _prime_field("quot", q)
         kinds = subtypes(q)
         reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
-        mus = []
-        for (kind, m), elem in zip(kinds, reps):
-            mus.append(_fixed_pair_quadratic(elem, ctx) if kind == "A" else None)
-            if kind != "A":
-                _, _, fixed = mb.fixed_points(elem, ctx)
-                want, what = (([mb.INF], "B fixes only infinity") if kind == "B"
-                              else ([mb.INF, mb.fin(0)], "C fixes 0 and infinity"))
-                _check(list(fixed) == want, f"quot: {what}", q, m, fixed)
         off = {}  # (subtype, n) -> its stable nm-sets off the fixed locus
         nm = {n * m for _, m in kinds for n in range(1, nmax // m + 1)}
         for size in sorted(nm | set(range(1, strata_nmax + 1))):
             st = ActionState(ctx, size)
             elem, rows, _ = st.fixed_rows(mb.mat_codes(el.mat for el in reps))
             totals[q, size] = np.bincount(elem, minlength=len(reps)).tolist()
-            for i, ((kind, m), mu) in enumerate(zip(kinds, mus)):
+            for i, ((_, m), rep) in enumerate(zip(kinds, reps)):
                 if size % m == 0 and size <= nmax:
-                    off[i, size // m] = int(_off_fixed_locus(st, kind, mu)[rows[elem == i]].sum())
+                    held = ns.fixed_point_counts(ctx, rep.mat, st.V[rows[elem == i]])
+                    off[i, size // m] = int(np.count_nonzero(held == 0))
         for i, (kind, m) in enumerate(kinds):
             for n in range(1, nmax // m + 1):
                 _check(off[i, n] == free_count(q, kind, n), "quot: stable sets off the fixed locus",

@@ -44,7 +44,6 @@ query.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, compress, zip_longest
 from math import gcd
@@ -707,18 +706,11 @@ def max_char_term_degree(cp: ConditionalPolynomial) -> int:
 # rendering and JSON
 
 
-def render(cp: ConditionalPolynomial, fmt: str = "text") -> str:
-    if fmt == "json":
-        return json.dumps(cp_to_json_dict(cp), indent=2)
+def render(cp: ConditionalPolynomial) -> str:
     pieces = [poly_str(cp.generic)]
     for g, f in cp.terms:
         pieces.append(f"[{poly_str(f)}]_{{{guard_str(g)}}}")
-    joined = "  +  ".join(pieces)
-    if fmt == "text":
-        return joined
-    if fmt == "markdown":
-        return "`" + joined + "`"
-    raise ValueError(f"unknown format {fmt!r}")
+    return "  +  ".join(pieces)
 
 
 def cp_to_json_dict(cp: ConditionalPolynomial) -> dict:

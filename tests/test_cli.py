@@ -26,7 +26,7 @@ def run(capsys, *argv):
 
 # sha256 of (argv, exit code, stdout, stderr) for each case below in every
 # --format, error exits included
-CLI_GOLDEN_DIGEST = "415c6207f062931e463a1ae6e024e0a74cff76969451d9f6ce7bbe9839cd0e29"
+CLI_GOLDEN_DIGEST = "0eb6b7ef25d7f342e755a41866f9992b434f3b983a70b9e88f810753b9fd6e99"
 GOLDEN_ARGV = (
     ("hyp", "--g", "2..3", "--q", "9,3"),
     ("hyp", "--g", "2", "--p", "3", "--e", "2"),

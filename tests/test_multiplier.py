@@ -10,7 +10,7 @@ from hypcensus import moebius as mo
 from hypcensus import multiplier as mult
 from hypcensus import nset as ns
 from hypcensus import oracle as oc
-from hypcensus.census import divisors
+from hypcensus.census import VerificationError, divisors
 
 
 def K(p, e=1):
@@ -60,13 +60,28 @@ def test_global_equals_kappa_sampled_q5_q9():
                 assert mult.global_multiplier(m, s, k) == j
 
 
-def test_debug_mode_double_evaluates():
+def test_global_multiplier_checks_a_second_point(monkeypatch):
+    # J is derived at two evaluation points; an image point moved at the
+    # second one makes them disagree
     k = K(5)
     s = ns.make_nset(k, (0, 1, 0, 1, 1), False)
     m = mo.GlMatrix(1, 2, 3, 0)
-    assert mult.global_multiplier(m, s, k, debug=True) == mult.global_multiplier(
-        m, s, k
-    )
+    calls = []
+    reference = mult.act_point
+    monkeypatch.setattr(mult, "act_point",
+                        lambda *args: calls.append(args[1]) or reference(*args))
+    assert mult.global_multiplier(m, s, k) == mult.kappa_multiplier(m, s, k)
+    assert len(calls) == 2
+
+    def moved(mat, t, ctx, emb=None):
+        calls.append(t)
+        y = reference(mat, t, ctx, emb)
+        return mo.fin(ff.add(ctx, y.x, 2)) if len(calls) == 2 else y
+
+    calls.clear()
+    monkeypatch.setattr(mult, "act_point", moved)
+    with pytest.raises(VerificationError, match="depends on the evaluation point"):
+        mult.global_multiplier(m, s, k)
 
 
 def test_sweep_falls_through_to_extension():
@@ -254,13 +269,12 @@ def test_epsilons_fall_back_level_by_level(monkeypatch):
     assert all(ff.peval(ext, f9, x) == 0 for x in range(1, 9))
     assert mult.global_multiplier(inv, quartic, k) == mult.kappa_multiplier(inv, quartic, k)
     want = [mult.epsilon(inv, s, k) for s in (line, quartic)]
-    # only the F_81 pair reaches the per-pair sweep
+    # both levels are swept in batch: no pair reaches the per-pair sweep
     calls = []
     reference = mult.global_multiplier
     monkeypatch.setattr(mult, "global_multiplier",
                         lambda mat, s, ctx: calls.append((mat, s)) or reference(mat, s, ctx))
     assert mult.epsilons(k, mo.mat_codes([inv]), ns.to_form(k, line)).tolist() == want[:1]
-    assert not calls
     assert mult.epsilons(k, mo.mat_codes([inv]), ns.to_form(k, quartic)).tolist() == want[1:]
-    assert calls == [(inv, quartic)]
+    assert not calls
 

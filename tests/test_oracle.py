@@ -473,6 +473,35 @@ def test_class_sums_match_hyp_components(g, q):
     assert fixed_sd == order * census.sd(g, q)
 
 
+def _extension_fixed_point_counts(ctx, elem, forms):
+    """How many of elem's fixed points each form holds, with the points
+    found over F_(q^2) and the forms lifted there."""
+    rows = np.asarray(forms, np.intp)
+    ext, emb, pts = mb.fixed_points(elem, ctx)
+    lifted = np.asarray(emb)[rows]
+    return sum(ns.form_values(ext, lifted, t.x) == 0 if t.finite else rows[:, 0] == 0
+               for t in pts)
+
+
+# every nonidentity element over F_3, F_5 and F_7; a seeded sample of 60
+# over F_9 and of 40 over F_25 and F_27
+@pytest.mark.parametrize("q,ns_list,sample", [
+    (3, range(1, 8), None), (5, (4,), None), (7, (3,), None),
+    (9, (2, 3, 4), 60), (25, (2,), 40), (27, (2,), 40),
+], ids=["3", "5", "7", "9", "25", "27"])
+def test_fixed_point_counts_match_extension_membership(q, ns_list, sample):
+    ctx = ff.make_field(*census.factor_prime_power(q))
+    elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
+    if sample:
+        elems = random.Random(q).sample(elems, sample)
+    for n in ns_list:
+        st = oc.ActionState(ctx, n)
+        for elem in elems:
+            got = ns.fixed_point_counts(ctx, elem.mat, st.V)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, _extension_fixed_point_counts(ctx, elem, st.V)), (n, elem)
+
+
 # even n = 4..8 over F_3, F_5, F_7 and F_9, all but F_9 at n = 8 (43 M rows)
 CONFIGURATION_PAIRS = [(q, n) for q in (3, 5, 7, 9) for n in (4, 6, 8) if q**n < 10**7]
 
@@ -488,11 +517,7 @@ def test_fixed_configurations_match_engine(q, n):
     for kind, m in census.subtypes(q):
         elem, _ = mb.subtype_representative(ctx, kind, m)
         kappa, stable = st.kappa_stable(elem.mat)
-        rows = st.V[stable].astype(np.intp)
-        ext, emb, pts = mb.fixed_points(elem, ctx)
-        lifted = np.asarray(emb)[rows]
-        j = sum(ns.form_values(ext, lifted, t.x) == 0 if t.finite else rows[:, 0] == 0
-                for t in pts)
+        j = _extension_fixed_point_counts(ctx, elem, st.V[stable])
         chi = st.tabs.CHI[kappa[stable]]
         got = collections.Counter(zip(j.tolist(), chi.tolist()))
         pieces = census._fixed_pieces(q, n, kind, m, dict(census.CONFIGURATIONS)[kind])
@@ -594,14 +619,20 @@ def test_parity_labels_match_union_find_on_random_permutations(seed):
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
-def test_divisible_by_quadratic_matches_pmod(p, e):
-    # the remainder columns come from _image_col, so extension fields work too
+def test_fixed_point_counts_match_pmod(p, e):
+    # x -> (a x - v) / (x + a + u) fixes the roots of mu = x^2 + u x + v:
+    # the form holds deg gcd(f, mu) of them, both where mu divides f
     ctx = ff.make_field(p, e)
     st = oc.ActionState(ctx, 4)
     for mu in [(1, 0, 1), (2, 1, 1), (0, 1, 1)]:
-        got = oc._divisible_by_quadratic(st, mu)
-        want = [ff.pmod(ctx, st.nset_at(i).f, mu) == () for i in range(st.count)]
+        v, u, _ = mu
+        a = 0 if v else 1  # a nonzero determinant a (a + u) + v
+        mat = mb.GlMatrix(a, ff.neg(ctx, v), 1, ff.add(ctx, a, u))
+        got = ns.fixed_point_counts(ctx, mat, st.V)
+        sets = [st.nset_at(i) for i in range(st.count)]
+        want = [len(ff.pgcd(ctx, s.f, mu)) - 1 for s in sets]
         assert got.tolist() == want, mu
+        assert (got == 2).tolist() == [ff.pmod(ctx, s.f, mu) == () for s in sets], mu
 
 
 def test_twisted_act_flip_matches_engine():
