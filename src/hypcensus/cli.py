@@ -173,7 +173,9 @@ def cmd_oracle(args) -> int:
         ) and entry.get("orbit_sd", want_sd) == want_sd
         entry["agrees"] = agrees
         results.append(entry)
-    out = [{k: (str(v) if isinstance(v, int) and k not in ("g", "q") else v)
+    # counts as decimal strings; the verdict stays a JSON boolean
+    out = [{k: (str(v) if isinstance(v, int) and not isinstance(v, bool) and k not in ("g", "q")
+                else v)
             for k, v in e.items()} for e in results]
     keys = ["g", "q", "census_hyp", "census_sd",
             *(k for k in ("orbit_hyp", "orbit_sd", "burnside_hyp") if k in results[0])]

@@ -16,19 +16,20 @@ per-pair epsilon_closed_form, the reference, writes that rule out; the
 batched epsilon_closed_forms reads it from census.twist_sign.
 
 Each quantity has a per-pair function, the reference, and a batched view
-over numpy stacks of entry codes and n-set forms that the verification
-suites call: kappa_multipliers beside kappa_multiplier, epsilons beside
-epsilon (the global_multiplier sweep), and epsilon_closed_forms, one
-element against many sets, beside epsilon_closed_form.  epsilons keeps
-the sweep order of _sweep_candidates: per pair it takes the least base
-field code x0 with f_S(x0) != 0 and c x0 + d != 0 from one table of f_S
-over F_q, then the least such code of the quadratic extension, then of
-the quartic one, each level in one batch over the pairs still left.
+over numpy stacks of (element, n-set) pairs that the verification suites
+call once per batch: kappa_multipliers beside kappa_multiplier, epsilons
+beside epsilon (the global_multiplier sweep), and epsilon_closed_forms,
+a list of elements with an index pairing each form with one of them,
+beside epsilon_closed_form.  epsilons keeps the sweep order of
+_sweep_candidates: per pair it takes the least base field code x0 with
+f_S(x0) != 0 and c x0 + d != 0 from one table of f_S over F_q, then the
+least such code of the quadratic extension, then of the quartic one,
+each level in one batch over the pairs still left.
 It reads the image forms from act_forms, never kappa, so the eps suite
 still compares two independent routes to the sign.  The batched closed
-form counts the fixed points in S with nset.fixed_point_counts, over F_q;
-the per-pair one finds them over F_(q^2), so the tests comparing the two
-compare two derivations of that count.
+form counts the fixed points in S with one nset.fixed_point_counts call
+over all its pairs, over F_q; the per-pair one finds them over F_(q^2),
+so the tests comparing the two compare two derivations of that count.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import field as ff
 from .census import CONFIGURATIONS, VerificationError, twist_sign
 from .field import FieldCtx
-from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_det
+from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, fixed_points, mat_codes, mat_det
 from .nset import RationalNSet, act_form, act_forms, apply_moebius, contains_point
 from .nset import fixed_point_counts, form_values, from_form, substitution_matrices
 
@@ -255,37 +256,47 @@ def epsilon_closed_form(gamma: MoebiusElem, s: RationalNSet, ctx: FieldCtx) -> i
     return -1 if ((n // m) % 2 == 1) else 1
 
 
-def epsilon_closed_forms(gamma: MoebiusElem, forms, ctx: FieldCtx) -> np.ndarray:
-    """epsilon_closed_form of one nonidentity element against many n-set
-    forms (m, n+1) that it stabilizes, as int8 signs.
+def epsilon_closed_forms(elems, which, forms, ctx: FieldCtx) -> np.ndarray:
+    """epsilon_closed_form of many (element, n-set) pairs at once, as int8
+    signs: elems are nonidentity MoebiusElems, and which (m,) pairs each of
+    the n-set forms (m, n+1), or one form for every pair, with elems[which].
 
-    gamma S = S is checked on every row by one act_forms call, and the
-    number j of gamma's fixed points in S comes from
-    nset.fixed_point_counts, over F_q alone; epsilon_closed_form finds the
-    points over F_(q^2) instead.  Rows with j of them take census.twist_sign.
+    gamma S = S is checked on every pair by one act_forms call, and the
+    number j of gamma's fixed points in S comes from one
+    nset.fixed_point_counts call, over F_q alone; epsilon_closed_form finds
+    the points over F_(q^2) instead.  Each (kind, order, j) takes one
+    census.twist_sign, and a failure names the first pair in row order.
     """
+    which = np.asarray(which, np.intp)
     forms = np.asarray(forms, np.intp)
     n = forms.shape[-1] - 1
     if n % 2 != 0:
         raise ValueError("epsilon is defined for even n only")
-    if gamma.kind == "identity":
+    if any(el.kind == "identity" for el in elems):
         raise ValueError("closed form requires a nonidentity element")
-    mat = gamma.mat
-    img, _ = act_forms(ctx, substitution_matrices(ctx, (mat.a, mat.b, mat.c, mat.d), n), forms)
-    if (img != forms).any():
-        raise ValueError("closed form requires gamma S = S")
-    kind, m = gamma.kind, gamma.order
-    cnt = fixed_point_counts(ctx, mat, forms)
-    signs = np.zeros(len(forms), np.int8)
-    for j, _ in dict(CONFIGURATIONS)[kind]:
-        rows = cnt == j
-        if rows.any() and (n - j) % m:
-            raise VerificationError(f"order {m} must divide n - {j} = {n - j}")
-        signs[rows] = twist_sign(ctx.q, kind, m, j, (n - j) // m)
-    if not signs.all():  # j fixed points in S, not a configuration of the kind
+    forms = np.broadcast_to(forms, which.shape + (n + 1,))
+    mats = mat_codes(el.mat for el in elems)[which]
+    moved = np.flatnonzero((_images(ctx, mats, forms, n) != forms).any(-1))
+    if len(moved):
+        i = moved[0]
+        raise ValueError(f"closed form requires gamma S = S: {elems[which[i]].mat}, "
+                         f"{from_form(ctx, tuple(forms[i].tolist()))[0]}")
+    cnt = fixed_point_counts(ctx, mats, forms)
+    conf = dict(CONFIGURATIONS)
+    sign_of = {(el.kind, el.order): [0, 0, 0] for el in elems}  # of j = 0, 1, 2; 0: no n-set
+    for (kind, m), row in sign_of.items():
+        for j, _ in conf[kind]:
+            if (n - j) % m == 0:
+                row[j] = twist_sign(ctx.q, kind, m, j, (n - j) // m)
+    table = np.array([sign_of[el.kind, el.order] for el in elems], np.int8).reshape(-1, 3)
+    signs = table[which, cnt]
+    if not signs.all():
         i = np.flatnonzero(signs == 0)[0]
+        el, j = elems[which[i]], int(cnt[i])
+        if j in dict(conf[el.kind]):
+            raise VerificationError(f"order {el.order} must divide n - {j} = {n - j}")
         s, _ = from_form(ctx, tuple(forms[i].tolist()))
-        raise VerificationError(f"kind {kind} has {cnt[i]} of its fixed points in S: {s}")
+        raise VerificationError(f"kind {el.kind} has {j} of its fixed points in S: {s}")
     return signs
 
 

@@ -20,10 +20,10 @@ with all of PGL2 on many forms in one act_forms call, and
 substitution_matrix, its cached one-matrix view, serves the oracle
 engine and act_form, the one-pair view of act_forms.  form_values
 evaluates many forms at many points by gathers from the field tables,
-for the batched twist signs.  fixed_point_counts says how many fixed
-points of one element each of many forms holds, in base-field arithmetic:
-the j of census.CONFIGURATIONS, which the closed-form signs and the
-counts and quot suites read.
+for the batched twist signs.  fixed_point_counts says how many of their
+fixed points a stack of elements' forms hold, in base-field arithmetic,
+broadcast as act_forms is: the j of census.CONFIGURATIONS, which the
+closed-form signs and the counts and quot suites read, one call a batch.
 """
 
 from __future__ import annotations
@@ -217,45 +217,93 @@ def form_values(ctx: FieldCtx, forms, x) -> np.ndarray:
     return val
 
 
-def fixed_point_counts(ctx: FieldCtx, mat: GlMatrix, forms) -> np.ndarray:
-    """How many fixed points of the nonidentity matrix mat each n-set form
-    (..., n+1) holds, as int8, in F_q arithmetic only.
+_COUNT_BLOCK = 2**16  # pairs a block of fixed_point_counts, to bound its temporaries
 
-    With c = 0 they are infinity, held where F[0] = 0, and unless d = a
-    the point t = b/(d - a), held where f(t) = 0.  Otherwise they are the
-    roots of mu = x^2 + e1 x + e0, e1 = (d - a)/c, e0 = -b/c, and
-    f mod mu = r0 + r1 x, with x^j mod mu = A_j + B_j x from
-    x^(j+1) = -e0 B_j + (A_j - e1 B_j) x.  r = 0 holds both roots; else
-    one is held where the resultant r0^2 - e1 r0 r1 + e0 r1^2 (f at one
-    root times f at the other) vanishes.  An irreducible mu (nonsquare
-    discriminant) has conjugate roots, held together or not at all.  A
-    double root (kind B) is held where the resultant vanishes, since an
-    n-set form has no square factor.
+
+def fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
+    """How many of the fixed points of a nonidentity matrix each n-set form
+    holds, as int8, in F_q arithmetic only, for stacks of matrices given as
+    entry codes (a, b, c, d) of shape (..., 4) and forms (..., n+1),
+    broadcast against each other as in act_forms.
+
+    A stack of at most _COUNT_BLOCK pairs is counted in one block.  A
+    larger one is counted one index of its leading batch axes and at most
+    _COUNT_BLOCK rows of the last axis at a time: that keeps the
+    temporaries small, and where a block's matrices are one element (a few
+    elements stacked against every row of a state) it reads only the form
+    columns with a nonzero weight for that element.
     """
-    forms = np.asarray(forms)
+    mats, forms = np.asarray(mats, np.intp), np.asarray(forms)
+    final = np.broadcast_shapes(mats.shape[:-1], forms.shape[:-1])
+    shape = final or (1,)
+    size = math.prod(shape)
+    if not size:
+        return np.zeros(final, np.int8)
+    mats, forms = (x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape) for x in (mats, forms))
+    if size <= _COUNT_BLOCK:
+        return _fixed_point_counts(ctx, mats, forms).reshape(final)
+    out = np.empty(shape, np.int8)
+    for lead in np.ndindex(shape[:-1]):
+        # each side's block: index 0 on the axes it broadcasts along
+        m, f = (x[tuple(i if x.shape[a] > 1 else 0 for a, i in enumerate(lead))]
+                for x in (mats, forms))
+        for lo in range(0, shape[-1], _COUNT_BLOCK):
+            rows = slice(lo, lo + _COUNT_BLOCK)
+            out[lead][rows] = _fixed_point_counts(ctx, m[rows] if len(m) > 1 else m,
+                                                  f[rows] if len(f) > 1 else f)
+    return out.reshape(final)
+
+
+def _fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
+    """fixed_point_counts of one block.
+
+    Each count reads two sums r0 = sum_i w0[i] F[i] and r1 = sum_i w1[i] F[i]
+    whose weights are gathered per matrix.  With c = 0 the fixed points are
+    infinity, held where r1 = F[0] vanishes, and unless d = a the point
+    t = b/(d - a), held where r0 = f(t) vanishes (w0[i] = t^(n-i)).
+    Otherwise they are the roots of mu = x^2 + e1 x + e0, e1 = (d - a)/c,
+    e0 = -b/c, and r0 + r1 x = f mod mu, with x^j mod mu = A_j + B_j x from
+    x^(j+1) = -e0 B_j + (A_j - e1 B_j) x.  r = 0 holds both roots; else one
+    is held where the resultant r0^2 - e1 r0 r1 + e0 r1^2 (f at one root
+    times f at the other) vanishes.  It never does for an irreducible mu
+    (nonsquare discriminant), whose conjugate roots are held together or
+    not at all, so a block without a split mu skips it; nor for a double
+    root (kind B) held twice, since an n-set form has no square factor.
+    """
+    add, mul, inv = ff.int_tables(ctx)
     n = forms.shape[-1] - 1
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    if c == 0:
-        count = (forms[..., 0] == 0).astype(np.int8)
-        if d != a:
-            t = ff.div(ctx, b, ff.sub(ctx, d, a))
-            powers = [ff.pw(ctx, t, n - i) for i in range(n + 1)]
-            count += ff.dot(ctx, ((w, forms[..., i]) for i, w in enumerate(powers) if w)) == 0
-        return count
-    e1, e0 = ff.div(ctx, ff.sub(ctx, d, a), c), ff.neg(ctx, ff.div(ctx, b, c))
-    xm = [(1, 0)]
+    minus = ctx.p - 1  # the code of -1
+    a, b, c, d = np.moveaxis(mats, -1, 0)
+    d_a = add[d, mul[minus, a]]
+    e1, ne0 = mul[d_a, inv[c]], mul[b, inv[c]]  # e1 and -e0, 0 when c = 0
+    aj, bj = np.ones_like(c), np.zeros_like(c)
+    w0, w1 = [aj], [bj]  # [j] = A_j, B_j, the weights of column n - j
     for _ in range(n):
-        aj, bj = xm[-1]
-        xm.append((ff.neg(ctx, ff.mul(ctx, e0, bj)), ff.sub(ctx, aj, ff.mul(ctx, e1, bj))))
-    r0, r1 = (ff.dot(ctx, ((xm[n - i][k], forms[..., i]) for i in range(n + 1) if xm[n - i][k]))
-              for k in (0, 1))
-    both = (r0 == 0) & (r1 == 0)
-    disc = ff.sub(ctx, ff.mul(ctx, e1, e1), ff.mul(ctx, 4 % ctx.p, e0))
-    if ff.tables(ctx).CHI[disc] == -1:
-        return 2 * both.astype(np.int8)
-    half = ff.dot(ctx, ((1, r0), (ff.neg(ctx, e1), r1)))  # r0 - e1 r1
-    res = ff.dot(ctx, ((r0, half), (r1, ff.dot(ctx, ((e0, r1),)))))
-    return np.where(both, 2, res == 0).astype(np.int8)
+        aj, bj = mul[ne0, bj], add[aj, mul[minus, mul[e1, bj]]]
+        w0.append(aj)
+        w1.append(bj)
+    diag = c == 0
+    t = mul[b, inv[d_a]]
+    w0 = np.where(diag[..., None], ff.powers(ctx, n)[t, ::-1], np.stack(w0[::-1], -1))
+    w1 = np.where(diag[..., None], np.arange(n + 1) == 0, np.stack(w1[::-1], -1))
+    r0, r1 = (ff.dot(ctx, ((wk[..., i], forms[..., i]) for i in range(n + 1) if wk[..., i].any()))
+              for wk in (w0, w1))
+    z0, z1 = r0 == 0, r1 == 0
+    fixed = free = None
+    if diag.any():  # infinity, and b/(d - a) unless d = a
+        fixed = z1.astype(np.int8)
+        fixed += (d != a) & z0
+    if not diag.all():  # both roots of mu, or one where the resultant vanishes
+        both = z0 & z1
+        free = both * np.int8(2)
+        disc = add[mul[e1, e1], mul[4 % ctx.p, ne0]]  # e1^2 - 4 e0
+        if (~diag & (ff.tables(ctx).CHI[disc] != -1)).any():
+            half = ff.dot(ctx, ((1, r0), (mul[minus, e1], r1)))  # r0 - e1 r1
+            res = ff.dot(ctx, ((r0, half), (mul[minus, ne0], ff.dot(ctx, ((r1, r1),)))))
+            free[~both & (res == 0)] = 1
+    if free is None or fixed is None:
+        return fixed if free is None else free
+    return np.where(diag, fixed, free)
 
 
 def act_form(ctx: FieldCtx, mat: GlMatrix, s: RationalNSet) -> tuple[RationalNSet, int]:

@@ -24,12 +24,14 @@ verify_quotient labels, with no twist, the joint orbits of an element and
 Frobenius on the points of P^1 over each extension.
 The suites that read twist signs (eps, cocycle, points) take them in bulk
 from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
-views of the per-pair sweep and closed form, which stay as references.
-The suites that need fixed n-sets (eps, counts, cocycle, quot) read them
-from one fixed_rows call per ActionState.  The counts and quot suites
-check them against the census rule for fixed n-sets: the rows holding
-none of an element's fixed points (nset.fixed_point_counts) against
-free_count.
+views of the per-pair sweep and closed form, which stay as references:
+one call per batch of (element, n-set) pairs, the stable pairs of one
+(q, n) in eps and the members of one stabilizer in cocycle.  The suites
+that need fixed n-sets (eps, counts, cocycle, quot) read them from one
+fixed_rows call per ActionState.  The counts and quot suites check them
+against the census rule for fixed n-sets: the rows holding none of an
+element's fixed points, from one stacked nset.fixed_point_counts call
+per ActionState, against free_count.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -506,8 +508,8 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """Every stable pair: engine sign == cocycle sweep == closed form.
 
     Per (q, n) the stable (element, row) pairs come from one fixed_rows
-    call, their sweep signs from one multiplier.epsilons call, and the
-    closed forms from one epsilon_closed_forms call per element; a mismatch
+    call, their sweep signs from one multiplier.epsilons call, and their
+    closed forms from one multiplier.epsilon_closed_forms call; a mismatch
     names the first failing pair in element order, then row order.
     """
     checks = 0
@@ -519,9 +521,7 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
             st = ActionState(ctx, n)
             pair_elem, rows, kappa = st.fixed_rows(codes)
             e0 = st.tabs.CHI[kappa]
-            cut = np.searchsorted(pair_elem, np.arange(1, len(elems)))
-            e2 = np.concatenate([mult.epsilon_closed_forms(elem, st.V[idx], ctx)
-                                 for elem, idx in zip(elems, np.split(rows, cut))])
+            e2 = mult.epsilon_closed_forms(elems, pair_elem, st.V[rows], ctx)
             e1 = mult.epsilons(ctx, codes[pair_elem], st.V[rows])
             bad = np.flatnonzero((e0 != e1) | (e1 != e2))
             if len(bad):
@@ -542,15 +542,16 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
         kinds = subtypes(q)
         reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
         rep_of = {kind: rep for (kind, _), rep in zip(kinds, reps)}  # any one of the kind
+        ambient = (("B", "the affine line"), ("C", "the torus"), ("A", "the punctured line"))
+        ambient_codes = mb.mat_codes(rep_of[kind].mat for kind, _ in ambient)[:, None]
         for n in range(1, nmax + 1):
             st = ActionState(ctx, n)
             # the line, then the affine line, the torus and the line minus
             # a conjugate quadratic pair, each off the fixed locus of an
             # element of the kind: the quotient check at m = 1
             _check(st.count == a_p1(n, q), "counts: the line", q, n, st.count)
-            for kind, name in (("B", "the affine line"), ("C", "the torus"),
-                               ("A", "the punctured line")):
-                got = int(np.count_nonzero(ns.fixed_point_counts(ctx, rep_of[kind].mat, st.V) == 0))
+            off = np.count_nonzero(ns.fixed_point_counts(ctx, ambient_codes, st.V) == 0, 1)
+            for (kind, name), got in zip(ambient, off.tolist()):
                 _check(got == free_count(q, kind, n), f"counts: {name}", q, n, got)
             checks += 4
             if n < 3:
@@ -675,12 +676,14 @@ def verify_cocycle(
     The multiplier satisfies J(ab, S) = J(b, S) J(a, bS) exactly at the
     matrix level, no stability needed; the sign is conjugation invariant
     on stabilizers and multiplicative on each stabilizer subgroup.  The
-    cocycle law is checked in batches (multiplier.kappa_multipliers): all
-    PGL2(F_3) pairs of one set at a time, and the random triples, drawn one
-    by one as always, in one batch per field.  The signs come from
-    multiplier.epsilons: the 8 x 48 conjugation pairs in one call, each
-    stabilizer test set in one call, and the sampled stabilizers of one
-    (q, n) in one call; the closed form stays per element on the test sets.
+    cocycle law is checked in batches (multiplier.kappa_multipliers): every
+    PGL2(F_3) pair on all five sample sets in one batch, and the random
+    triples, drawn one by one as always, in one batch per field.  The signs
+    come from multiplier.epsilons: the 8 x 48 conjugation pairs in one
+    call, each stabilizer test set in one call, and the sampled stabilizers
+    of one (q, n) in one call.  The closed forms on each stabilizer test
+    set, one per nonidentity member, come from one
+    multiplier.epsilon_closed_forms call.
     """
     if triples < 0:
         raise ValueError(f"triples must be >= 0, got {triples}")
@@ -691,14 +694,14 @@ def verify_cocycle(
     sample = [st3.nset_at(i) for i in range(4)]  # the first rows, as enumerate_nsets orders them
     special = ns.make_nset(k3, ff.pmul(k3, (0, 2, 0, 1), (1, 0, 1)), True)
     sample.append(special)
-    # every (rho, gam) pair of one set in one batch, [r, g] = (rho_r, gam_g)
+    # every (set, rho, gam) triple in one batch, [s, r, g] = (S_s, rho_r, gam_g)
     g3 = mb.mat_codes(el.mat for el in pgl3)
-    for s in sample:
-        bad = np.argwhere(_cocycle_defects(k3, g3, g3[:, None], ns.to_form(k3, s)))
-        if len(bad):
-            r, g = bad[0]
-            _check(False, "cocycle: cocycle law", s, pgl3[r].mat, pgl3[g].mat)
-        checks += len(g3) ** 2
+    forms = np.array([ns.to_form(k3, s) for s in sample])[:, None, None]
+    bad = np.argwhere(_cocycle_defects(k3, g3, g3[:, None], forms))
+    if len(bad):
+        s, r, g = bad[0]
+        _check(False, "cocycle: cocycle law", sample[s], pgl3[r].mat, pgl3[g].mat)
+    checks += len(sample) * len(g3) ** 2
 
     # random triples, drawn one at a time and checked in one batch per field
     rng = random.Random(seed)
@@ -707,7 +710,7 @@ def verify_cocycle(
         draws = [(_random_gl(rng, k), _random_gl(rng, k), _random_nset(rng, k, 6))
                  for _ in range(triples)]
         gam, rho = (mb.mat_codes(d[i] for d in draws) for i in (0, 1))
-        forms = np.array([ns.to_form(k, d[2]) for d in draws]).reshape(-1, 7)
+        forms = np.array([ns.to_form(k, d[2]) for d in draws], np.intp).reshape(-1, 7)
         bad = np.flatnonzero(_cocycle_defects(k, gam, rho, forms))
         if len(bad):
             _check(False, "cocycle: cocycle law, random triple", q, *draws[bad[0]])
@@ -745,11 +748,14 @@ def verify_cocycle(
         for s in _stab_test_sets(q, ctx):
             stab = ns.stabilizer(s, ctx)
             _check(len(stab) > 1, "cocycle: nontrivial stabilizer", q, s)
-            signs = mult.epsilons(ctx, mb.mat_codes(el.mat for el in stab), ns.to_form(ctx, s))
-            for el, e in zip(stab, signs.tolist()):
-                if el.kind != "identity":
-                    _check(e == mult.epsilon_closed_form(el, s, ctx),
-                           "cocycle: closed form on a stabilizer", q, s, el.mat)
+            form = ns.to_form(ctx, s)
+            signs = mult.epsilons(ctx, mb.mat_codes(el.mat for el in stab), form)
+            nonid = np.array([i for i, el in enumerate(stab) if el.kind != "identity"], np.intp)
+            closed = mult.epsilon_closed_forms([stab[i] for i in nonid], np.arange(len(nonid)),
+                                               form, ctx)
+            bad = nonid[signs[nonid] != closed]
+            if len(bad):
+                _check(False, "cocycle: closed form on a stabilizer", q, s, stab[bad[0]].mat)
             checks += _sign_homomorphism(ctx, [index[el.mat] for el in stab], signs, q, s)
 
     # the same, over every stabilizer at once where the set space is small
@@ -858,17 +864,20 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     for q in qs:
         ctx = _prime_field("quot", q)
         kinds = subtypes(q)
-        reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
+        codes = mb.mat_codes(mb.subtype_representative(ctx, kind, m)[0].mat for kind, m in kinds)
         off = {}  # (subtype, n) -> its stable nm-sets off the fixed locus
         nm = {n * m for _, m in kinds for n in range(1, nmax // m + 1)}
         for size in sorted(nm | set(range(1, strata_nmax + 1))):
             st = ActionState(ctx, size)
-            elem, rows, _ = st.fixed_rows(mb.mat_codes(el.mat for el in reps))
-            totals[q, size] = np.bincount(elem, minlength=len(reps)).tolist()
-            for i, ((_, m), rep) in enumerate(zip(kinds, reps)):
-                if size % m == 0 and size <= nmax:
-                    held = ns.fixed_point_counts(ctx, rep.mat, st.V[rows[elem == i]])
-                    off[i, size // m] = int(np.count_nonzero(held == 0))
+            elem, rows, _ = st.fixed_rows(codes)
+            totals[q, size] = np.bincount(elem, minlength=len(kinds)).tolist()
+            if size > nmax:
+                continue
+            held = ns.fixed_point_counts(ctx, codes[elem], st.V[rows])
+            free = np.bincount(elem[held == 0], minlength=len(kinds))
+            for i, (_, m) in enumerate(kinds):
+                if size % m == 0:
+                    off[i, size // m] = int(free[i])
         for i, (kind, m) in enumerate(kinds):
             for n in range(1, nmax // m + 1):
                 _check(off[i, n] == free_count(q, kind, n), "quot: stable sets off the fixed locus",

@@ -14,6 +14,7 @@ import pytest
 from hypcensus import census
 from hypcensus import field as ff
 from hypcensus import moebius as mo
+from hypcensus import nset as ns
 from hypcensus import oracle as oc
 from hypcensus.cli import FORMATS, main
 
@@ -26,7 +27,7 @@ def run(capsys, *argv):
 
 # sha256 of (argv, exit code, stdout, stderr) for each case below in every
 # --format, error exits included
-CLI_GOLDEN_DIGEST = "0eb6b7ef25d7f342e755a41866f9992b434f3b983a70b9e88f810753b9fd6e99"
+CLI_GOLDEN_DIGEST = "61bf91a85cb5242da597acb9971dc2cb059b1c5a838465d3a2e63e655927f773"
 GOLDEN_ARGV = (
     ("hyp", "--g", "2..3", "--q", "9,3"),
     ("hyp", "--g", "2", "--p", "3", "--e", "2"),
@@ -143,6 +144,14 @@ def test_oracle_agreement(capsys):
     assert "burnside_hyp=69" in out
 
 
+def test_oracle_json_verdict_is_a_boolean(capsys):
+    code, out, _ = run(capsys, "oracle", "--g", "2", "--q", "3", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["agrees"] is True
+    assert row["orbit_hyp"] == "69"
+
+
 def test_oracle_budget_refusal(capsys):
     code, _, err = run(capsys, "oracle", "--g", "5", "--q", "9")
     assert code == 2
@@ -218,11 +227,35 @@ def test_suite_checks_survive_python_O():
         "-c",
         "import numpy\n"
         "from hypcensus import multiplier, oracle\n"
-        "multiplier.epsilon_closed_forms = lambda gamma, forms, ctx: numpy.ones(len(forms))\n"
+        "multiplier.epsilon_closed_forms = (\n"
+        "    lambda elems, which, forms, ctx: numpy.ones(len(which)))\n"
         "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
     )
     assert res.returncode == 1, res.stdout
     assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
+
+
+def test_cocycle_closed_form_checks_survive_python_O():
+    # the first batched closed-form sign flipped: the cocycle suite must
+    # still raise under python -O, naming the member the per-element loop
+    # named first, the first nonidentity member of the first test set
+    k = ff.make_field(3, 1)
+    s = oc._stab_test_sets(3, k)[0]
+    first = next(el for el in ns.stabilizer(s, k) if el.kind != "identity")
+    res = _run_optimized(
+        "-c",
+        "from hypcensus import multiplier, oracle\n"
+        "batched = multiplier.epsilon_closed_forms\n"
+        "def flipped(elems, which, forms, ctx):\n"
+        "    signs = batched(elems, which, forms, ctx).copy()\n"
+        "    signs[0] *= -1\n"
+        "    return signs\n"
+        "multiplier.epsilon_closed_forms = flipped\n"
+        "oracle.verify_cocycle(triples=0, hom_exhaustive=(), hom_sampled=())\n",
+    )
+    assert res.returncode == 1, res.stdout
+    assert (f"VerificationError: cocycle: closed form on a stabilizer: {(3, s, first.mat)}"
+            in res.stderr)
 
 
 def test_sweep_sign_checks_survive_python_O():

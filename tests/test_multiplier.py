@@ -1,6 +1,7 @@
 """Multiplier cocycle unit tests."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -146,14 +147,17 @@ def test_epsilon_closed_form_requires_stability():
     assert ns.apply_moebius(e, s, k) != s
     with pytest.raises(ValueError, match="closed form requires gamma S = S"):
         mult.epsilon_closed_form(e, s, k)
-    # the batched view checks every row: one stable row, then one that moves
+    # the batched view checks every pair: one stable pair, then two that
+    # move, and it names the first of them
     e = mo.classify(k, mo.GlMatrix(0, 1, 1, 0))
     fixed = ns.points_to_nset(k, [mo.fin(1), mo.fin(2)])  # the fixed points of 1/x
-    forms = np.array([ns.to_form(k, fixed), ns.to_form(k, s)])
-    assert mult.epsilon_closed_forms(e, forms[:1], k).tolist() == [
+    other = ns.points_to_nset(k, [mo.fin(0), mo.fin(2)])
+    forms = np.array([ns.to_form(k, t) for t in (fixed, s, other)])
+    assert mult.epsilon_closed_forms([e], [0], forms[:1], k).tolist() == [
         mult.epsilon_closed_form(e, fixed, k)]
-    with pytest.raises(ValueError, match="closed form requires gamma S = S"):
-        mult.epsilon_closed_forms(e, forms, k)
+    moved = re.escape(f"closed form requires gamma S = S: {e.mat}, {s}")
+    with pytest.raises(ValueError, match=moved):
+        mult.epsilon_closed_forms([e], [0, 0, 0], forms, k)
 
 
 def test_epsilon_conjugation_invariance_on_stabilizer():
@@ -219,19 +223,50 @@ def test_orbit_multiplier_all_points_q3_q5():
 def test_batched_signs_match_references_on_every_stable_pair(q):
     k = K(q)
     st = oc.ActionState(k, 6)
-    pairs = 0
-    for e in mo.enumerate_pgl(k):
-        if e.kind == "identity":
-            continue
+    elems = [e for e in mo.enumerate_pgl(k) if e.kind != "identity"]
+    which, rows, _ = st.fixed_rows(mo.mat_codes(e.mat for e in elems))
+    pairs = [(elems[w], st.nset_at(i)) for w, i in zip(which.tolist(), rows.tolist())]
+    # every stable pair of every element in one closed-form call
+    closed = mult.epsilon_closed_forms(elems, which, st.V[rows], k)
+    assert closed.tolist() == [mult.epsilon_closed_form(e, s, k) for e, s in pairs]
+    for e in elems:
         idx = np.flatnonzero(st.kappa_stable(e.mat)[1])
         sets = [st.nset_at(i) for i in idx.tolist()]
-        mats = mo.mat_codes([e.mat])
-        closed = mult.epsilon_closed_forms(e, st.V[idx], k)
-        swept = mult.epsilons(k, mats, st.V[idx])
-        assert closed.tolist() == [mult.epsilon_closed_form(e, s, k) for s in sets], e
+        swept = mult.epsilons(k, mo.mat_codes([e.mat]), st.V[idx])
         assert swept.tolist() == [mult.epsilon(e.mat, s, k) for s in sets], e
-        pairs += len(sets)
-    assert pairs == {3: 264, 5: 3720}[q]
+    assert len(pairs) == {3: 264, 5: 3720}[q]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_batched_closed_form_matches_reference_on_stabilizer_test_sets(q):
+    # every nonidentity member of each stabilizer test set in one call
+    k = K(q)
+    for s in oc._stab_test_sets(q, k):
+        members = [e for e in ns.stabilizer(s, k) if e.kind != "identity"]
+        closed = mult.epsilon_closed_forms(members, np.arange(len(members)), ns.to_form(k, s), k)
+        assert closed.tolist() == [mult.epsilon_closed_form(e, s, k) for e in members], s
+
+
+def test_batched_closed_form_names_the_first_bad_pair(monkeypatch):
+    # two pairs given a fixed-point count no configuration of their kind
+    # has: the error names the first of them
+    k = K(5)
+    st = oc.ActionState(k, 6)
+    elems = [e for e in mo.enumerate_pgl(k) if e.kind == "A"]
+    which, rows, _ = st.fixed_rows(mo.mat_codes(e.mat for e in elems))
+    counts = ns.fixed_point_counts
+    bad = [3, 7]
+
+    def miscounted(ctx, mats, forms):
+        cnt = counts(ctx, mats, forms).copy()
+        cnt[bad] = 1  # kind A holds its conjugate pair together or not at all
+        return cnt
+
+    monkeypatch.setattr(mult, "fixed_point_counts", miscounted)
+    first = st.nset_at(int(rows[bad[0]]))
+    want = re.escape(f"kind A has 1 of its fixed points in S: {first}")
+    with pytest.raises(VerificationError, match=want):
+        mult.epsilon_closed_forms(elems, which, st.V[rows], k)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])

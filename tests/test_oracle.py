@@ -494,12 +494,14 @@ def test_fixed_point_counts_match_extension_membership(q, ns_list, sample):
     elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
     if sample:
         elems = random.Random(q).sample(elems, sample)
+    codes = mb.mat_codes(el.mat for el in elems)
     for n in ns_list:
         st = oc.ActionState(ctx, n)
-        for elem in elems:
-            got = ns.fixed_point_counts(ctx, elem.mat, st.V)
-            assert got.dtype == np.int8
-            assert np.array_equal(got, _extension_fixed_point_counts(ctx, elem, st.V)), (n, elem)
+        # every element against every row in one stacked call
+        got = ns.fixed_point_counts(ctx, codes[:, None], st.V)
+        assert got.dtype == np.int8 and got.shape == (len(elems), st.count)
+        for elem, row in zip(elems, got):
+            assert np.array_equal(row, _extension_fixed_point_counts(ctx, elem, st.V)), (n, elem)
 
 
 # even n = 4..8 over F_3, F_5, F_7 and F_9, all but F_9 at n = 8 (43 M rows)
@@ -624,15 +626,38 @@ def test_fixed_point_counts_match_pmod(p, e):
     # the form holds deg gcd(f, mu) of them, both where mu divides f
     ctx = ff.make_field(p, e)
     st = oc.ActionState(ctx, 4)
-    for mu in [(1, 0, 1), (2, 1, 1), (0, 1, 1)]:
-        v, u, _ = mu
+    mus = [(1, 0, 1), (2, 1, 1), (0, 1, 1)]
+    mats = []
+    for v, u, _ in mus:
         a = 0 if v else 1  # a nonzero determinant a (a + u) + v
-        mat = mb.GlMatrix(a, ff.neg(ctx, v), 1, ff.add(ctx, a, u))
-        got = ns.fixed_point_counts(ctx, mat, st.V)
-        sets = [st.nset_at(i) for i in range(st.count)]
+        mats.append(mb.GlMatrix(a, ff.neg(ctx, v), 1, ff.add(ctx, a, u)))
+    sets = [st.nset_at(i) for i in range(st.count)]
+    # each matrix paired with every row: one stacked call of paired rows
+    which = np.repeat(np.arange(len(mats)), st.count)
+    got = ns.fixed_point_counts(ctx, mb.mat_codes(mats)[which], np.tile(st.V, (len(mats), 1)))
+    for mu, part in zip(mus, got.reshape(len(mats), st.count)):
         want = [len(ff.pgcd(ctx, s.f, mu)) - 1 for s in sets]
-        assert got.tolist() == want, mu
-        assert (got == 2).tolist() == [ff.pmod(ctx, s.f, mu) == () for s in sets], mu
+        assert part.tolist() == want, mu
+        assert (part == 2).tolist() == [ff.pmod(ctx, s.f, mu) == () for s in sets], mu
+
+
+@pytest.mark.parametrize("block", [7, 100])
+def test_fixed_point_counts_in_blocks_match_one_block(monkeypatch, block):
+    # stacks larger than a block are counted one leading index and a run
+    # of rows at a time: outer, paired and transposed stacks must give the
+    # counts of one block over everything
+    ctx = ff.make_field(5, 1)
+    st = oc.ActionState(ctx, 4)
+    elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"][::13]
+    codes = mb.mat_codes(el.mat for el in elems)
+    whole = ns.fixed_point_counts(ctx, codes[:, None], st.V)
+    assert whole.size <= ns._COUNT_BLOCK
+    rng = np.random.default_rng(block)
+    which, rows = rng.integers(len(elems), size=500), rng.integers(st.count, size=500)
+    monkeypatch.setattr(ns, "_COUNT_BLOCK", block)
+    assert np.array_equal(ns.fixed_point_counts(ctx, codes[:, None], st.V), whole)
+    assert np.array_equal(ns.fixed_point_counts(ctx, codes[which], st.V[rows]), whole[which, rows])
+    assert np.array_equal(ns.fixed_point_counts(ctx, codes, st.V[:, None]), whole.T)
 
 
 def test_twisted_act_flip_matches_engine():
@@ -732,6 +757,10 @@ def test_suites_reduced_grids():
         "cocycle", triples=300, hom_exhaustive=((3, 6),), hom_sampled=()
     )
     assert r["checks"] > 0
+    # no random triples: the checks of a one-triple run, less that
+    # triple's one check per field
+    r = oc.verify_suite("cocycle", triples=0, hom_exhaustive=(), hom_sampled=())
+    assert r["checks"] == 131442 - 2
     assert oc.verify_suite("quot", qs=(3,))["checks"] > 0
     assert oc.verify_suite("points", qs=(3,))["checks"] > 0
 
@@ -774,9 +803,9 @@ def test_cocycle_grid_names_the_failing_pair(monkeypatch):
 
     def perturbed(ctx, mats, forms):
         j, img = batched(ctx, mats, forms)
-        if np.shape(mats) == (24, 24, 4):  # the products, [rho, gam]
+        if np.shape(mats) == (24, 24, 4):  # the products, [..., rho, gam]
             j = j.copy()
-            j[5, 17] = ff.tables(ctx).MUL[2, j[5, 17]]
+            j[..., 5, 17] = ff.tables(ctx).MUL[2, j[..., 5, 17]]
         return j, img
 
     monkeypatch.setattr(mult, "kappa_multipliers", perturbed)
