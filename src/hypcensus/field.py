@@ -322,7 +322,9 @@ def dot(ctx: FieldCtx, pairs) -> np.ndarray:
     the shapes allow, and in int64 once len(pairs) (p - 1)^2 reaches 2**31;
     the sum is reduced mod p once.  Over an extension field the terms are
     int16 gathers from the flattened tables: a row of MUL for an int
-    coefficient, MUL at c q + x for an array one, and ADD at acc q + term.
+    coefficient, MUL at c q + x for an array one, and ADD at acc q + term;
+    a unit int coefficient reads its column as is, and the sum of one such
+    term is a copy, never the caller's array.
     """
     acc = None
     if ctx.e == 1:
@@ -339,10 +341,17 @@ def dot(ctx: FieldCtx, pairs) -> np.ndarray:
         return np.mod(acc, p, out=acc)
     q, tabs = ctx.q, tables(ctx)
     add, mul = tabs.ADD.ravel(), tabs.MUL.ravel()
+    unit = None  # a column read as is, for a unit coefficient
     for c, x in pairs:  # int16 codes, so the int32 indices c q + x stay below 2**30
-        term = (tabs.MUL[c].take(x) if isinstance(c, int)
-                else mul.take(np.multiply(c, q, dtype=np.int32) + x))
+        if not isinstance(c, int):
+            term = mul.take(np.multiply(c, q, dtype=np.int32) + x)
+        elif c == 1 and isinstance(x, np.ndarray):
+            term = unit = x
+        else:
+            term = tabs.MUL[c].take(x)
         acc = term if acc is None else add.take(np.multiply(acc, q, dtype=np.int32) + term)
+    if unit is not None and acc is unit:  # a lone unit term: never alias the caller's array
+        acc = acc.astype(tabs.MUL.dtype)
     return acc
 
 

@@ -4,13 +4,18 @@ Every rational n-set is a canonical binary-form coefficient row; a 2x2
 matrix acts on all rows at once, a column of exact int codes at a time
 (ActionState._image_col, one field.dot over the columns of V).  The two
 counts read different primitives.  The orbit census labels the graph of
-the three generators' row permutations (dest_flip).  Burnside reads the
-rows that one representative of each of the q + 2 conjugacy classes of
-PGL2 (moebius.class_key) fixes off the eigenspaces of its substitution
-matrix, and weights them by class size.  ActionState.fixed_rows finds
-those eigenspaces for a whole stack of matrices with one field.kernels
-call and looks their normalized vectors up as rows, so it never scans V;
-Burnside reads dest_flip only to cross-check the generators' fixed rows.
+the three generators' row permutations (dest_flip).  Two of them, x + 1
+and x -> zeta x, fix infinity, so their kappa is one constant per block
+of rows (avoiding infinity, through it): dest_flip folds 1/kappa into
+the substitution rows once per block and reads the row codes straight
+off the image columns; only x -> 1/x divides by kappa row by row.
+Burnside reads the rows that one representative of each of the q + 2
+conjugacy classes of PGL2 (moebius.class_key) fixes off the eigenspaces
+of its substitution matrix, and weights them by class size.
+ActionState.fixed_rows finds those eigenspaces for a whole stack of
+matrices with one field.kernels call and looks their normalized vectors
+up as rows, so it never scans V; Burnside reads dest_flip only to
+cross-check the generators' fixed rows.
 Nothing reuses the closed formulas: agreement with census.hyp /
 census.sd is the independent evidence.
 
@@ -18,7 +23,9 @@ The twisted census tracks pairs (twist class, n-set); an edge flips the
 class when the substitution multiplier is a nonsquare.  One min-label pass
 carries that class as a parity bit per row (c = 2 label + bit): it labels
 each n-set orbit by its smallest row, and an orbit is self-dual (its two
-twist classes merge) when some generator edge contradicts the bits.
+twist classes merge) when some generator edge contradicts the bits.  Its
+rounds take the generator minima and jump each pointer once, and stop as
+soon as the labels agree across every generator edge.
 It is the one orbit primitive: verify_points reads its twisted keys, and
 verify_quotient labels, with no twist, the joint orbits of an element and
 Frobenius on the points of P^1 over each extension.
@@ -281,27 +288,49 @@ class ActionState:
 
         kappa is image column 0, or 1 through infinity; the code of the
         image over kappa is accumulated a column at a time (Horner in q).
-        The flip is chi(multiplier) = -1, for even n the class of kappa."""
+        The flip is chi(multiplier) = -1, for even n the class of kappa.
+
+        An element with c = 0 fixes infinity and T is lower triangular, so
+        kappa is the constant T[0][0] on the rows avoiding infinity and
+        T[1][1] on the rows through it: 1 / kappa is folded into the rows
+        of T once per block, whose image columns are then the code digits.
+        """
         q, n = self.ctx.q, self.n
         if n % 2:
             raise ValueError(f"twist transport is defined for even n, got {n}")
         if len(self._row_of) > 2**31:
             raise ValueError(f"q = {q}, n = {n} overflows the int32 row codes")
-        t = ns.substitution_matrix(self.ctx, mat, n)
-        col0, col1 = (self._image_col(slice(None), trow) for trow in t[:2])
-        kap = np.where(col0 != 0, col0, col1)
-        _check(kap.all(), "the image of an n-set must be an n-set", mat)
-        mul = self.tabs.MUL.ravel()
-        row = self.tabs.INV[kap].astype(np.int32) * q  # MUL row of 1 / kappa
-        code = mul[row + col1].astype(np.int32)  # 1 on the images through infinity
-        for trow in t[2:]:
-            code *= q
-            code += mul[row + self._image_col(slice(None), trow)]
-        # codes through infinity drop that 1 and start at q**n in _row_of
-        np.add(code, q**n - q ** (n - 1), out=code, where=col0 == 0)
+        ctx, t = self.ctx, ns.substitution_matrix(self.ctx, mat, n)
+        if mat.c:
+            col0, col1 = (self._image_col(slice(None), trow) for trow in t[:2])
+            kap = np.where(col0 != 0, col0, col1)
+            _check(kap.all(), "the image of an n-set must be an n-set", mat)
+            mul = self.tabs.MUL.ravel()
+            row = self.tabs.INV[kap].astype(np.int32) * q  # MUL row of 1 / kappa
+            code = mul[row + col1].astype(np.int32)  # 1 on the images through infinity
+            for trow in t[2:]:
+                code *= q
+                code += mul[row + self._image_col(slice(None), trow)]
+            # codes through infinity drop that 1 and start at q**n in _row_of
+            np.add(code, q**n - q ** (n - 1), out=code, where=col0 == 0)
+            flip = self.tabs.CHI[kap] == -1
+        else:
+            code, flip = np.empty(self.count, np.int32), np.empty(self.count, bool)
+            for lead, rows in enumerate((slice(0, self.n0), slice(self.n0, self.count))):
+                kap = t[lead][lead]
+                _check(kap, "the image of an n-set must be an n-set", mat)
+                over = self.tabs.MUL[ff.inv(ctx, kap)]  # the MUL row of 1 / kappa
+                scaled = over[np.array(t[lead + 1 :])].tolist()
+                part = code[rows]
+                part[:] = self._image_col(rows, scaled[0])
+                for trow in scaled[1:]:
+                    part *= q
+                    part += self._image_col(rows, trow)
+                part += lead * q**n  # the rows through infinity from q**n on
+                flip[rows] = self.tabs.CHI[kap] == -1
         dest = self._row_of[code]
         _check((dest >= 0).all(), "the image of an n-set must be a canonical row", mat)
-        return dest, self.tabs.CHI[kap] == -1
+        return dest, flip
 
 
 @dataclass(frozen=True)
@@ -380,30 +409,31 @@ def _parity_labels(acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c[i] = 2 L + b (int32) says that (twist 0, row i) and (twist b, row L)
     share a twisted orbit.  An edge i -> dest[i] with flip f makes
     c[dest[i]] ^ f valid for c[i] too, and c[L] ^ b jumps the pointer, so
-    taking minima keeps c valid.  At the fixpoint c[i] <= c[dest[i]] ^ f
-    on every edge; generators permute rows in cycles, so L = c >> 1 is
-    constant on each orbit, hence its smallest row r (c[r] <= 2 r).
-    An orbit is merged (one twisted orbit) iff no twist bit fits every
-    edge: iff some generator edge in it has c[i] != c[dest[i]] ^ f.
-    Returns L and the twisted orbit keys 2 L + b of (twist 0, i) and
-    (twist 1, i), with b = 0 on merged orbits."""
+    each round takes those minima and then jumps once, and c stays valid
+    with L <= i.  The rounds stop as soon as L = c >> 1 agrees across every
+    generator edge: generators permute rows in cycles, so L is then
+    constant on each orbit and, being a member no larger than any row of
+    it, the orbit's smallest row r.  An orbit is merged (one twisted orbit)
+    iff no twist bit fits every edge: iff some generator edge in it has
+    c[i] != c[dest[i]] ^ f; elsewhere the bits are the one colouring with
+    b = 0 at r.  Returns L and the twisted orbit keys 2 L + b of
+    (twist 0, i) and (twist 1, i), with b = 0 on merged orbits."""
     c = np.arange(0, 2 * len(acts[0][0]), 2, dtype=np.int32)
     while True:
-        old = c
         for dest, flip in acts:
             c = np.minimum(c, c.take(dest) ^ flip)
-        while not np.array_equal(jumped := c.take(c >> 1) ^ (c & 1), c):
-            c = jumped
-        if np.array_equal(c, old):
+        c = c.take(c >> 1) ^ (c & 1)
+        lab = c >> 1
+        if all(np.array_equal(lab, lab.take(dest)) for dest, _ in acts):
             break
     merged = np.zeros(len(c), bool)
     for dest, flip in acts:
         off = c ^ c.take(dest) ^ flip  # 1 where the twist bits disagree
         _check((off <= 1).all(), "orbit labels agree across every generator edge")
-        merged[c[off == 1] >> 1] = True
-    m = merged[c >> 1]
+        merged[lab[off == 1]] = True
+    m = merged[lab]
     key0 = np.where(m, c & ~1, c)
-    return c >> 1, key0, key0 ^ ~m
+    return lab, key0, key0 ^ ~m
 
 
 def _orbit_labels(perms) -> np.ndarray:
@@ -428,15 +458,6 @@ def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
     hyp_count, y = int(np.count_nonzero(seen)), len(roots)
     _check(hyp_count == 2 * y - sd, "hyp == 2y - merged", g, q, hyp_count, y, sd)
     return OracleResult(g=g, q=q, n_sets=count, nset_classes=y, hyp=hyp_count, sd=sd)
-
-
-def twisted_act(gamma, lam: int, s: ns.RationalNSet, ctx: ff.FieldCtx):
-    """Image of a (twist scalar, n-set) pair; the scalar is transported by
-    the multiplier, so it is well defined up to squares."""
-    mat = gamma.mat if isinstance(gamma, mb.MoebiusElem) else gamma
-    s2, kappa = ns.act_form(ctx, mat, s)
-    j = ff.div(ctx, ff.pw(ctx, mb.mat_det(ctx, mat), s.n), kappa)
-    return ff.mul(ctx, lam, j), s2
 
 
 def selfdual_nset(s: ns.RationalNSet, ctx: ff.FieldCtx) -> bool:

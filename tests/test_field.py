@@ -341,10 +341,10 @@ def test_numpy_tables_match_scalar_ops(p, e):
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (131, 1), (32749, 1), (3, 2), (3, 3), (3, 5)])
 def test_dot_matches_scalar_fold(p, e):
-    # int, zero-int and (m, 1) array coefficients against (k,) columns and
-    # an int, summed into (m, k); columns of q - 1 make the prime-field
-    # partial sums largest: at p = 32749 the third term passes 2**31, and
-    # no q x q table of that field is built
+    # int, zero-int, unit and (m, 1) array coefficients against (k,)
+    # columns and an int, summed into (m, k); columns of q - 1 make the
+    # prime-field partial sums largest: at p = 32749 the third term passes
+    # 2**31, and no q x q table of that field is built
     k = ff.make_field(p, e)
     rng = np.random.default_rng(p**e)
     cols = rng.integers(k.q, size=(3, 6))
@@ -352,7 +352,7 @@ def test_dot_matches_scalar_fold(p, e):
     arrs = rng.integers(k.q, size=(2, 4, 1))
     arrs[:, :2] = k.q - 1
     pairs = [(k.q - 1, cols[0]), (0, cols[1]), (arrs[0], cols[2]),
-             (int(rng.integers(1, k.q)), cols[1]), (arrs[1], 1)]
+             (int(rng.integers(1, k.q)), cols[1]), (1, cols[2]), (arrs[1], 1)]
     got = ff.dot(k, iter(pairs))
     want = np.zeros((4, 6), np.int64)
     for i, j in np.ndindex(want.shape):
@@ -365,6 +365,19 @@ def test_dot_matches_scalar_fold(p, e):
         assert got.dtype == np.int16
     else:
         assert got.dtype == (np.int64 if p == 32749 else np.int32)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (3, 3)])
+def test_dot_lone_unit_term_is_a_copy(p, e):
+    # a unit coefficient reads its column as is; the sum of that one term
+    # must still be a new array of codes, whatever the column's dtype
+    k = ff.make_field(p, e)
+    for x in (np.arange(k.q, dtype=np.int16), np.arange(k.q)):
+        got = ff.dot(k, [(1, x)])
+        assert np.array_equal(got, x) and not np.shares_memory(got, x)
+        assert got.dtype == (np.int32 if e == 1 else np.int16)
+        got[:] = 0
+        assert np.array_equal(x, np.arange(k.q))
 
 
 def test_prime_factors_and_is_prime():

@@ -602,13 +602,43 @@ def _assert_parity_labels_match_union_find(n, acts):
 
 def test_parity_labels_merge_an_odd_cycle():
     # the flips around this 3-cycle add up to 1, so its two twist classes
-    # merge; at the fixpoint rows 1 and 2 carry twist bit 1, and the keys
-    # of a merged orbit must ignore it
+    # merge; when the labels agree across the edges rows 1 and 2 carry
+    # twist bit 1, and the keys of a merged orbit must ignore it
     acts = [(np.array([1, 2, 0], np.int32), np.array([False, False, True]))]
     lab, key0, key1 = oc._parity_labels(acts)
     assert lab.tolist() == [0, 0, 0]
     assert key0.tolist() == key1.tolist() == [0, 0, 0]
     _assert_parity_labels_match_union_find(3, acts)
+
+
+class _CountedTakes(np.ndarray):
+    """An array whose take calls are counted, and refused past a bound."""
+    bound = takes = 0
+
+    def take(self, *args, **kwargs):
+        type(self).takes += 1
+        assert type(self).takes <= type(self).bound, "too many labelling rounds"
+        return super().take(*args, **kwargs)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_parity_labels_on_one_long_cycle(monkeypatch, odd):
+    # one 2**16-row cycle, each row sent to the one below it: the minima
+    # alone lower a label by one row a round, the pointer jump after them
+    # halves the distance left, so the labelling takes about 16 rounds of
+    # a few takes each; a flip mask of the counting class makes the labels
+    # count their takes.  With one odd flip the cycle is one merged orbit.
+    n = 2**16
+    dest = np.roll(np.arange(n, dtype=np.int32), 1)
+    flip = np.zeros(n, bool)
+    flip[n // 3] = odd
+    monkeypatch.setattr(_CountedTakes, "bound", 8 * 17)
+    monkeypatch.setattr(_CountedTakes, "takes", 0)
+    acts = [(dest, flip.view(_CountedTakes))]
+    lab, key0, key1 = oc._parity_labels(acts)
+    assert not lab.any()
+    assert np.array_equal(key0, key1) == odd
+    _assert_parity_labels_match_union_find(n, [(dest, flip)])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -660,6 +690,16 @@ def test_fixed_point_counts_in_blocks_match_one_block(monkeypatch, block):
     assert np.array_equal(ns.fixed_point_counts(ctx, codes, st.V[:, None]), whole.T)
 
 
+def _twisted_act(gamma, lam, s, ctx):
+    """Image of a (twist scalar, n-set) pair, one pair at a time; the
+    scalar is transported by the multiplier, so it is well defined up to
+    squares."""
+    mat = gamma.mat if isinstance(gamma, mb.MoebiusElem) else gamma
+    s2, kappa = ns.act_form(ctx, mat, s)
+    j = ff.div(ctx, ff.pw(ctx, mb.mat_det(ctx, mat), s.n), kappa)
+    return ff.mul(ctx, lam, j), s2
+
+
 def test_twisted_act_flip_matches_engine():
     ctx = ff.make_field(3, 1)
     st = oc.ActionState(ctx, 6)
@@ -667,7 +707,7 @@ def test_twisted_act_flip_matches_engine():
     for elem in mb.enumerate_pgl(ctx):
         dest, flip = st.dest_flip(elem.mat)
         for i in (0, 17, 100, 333, len(sets) - 1):
-            lam2, s2 = oc.twisted_act(elem, 1, sets[i], ctx)
+            lam2, s2 = _twisted_act(elem, 1, sets[i], ctx)
             assert s2 == sets[int(dest[i])]
             assert (ff.chi(lam2, ctx) == -1) == bool(flip[i])
 
