@@ -291,11 +291,8 @@ def _fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
         cols = np.flatnonzero(wk.reshape(-1, n + 1).any(0))
         return ff.dot(ctx, ((wk[..., i], forms[..., i]) for i in cols))
 
-    # with c = 0 throughout, r1 is F[0], and r0 counts only where d != a
-    shape = np.broadcast_shapes(diag.shape, forms.shape[:-1])
-    r1 = np.broadcast_to(forms[..., 0], shape) if diag.all() else weighted(w1)
-    r0 = None if (diag & (d == a)).all() else weighted(w0)
-    z0, z1 = r0 is not None and r0 == 0, r1 == 0
+    r0, r1 = weighted(w0), weighted(w1)
+    z0, z1 = r0 == 0, r1 == 0
     fixed = free = None
     if diag.any():  # infinity, and b/(d - a) unless d = a
         fixed = z1.astype(np.int8)

@@ -416,9 +416,13 @@ def _parity_labels(acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     it, the orbit's smallest row r.  An orbit is merged (one twisted orbit)
     iff no twist bit fits every edge: iff some generator edge in it has
     c[i] != c[dest[i]] ^ f; elsewhere the bits are the one colouring with
-    b = 0 at r.  Returns L and the twisted orbit keys 2 L + b of
-    (twist 0, i) and (twist 1, i), with b = 0 on merged orbits."""
+    b = 0 at r.  Each dest must permute the rows, or the rounds may never
+    end: that is checked first.  Returns L and the twisted orbit keys 2 L + b
+    of (twist 0, i) and (twist 1, i), with b = 0 on merged orbits."""
     c = np.arange(0, 2 * len(acts[0][0]), 2, dtype=np.int32)
+    for dest, _ in acts:
+        _check(len(dest) == len(c) and (np.bincount(dest, minlength=len(c)) == 1).all(),
+               "every generator permutes the rows")
     while True:
         for dest, flip in acts:
             c = np.minimum(c, c.take(dest) ^ flip)
@@ -429,7 +433,6 @@ def _parity_labels(acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     merged = np.zeros(len(c), bool)
     for dest, flip in acts:
         off = c ^ c.take(dest) ^ flip  # 1 where the twist bits disagree
-        _check((off <= 1).all(), "orbit labels agree across every generator edge")
         merged[lab[off == 1]] = True
     m = merged[lab]
     key0 = np.where(m, c & ~1, c)

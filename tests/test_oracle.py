@@ -650,6 +650,15 @@ def test_parity_labels_match_union_find_on_random_permutations(seed):
     _assert_parity_labels_match_union_find(n, acts)
 
 
+@pytest.mark.parametrize("dest", [[1, 1], [0, 0, 1], [1, 2, 3]])
+def test_parity_labels_refuse_a_dest_that_is_no_permutation(dest):
+    # with dest = [1, 1] the labels [0, 1] never agree across the edge
+    # 1 -> 1 and stop changing, so without the check the rounds never end
+    dest = np.array(dest, np.int32)
+    with pytest.raises(oc.VerificationError, match="permutes the rows"):
+        oc._parity_labels([(dest, np.zeros(len(dest), bool))])
+
+
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
 def test_fixed_point_counts_match_pmod(p, e):
     # x -> (a x - v) / (x + a + u) fixes the roots of mu = x^2 + u x + v:
