@@ -106,6 +106,13 @@ class VerificationError(AssertionError):
     `assert`, so that `python -O` cannot strip the check."""
 
 
+# The oracle engine's default work budget and the names of its suites.
+# They live here, with no numpy behind them, so that the command line
+# parser offers them without importing the engine.
+DEFAULT_BUDGET = 500_000_000
+SUITE_NAMES = ("eps", "counts", "norm", "orbit_lemma", "cocycle", "quot", "points")
+
+
 def _exact_div(num: int, den: int) -> int:
     quot, rem = divmod(num, den)
     if rem:

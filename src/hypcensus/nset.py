@@ -36,7 +36,7 @@ import numpy as np
 
 from . import field as ff
 from .field import FieldCtx
-from .moebius import INF, GlMatrix, MoebiusElem, ProjPoint, act_point, enumerate_pgl, fin, mat_codes
+from .moebius import GlMatrix, MoebiusElem, ProjPoint, act_point, enumerate_pgl, mat_codes
 
 
 @dataclass(frozen=True)
@@ -56,58 +56,6 @@ def make_nset(ctx: FieldCtx, f, has_inf: bool) -> RationalNSet:
     if not ff.is_squarefree_poly(ctx, f):
         raise ValueError("f must be squarefree")
     return RationalNSet(tuple(f), bool(has_inf))
-
-
-def points_to_nset(ctx: FieldCtx, pts) -> RationalNSet:
-    """n-set through the given rational points (distinct, base field)."""
-    f = (1,)
-    has_inf = False
-    seen = set()
-    for t in pts:
-        if t in seen:
-            raise ValueError(f"repeated point {t}")
-        seen.add(t)
-        if t.finite:
-            f = ff.pmul(ctx, f, (ff.neg(ctx, t.x), 1))
-        else:
-            has_inf = True
-    return RationalNSet(f, has_inf)
-
-
-def nset_str(s: RationalNSet) -> str:
-    """Canonical textual form: comma-joined coefficient codes, low degree
-    first and the monic 1 included, with ';inf' appended when present."""
-    body = ",".join(str(c) for c in s.f)
-    return body + (";inf" if s.has_inf else "")
-
-
-def enumerate_nsets(ctx: FieldCtx, n: int):
-    """All rational n-sets, deterministic order.
-
-    First the sets avoiding infinity (monic squarefree f of degree n),
-    then the sets containing it (degree n - 1), each block ordered by the
-    integer whose base-q digits are the non-leading coefficients (constant
-    coefficient least significant).  Total count is a_p1(n, q).  It is
-    the reference the tests hold the engine's row order (ActionState)
-    against.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    q = ctx.q
-    for has_inf in (False, True):
-        deg = n - (1 if has_inf else 0)
-        if deg == 0:
-            yield RationalNSet((1,), True)
-            continue
-        for code in range(q**deg):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                c, r = divmod(c, q)
-                coeffs.append(r)
-            f = tuple(coeffs) + (1,)
-            if ff.is_squarefree_poly(ctx, f):
-                yield RationalNSet(f, has_inf)
 
 
 def to_form(ctx: FieldCtx, s: RationalNSet, n: int | None = None) -> tuple[int, ...]:
@@ -355,10 +303,3 @@ def stabilizer(s: RationalNSet, ctx: FieldCtx) -> list[MoebiusElem]:
     """All classes fixing the n-set (setwise), in enumerate_pgl order."""
     pgl = enumerate_pgl(ctx)
     return [pgl[i] for i in np.flatnonzero(stabilizer_masks(ctx, to_form(ctx, s)))]
-
-
-def rational_points(s: RationalNSet, ctx: FieldCtx) -> list[ProjPoint]:
-    pts = [fin(x) for x in range(ctx.q) if ff.peval(ctx, s.f, x) == 0]
-    if s.has_inf:
-        pts.append(INF)
-    return pts

@@ -58,6 +58,8 @@ from . import moebius as mb
 from . import multiplier as mult
 from . import nset as ns
 from .census import (
+    DEFAULT_BUDGET,
+    SUITE_NAMES,
     a_p1,
     factor_prime_power,
     free_count,
@@ -68,8 +70,6 @@ from .census import (
     VerificationError,
 )
 from .moebius import GlMatrix
-
-DEFAULT_BUDGET = 500_000_000
 
 
 class BudgetError(RuntimeError):
@@ -149,9 +149,12 @@ class ActionState:
     """Every rational n-set over ctx as a canonical form row, with the
     vectorized matrix action.
 
-    Row order matches enumerate_nsets: first the sets avoiding infinity
-    (form coefficient 0 equal to 1), then the rest (coefficients 0, 1
-    equal to 0, 1).  V[r, i] is the X^(n-i) Z^i coefficient of row r;
+    Row order: first the sets avoiding infinity (form coefficient 0
+    equal to 1), then the rest (coefficients 0, 1 equal to 0, 1), each
+    block in increasing code, the integer whose base-q digits are the
+    non-leading coefficients of f (constant coefficient least
+    significant).  The tests hold it against a plain enumeration of the
+    monic squarefree f.  V[r, i] is the X^(n-i) Z^i coefficient of row r;
     V is stored column-major, since the action reads it a column at a time.
 
     V is filled a column at a time from the sieve, with no division: in
@@ -715,7 +718,7 @@ def verify_cocycle(
     k3 = ff.make_field(3, 1)
     pgl3 = mb.enumerate_pgl(k3)
     st3 = ActionState(k3, 6)
-    sample = [st3.nset_at(i) for i in range(4)]  # the first rows, as enumerate_nsets orders them
+    sample = [st3.nset_at(i) for i in range(4)]  # the first rows, in row order
     special = ns.make_nset(k3, ff.pmul(k3, (0, 2, 0, 1), (1, 0, 1)), True)
     sample.append(special)
     # every (set, rho, gam) triple in one batch, [s, r, g] = (S_s, rho_r, gam_g)
@@ -981,15 +984,8 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
     return {"suite": "points", "checks": checks}
 
 
-SUITES = {
-    "eps": verify_epsilon,
-    "counts": verify_counts,
-    "norm": verify_norm,
-    "orbit_lemma": verify_orbit_lemma,
-    "cocycle": verify_cocycle,
-    "quot": verify_quotient,
-    "points": verify_points,
-}
+SUITES = dict(zip(SUITE_NAMES, (verify_epsilon, verify_counts, verify_norm, verify_orbit_lemma,
+                                verify_cocycle, verify_quotient, verify_points), strict=True))
 
 
 def verify_suite(name: str, **kwargs) -> dict:

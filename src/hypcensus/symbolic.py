@@ -68,14 +68,6 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     return poly_norm([a + b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
-def poly_neg(f: Poly) -> Poly:
-    return tuple(-c for c in f)
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    return poly_add(f, poly_neg(g))
-
-
 def poly_scale(k: int, f: Poly) -> Poly:
     if k == 0:
         return ()
@@ -84,47 +76,11 @@ def poly_scale(k: int, f: Poly) -> Poly:
     return tuple([k * c for c in f])
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return poly_norm(out)
-
-
 def poly_eval(f: Poly, q: int) -> int:
     acc = 0
     for c in reversed(f):
         acc = acc * q + c
     return acc
-
-
-def poly_divexact(num: Poly, den: Poly) -> Poly:
-    """Exact polynomial division over the integers by a monic (or -monic)
-    divisor; raises VerificationError on a nonzero remainder."""
-    num_l = list(num)
-    den = poly_norm(den)
-    if not den or den[-1] not in (1, -1):
-        raise ValueError(f"divisor {den} must have leading coefficient +-1")
-    out = [0] * max(0, len(num_l) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num_l[i + len(den) - 1] // den[-1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num_l[i + j] -= c * d
-    if any(num_l):
-        raise VerificationError(
-            f"division of {num} by {den} leaves remainder {poly_norm(num_l)}"
-        )
-    return poly_norm(out)
-
-
-def poly_degree(f: Poly) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(f) - 1
 
 
 def poly_str(f: Poly, var: str = "q") -> str:
@@ -686,20 +642,6 @@ def restrict_to_class(
             raise ValueError("characteristic guard needs assume_large_char")
         out = poly_add(out, f)
     return out
-
-
-def congruence_lcm(cp: ConditionalPolynomial, base: int = 1) -> int:
-    """lcm of base and every congruence modulus appearing in cp."""
-    out = base
-    for g, _ in cp.terms:
-        out = out * g.mod // gcd(out, g.mod)
-    return out
-
-
-def max_char_term_degree(cp: ConditionalPolynomial) -> int:
-    """Largest degree among terms guarded by a characteristic condition."""
-    degs = [poly_degree(f) for g, f in cp.terms if g.char_eq is not None]
-    return max(degs, default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .symbolic import (
     ConditionalPolynomial,
     Guard,
     Poly,
-    poly_eval,
     symbolic_hyp,
     symbolic_sd,
 )
@@ -316,13 +315,3 @@ def compare_sd_with_formula(g: int, limit: int = 499) -> list[tuple[int, int, in
         if tv != fv:
             out.append((q, tv, fv))
     return out
-
-
-def known_delta_value(g: int, q: int) -> int:
-    """Expected row-minus-formula difference at q for recorded misprints."""
-    hit = HYP_ROW_KNOWN_DELTA.get(g)
-    if hit is None:
-        return 0
-    guard, poly = hit
-    p, _ = factor_prime_power(q)
-    return poly_eval(poly, q) if guard.holds(q, p) else 0

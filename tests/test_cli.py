@@ -1,5 +1,6 @@
 """Exit codes and output formats of the command line front end."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -16,7 +17,7 @@ from hypcensus import field as ff
 from hypcensus import moebius as mo
 from hypcensus import nset as ns
 from hypcensus import oracle as oc
-from hypcensus.cli import FORMATS, main
+from hypcensus.cli import FORMATS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -200,8 +201,11 @@ def test_oracle_orbit_engine_check_exits_1(capsys, monkeypatch):
     assert "MISMATCH" in out or "verification failed" in err
 
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
 def _run_optimized(*argv):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    src = os.path.join(TESTS, os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
     return subprocess.run([sys.executable, "-O", *argv], capture_output=True,
                           text=True, env=env, timeout=300)
@@ -365,7 +369,7 @@ def test_argument_checks_survive_python_O():
         "from hypcensus import field, moebius, multiplier, nset\n"
         "k = field.make_field(3, 1)\n"
         "e = moebius.classify(k, moebius.GlMatrix(1, 1, 0, 1))\n"
-        "s = nset.points_to_nset(k, [moebius.fin(0), moebius.fin(1)])\n"
+        "s = nset.make_nset(k, (0, 2, 1), False)  # x(x - 1): the points 0 and 1\n"
         "print(multiplier.epsilon_closed_form(e, s, k))",
     )
     assert res.returncode == 1, res.stdout
@@ -406,7 +410,9 @@ def test_census_checks_survive_python_O():
     # exactness checks must still fail with asserts compiled out
     res = _run_optimized(
         "-c",
-        "from hypcensus import census, symbolic\n"
+        f"import sys; sys.path.insert(0, {TESTS!r})\n"
+        "from hypcensus import census\n"
+        "from reference import poly_divexact\n"
         "burnside = census._burnside\n"
         "def shifted(q, p, n, sign):\n"
         "    sums = burnside(q, p, n, sign)\n"
@@ -415,7 +421,7 @@ def test_census_checks_survive_python_O():
         "    return sums\n"
         "census._burnside = shifted\n"
         "for fn, args in ((census.census_report, (2, 3)), (census.y_nset_classes, (2, 3)),\n"
-        "                 (symbolic.poly_divexact, ((1, 1, 1), (1, 1)))):\n"
+        "                 (poly_divexact, ((1, 1, 1), (1, 1)))):\n"
         "    try:\n"
         "        fn(*args)\n"
         "    except census.VerificationError as exc:\n"
@@ -479,3 +485,13 @@ def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+def test_parser_reads_the_engine_constants():
+    # the parser is built without the engine; its suite choices and default
+    # budget must still be the engine's own
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    budget = next(a for a in sub.choices["oracle"]._actions if a.dest == "budget")
+    assert list(suite.choices) == sorted(oc.SUITES)
+    assert budget.default == oc.DEFAULT_BUDGET

@@ -13,6 +13,8 @@ from hypcensus import nset as ns
 from hypcensus import oracle as oc
 from hypcensus.census import VerificationError, divisors
 
+import reference as ref
+
 
 def K(p, e=1):
     return ff.make_field(p, e)
@@ -34,14 +36,14 @@ def test_local_multiplier_cases():
 
 def test_global_multiplier_worked_example():
     k = K(3)
-    s = ns.points_to_nset(k, [mo.fin(0), mo.INF])
+    s = ref.points_to_nset(k, [mo.fin(0), mo.INF])
     assert mult.global_multiplier(mo.GlMatrix(2, 0, 0, 1), s, k) == 2
 
 
 def test_global_equals_kappa_exhaustive_q3():
     k = K(3)
     for n in (2, 3, 4):
-        for s in ns.enumerate_nsets(k, n):
+        for s in ref.enumerate_nsets(k, n):
             for e in mo.enumerate_pgl(k):
                 assert mult.global_multiplier(e.mat, s, k) == mult.kappa_multiplier(
                     e.mat, s, k
@@ -51,7 +53,7 @@ def test_global_equals_kappa_exhaustive_q3():
 def test_global_equals_kappa_sampled_q5_q9():
     for p, e in [(5, 1), (3, 2)]:
         k = K(p, e)
-        sets = list(ns.enumerate_nsets(k, 4))[::7]
+        sets = list(ref.enumerate_nsets(k, 4))[::7]
         mats = [el.mat for el in mo.enumerate_pgl(k)[::13]]
         # the kappa side in one batch per field, [i, j] = (sets[i], mats[j])
         forms = np.array([ns.to_form(k, s) for s in sets])
@@ -88,7 +90,7 @@ def test_global_multiplier_checks_a_second_point(monkeypatch):
 def test_sweep_falls_through_to_extension():
     # a set whose finite part covers all of F_3 forces x0 into F_9
     k = K(3)
-    s = ns.points_to_nset(k, [mo.fin(0), mo.fin(1), mo.fin(2), mo.INF])
+    s = ref.points_to_nset(k, [mo.fin(0), mo.fin(1), mo.fin(2), mo.INF])
     m = mo.GlMatrix(0, 1, 1, 0)
     assert mult.global_multiplier(m, s, k) == mult.kappa_multiplier(m, s, k)
 
@@ -96,7 +98,7 @@ def test_sweep_falls_through_to_extension():
 def test_cocycle_law():
     # J(gamma rho, S) = J(rho, S) * J(gamma, rho S), no stability needed
     k = K(3)
-    sets = list(ns.enumerate_nsets(k, 4))[::5]
+    sets = list(ref.enumerate_nsets(k, 4))[::5]
     elems = mo.enumerate_pgl(k)
     for s in sets:
         for g1 in elems[::4]:
@@ -114,7 +116,7 @@ def test_cocycle_law():
 def test_epsilon_scaling_invariance():
     # for even n the sign only depends on the projective class
     k = K(5)
-    s = next(iter(ns.enumerate_nsets(k, 4)))
+    s = next(iter(ref.enumerate_nsets(k, 4)))
     m = mo.GlMatrix(1, 2, 3, 0)
     base = mult.epsilon(m, s, k)
     for c in range(2, 5):
@@ -128,7 +130,7 @@ def test_epsilon_scaling_invariance():
 
 def test_epsilon_closed_form_exhaustive_q3_n4():
     k = K(3)
-    sets = list(ns.enumerate_nsets(k, 4))
+    sets = list(ref.enumerate_nsets(k, 4))
     checked = 0
     for e in mo.enumerate_pgl(k):
         if e.kind == "identity":
@@ -143,15 +145,15 @@ def test_epsilon_closed_form_exhaustive_q3_n4():
 def test_epsilon_closed_form_requires_stability():
     k = K(3)
     e = mo.classify(k, mo.GlMatrix(1, 1, 0, 1))
-    s = ns.points_to_nset(k, [mo.fin(0), mo.fin(1)])
+    s = ref.points_to_nset(k, [mo.fin(0), mo.fin(1)])
     assert ns.apply_moebius(e, s, k) != s
     with pytest.raises(ValueError, match="closed form requires gamma S = S"):
         mult.epsilon_closed_form(e, s, k)
     # the batched view checks every pair: one stable pair, then two that
     # move, and it names the first of them
     e = mo.classify(k, mo.GlMatrix(0, 1, 1, 0))
-    fixed = ns.points_to_nset(k, [mo.fin(1), mo.fin(2)])  # the fixed points of 1/x
-    other = ns.points_to_nset(k, [mo.fin(0), mo.fin(2)])
+    fixed = ref.points_to_nset(k, [mo.fin(1), mo.fin(2)])  # the fixed points of 1/x
+    other = ref.points_to_nset(k, [mo.fin(0), mo.fin(2)])
     forms = np.array([ns.to_form(k, t) for t in (fixed, s, other)])
     assert mult.epsilon_closed_forms([e], [0], forms[:1], k).tolist() == [
         mult.epsilon_closed_form(e, fixed, k)]
@@ -163,7 +165,7 @@ def test_epsilon_closed_form_requires_stability():
 def test_epsilon_conjugation_invariance_on_stabilizer():
     # J itself is conjugation invariant when gamma stabilizes S
     k = K(3)
-    s = ns.points_to_nset(k, [mo.fin(0), mo.INF])
+    s = ref.points_to_nset(k, [mo.fin(0), mo.INF])
     stab = [e for e in ns.stabilizer(s, k) if e.kind != "identity"]
     for rho in mo.enumerate_pgl(k):
         s2 = ns.apply_moebius(rho, s, k)
@@ -296,7 +298,7 @@ def test_epsilons_fall_back_level_by_level(monkeypatch):
     k = K(3)
     inv = mo.GlMatrix(0, 1, 1, 0)  # x -> 1/x, whose pole is 0
     # P^1(F_3): no x0 in F_3, one in F_9
-    line = ns.points_to_nset(k, [mo.fin(0), mo.fin(1), mo.fin(2), mo.INF])
+    line = ref.points_to_nset(k, [mo.fin(0), mo.fin(1), mo.fin(2), mo.INF])
     # (x^9 - x) / x vanishes on F_9 minus 0, the pole: x0 lies in F_81
     quartic = ns.make_nset(k, (2, 0, 0, 0, 0, 0, 0, 0, 1), False)
     ext, emb = ff.extend(k, 2)

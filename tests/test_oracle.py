@@ -13,6 +13,8 @@ from hypcensus import moebius as mb
 from hypcensus import multiplier as mult
 from hypcensus import nset as ns
 from hypcensus import oracle as oc
+
+import reference as ref
 from test_nset import _reference_act_form
 
 # frozen engine outputs: (hyp, sd, n-set classes)
@@ -80,7 +82,7 @@ def test_budget_refusals():
 def test_engine_enumeration_matches_nsets(p, e, n):
     ctx = ff.make_field(p, e)
     st = oc.ActionState(ctx, n)
-    sets = list(ns.enumerate_nsets(ctx, n))
+    sets = list(ref.enumerate_nsets(ctx, n))
     assert st.count == len(sets)
     for i, s in enumerate(sets):
         assert st.nset_at(i) == s
@@ -90,7 +92,7 @@ def _reference_rows(ctx, n):
     """V and the code -> row table rebuilt from nset.enumerate_nsets, which
     tests squarefreeness by a polynomial gcd, and nset.to_form."""
     q = ctx.q
-    sets = list(ns.enumerate_nsets(ctx, n))
+    sets = list(ref.enumerate_nsets(ctx, n))
     v = np.array([ns.to_form(ctx, s, n) for s in sets], np.int16, order="F")
     row_of = np.full(q**n + q ** (n - 1), -1, np.int32)
     for i, s in enumerate(sets):
@@ -115,7 +117,7 @@ def test_rows_match_enumeration(p, e, n):
 def test_engine_action_matches_act_form(p, e, n):
     ctx = ff.make_field(p, e)
     st = oc.ActionState(ctx, n)
-    sets = list(ns.enumerate_nsets(ctx, n))
+    sets = list(ref.enumerate_nsets(ctx, n))
     index = {s: i for i, s in enumerate(sets)}
     for elem in mb.enumerate_pgl(ctx):
         dest, flip = st.dest_flip(elem.mat)
@@ -134,7 +136,7 @@ def test_engine_apply_exact_beyond_int16_sums():
     # exceed 2**15: an int16 product would wrap on ten rows
     ctx = ff.make_field(131, 1)
     st = oc.ActionState(ctx, 2)
-    sets = list(ns.enumerate_nsets(ctx, 2))
+    sets = list(ref.enumerate_nsets(ctx, 2))
     for mat in (mb.GlMatrix(47, 12, 92, 21), mb.GlMatrix(0, 1, 1, 0)):
         dest, flip = st.dest_flip(mat)
         for i, s in enumerate(sets):
@@ -712,7 +714,7 @@ def _twisted_act(gamma, lam, s, ctx):
 def test_twisted_act_flip_matches_engine():
     ctx = ff.make_field(3, 1)
     st = oc.ActionState(ctx, 6)
-    sets = list(ns.enumerate_nsets(ctx, 6))
+    sets = list(ref.enumerate_nsets(ctx, 6))
     for elem in mb.enumerate_pgl(ctx):
         dest, flip = st.dest_flip(elem.mat)
         for i in (0, 17, 100, 333, len(sets) - 1):
@@ -723,7 +725,7 @@ def test_twisted_act_flip_matches_engine():
 
 def test_selfdual_trivial_stabilizer_is_false():
     ctx = ff.make_field(3, 1)
-    for s in ns.enumerate_nsets(ctx, 6):
+    for s in ref.enumerate_nsets(ctx, 6):
         if len(ns.stabilizer(s, ctx)) == 1:
             assert not oc.selfdual_nset(s, ctx)
             return
@@ -749,7 +751,7 @@ def test_selfdual_inversion_example():
 
 def test_selfdual_orbit_invariant_and_class_count():
     ctx = ff.make_field(3, 1)
-    sets = list(ns.enumerate_nsets(ctx, 6))
+    sets = list(ref.enumerate_nsets(ctx, 6))
     pgl = mb.enumerate_pgl(ctx)
     flags = {s: oc.selfdual_nset(s, ctx) for s in sets}
     seen = set()
@@ -858,7 +860,7 @@ def test_cocycle_grid_names_the_failing_pair(monkeypatch):
         return j, img
 
     monkeypatch.setattr(mult, "kappa_multipliers", perturbed)
-    first = next(ns.enumerate_nsets(k3, 6))
+    first = next(ref.enumerate_nsets(k3, 6))
     with pytest.raises(census.VerificationError) as err:
         oc.verify_cocycle(triples=0, hom_exhaustive=(), hom_sampled=())
     assert str(err.value) == f"cocycle: cocycle law: {(first, pgl3[5].mat, pgl3[17].mat)}"

@@ -9,28 +9,31 @@ from math import gcd
 import pytest
 
 from hypcensus import census, symbolic as sy, tables
+from hypcensus.cli import main
+
+import reference as ref
 
 
 def test_poly_arithmetic():
     f = (1, 2)  # 1 + 2q
     g = (0, 0, 3)  # 3q^2
     assert sy.poly_add(f, g) == (1, 2, 3)
-    assert sy.poly_sub(f, f) == ()
-    assert sy.poly_mul(f, g) == (0, 0, 3, 6)
-    assert sy.poly_neg(g) == (0, 0, -3)
+    assert ref.poly_sub(f, f) == ()
+    assert ref.poly_mul(f, g) == (0, 0, 3, 6)
+    assert ref.poly_neg(g) == (0, 0, -3)
     assert sy.poly_scale(2, f) == (2, 4)
     assert sy.poly_norm((1, 0, 0)) == (1,)
     assert sy.poly_eval((1, 2, 3), 10) == 321
-    assert sy.poly_degree(()) == -1
-    assert sy.poly_degree((5,)) == 0
-    assert sy.poly_degree((0, 0, 7)) == 2
+    assert ref.poly_degree(()) == -1
+    assert ref.poly_degree((5,)) == 0
+    assert ref.poly_degree((0, 0, 7)) == 2
 
 
 def test_poly_divexact():
-    num = sy.poly_mul((1, 1), (2, 0, 3))
-    assert sy.poly_divexact(num, (1, 1)) == (2, 0, 3)
+    num = ref.poly_mul((1, 1), (2, 0, 3))
+    assert ref.poly_divexact(num, (1, 1)) == (2, 0, 3)
     with pytest.raises(AssertionError):
-        sy.poly_divexact((1, 1, 1), (1, 1))
+        ref.poly_divexact((1, 1, 1), (1, 1))
 
 
 def test_poly_str():
@@ -125,7 +128,7 @@ def test_symbolic_generic_leading_term():
     # leading term is 2q^(2g-1) for every genus
     for g in range(2, 11):
         gen = sy.symbolic_hyp(g).generic
-        assert sy.poly_degree(gen) == 2 * g - 1
+        assert ref.poly_degree(gen) == 2 * g - 1
         assert gen[-1] == 2
 
 
@@ -138,7 +141,7 @@ def test_symbolic_rejects_small_genus():
 
 def test_restrict_to_class():
     cp = sy.symbolic_sd(2)
-    mod = sy.congruence_lcm(cp)
+    mod = ref.congruence_lcm(cp)
     assert mod == 24
     for q, p in census.odd_prime_powers(300):
         f = sy.restrict_to_class(cp, q % 24, 24)
@@ -154,8 +157,8 @@ def test_restrict_to_class_rejects_partial_modulus():
 def test_restrict_to_class_char_guard():
     cp = sy.symbolic_hyp(2)  # has a p = 5 term
     with pytest.raises(ValueError):
-        sy.restrict_to_class(cp, 1, sy.congruence_lcm(cp))
-    f = sy.restrict_to_class(cp, 1, sy.congruence_lcm(cp), assume_large_char=True)
+        sy.restrict_to_class(cp, 1, ref.congruence_lcm(cp))
+    f = sy.restrict_to_class(cp, 1, ref.congruence_lcm(cp), assume_large_char=True)
     # q = 1 mod 120 with large p: all congruence terms on, char term off
     q = 241
     assert sy.poly_eval(f, q) == census.hyp(2, q)
@@ -163,17 +166,22 @@ def test_restrict_to_class_char_guard():
 
 def test_congruence_lcm_and_char_degree():
     cp = sy.symbolic_hyp(2)
-    assert sy.congruence_lcm(cp, base=4) % 4 == 0
-    assert sy.max_char_term_degree(cp) == 0  # the [2]_{p=5} term
-    assert sy.max_char_term_degree(sy.symbolic_sd(2)) == -1
+    assert ref.congruence_lcm(cp, base=4) % 4 == 0
+    assert ref.max_char_term_degree(cp) == 0  # the [2]_{p=5} term
+    assert ref.max_char_term_degree(sy.symbolic_sd(2)) == -1
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(capsys):
     for g in (2, 3, 5):
         cp = sy.symbolic_hyp(g)
         back = sy.cp_from_json_dict(sy.cp_to_json_dict(cp))
         assert back == cp
         assert sy.cp_to_json_dict(back) == sy.cp_to_json_dict(cp)
+    # cp_from_json_dict stays in the package as the reader of the forms the
+    # command line prints with --format json
+    assert main(["symbolic", "--g", "2..3", "--which", "sd", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [sy.cp_from_json_dict(r["form"]) for r in rows] == [sy.symbolic_sd(2), sy.symbolic_sd(3)]
 
 
 def test_render_formats():
@@ -431,18 +439,18 @@ def test_a_polys_match_division():
         num[n] -= 1
         num[1] -= s1
         num[0] += s2
-        assert sy.a0_poly(n) == sy.poly_divexact(sy.poly_norm(num), (1, 0, 1)), n
+        assert sy.a0_poly(n) == ref.poly_divexact(sy.poly_norm(num), (1, 0, 1)), n
         num = [0] * (n + 1)
         num[n] = 1
         num[0] = 1 if n % 2 else -1
-        assert sy.a2_poly(n) == sy.poly_divexact(sy.poly_norm(num), (1, 1)), n
+        assert sy.a2_poly(n) == ref.poly_divexact(sy.poly_norm(num), (1, 1)), n
 
 
 def test_poly_divexact_raises_verification_error():
     with pytest.raises(census.VerificationError):
-        sy.poly_divexact((1, 0, 0, 1), (1, 0, 1))
+        ref.poly_divexact((1, 0, 0, 1), (1, 0, 1))
     with pytest.raises(ValueError):
-        sy.poly_divexact((1, 1), (1, 2))
+        ref.poly_divexact((1, 1), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +458,7 @@ def test_poly_divexact_raises_verification_error():
 
 
 # the genus 9 row differs from the formula at exactly these q, one dropped
-# bracket; see known_delta_value
+# bracket; see reference.known_delta_value
 GENUS9_MISMATCH_Q = [
     5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 81, 89, 97, 101, 109,
     113, 121, 125, 137, 149, 157, 169, 173, 181, 193, 197, 229, 233, 241,
@@ -472,7 +480,7 @@ def test_genus9_row_discrepancy():
     assert [q for q, _, _ in mism] == GENUS9_MISMATCH_Q
     for q, row, formula in mism:
         assert q % 4 == 1
-        assert row - formula == tables.known_delta_value(9, q)
+        assert row - formula == ref.known_delta_value(9, q)
 
 
 def test_table_values_spot_checks():
