@@ -7,16 +7,16 @@ the element code equal to the residue it represents.  Keeping elements as
 ints means they are hashable, cheap to store in bulk arrays, and carry no
 hidden context; every operation takes the field context explicitly.
 
-Prime fields compute with plain int arithmetic mod p.  Every other field
-computes by table lookup (Zech logarithms).  On first use (arithmetic over
-an extension field, mult_generator or tables) a context takes the least
-code g of order q - 1, the first of 2, 3, ... with g^((q - 1) / l) != 1
-for every prime l dividing q - 1, and walks its powers by digit-vector
-products, the arithmetic of _mul_raw.  From this least generator it keeps
-exp[i] = g^i (stored twice over, so that log x + log y indexes it
-directly), the discrete logarithm log and the Zech logarithm
-zech[k] = log(1 + g^k), which turns addition into
-g^a + g^b = g^(a + zech[b - a]).  _mul_raw stays as the reference the
+Every field, prime or not, computes its scalar ops by table lookup
+(Zech logarithms).  On first use (any arithmetic, mult_generator or
+tables) a context takes the least code g of order q - 1, the first of
+2, 3, ... with g^((q - 1) / l) != 1 for every prime l dividing q - 1,
+and walks its powers by digit-vector products, the arithmetic of
+_mul_raw.  From this least generator it keeps exp[i] = g^i (stored twice
+over, so that log x + log y indexes it directly), the discrete logarithm
+log and the Zech logarithm zech[k] = log(1 + g^k), which turns addition
+into g^a + g^b = g^(a + zech[b - a]).  g is a nonsquare, so x is a
+square exactly when log x is even.  _mul_raw stays as the reference the
 tests compare against.
 
 tables(ctx) holds the same arithmetic as numpy q x q int16 arrays for the
@@ -180,8 +180,6 @@ def make_field(p: int, e: int) -> FieldCtx:
 
 
 def add(ctx: FieldCtx, x: int, y: int) -> int:
-    if ctx.e == 1:
-        return (x + y) % ctx.p
     if not x:
         return y
     if not y:
@@ -193,8 +191,6 @@ def add(ctx: FieldCtx, x: int, y: int) -> int:
 
 
 def neg(ctx: FieldCtx, x: int) -> int:
-    if ctx.e == 1:
-        return (-x) % ctx.p
     if not x:
         return 0
     logs = ctx._logs
@@ -206,15 +202,11 @@ def sub(ctx: FieldCtx, x: int, y: int) -> int:
 
 
 def _mul_raw(ctx: FieldCtx, x: int, y: int) -> int:
-    if ctx.e == 1:
-        return x * y % ctx.p
     ds = _poly_mulmod_p(to_digits(ctx, x), to_digits(ctx, y), ctx.modulus, ctx.p)
     return from_digits(ctx, ds)
 
 
 def mul(ctx: FieldCtx, x: int, y: int) -> int:
-    if ctx.e == 1:
-        return x * y % ctx.p
     if not x or not y:
         return 0
     exp, log, _ = ctx._logs
@@ -223,8 +215,6 @@ def mul(ctx: FieldCtx, x: int, y: int) -> int:
 
 def pw(ctx: FieldCtx, x: int, k: int) -> int:
     """x^k for k >= 0 (0^0 = 1)."""
-    if ctx.e == 1:
-        return pow(x, k, ctx.p)
     if not x:
         return 0 if k else 1
     logs = ctx._logs
@@ -234,8 +224,6 @@ def pw(ctx: FieldCtx, x: int, k: int) -> int:
 def inv(ctx: FieldCtx, x: int) -> int:
     if x == 0:
         raise ZeroDivisionError("inverse of 0")
-    if ctx.e == 1:
-        return pow(x, ctx.p - 2, ctx.p)
     logs = ctx._logs
     return logs.exp[ctx.q - 1 - logs.log[x]]
 
@@ -245,13 +233,10 @@ def div(ctx: FieldCtx, x: int, y: int) -> int:
 
 
 def is_square(x: int, ctx: FieldCtx) -> bool:
-    """Euler criterion over a prime field, parity of the logarithm (the
-    generator is a nonsquare) otherwise; rejects 0 since 0 is neither
-    square nor non-square here."""
+    """Parity of the logarithm (the generator is a nonsquare); rejects 0
+    since 0 is neither square nor non-square here."""
     if x == 0:
         raise ValueError("is_square is undefined at 0")
-    if ctx.e == 1:
-        return pw(ctx, x, (ctx.q - 1) // 2) == 1
     return ctx._logs.log[x] % 2 == 0
 
 

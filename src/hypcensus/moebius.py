@@ -12,7 +12,8 @@ fixed points), "A" (nonsquare discriminant, order dividing q + 1, two
 conjugate fixed points over the quadratic extension).  The kind and the
 order are class functions: class_key (scalar or not, tr^2 / det and
 chi(disc)) names the q + 2 conjugacy classes, and enumerate_pgl runs the
-per-element classify on one member of each.
+per-element classify on one member of each and counts the members
+(conjugacy_classes).
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def classify(ctx: FieldCtx, m: GlMatrix) -> MoebiusElem:
     return MoebiusElem(cm, order, kind)
 
 
-_PGL_CACHE: dict[FieldCtx, tuple[MoebiusElem, ...]] = {}
+# field -> (enumerate_pgl's elements, conjugacy_classes' classes)
+_PGL_CACHE: dict[FieldCtx, tuple[tuple[MoebiusElem, ...], dict]] = {}
 
 
 def enumerate_pgl(ctx: FieldCtx) -> tuple[MoebiusElem, ...]:
@@ -175,33 +177,50 @@ def enumerate_pgl(ctx: FieldCtx) -> tuple[MoebiusElem, ...]:
 
     Representatives with a = 0 (so b = 1) come first, then the a = 1 block.
     Order and kind are class functions, so classify runs on the first
-    member of each class_key only; the keys must number q + 2, the count of
-    conjugacy classes, or one of them would mix two classes.
+    member of each class_key only.  The same loop counts the members of
+    each key (conjugacy_classes): the keys must number q + 2, the count of
+    conjugacy classes, or one of them would mix two classes, and their
+    sizes must sum to q^3 - q and divide it.
     """
     hit = _PGL_CACHE.get(ctx)
     if hit is not None:
-        return hit
+        return hit[0]
     q = ctx.q
+    order = q**3 - q
     mats = [GlMatrix(0, 1, c, d) for c in range(1, q) for d in range(q)]
     for b in range(q):
         for c in range(q):
             bc = ff.mul(ctx, b, c)
             mats.extend(GlMatrix(1, b, c, d) for d in range(q) if d != bc)
-    if len(mats) != q**3 - q:
+    if len(mats) != order:
         raise VerificationError(f"|PGL2(F_{q})| = {len(mats)}, not q^3 - q")
     first: dict[tuple, MoebiusElem] = {}
+    size: dict[tuple, int] = {}
     out = []
     for m in mats:
         key = class_key(ctx, m)
         el = first.get(key)
         if el is None:
             el = first[key] = classify(ctx, m)
+        size[key] = size.get(key, 0) + 1
         out.append(MoebiusElem(m, el.order, el.kind))
-    if len(first) != q + 2:
-        raise VerificationError(f"q + 2 conjugacy classes: F_{q} has {len(first)} class keys")
+    sizes = list(size.values())
+    if len(sizes) != q + 2:
+        raise VerificationError(f"q + 2 conjugacy classes: F_{q} has {len(sizes)} class keys")
+    if sum(sizes) != order:
+        raise VerificationError(f"class sizes sum to |PGL2(F_{q})|: {sizes}")
+    if any(order % s for s in sizes):
+        raise VerificationError(f"class sizes divide |PGL2(F_{q})|: {sizes}")
     res = tuple(out)
-    _PGL_CACHE[ctx] = res
+    _PGL_CACHE[ctx] = res, {key: (el.mat, size[key]) for key, el in first.items()}
     return res
+
+
+def conjugacy_classes(ctx: FieldCtx) -> dict[tuple, tuple[GlMatrix, int]]:
+    """Class key -> (first member in enumerate_pgl order, size) for the
+    q + 2 conjugacy classes, as enumerate_pgl counted them."""
+    enumerate_pgl(ctx)
+    return dict(_PGL_CACHE[ctx][1])
 
 
 class PglTable(NamedTuple):

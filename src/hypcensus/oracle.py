@@ -10,8 +10,8 @@ of rows (avoiding infinity, through it): dest_flip folds 1/kappa into
 the substitution rows once per block and reads the row codes straight
 off the image columns; only x -> 1/x divides by kappa row by row.
 Burnside reads the rows that one representative of each of the q + 2
-conjugacy classes of PGL2 (moebius.class_key) fixes off the eigenspaces
-of its substitution matrix, and weights them by class size.
+conjugacy classes of PGL2 (moebius.conjugacy_classes) fixes off the
+eigenspaces of its substitution matrix, and weights them by class size.
 ActionState.fixed_rows finds those eigenspaces for a whole stack of
 matrices with one field.kernels call and looks their normalized vectors
 up as rows, so it never scans V; Burnside reads dest_flip only to
@@ -39,6 +39,9 @@ fixed_rows call per ActionState.  The counts and quot suites check them
 against the census rule for fixed n-sets: the rows holding none of an
 element's fixed points, from one stacked nset.fixed_point_counts call
 per ActionState, against free_count.
+A suite builds the field of each q it is given as
+make_field(*factor_prime_power(q)), so it runs the same code for every
+odd prime power q and refuses any other q.
 Engine invariants and the checks of verify_suite() (multiplier, fixed
 counts, norm and orbit lemmas, cocycle, quotients, point counts) raise
 VerificationError naming the check, so `python -O` keeps them.
@@ -63,7 +66,6 @@ from .census import (
     a_p1,
     factor_prime_power,
     free_count,
-    is_prime,
     plain_fixed_count,
     subtypes,
     twisted_fixed_count,
@@ -352,21 +354,6 @@ def _generators(ctx: ff.FieldCtx) -> tuple[GlMatrix, GlMatrix, GlMatrix]:
     return GlMatrix(1, 1, 0, 1), GlMatrix(zeta, 0, 0, 1), GlMatrix(0, 1, 1, 0)
 
 
-def _conjugacy_classes(ctx: ff.FieldCtx) -> dict[tuple, tuple[GlMatrix, int]]:
-    """Class key -> (first member in enumerate_pgl order, size)."""
-    order = ctx.q**3 - ctx.q
-    classes: dict[tuple, tuple[GlMatrix, int]] = {}
-    for el in mb.enumerate_pgl(ctx):
-        key = mb.class_key(ctx, el.mat)
-        rep, size = classes.get(key, (el.mat, 0))
-        classes[key] = rep, size + 1
-    sizes = [size for _, size in classes.values()]
-    _check(len(sizes) == ctx.q + 2, "q + 2 conjugacy classes", ctx.q, len(sizes))
-    _check(sum(sizes) == order, "class sizes sum to |PGL2|", ctx.q, sizes)
-    _check(all(order % s == 0 for s in sizes), "class sizes divide |PGL2|", ctx.q, sizes)
-    return classes
-
-
 def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """hyp(g, q) by Burnside's lemma over the conjugacy classes of PGL2.
 
@@ -386,7 +373,7 @@ def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     mats, index = list(gens), {}  # class key -> position of its representative in mats
     for i, mat in enumerate(gens):
         index.setdefault(mb.class_key(ctx, mat), i)
-    classes = _conjugacy_classes(ctx)
+    classes = mb.conjugacy_classes(ctx)
     for key, (rep, _) in classes.items():
         if key not in index:
             index[key] = len(mats)
@@ -523,14 +510,6 @@ def smooth_point_counts(ctx: ff.FieldCtx, forms, lams) -> np.ndarray:
 # verification suites
 
 
-def _prime_field(suite: str, q: int) -> ff.FieldCtx:
-    """F_q for a suite that only takes prime field sizes; any other size
-    is refused with the suite's name."""
-    if not is_prime(q):
-        raise ValueError(f"suite {suite} takes prime field sizes, got {q}")
-    return ff.make_field(q, 1)
-
-
 def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """Every stable pair: engine sign == cocycle sweep == closed form.
 
@@ -541,7 +520,7 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """
     checks = 0
     for q in qs:
-        ctx = _prime_field("eps", q)
+        ctx = ff.make_field(*factor_prime_power(q))
         elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"]
         codes = mb.mat_codes(el.mat for el in elems)
         for n in ns_list:
@@ -565,7 +544,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     counts, all against the closed counting polynomials."""
     checks = 0
     for q in qs:
-        ctx = _prime_field("counts", q)
+        ctx = ff.make_field(*factor_prime_power(q))
         kinds = subtypes(q)
         reps = [mb.subtype_representative(ctx, kind, m)[0] for kind, m in kinds]
         rep_of = {kind: rep for (kind, _), rep in zip(kinds, reps)}  # any one of the kind
@@ -618,8 +597,7 @@ def verify_norm(qs=(3, 5, 7, 9, 11, 13)) -> dict:
     """Norm criterion for every nonzero element of each quadratic extension."""
     checks = 0
     for q in qs:
-        p, e = factor_prime_power(q)
-        ctx = ff.make_field(p, e)
+        ctx = ff.make_field(*factor_prime_power(q))
         for alpha in range(1, q * q):
             rep = mult.norm_lemma_check(ctx, alpha)
             _check(rep.statement1 and rep.statement2, "norm: norm lemma", q, alpha, rep)
@@ -632,7 +610,7 @@ def verify_orbit_lemma(qs=(3, 5, 7)) -> dict:
     m-th power of the eigenvalue, for every point and every subtype."""
     checks = 0
     for q in qs:
-        ctx = _prime_field("orbit_lemma", q)
+        ctx = ff.make_field(*factor_prime_power(q))
         ext2, _ = ff.extend(ctx, 2)
         allpts = [mb.INF] + [mb.fin(x) for x in range(ext2.q)]
         for m in (m for kind, m in subtypes(q) if kind == "A"):
@@ -710,7 +688,8 @@ def verify_cocycle(
     call, each stabilizer test set in one call, and the sampled stabilizers
     of one (q, n) in one call.  The closed forms on each stabilizer test
     set, one per nonidentity member, come from one
-    multiplier.epsilon_closed_forms call.
+    multiplier.epsilon_closed_forms call.  The (q, n) pairs of
+    hom_exhaustive and hom_sampled take any odd prime power q.
     """
     if triples < 0:
         raise ValueError(f"triples must be >= 0, got {triples}")
@@ -787,11 +766,11 @@ def verify_cocycle(
 
     # the same, over every stabilizer at once where the set space is small
     for q, n in hom_exhaustive:
-        checks += _exhaustive_sign_homomorphism(ff.make_field(q, 1), n)
+        checks += _exhaustive_sign_homomorphism(ff.make_field(*factor_prime_power(q)), n)
 
     # where it is not, full stabilizers of engine-picked stable sets
     for q, n in hom_sampled:
-        ctx = ff.make_field(q, 1)
+        ctx = ff.make_field(*factor_prime_power(q))
         st = ActionState(ctx, n)
         reps = [mb.subtype_representative(ctx, kind, m)[0].mat for kind, m in subtypes(q)]
         elem, fixed, _ = st.fixed_rows(mb.mat_codes(reps))
@@ -889,7 +868,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     checks = 0
     totals = {}  # (q, N) -> the stable N-sets of each subtype representative
     for q in qs:
-        ctx = _prime_field("quot", q)
+        ctx = ff.make_field(*factor_prime_power(q))
         kinds = subtypes(q)
         codes = mb.mat_codes(mb.subtype_representative(ctx, kind, m)[0].mat for kind, m in kinds)
         off = {}  # (subtype, n) -> its stable nm-sets off the fixed locus
@@ -912,7 +891,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                 checks += 1
 
     for q in qs:
-        ctx = _prime_field("quot", q)
+        ctx = ff.make_field(*factor_prime_power(q))
         # P^1(F_{q^d}) per d, infinity at index q^d, with the Frobenius
         # permutation and the exact degree of each point: its Frobenius orbit size
         strata = []
@@ -962,7 +941,7 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
     checks = 0
     n = 2 * g + 2
     for q in qs:
-        ctx = _prime_field("points", q)
+        ctx = ff.make_field(*factor_prime_power(q))
         nonsq = next(x for x in range(1, q) if ff.chi(x, ctx) == -1)
         st = ActionState(ctx, n)
         lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(ctx)])

@@ -28,7 +28,7 @@ def run(capsys, *argv):
 
 # sha256 of (argv, exit code, stdout, stderr) for each case below in every
 # --format, error exits included
-CLI_GOLDEN_DIGEST = "61bf91a85cb5242da597acb9971dc2cb059b1c5a838465d3a2e63e655927f773"
+CLI_GOLDEN_DIGEST = "fdd0ac2b62134447a8f57b8733ce79b81568dfc8c5a125605aeffee13cfe57c7"
 GOLDEN_ARGV = (
     ("hyp", "--g", "2..3", "--q", "9,3"),
     ("hyp", "--g", "2", "--p", "3", "--e", "2"),
@@ -49,7 +49,8 @@ GOLDEN_ARGV = (
     ("oracle", "--g", "2", "--q", "3,5"),
     ("oracle", "--g", "2", "--q", "4"),
     ("verify", "--suite", "norm"),
-    ("verify", "--suite", "counts", "--q", "9"),
+    ("verify", "--suite", "counts", "--q", "15"),
+    ("verify", "--suite", "orbit_lemma", "--q", "9"),
 )
 
 
@@ -226,17 +227,20 @@ def test_checks_survive_python_O():
 
 
 def test_suite_checks_survive_python_O():
-    # a wrong closed form must fail the eps suite even with asserts compiled out
-    res = _run_optimized(
-        "-c",
-        "import numpy\n"
-        "from hypcensus import multiplier, oracle\n"
-        "multiplier.epsilon_closed_forms = (\n"
-        "    lambda elems, which, forms, ctx: numpy.ones(len(which)))\n"
-        "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
-    )
-    assert res.returncode == 1, res.stdout
-    assert "VerificationError: eps: engine == sweep == closed form" in res.stderr
+    # a wrong closed form must fail the eps suite even with asserts compiled
+    # out, over F_3 and over F_9; F_9 needs n = 6, since every sign of a
+    # stable 4-set over it is +1
+    for q, n in ((3, 4), (9, 6)):
+        res = _run_optimized(
+            "-c",
+            "import numpy\n"
+            "from hypcensus import multiplier, oracle\n"
+            "multiplier.epsilon_closed_forms = (\n"
+            "    lambda elems, which, forms, ctx: numpy.ones(len(which)))\n"
+            f"print(oracle.verify_epsilon(qs=({q},), ns_list=({n},)))",
+        )
+        assert res.returncode == 1, res.stdout
+        assert f"VerificationError: eps: engine == sweep == closed form: ({q}, {n}, " in res.stderr
 
 
 def test_cocycle_closed_form_checks_survive_python_O():
@@ -315,27 +319,29 @@ def test_cocycle_checks_survive_python_O():
 
 
 def test_sign_homomorphism_checks_survive_python_O():
-    # the sign of x -> 1/x flipped on its first stable 6-set over F_3: the
-    # exhaustive homomorphism check must still raise under python -O
-    res = _run_optimized(
-        "-c",
-        "import numpy\n"
-        "from hypcensus import field, oracle\n"
-        "fixed_rows = oracle.ActionState.fixed_rows\n"
-        "def flipped(self, mats):\n"
-        "    elem, rows, kappa = fixed_rows(self, mats)\n"
-        "    hit = numpy.flatnonzero((numpy.asarray(mats) == (0, 1, 1, 0)).all(-1))\n"
-        "    if len(hit):\n"
-        "        i = (elem == hit[0]).argmax()\n"
-        "        kappa = kappa.copy()\n"
-        "        kappa[i] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[i]]\n"
-        "    return elem, rows, kappa\n"
-        "oracle.ActionState.fixed_rows = flipped\n"
-        "oracle._exhaustive_sign_homomorphism(field.make_field(3, 1), 6)\n",
-    )
-    assert res.returncode == 1, res.stdout
-    assert "VerificationError: cocycle: homomorphism: (3, 6, " in res.stderr
-    assert "GlMatrix(a=0, b=1, c=1, d=0)" in res.stderr.splitlines()[-1]
+    # the sign of x -> 1/x flipped on its first stable n-set: the
+    # exhaustive homomorphism check must still raise under python -O, over
+    # F_3 at n = 6 and over F_9 at n = 4
+    for p, e, n in ((3, 1, 6), (3, 2, 4)):
+        res = _run_optimized(
+            "-c",
+            "import numpy\n"
+            "from hypcensus import field, oracle\n"
+            "fixed_rows = oracle.ActionState.fixed_rows\n"
+            "def flipped(self, mats):\n"
+            "    elem, rows, kappa = fixed_rows(self, mats)\n"
+            "    hit = numpy.flatnonzero((numpy.asarray(mats) == (0, 1, 1, 0)).all(-1))\n"
+            "    if len(hit):\n"
+            "        i = (elem == hit[0]).argmax()\n"
+            "        kappa = kappa.copy()\n"
+            "        kappa[i] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[i]]\n"
+            "    return elem, rows, kappa\n"
+            "oracle.ActionState.fixed_rows = flipped\n"
+            f"oracle._exhaustive_sign_homomorphism(field.make_field({p}, {e}), {n})\n",
+        )
+        assert res.returncode == 1, res.stdout
+        assert f"VerificationError: cocycle: homomorphism: ({p**e}, {n}, " in res.stderr
+        assert "GlMatrix(a=0, b=1, c=1, d=0)" in res.stderr.splitlines()[-1]
 
 
 def test_kernel_checks_survive_python_O():
@@ -466,7 +472,7 @@ def test_verify_wrong_option_exits_2(capsys):
     (("verify", "--suite", "eps", "--q", ","), "no field size in --q ','"),
     (("hyp", "--g", "2", "--q", ","), "no field size in --q ','"),
     (("verify", "--suite", "cocycle", "--triples", "-5"), "triples must be >= 0, got -5"),
-    (("verify", "--suite", "counts", "--q", "9"), "suite counts takes prime field sizes, got 9"),
+    (("verify", "--suite", "counts", "--q", "15"), "q must be a prime power, got 15"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     # no traceback (exit 1 reads as a mismatch) and no vacuous pass

@@ -251,7 +251,8 @@ def _check_against_reference(k, pairs, exps):
             assert ff.chi(x, k) == _euler(k, x)
 
 
-@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                 (3, 2), (5, 2), (3, 3), (3, 4)])
 def test_table_arithmetic_matches_reference_exhaustive(p, e):
     k = ff.make_field(p, e)
     _check_against_reference(k, [(x, y) for x in range(k.q) for y in range(k.q)], k.q + 2)

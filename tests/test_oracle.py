@@ -449,7 +449,7 @@ def test_class_keys_are_conjugacy_classes(q):
     keys = [mb.class_key(ctx, el.mat) for el in mb.enumerate_pgl(ctx)]
     pairs = set(zip(labels.tolist(), keys))
     assert len(pairs) == len(set(labels.tolist())) == len(set(keys)) == q + 2
-    classes = oc._conjugacy_classes(ctx)
+    classes = mb.conjugacy_classes(ctx)
     assert sorted(size for _, size in classes.values()) == sorted(
         np.unique(labels, return_counts=True)[1].tolist())
 
@@ -464,7 +464,7 @@ def test_class_sums_match_hyp_components(g, q):
     order = q**3 - q
     fixed_pairs = dict.fromkeys(("A", "B", "C", "identity"), 0)
     fixed_sd = 0
-    for rep, size in oc._conjugacy_classes(ctx).values():
+    for rep, size in mb.conjugacy_classes(ctx).values():
         kappa, stable = st.kappa_stable(rep)
         chi = st.tabs.CHI[kappa[stable]]
         kind = mb.classify(ctx, rep).kind
@@ -530,11 +530,10 @@ def test_fixed_configurations_match_engine(q, n):
 
 
 def test_class_checks_reject_a_missing_class(monkeypatch):
-    # merging two classes under one key leaves q + 1 of them: both the
-    # class sum and enumerate_pgl, which classifies one member per key,
-    # must refuse
+    # merging two classes under one key leaves q + 1 of them: the class
+    # list and enumerate_pgl, which classifies one member per key and counts
+    # the members, must refuse
     ctx = ff.make_field(5, 1)
-    mb.enumerate_pgl(ctx)
     key = mb.class_key
 
     def merged(ctx, m):  # the two classes of involutions (tr = 0) share a key
@@ -542,11 +541,10 @@ def test_class_checks_reject_a_missing_class(monkeypatch):
         return scalar, ratio, 1 if ratio == 0 else chi
 
     monkeypatch.setattr(mb, "class_key", merged)
-    with pytest.raises(census.VerificationError, match="q \\+ 2 conjugacy classes"):
-        oc._conjugacy_classes(ctx)
-    monkeypatch.setattr(mb, "_PGL_CACHE", {})
-    with pytest.raises(census.VerificationError, match="q \\+ 2 conjugacy classes"):
-        mb.enumerate_pgl(ctx)
+    for build in (mb.conjugacy_classes, mb.enumerate_pgl):
+        monkeypatch.setattr(mb, "_PGL_CACHE", {})
+        with pytest.raises(census.VerificationError, match="q \\+ 2 conjugacy classes"):
+            build(ctx)
 
 
 def _uf_find(parent, x):
@@ -816,10 +814,27 @@ def test_suites_reduced_grids():
     assert oc.verify_suite("points", qs=(3,))["checks"] > 0
 
 
-@pytest.mark.parametrize("suite", ["eps", "counts", "orbit_lemma", "quot", "points"])
-def test_prime_field_suites_name_themselves_on_extension_fields(suite):
-    with pytest.raises(ValueError, match=f"^suite {suite} takes prime field sizes, got 9$"):
-        oc.verify_suite(suite, qs=(9,))
+# every suite over F_9 at reduced arguments, and over F_25 and F_27 where
+# that is cheap
+@pytest.mark.parametrize("suite,kwargs,checks", [
+    pytest.param("eps", dict(qs=(9,), ns_list=(4, 6)), 72000, id="eps-9"),
+    pytest.param("eps", dict(qs=(25, 27), ns_list=(2,)), 69158, id="eps-25-27",
+                 marks=pytest.mark.slow),
+    pytest.param("counts", dict(qs=(9,), nmax=6), 66, id="counts-9"),
+    pytest.param("counts", dict(qs=(25, 27), nmax=4), 92, id="counts-25-27"),
+    pytest.param("orbit_lemma", dict(qs=(9, 25, 27)), 5752, id="orbit_lemma-9-25-27"),
+    pytest.param("quot", dict(qs=(9,), nmax=6), 38, id="quot-9"),
+    pytest.param("quot", dict(qs=(25,), nmax=4, strata_nmax=3), 39, id="quot-25"),
+    pytest.param("points", dict(qs=(9,)), 1050578, id="points-9"),
+    # the checks of a run with no random triples and no homomorphism pairs
+    # (test_suites_reduced_grids), then the exhaustive ones over F_9 at
+    # n = 4 and 6 and the sampled ones at n = 6
+    pytest.param("cocycle", dict(triples=0, hom_exhaustive=((9, 4), (9, 6)),
+                                 hom_sampled=((9, 6),)),
+                 131440 + 33840 + 118800 + 2488, id="cocycle-9"),
+])
+def test_suites_on_extension_fields(suite, kwargs, checks):
+    assert oc.verify_suite(suite, **kwargs)["checks"] == checks
 
 
 def test_verify_suite_rejects_unknown_name():
@@ -907,9 +922,9 @@ def _flip_signs(monkeypatch, mat, pick):
     monkeypatch.setattr(oc.ActionState, "fixed_rows", flipped)
 
 
-@pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (5, 6)])
+@pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (5, 6), (9, 4)])
 def test_exhaustive_sign_homomorphism_matches_per_set_check(q, n):
-    ctx = ff.make_field(q, 1)
+    ctx = ff.make_field(*census.factor_prime_power(q))
     assert oc._exhaustive_sign_homomorphism(ctx, n) == _reference_exhaustive_sign_homomorphism(ctx, n)
 
 
