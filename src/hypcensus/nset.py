@@ -174,12 +174,15 @@ def fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
     entry codes (a, b, c, d) of shape (..., 4) and forms (..., n+1),
     broadcast against each other as in act_forms.
 
-    A stack of at most _COUNT_BLOCK pairs is counted in one block.  A
-    larger one is counted one index of its leading batch axes and at most
-    _COUNT_BLOCK rows of the last axis at a time: that keeps the
-    temporaries small, and where a block's matrices are one element (a few
-    elements stacked against every row of a state) it reads only the form
-    columns with a nonzero weight for that element.
+    The per-matrix scalars and weights come from one _count_weights call
+    for the whole stack; the sums over the form columns are taken a block
+    at a time.  A stack is one block when it holds at most _COUNT_BLOCK
+    pairs and its matrices do not vary along the leading batch axes.  Any
+    other is counted one index of its leading axes and at most _COUNT_BLOCK
+    rows of the last axis at a time: that keeps the temporaries small, and
+    where a block's matrices are one element (a few elements stacked
+    against every row of a state) it reads only the form columns with a
+    nonzero weight for that element.
     """
     mats, forms = np.asarray(mats, np.intp), np.asarray(forms)
     final = np.broadcast_shapes(mats.shape[:-1], forms.shape[:-1])
@@ -188,22 +191,24 @@ def fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
     if not size:
         return np.zeros(final, np.int8)
     mats, forms = (x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape) for x in (mats, forms))
-    if size <= _COUNT_BLOCK:
-        return _fixed_point_counts(ctx, mats, forms).reshape(final)
+    parts = (*_count_weights(ctx, mats, forms.shape[-1] - 1), forms)
+    if size <= _COUNT_BLOCK and math.prod(mats.shape[:-2]) == 1:
+        return _count_block(ctx, *parts).reshape(final)
     out = np.empty(shape, np.int8)
     for lead in np.ndindex(shape[:-1]):
-        # each side's block: index 0 on the axes it broadcasts along
-        m, f = (x[tuple(i if x.shape[a] > 1 else 0 for a, i in enumerate(lead))]
-                for x in (mats, forms))
+        # each array's block: index 0 on the axes it broadcasts along
+        block = [x[tuple(i if x.shape[a] > 1 else 0 for a, i in enumerate(lead))] for x in parts]
         for lo in range(0, shape[-1], _COUNT_BLOCK):
             rows = slice(lo, lo + _COUNT_BLOCK)
-            out[lead][rows] = _fixed_point_counts(ctx, m[rows] if len(m) > 1 else m,
-                                                  f[rows] if len(f) > 1 else f)
+            out[lead][rows] = _count_block(ctx, *(x[rows] if len(x) > 1 else x for x in block))
     return out.reshape(final)
 
 
-def _fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
-    """fixed_point_counts of one block.
+def _count_weights(ctx: FieldCtx, mats, n: int) -> tuple[np.ndarray, ...]:
+    """The per-matrix part of fixed_point_counts, over the stack mats:
+    the weights w0, w1 (..., n+1) of its two sums, and the masks and
+    scalars (...) that _count_block reads, c = 0, d != a, e1, -e0 and a
+    split mu.
 
     Each count reads two sums r0 = sum_i w0[i] F[i] and r1 = sum_i w1[i] F[i]
     whose weights are gathered per matrix.  With c = 0 the fixed points are
@@ -211,15 +216,9 @@ def _fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
     t = b/(d - a), held where r0 = f(t) vanishes (w0[i] = t^(n-i)).
     Otherwise they are the roots of mu = x^2 + e1 x + e0, e1 = (d - a)/c,
     e0 = -b/c, and r0 + r1 x = f mod mu, with x^j mod mu = A_j + B_j x from
-    x^(j+1) = -e0 B_j + (A_j - e1 B_j) x.  r = 0 holds both roots; else one
-    is held where the resultant r0^2 - e1 r0 r1 + e0 r1^2 (f at one root
-    times f at the other) vanishes.  It never does for an irreducible mu
-    (nonsquare discriminant), whose conjugate roots are held together or
-    not at all, so a block without a split mu skips it; nor for a double
-    root (kind B) held twice, since an n-set form has no square factor.
+    x^(j+1) = -e0 B_j + (A_j - e1 B_j) x.
     """
     add, mul, inv = ff.int_tables(ctx)
-    n = forms.shape[-1] - 1
     minus = ctx.p - 1  # the code of -1
     a, b, c, d = np.moveaxis(mats, -1, 0)
     d_a = add[d, mul[minus, a]]
@@ -234,6 +233,22 @@ def _fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
     t = mul[b, inv[d_a]]
     w0 = np.where(diag[..., None], ff.powers(ctx, n)[t, ::-1], np.stack(w0[::-1], -1))
     w1 = np.where(diag[..., None], np.arange(n + 1) == 0, np.stack(w1[::-1], -1))
+    disc = add[mul[e1, e1], mul[4 % ctx.p, ne0]]  # e1^2 - 4 e0
+    split = ~diag & (ff.tables(ctx).CHI[disc] != -1)
+    return w0, w1, diag, d != a, e1, ne0, split
+
+
+def _count_block(ctx: FieldCtx, w0, w1, diag, moved, e1, ne0, split, forms) -> np.ndarray:
+    """fixed_point_counts of one block, from its _count_weights.
+
+    r = 0 holds both roots of mu; else one is held where the resultant
+    r0^2 - e1 r0 r1 + e0 r1^2 (f at one root times f at the other)
+    vanishes.  It never does for an irreducible mu (nonsquare
+    discriminant), whose conjugate roots are held together or not at all,
+    so a block without a split mu skips it; nor for a double root (kind B)
+    held twice, since an n-set form has no square factor.
+    """
+    n = forms.shape[-1] - 1
 
     def weighted(wk):  # sum_i wk[i] F[i], over the columns some matrix weights
         cols = np.flatnonzero(wk.reshape(-1, n + 1).any(0))
@@ -244,12 +259,12 @@ def _fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
     fixed = free = None
     if diag.any():  # infinity, and b/(d - a) unless d = a
         fixed = z1.astype(np.int8)
-        fixed += (d != a) & z0
+        fixed += moved & z0
     if not diag.all():  # both roots of mu, or one where the resultant vanishes
         both = z0 & z1
         free = both * np.int8(2)
-        disc = add[mul[e1, e1], mul[4 % ctx.p, ne0]]  # e1^2 - 4 e0
-        if (~diag & (ff.tables(ctx).CHI[disc] != -1)).any():
+        if split.any():
+            mul, minus = ff.int_tables(ctx)[1], ctx.p - 1
             half = ff.dot(ctx, ((1, r0), (mul[minus, e1], r1)))  # r0 - e1 r1
             res = ff.dot(ctx, ((r0, half), (mul[minus, ne0], ff.dot(ctx, ((r1, r1),)))))
             free[~both & (res == 0)] = 1

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -684,13 +685,17 @@ def test_fixed_point_counts_match_pmod(p, e):
 def test_fixed_point_counts_in_blocks_match_one_block(monkeypatch, block):
     # stacks larger than a block are counted one leading index and a run
     # of rows at a time: outer, paired and transposed stacks must give the
-    # counts of one block over everything
+    # counts of one block over everything.  An outer stack whose matrices
+    # vary along its leading axis is split by element even when it fits a
+    # block; the paired stack of every (element, row) is one block.
     ctx = ff.make_field(5, 1)
     st = oc.ActionState(ctx, 4)
     elems = [el for el in mb.enumerate_pgl(ctx) if el.kind != "identity"][::13]
     codes = mb.mat_codes(el.mat for el in elems)
     whole = ns.fixed_point_counts(ctx, codes[:, None], st.V)
     assert whole.size <= ns._COUNT_BLOCK
+    paired = ns.fixed_point_counts(ctx, np.repeat(codes, st.count, 0), np.tile(st.V, (len(codes), 1)))
+    assert np.array_equal(paired.reshape(whole.shape), whole)
     rng = np.random.default_rng(block)
     which, rows = rng.integers(len(elems), size=500), rng.integers(st.count, size=500)
     monkeypatch.setattr(ns, "_COUNT_BLOCK", block)
@@ -943,3 +948,84 @@ def test_exhaustive_sign_homomorphism_names_the_first_failing_pair(monkeypatch, 
     with pytest.raises(census.VerificationError) as got:
         oc._exhaustive_sign_homomorphism(ctx, n)
     assert str(got.value) == str(want.value)
+
+
+# the seven suites at the benchmark's reduced arguments and their pinned
+# check counts, which do not depend on the cocycle seed
+REDUCED_SUITES = {
+    "cocycle": dict(seed=2, triples=1000, hom_exhaustive=((3, 6), (3, 8), (5, 6)),
+                    hom_sampled=((5, 8),)),
+    "eps": dict(qs=(3, 5), ns_list=(6,)),
+    "counts": dict(qs=(3, 5), nmax=8),
+    "quot": {},
+    "points": dict(qs=(3,)),
+    "norm": {},
+    "orbit_lemma": {},
+}
+REDUCED_CHECKS = {"cocycle": 162717, "eps": 3984, "counts": 164, "quot": 66, "points": 1334,
+                  "norm": 448, "orbit_lemma": 232}
+
+
+def _state_digest(st):
+    """Hash of everything a suite reads from a shared state: V, the row
+    table and the memoized fixed rows."""
+    h = hashlib.sha256()
+    for a in (st.V, st._row_of, *(x for key in sorted(st._shared) for x in st._shared[key])):
+        h.update(a.tobytes())
+    return h.hexdigest(), sorted(st._shared)
+
+
+def test_shared_state_is_read_only():
+    ctx = ff.make_field(3, 1)
+    st = oc.action_state(ctx, 6)
+    assert oc.action_state(ctx, 6) is st
+    memo = st.shared_fixed_rows("nonidentity")
+    assert all(a is b for a, b in zip(st.shared_fixed_rows("nonidentity"), memo))
+    assert [a.tolist() for a in memo] == [a.tolist() for a in st.fixed_rows(
+        mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx) if el.kind != "identity"))]
+    for a in (st.V, st._row_of, *memo, *st.shared_fixed_rows("subtypes")):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("order", [list(REDUCED_SUITES), list(REDUCED_SUITES)[::-1]],
+                         ids=["forward", "reversed"])
+def test_suites_share_states_in_any_order(monkeypatch, order):
+    # cold, then warm: the same pinned counts, every (q, n) built once, and
+    # the warm sweep builds nothing and leaves every shared state as it was
+    built = []
+    init = oc.ActionState.__init__
+
+    def recording(self, ctx, n):
+        init(self, ctx, n)
+        built.append(self)
+
+    monkeypatch.setattr(oc.ActionState, "__init__", recording)
+    for sweep in ("cold", "warm"):
+        got = {name: oc.verify_suite(name, **REDUCED_SUITES[name])["checks"] for name in order}
+        assert got == REDUCED_CHECKS, sweep
+        if sweep == "cold":
+            assert len(built) == len({(st.ctx, st.n) for st in built}) == 16
+            assert oc.action_state.cache_info().currsize == 16
+            digests = [_state_digest(st) for st in built]
+    assert len(built) == 16
+    assert [_state_digest(st) for st in built] == digests
+
+
+def test_engines_add_nothing_to_the_state_cache():
+    oc.action_state(ff.make_field(5, 1), 6)
+    before = oc.action_state.cache_info().currsize
+    assert oc.orbit_census(2, 5).hyp == oc.burnside_hyp(2, 5) == ANCHORS[(2, 5)][0]
+    assert oc.action_state.cache_info().currsize == before
+
+
+def test_cache_clear_drops_the_fixed_row_memos(monkeypatch):
+    # a memo computed before a patch hides it until the cache is cleared,
+    # which is why every test starts with an empty cache (conftest.py)
+    ctx = ff.make_field(3, 1)
+    oc.verify_epsilon(qs=(3,), ns_list=(4,))
+    _flip_signs(monkeypatch, mb.enumerate_pgl(ctx)[2].mat, 0)
+    assert oc.verify_epsilon(qs=(3,), ns_list=(4,))["checks"] > 0
+    oc.action_state.cache_clear()
+    with pytest.raises(census.VerificationError, match="eps: engine == sweep == closed form"):
+        oc.verify_epsilon(qs=(3,), ns_list=(4,))
