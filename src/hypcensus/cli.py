@@ -198,6 +198,11 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle
 
+    for flag, value, taken in (("--q", args.q, args.suite != "cocycle"),
+                               ("--triples", args.triples, args.suite == "cocycle")):
+        if value is not None and not taken:
+            print(f"error: suite {args.suite} takes no {flag}", file=sys.stderr)
+            return 2
     kwargs = {}
     if args.triples is not None:
         kwargs["triples"] = args.triples
@@ -205,10 +210,10 @@ def cmd_verify(args) -> int:
         if args.q is not None:
             kwargs["qs"] = tuple(_parse_q_list(args.q))
         result = oracle.verify_suite(args.suite, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except census.VerificationError as exc:
         print(f"verification failed: suite {args.suite!r}, "
               f"counterexample {exc.args!r}", file=sys.stderr)
         return 1

@@ -32,8 +32,11 @@ Frobenius on the points of P^1 over each extension.
 The suites that read twist signs (eps, cocycle, points) take them in bulk
 from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
 views of the per-pair sweep and closed form, which stay as references:
-one call per batch of (element, n-set) pairs, the stable pairs of one
-(q, n) in eps and the members of one stabilizer in cocycle.  The suites
+one call per batch of (element, n-set) pairs.  Stabilizers take one
+path: _stabilizer_signs gives the (form, element, sign) memberships of a
+batch of forms from one stabilizer_masks and one epsilons call, and
+_sign_homomorphisms checks in one product-table gather that the sign is
+multiplicative on each group of members, whatever its source.  The suites
 that need fixed n-sets (eps, counts, cocycle, quot) read them from one
 fixed_rows call per ActionState.  The counts and quot suites check them
 against the census rule for fixed n-sets: the rows holding none of an
@@ -509,15 +512,22 @@ def selfdual_nset(s: ns.RationalNSet, ctx: ff.FieldCtx) -> bool:
     return bool(_selfdual_forms(ctx, [ns.to_form(ctx, s)])[0])
 
 
-def _selfdual_forms(ctx: ff.FieldCtx, forms) -> np.ndarray:
-    """selfdual_nset of many n-set forms (rows, n+1): the stabilizers of
-    all rows from one stabilizer_masks call, and the signs of every
-    (row, stabilizer element) pair from one multiplier.epsilons call."""
+def _stabilizer_signs(ctx: ff.FieldCtx, forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (form, element, sign) memberships of the stabilizers of n-set
+    forms (rows, n+1), grouped by form, each in enumerate_pgl order
+    (element is the position there): one stabilizer_masks call finds every
+    member and one multiplier.epsilons call signs them."""
     forms = np.asarray(forms)
-    row, elem = np.nonzero(ns.stabilizer_masks(ctx, forms))
+    form, elem = np.nonzero(ns.stabilizer_masks(ctx, forms))
     codes = mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx))
-    signs = mult.epsilons(ctx, codes[elem], forms[row])
-    return np.bincount(row[signs == -1], minlength=len(forms)) > 0
+    return form, elem, mult.epsilons(ctx, codes[elem], forms[form])
+
+
+def _selfdual_forms(ctx: ff.FieldCtx, forms) -> np.ndarray:
+    """selfdual_nset of many n-set forms (rows, n+1): the rows with a
+    stabilizer member of sign -1 among their _stabilizer_signs."""
+    form, _, signs = _stabilizer_signs(ctx, forms)
+    return np.bincount(form[signs == -1], minlength=len(forms)) > 0
 
 
 def curve_point_counts(ctx: ff.FieldCtx, lam: int, s: ns.RationalNSet):
@@ -731,11 +741,13 @@ def verify_cocycle(
     on stabilizers and multiplicative on each stabilizer subgroup.  The
     cocycle law is checked in batches (multiplier.kappa_multipliers): every
     PGL2(F_3) pair on all five sample sets in one batch, and the random
-    triples, drawn one by one as always, in one batch per field.  The signs
-    come from multiplier.epsilons: the 8 x 48 conjugation pairs in one
-    call, each stabilizer test set in one call, and the sampled stabilizers
-    of one (q, n) in one call.  The closed forms on each stabilizer test
-    set, one per nonidentity member, come from one
+    triples, drawn one by one as always, in one batch per field.  The
+    stabilizers come with their signs from _stabilizer_signs, one call per
+    set and one per hom_sampled (q, n); hom_exhaustive reads them off the
+    shared "nonidentity" fixed rows, the rows in order of their first
+    stabilizing element.  Each set and each (q, n) is one
+    _sign_homomorphisms call.  The 8 x 48 conjugation pairs are one
+    multiplier.epsilons call, and the closed forms on each test set one
     multiplier.epsilon_closed_forms call.  The (q, n) pairs of
     hom_exhaustive and hom_sampled take any odd prime power q.
     """
@@ -771,7 +783,8 @@ def verify_cocycle(
         checks += triples
 
     # conjugation moves a stabilizing element to the image set, same sign
-    stab = ns.stabilizer(special, k3)
+    form = ns.to_form(k3, special)
+    _, stab, base_eps = _stabilizer_signs(k3, [form])
     _check(len(stab) == 8, "cocycle: stabilizer order", special, len(stab))
     gl3 = [
         m
@@ -783,38 +796,43 @@ def verify_cocycle(
     ]
     _check(len(gl3) == 48, "cocycle: |GL2(F_3)|", len(gl3))
     # [g, r] = (gam_g, rho_r): rho gam rho^-1 on rho S against gam on S, one batch
-    form = ns.to_form(k3, special)
-    rho, gam = mb.mat_codes(gl3), mb.mat_codes(el.mat for el in stab)
+    rho, gam = mb.mat_codes(gl3), g3[stab]
     adj = mb.mat_codes(mb.mat_inv(k3, r) for r in gl3)
     conj = mb.mat_mul_codes(k3, mb.mat_mul_codes(k3, rho, gam[:, None]), adj)
     images, _ = ns.act_forms(k3, ns.substitution_matrices(k3, rho, special.n), form)
-    base_eps = mult.epsilons(k3, gam, form)
     bad = np.argwhere(mult.epsilons(k3, conj, images) != base_eps[:, None])
     if len(bad):
         g, r = bad[0]
-        _check(False, "cocycle: conjugation invariance", stab[g].mat, gl3[r])
+        _check(False, "cocycle: conjugation invariance", pgl3[stab[g]].mat, gl3[r])
     checks += conj.shape[0] * conj.shape[1]
 
     # epsilon restricted to a stabilizer is a homomorphism to {1, -1}
     for q in (3, 5, 7):
         ctx = ff.make_field(q, 1)
-        index = mb.pgl_table(ctx).index
+        pgl = mb.enumerate_pgl(ctx)
         for s in _stab_test_sets(q, ctx):
-            stab = ns.stabilizer(s, ctx)
-            _check(len(stab) > 1, "cocycle: nontrivial stabilizer", q, s)
             form = ns.to_form(ctx, s)
-            signs = mult.epsilons(ctx, mb.mat_codes(el.mat for el in stab), form)
-            nonid = np.array([i for i, el in enumerate(stab) if el.kind != "identity"], np.intp)
-            closed = mult.epsilon_closed_forms([stab[i] for i in nonid], np.arange(len(nonid)),
-                                               form, ctx)
+            group, elems, signs = _stabilizer_signs(ctx, [form])
+            _check(len(elems) > 1, "cocycle: nontrivial stabilizer", q, s)
+            nonid = np.flatnonzero([pgl[i].kind != "identity" for i in elems])
+            closed = mult.epsilon_closed_forms([pgl[i] for i in elems[nonid]],
+                                               np.arange(len(nonid)), form, ctx)
             bad = nonid[signs[nonid] != closed]
             if len(bad):
-                _check(False, "cocycle: closed form on a stabilizer", q, s, stab[bad[0]].mat)
-            checks += _sign_homomorphism(ctx, [index[el.mat] for el in stab], signs, q, s)
+                _check(False, "cocycle: closed form on a stabilizer", q, s, pgl[elems[bad[0]]].mat)
+            checks += _sign_homomorphisms(ctx, group, elems, signs, lambda _: (q, s))
 
-    # the same, over every stabilizer at once where the set space is small
+    # the same, over every stabilizer at once where the set space is small:
+    # the engine's nonidentity memberships, rows by their first member
     for q, n in hom_exhaustive:
-        checks += _exhaustive_sign_homomorphism(ff.make_field(*factor_prime_power(q)), n)
+        ctx = ff.make_field(*factor_prime_power(q))
+        st = action_state(ctx, n)
+        at, rows, kappa = st.shared_fixed_rows("nonidentity")
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        order = np.argsort(first[inverse], kind="stable")  # each row's members stay in order
+        nonid = np.flatnonzero([el.kind != "identity" for el in mb.enumerate_pgl(ctx)])
+        checks += _sign_homomorphisms(ctx, rows[order], nonid[at[order]],
+                                      st.tabs.CHI[kappa[order]], lambda r: (q, n, int(r)))
 
     # where it is not, full stabilizers of engine-picked stable sets
     for q, n in hom_sampled:
@@ -822,13 +840,8 @@ def verify_cocycle(
         st = action_state(ctx, n)
         elem, fixed, _ = st.shared_fixed_rows("subtypes")
         rows = [i for k in range(len(subtypes(q))) for i in fixed[elem == k][:20].tolist()]
-        # every stabilizer at once, and the signs of every (set, member) pair
-        row, member = np.nonzero(ns.stabilizer_masks(ctx, st.V[rows]))
-        codes = mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx))
-        signs = mult.epsilons(ctx, codes[member], st.V[rows][row])
-        for r, i in enumerate(rows):
-            mine = row == r
-            checks += _sign_homomorphism(ctx, member[mine], signs[mine], q, n, st.nset_at(i))
+        checks += _sign_homomorphisms(ctx, *_stabilizer_signs(ctx, st.V[rows]),
+                                      lambda r: (q, n, st.nset_at(rows[r])))
     return {"suite": "cocycle", "checks": checks}
 
 
@@ -842,60 +855,33 @@ def _cocycle_defects(ctx: ff.FieldCtx, gam, rho, forms) -> np.ndarray:
     return left != ff.tables(ctx).MUL[j_rho, j_gam]
 
 
-def _sign_homomorphism(ctx: ff.FieldCtx, members: list[int], signs: list[int], *where) -> int:
-    """sign(ga rb) == sign(ga) sign(rb) for every ordered pair of members.
+def _sign_homomorphisms(ctx: ff.FieldCtx, group, elems, signs, where) -> int:
+    """sign(g h) == sign(g) sign(h) for every ordered pair of members of
+    each group of the memberships (group, element, sign): element is an
+    enumerate_pgl position, and each group's members are listed together.
 
-    members are enumerate_pgl positions with their signs alongside; the
-    identity reads +1 unless it is a member, every other non-member 0, so
-    a product leaving the members fails as well.  One gather over the
-    product table does every pair; the number of pairs is returned.
+    In a group the identity reads +1 unless it is a member, and every
+    other non-member 0, so a product leaving the group fails as well.  One
+    gather over the product table checks every pair; a failure names the
+    first failing pair in listing order as where(group) + (g, h).  Returns
+    the number of pairs.
     """
     table = mb.pgl_table(ctx)
-    sign = np.zeros(len(table.prod), np.int8)
-    sign[table.index[mb.IDENTITY]] = 1
-    m = np.asarray(members)
-    sign[m] = signs
-    bad = np.argwhere(sign[table.prod[np.ix_(m, m)]] != np.outer(sign[m], sign[m]))
-    if len(bad):
-        pgl = mb.enumerate_pgl(ctx)
-        i, j = bad[0]
-        _check(False, "cocycle: homomorphism", *where, (pgl[m[i]].mat, pgl[m[j]].mat))
-    return len(m) ** 2
-
-
-def _exhaustive_sign_homomorphism(ctx: ff.FieldCtx, n: int) -> int:
-    """Multiplicativity of the sign on the stabilizer of every single n-set,
-    read off the engine's fixed rows.
-
-    The stable memberships (row, element, sign) of every nonidentity
-    element, from one fixed_rows call, are grouped by row with one sort,
-    and one gather checks every ordered pair of members of each row as
-    _sign_homomorphism does for one set.  A failure names the pair
-    _sign_homomorphism would name first, taking the rows in the order of
-    their first stabilizing element.
-    """
-    st = action_state(ctx, n)
-    pgl = mb.enumerate_pgl(ctx)
-    table = mb.pgl_table(ctx)
-    nonid = np.array([gi for gi, elem in enumerate(pgl) if elem.kind != "identity"])
-    at, rows, kappa = st.shared_fixed_rows("nonidentity")
-    elems, signs = nonid[at], st.tabs.CHI[kappa]
-    order = np.argsort(rows, kind="stable")  # each row's members stay in pgl order
-    rows, elems, signs = rows[order], elems[order], signs[order]
-    start = np.flatnonzero(np.diff(rows, prepend=-1))  # first membership of each row
-    size = np.diff(start, append=len(rows))
-    group = np.repeat(np.arange(len(start)), size)  # row number of each membership
-    sign_of = np.zeros((len(start), len(pgl)), np.int8)  # 0 off the stabilizer
+    group, elems, signs = (np.asarray(a) for a in (group, elems, signs))
+    start = np.flatnonzero(np.diff(group, prepend=group[:1] - 1))  # first member of each group
+    size = np.diff(start, append=len(group))
+    gid = np.repeat(np.arange(len(start)), size)  # group number of each membership
+    sign_of = np.zeros((len(start), len(table.prod)), np.int8)  # 0 off the group
     sign_of[:, table.index[mb.IDENTITY]] = 1
-    sign_of[group, elems] = signs
-    # every ordered pair (u, v) of memberships of one row
-    reps = size[group]
-    u = np.repeat(np.arange(len(rows)), reps)
-    v = np.repeat(start[group], reps) + np.arange(len(u)) - np.repeat(np.cumsum(reps) - reps, reps)
-    bad = np.flatnonzero(sign_of[group[u], table.prod[elems[u], elems[v]]] != signs[u] * signs[v])
+    sign_of[gid, elems] = signs
+    # every ordered pair (u, v) of memberships of one group
+    reps = size[gid]
+    u = np.repeat(np.arange(len(gid)), reps)
+    v = np.repeat(start[gid], reps) + np.arange(len(u)) - np.repeat(np.cumsum(reps) - reps, reps)
+    bad = np.flatnonzero(sign_of[gid[u], table.prod[elems[u], elems[v]]] != signs[u] * signs[v])
     if len(bad):
-        b = bad[np.lexsort((bad, elems[start[group[u[bad]]]]))[0]]
-        _check(False, "cocycle: homomorphism", ctx.q, n, int(rows[u[b]]),
+        pgl, b = mb.enumerate_pgl(ctx), bad[0]
+        _check(False, "cocycle: homomorphism", *where(group[u[b]]),
                (pgl[elems[u[b]]].mat, pgl[elems[v[b]]].mat))
     return len(u)
 

@@ -3,7 +3,8 @@
 Plain, slow and obviously right versions of what the package does in bulk,
 or small tools the checks need: the rational n-sets in the engine's row
 order, n-sets from their points and back, exact integer polynomial
-arithmetic, the moduli and degrees of a conditional polynomial, and the
+arithmetic, the per-set check that the sign is a homomorphism on a
+stabilizer, the moduli and degrees of a conditional polynomial, and the
 recorded misprint of the bundled genus-9 table row.
 """
 
@@ -11,7 +12,7 @@ from math import gcd
 
 from hypcensus import field as ff
 from hypcensus.census import VerificationError, factor_prime_power
-from hypcensus.moebius import INF, fin
+from hypcensus.moebius import IDENTITY, INF, enumerate_pgl, fin, pgl_table
 from hypcensus.nset import RationalNSet
 from hypcensus.symbolic import poly_add, poly_eval, poly_norm
 from hypcensus.tables import HYP_ROW_KNOWN_DELTA
@@ -77,6 +78,25 @@ def nset_str(s: RationalNSet) -> str:
     first and the monic 1 included, with ';inf' appended when present."""
     body = ",".join(str(c) for c in s.f)
     return body + (";inf" if s.has_inf else "")
+
+
+def sign_homomorphism(ctx, members, signs, *where) -> int:
+    """sign(g h) == sign(g) sign(h) for every ordered pair of members of one
+    stabilizer, pair by pair: members are enumerate_pgl positions with their
+    signs alongside, the identity reads +1 unless it is a member, and every
+    other non-member 0.  The per-set check the oracle's batched
+    _sign_homomorphisms is held against: it raises VerificationError with
+    the oracle's message, naming the first failing pair, and returns the
+    number of pairs."""
+    table, pgl = pgl_table(ctx), enumerate_pgl(ctx)
+    members = [int(m) for m in members]
+    sign = {table.index[IDENTITY]: 1, **dict(zip(members, signs))}
+    for g, sg in zip(members, signs):
+        for h, sh in zip(members, signs):
+            if sign.get(int(table.prod[g, h]), 0) != sg * sh:
+                pair = (pgl[g].mat, pgl[h].mat)
+                raise VerificationError(f"cocycle: homomorphism: {(*where, pair)}")
+    return len(members) ** 2
 
 
 # ---------------------------------------------------------------------------

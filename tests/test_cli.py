@@ -15,9 +15,12 @@ import pytest
 from hypcensus import census
 from hypcensus import field as ff
 from hypcensus import moebius as mo
+from hypcensus import multiplier as mult
 from hypcensus import nset as ns
 from hypcensus import oracle as oc
 from hypcensus.cli import FORMATS, build_parser, main
+
+import reference as ref
 
 
 def run(capsys, *argv):
@@ -337,11 +340,46 @@ def test_sign_homomorphism_checks_survive_python_O():
             "        kappa[i] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[i]]\n"
             "    return elem, rows, kappa\n"
             "oracle.ActionState.fixed_rows = flipped\n"
-            f"oracle._exhaustive_sign_homomorphism(field.make_field({p}, {e}), {n})\n",
+            f"oracle.verify_cocycle(triples=0, hom_exhaustive=(({p**e}, {n}),), hom_sampled=())\n",
         )
         assert res.returncode == 1, res.stdout
         assert f"VerificationError: cocycle: homomorphism: ({p**e}, {n}, " in res.stderr
         assert "GlMatrix(a=0, b=1, c=1, d=0)" in res.stderr.splitlines()[-1]
+
+
+def test_sampled_sign_homomorphism_checks_survive_python_O():
+    # the first nonidentity member of the first sampled stabilizer at
+    # (5, 8) gets the opposite sign from the batched sweep: the sampled
+    # homomorphism check must raise under python -O, naming the pair the
+    # per-set reference names on that set
+    k = ff.make_field(5, 1)
+    st = oc.ActionState(k, 8)
+    _, fixed, _ = st.fixed_rows(mo.mat_codes(el.mat for el in oc._subtype_reps(k)))
+    s = st.nset_at(int(fixed[0]))  # the first sampled set
+    stab = ns.stabilizer(s, k)
+    signs = [mult.epsilon(el.mat, s, k) for el in stab]
+    g = next(i for i, el in enumerate(stab) if el.kind != "identity")
+    signs[g] *= -1
+    index = mo.pgl_table(k).index
+    with pytest.raises(census.VerificationError) as want:
+        ref.sign_homomorphism(k, [index[el.mat] for el in stab], signs, 5, 8, s)
+    res = _run_optimized(
+        "-c",
+        "import numpy\n"
+        "from hypcensus import multiplier, oracle\n"
+        "batched = multiplier.epsilons\n"
+        "def flipped(ctx, mats, forms):\n"
+        "    signs = batched(ctx, mats, forms)\n"
+        "    if ctx.q == 5 and len(numpy.unique(forms, axis=0)) > 1:  # the sampled sets\n"
+        "        signs = signs.copy()\n"
+        "        signs[(mats != (1, 0, 0, 1)).any(-1).argmax()] *= -1\n"
+        "    return signs\n"
+        "multiplier.epsilons = flipped\n"
+        "oracle.verify_cocycle(triples=0, hom_exhaustive=(), hom_sampled=((5, 8),))\n",
+    )
+    assert res.returncode == 1, res.stdout
+    assert str(want.value).startswith("cocycle: homomorphism: (5, 8, ")
+    assert f"VerificationError: {want.value}" in res.stderr
 
 
 def test_kernel_checks_survive_python_O():
@@ -453,7 +491,7 @@ def test_verify_suite_runs(capsys):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     def boom(**kwargs):
-        raise AssertionError(3, "C", 2)
+        raise census.VerificationError(3, "C", 2)
 
     monkeypatch.setitem(oc.SUITES, "norm", boom)
     code, _, err = run(capsys, "verify", "--suite", "norm")
@@ -473,6 +511,8 @@ def test_verify_wrong_option_exits_2(capsys):
     (("hyp", "--g", "2", "--q", ","), "no field size in --q ','"),
     (("verify", "--suite", "cocycle", "--triples", "-5"), "triples must be >= 0, got -5"),
     (("verify", "--suite", "counts", "--q", "15"), "q must be a prime power, got 15"),
+    (("verify", "--suite", "cocycle", "--q", "5"), "suite cocycle takes no --q"),
+    (("verify", "--suite", "points", "--triples", "5"), "suite points takes no --triples"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     # no traceback (exit 1 reads as a mismatch) and no vacuous pass

@@ -847,6 +847,20 @@ def test_verify_suite_rejects_unknown_name():
         oc.verify_suite("nope")
 
 
+def _one_group_verdicts(ctx, members, signs):
+    """The batched homomorphism check of one stabilizer and the per-set
+    reference: each one's pair count, or its failure message."""
+    out = []
+    for check in (lambda: oc._sign_homomorphisms(ctx, np.zeros(len(members), int), members,
+                                                 signs, lambda _: ("where",)),
+                  lambda: ref.sign_homomorphism(ctx, members, signs, "where")):
+        try:
+            out.append(check())
+        except census.VerificationError as exc:
+            out.append(str(exc))
+    return out
+
+
 def test_sign_homomorphism_reports_first_failing_pair():
     ctx = ff.make_field(3, 1)
     special = ns.make_nset(ctx, ff.pmul(ctx, (0, 2, 0, 1), (1, 0, 1)), True)
@@ -854,15 +868,15 @@ def test_sign_homomorphism_reports_first_failing_pair():
     index = mb.pgl_table(ctx).index
     members = [index[el.mat] for el in stab]
     signs = [mult.epsilon(el.mat, special, ctx) for el in stab]
-    assert oc._sign_homomorphism(ctx, members, signs) == len(stab) ** 2
+    assert _one_group_verdicts(ctx, members, signs) == [len(stab) ** 2] * 2
     # flipping one non-identity sign breaks sign(g h) for some member h
     g = next(k for k, el in enumerate(stab) if el.kind != "identity")
     flipped = signs[:g] + [-signs[g]] + signs[g + 1 :]
-    with pytest.raises(census.VerificationError, match="cocycle: homomorphism"):
-        oc._sign_homomorphism(ctx, members, flipped, "where")
+    got, want = _one_group_verdicts(ctx, members, flipped)
+    assert got == want and want.startswith("cocycle: homomorphism: ('where', ")
     # a product outside the members reads sign 0 and fails as well
-    with pytest.raises(census.VerificationError, match="cocycle: homomorphism"):
-        oc._sign_homomorphism(ctx, members[:g] + members[g + 1 :], signs[:g] + signs[g + 1 :])
+    got, want = _one_group_verdicts(ctx, members[:g] + members[g + 1 :], signs[:g] + signs[g + 1 :])
+    assert got == want and want.startswith("cocycle: homomorphism: ('where', ")
 
 
 def test_cocycle_grid_names_the_failing_pair(monkeypatch):
@@ -888,8 +902,8 @@ def test_cocycle_grid_names_the_failing_pair(monkeypatch):
 
 def _reference_exhaustive_sign_homomorphism(ctx, n):
     """The per-set check the one-gather version replaced: a dict of
-    stabilizer lists in order of first appearance, then _sign_homomorphism
-    on each."""
+    stabilizer lists in order of first appearance, then the reference
+    sign_homomorphism on each."""
     st = oc.ActionState(ctx, n)
     stab_of = {}
     for gi, elem in enumerate(mb.enumerate_pgl(ctx)):
@@ -902,7 +916,7 @@ def _reference_exhaustive_sign_homomorphism(ctx, n):
             members.append(gi)
             signs.append(sg)
     return sum(
-        oc._sign_homomorphism(ctx, members, signs, ctx.q, n, i)
+        ref.sign_homomorphism(ctx, members, signs, ctx.q, n, i)
         for i, (members, signs) in stab_of.items()
     )
 
@@ -927,10 +941,18 @@ def _flip_signs(monkeypatch, mat, pick):
     monkeypatch.setattr(oc.ActionState, "fixed_rows", flipped)
 
 
+def _exhaustive_cocycle(q, n):
+    """The cocycle suite with no random triples and no sampled stabilizers,
+    checking every stabilizer of the q, n-sets at once."""
+    return oc.verify_cocycle(triples=0, hom_exhaustive=((q, n),), hom_sampled=())
+
+
 @pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (5, 6), (9, 4)])
 def test_exhaustive_sign_homomorphism_matches_per_set_check(q, n):
     ctx = ff.make_field(*census.factor_prime_power(q))
-    assert oc._exhaustive_sign_homomorphism(ctx, n) == _reference_exhaustive_sign_homomorphism(ctx, n)
+    base = oc.verify_cocycle(triples=0, hom_exhaustive=(), hom_sampled=())["checks"]
+    got = _exhaustive_cocycle(q, n)["checks"] - base
+    assert got == _reference_exhaustive_sign_homomorphism(ctx, n)
 
 
 @pytest.mark.parametrize(
@@ -946,7 +968,7 @@ def test_exhaustive_sign_homomorphism_names_the_first_failing_pair(monkeypatch, 
     with pytest.raises(census.VerificationError, match="cocycle: homomorphism") as want:
         _reference_exhaustive_sign_homomorphism(ctx, n)
     with pytest.raises(census.VerificationError) as got:
-        oc._exhaustive_sign_homomorphism(ctx, n)
+        _exhaustive_cocycle(q, n)
     assert str(got.value) == str(want.value)
 
 
