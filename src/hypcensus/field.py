@@ -23,8 +23,11 @@ tables(ctx) holds the same arithmetic as numpy q x q int16 arrays for the
 vectorized code, int_tables(ctx) its cached intp view (gathers indexed by
 intp codes skip the index conversion) and powers(ctx, n) the cached
 table of x^e.  dot(ctx, pairs) is the one F_q linear combination,
-sum c x elementwise over code arrays: every PGL2 action on forms and the
-squarefree sieve read it, so no other module branches on the field kind.
+sum c x elementwise over code arrays.  Every PGL2 action on forms reads
+it, and so do the substitution matrices themselves (the power columns of
+nset.substitution_matrices and their convolution), the products and
+canonical scaling of moebius.pgl_table and the squarefree sieve, so no
+other module branches on the field kind.
 kernels(ctx, a) gives the null spaces of a stack of square matrices by one
 batched Gauss-Jordan elimination over the same tables.
 

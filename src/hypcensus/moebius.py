@@ -234,9 +234,9 @@ class PglTable(NamedTuple):
 @functools.cache
 def pgl_table(ctx: FieldCtx) -> PglTable:
     """Numbering and product table of PGL2(F_q), built a block of rows at a
-    time with numpy gathers from the field tables, so it serves every field."""
-    q = ctx.q
-    _, mul, inv = ff.int_tables(ctx)
+    time: the products by mat_mul_codes, each scaled to its canonical
+    representative by field.dot, so it serves every field."""
+    q, inv = ctx.q, ff.tables(ctx).INV
     pgl = enumerate_pgl(ctx)
     n = len(pgl)
     codes = mat_codes(m.mat for m in pgl)
@@ -247,7 +247,10 @@ def pgl_table(ctx: FieldCtx) -> PglTable:
     for lo in range(0, n, rows):
         pa, pb, pc, pd = np.moveaxis(mat_mul_codes(ctx, codes[lo : lo + rows, None], codes), -1, 0)
         s = inv[np.where(pa != 0, pa, pb)]  # scale the first nonzero entry to 1
-        code = ((mul[s, pa] * q + mul[s, pb]) * q + mul[s, pc]) * q + mul[s, pd]
+        code = np.zeros(s.shape, np.int32)
+        for x in (pa, pb, pc, pd):
+            code *= q
+            code += ff.dot(ctx, [(s, x)])
         prod[lo : lo + rows] = at[code]
     if (prod < 0).any():
         raise ValueError("product table left a class without a representative")

@@ -14,16 +14,18 @@ the point action t -> (at+b)/(ct+d) on roots; the image form equals the
 image n-set's form up to the nonzero leading scalar kappa recovered here.
 The substitution is one linear map on the n + 1 coefficients, and
 substitution_matrices is the only routine that expands it, for a whole
-stack of matrices at once.  Everything else reads from it: act_forms
-applies a stack to many forms through field.dot, stabilizer_masks acts
-with all of PGL2 on many forms in one act_forms call, and
-substitution_matrix, its cached one-matrix view, serves the oracle
-engine and act_form, the one-pair view of act_forms.  form_values
-evaluates many forms at many points by gathers from the field tables,
-for the batched twist signs.  fixed_point_counts says how many of their
-fixed points a stack of elements' forms hold, in base-field arithmetic,
-broadcast as act_forms is: the j of census.CONFIGURATIONS, which the
-closed-form signs and the counts and quot suites read, one call a batch.
+stack of matrices at once and by field.dot alone: one call for the power
+columns of the two linear forms, one convolution call for their
+products.  Everything else reads from it: act_forms applies a stack to
+many forms through field.dot, stabilizer_masks acts with all of PGL2 on
+many forms in one act_forms call, and substitution_matrix, its cached
+one-matrix view, serves the oracle engine and act_form, the one-pair
+view of act_forms.  form_values evaluates many forms at many points by
+gathers from the field tables, for the batched twist signs.
+fixed_point_counts says how many of their fixed points a stack of
+elements' forms hold, in base-field arithmetic, broadcast as act_forms
+is: the j of census.CONFIGURATIONS, which the closed-form signs and the
+counts and quot suites read, one call a batch.
 """
 
 from __future__ import annotations
@@ -89,40 +91,44 @@ def from_form(ctx: FieldCtx, form) -> tuple[RationalNSet, int]:
 
 def substitution_matrices(ctx: FieldCtx, mats, n: int) -> np.ndarray:
     """Substitution matrices of a stack of matrices given as entry codes
-    (a, b, c, d) of shape (..., 4): intp codes of shape (..., n+1, n+1),
-    where T[..., i, k] is the coefficient of X^(n-i) Z^i in
+    (a, b, c, d) of shape (..., 4): codes of shape (..., n+1, n+1), where
+    T[..., i, k] is the coefficient of X^(n-i) Z^i in
     (dX - bZ)^(n-k) (-cX + aZ)^k, the image of the basis form X^(n-k) Z^k.
-    The image of a form F has coefficients sum_k T[i, k] F[k].
+    The image of a form F has coefficients sum_k T[i, k] F[k].  The codes
+    come in the dtype of field.dot: int32 over a prime field (int64 where
+    its sums need it), int16 over an extension field.
 
-    Row j of the powers of a linear form uX + vZ holds the Z^m
-    coefficients C(j, m) u^(j-m) v^m, gathered from a table of powers;
-    column k is the product of row n - k of the first form and row k of
-    the second, accumulated over the Z-degree of the second factor.  Every
-    product and sum is a gather from the field tables, so it serves every
-    field and every matrix of the stack at once.
+    Column k of the powers of a linear form uX + vZ holds the Z^m
+    coefficients C(k, m) u^(k-m) v^m of its k-th power: one field.dot of a
+    gathered binomial-times-power table against the powers of v, for both
+    forms.  Then T[i, k] = sum_j first[i - j, k] second[j, k], where column
+    k of first is the power n - k of dX - bZ and column k of second the
+    power k of -cX + aZ: one convolution field.dot over j, pairing first,
+    zero-padded by n rows and shifted down by j, with row j of second.  A
+    prime field sums it in int32 with one mod, an extension field by
+    gathers from its tables, for every matrix of the stack at once.
     """
-    add, mul, _ = ff.int_tables(ctx)
-    pw, binom, jm, m = _expansion_tables(ctx, n)
+    pw, bpw = _expansion_tables(ctx, n)
     mats = np.asarray(mats, np.intp)
-    signed = np.concatenate((mats, mul[ctx.p - 1, mats]), -1)  # a b c d -a -b -c -d
-    u = signed[..., [3, 6], None, None]  # X coefficients d, -c of the two forms
-    v = signed[..., [5, 0], None, None]  # Z coefficients -b, a
-    rows = mul[binom, mul[pw[u, jm], pw[v, m]]]  # [..., form, j, m]
-    first, second = rows[..., 0, ::-1, :], rows[..., 1, :, :]  # row k: powers n - k, k
-    t = mul[first, second[..., :1]]  # t[..., k, i], the transpose
-    for j in range(1, n + 1):
-        t[..., j:] = add[t[..., j:], mul[first[..., : n + 1 - j], second[..., j : j + 1]]]
-    return np.swapaxes(t, -1, -2)
+    neg = ff.dot(ctx, [(ctx.p - 1, mats[..., 1:3])])  # -b, -c
+    u = np.stack((mats[..., 3], neg[..., 1]), -1)  # X coefficients d, -c of the two forms
+    v = np.stack((neg[..., 0], mats[..., 0]), -1)  # Z coefficients -b, a
+    powers = ff.dot(ctx, [(bpw[u], pw[v][..., :, None])])  # [..., form, m, k]
+    first = np.zeros(powers.shape[:-3] + (2 * n + 1, n + 1), powers.dtype)
+    first[..., n:, :] = powers[..., 0, :, ::-1]  # column k: power n - k, below n zero rows
+    second = powers[..., 1, :, :]  # column k: power k
+    return ff.dot(ctx, ((first[..., n - j : 2 * n + 1 - j, :], second[..., j : j + 1, :])
+                        for j in range(n + 1)))
 
 
 @functools.lru_cache(maxsize=64)
 def _expansion_tables(ctx: FieldCtx, n: int):
-    """field.powers up to n; the binomials C(j, m) as codes (0 for m > j);
-    the exponents j - m (clipped at 0, where the binomial vanishes) and m
-    over 0 <= j, m <= n."""
-    binom = np.array([[math.comb(j, m) % ctx.p for m in range(n + 1)] for j in range(n + 1)])
-    j, m = np.ogrid[: n + 1, : n + 1]
-    return ff.powers(ctx, n), binom, np.maximum(j - m, 0), m
+    """field.powers up to n, and [x, m, k] = C(k, m) x^(k-m) as codes over
+    0 <= m, k <= n (0 for m > k)."""
+    pw = ff.powers(ctx, n)
+    m, k = np.ogrid[: n + 1, : n + 1]
+    binom = np.array([[math.comb(k, m) % ctx.p for k in range(n + 1)] for m in range(n + 1)])
+    return pw, ff.dot(ctx, [(binom, pw[:, np.maximum(k - m, 0)])])
 
 
 @functools.lru_cache(maxsize=4096)

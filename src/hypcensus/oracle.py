@@ -685,20 +685,47 @@ def verify_orbit_lemma(qs=(3, 5, 7)) -> dict:
     return {"suite": "orbit_lemma", "checks": checks}
 
 
+def _random_codes(rng: random.Random, q: int, count: int) -> list[int]:
+    """count draws of rng.randrange(q), made as randrange makes them (the
+    loop of CPython's _randbelow_with_getrandbits): getrandbits of the bit
+    length of q, drawn again while it is q or more.  The values and the
+    state of rng after them are randrange's."""
+    bits, width, out = rng.getrandbits, q.bit_length(), []
+    for _ in range(count):
+        r = bits(width)
+        while r >= q:
+            r = bits(width)
+        out.append(r)
+    return out
+
+
 def _random_gl(rng: random.Random, ctx: ff.FieldCtx) -> GlMatrix:
+    """Entries a, b, c, d drawn until ad != bc, the determinant nonzero."""
     while True:
-        m = GlMatrix(*(rng.randrange(ctx.q) for _ in range(4)))
-        if mb.mat_det(ctx, m) != 0:
-            return m
+        a, b, c, d = _random_codes(rng, ctx.q, 4)
+        if ff.mul(ctx, a, d) != ff.mul(ctx, b, c):
+            return GlMatrix(a, b, c, d)
 
 
-def _random_nset(rng: random.Random, ctx: ff.FieldCtx, n: int) -> ns.RationalNSet:
+def _random_nset(rng: random.Random, q: int, masks) -> ns.RationalNSet:
+    """An n-set through infinity when rng.random() < 0.5, its lower
+    coefficients drawn until masks[has_inf] keeps them: the squarefree
+    mask of degree n - has_inf, shaped (q,) * degree so that the
+    coefficients, highest first, index it."""
     while True:
         has_inf = rng.random() < 0.5
-        deg = n - (1 if has_inf else 0)
-        f = tuple(rng.randrange(ctx.q) for _ in range(deg)) + (1,)
-        if squarefree_mask(ctx, deg)[sum(c * ctx.q**j for j, c in enumerate(f[:-1]))]:
-            return ns.RationalNSet(f, has_inf)
+        mask = masks[has_inf]
+        f = _random_codes(rng, q, mask.ndim)
+        if mask[tuple(reversed(f))]:
+            return ns.RationalNSet((*f, 1), has_inf)
+
+
+def _random_triples(rng: random.Random, ctx: ff.FieldCtx, n: int, count: int) -> list:
+    """count (gam, rho, S) triples of verify_cocycle, drawn in that order,
+    with the two squarefree masks of n-sets over ctx resolved once."""
+    masks = [squarefree_mask(ctx, d).reshape((ctx.q,) * d) for d in (n, n - 1)]
+    return [(_random_gl(rng, ctx), _random_gl(rng, ctx), _random_nset(rng, ctx.q, masks))
+            for _ in range(count)]
 
 
 def _stab_test_sets(q: int, ctx: ff.FieldCtx) -> list[ns.RationalNSet]:
@@ -741,7 +768,9 @@ def verify_cocycle(
     on stabilizers and multiplicative on each stabilizer subgroup.  The
     cocycle law is checked in batches (multiplier.kappa_multipliers): every
     PGL2(F_3) pair on all five sample sets in one batch, and the random
-    triples, drawn one by one as always, in one batch per field.  The
+    triples in one batch per field.  _random_triples draws them one by one
+    from rng.getrandbits, the loop rng.randrange runs, so the triples of a
+    seed and the final state of rng are randrange's.  The
     stabilizers come with their signs from _stabilizer_signs, one call per
     set and one per hom_sampled (q, n); hom_exhaustive reads them off the
     shared "nonidentity" fixed rows, the rows in order of their first
@@ -773,8 +802,7 @@ def verify_cocycle(
     rng = random.Random(seed)
     for q in (5, 7):
         k = ff.make_field(q, 1)
-        draws = [(_random_gl(rng, k), _random_gl(rng, k), _random_nset(rng, k, 6))
-                 for _ in range(triples)]
+        draws = _random_triples(rng, k, 6, triples)
         gam, rho = (mb.mat_codes(d[i] for d in draws) for i in (0, 1))
         forms = np.array([ns.to_form(k, d[2]) for d in draws], np.intp).reshape(-1, 7)
         bad = np.flatnonzero(_cocycle_defects(k, gam, rho, forms))

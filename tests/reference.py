@@ -4,7 +4,8 @@ Plain, slow and obviously right versions of what the package does in bulk,
 or small tools the checks need: the rational n-sets in the engine's row
 order, n-sets from their points and back, exact integer polynomial
 arithmetic, the per-set check that the sign is a homomorphism on a
-stabilizer, the moduli and degrees of a conditional polynomial, and the
+stabilizer, the randrange draws of the cocycle suite's random triples, the
+moduli and degrees of a conditional polynomial, and the
 recorded misprint of the bundled genus-9 table row.
 """
 
@@ -12,7 +13,7 @@ from math import gcd
 
 from hypcensus import field as ff
 from hypcensus.census import VerificationError, factor_prime_power
-from hypcensus.moebius import IDENTITY, INF, enumerate_pgl, fin, pgl_table
+from hypcensus.moebius import IDENTITY, INF, GlMatrix, enumerate_pgl, fin, mat_det, pgl_table
 from hypcensus.nset import RationalNSet
 from hypcensus.symbolic import poly_add, poly_eval, poly_norm
 from hypcensus.tables import HYP_ROW_KNOWN_DELTA
@@ -97,6 +98,25 @@ def sign_homomorphism(ctx, members, signs, *where) -> int:
                 pair = (pgl[g].mat, pgl[h].mat)
                 raise VerificationError(f"cocycle: homomorphism: {(*where, pair)}")
     return len(members) ** 2
+
+
+def random_gl(rng, ctx) -> GlMatrix:
+    """A matrix of nonzero determinant, four rng.randrange(q) entries a
+    draw: the draws the oracle's cocycle triples are held against."""
+    while True:
+        m = GlMatrix(*(rng.randrange(ctx.q) for _ in range(4)))
+        if mat_det(ctx, m) != 0:
+            return m
+
+
+def random_nset(rng, ctx, n: int) -> RationalNSet:
+    """An n-set through infinity when rng.random() < 0.5, its lower
+    coefficients rng.randrange(q) draws, drawn again until squarefree."""
+    while True:
+        has_inf = rng.random() < 0.5
+        f = tuple(rng.randrange(ctx.q) for _ in range(n - has_inf)) + (1,)
+        if ff.is_squarefree_poly(ctx, f):
+            return RationalNSet(f, has_inf)
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def test_cocycle_checks_survive_python_O():
     rng = random.Random(5)
     k = ff.make_field(5, 1)
     for _ in range(4):
-        triple = (oc._random_gl(rng, k), oc._random_gl(rng, k), oc._random_nset(rng, k, 6))
+        triple = (ref.random_gl(rng, k), ref.random_gl(rng, k), ref.random_nset(rng, k, 6))
     res = _run_optimized(
         "-c",
         "from hypcensus import field, multiplier, oracle\n"

@@ -224,13 +224,6 @@ def _reference_act_form(ctx, mat, s):
     return ns.from_form(ctx, tuple(out))
 
 
-def _random_gl(rng, ctx):
-    while True:
-        m = mo.GlMatrix(*(rng.randrange(ctx.q) for _ in range(4)))
-        if mo.mat_det(ctx, m):
-            return m
-
-
 def _random_nset(rng, ctx, n, has_inf=None):
     while True:
         inf = rng.random() < 0.5 if has_inf is None else has_inf
@@ -253,11 +246,30 @@ def test_substitution_matrices_match_scalar_expansion(p, e):
         assert ns.substitution_matrix(k, mats[-1], n) == _reference_substitution_matrix(k, mats[-1], n)
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_substitution_matrices_stack_shapes_and_dtype(p, e):
+    # one matrix, a flat stack, a nested stack and an empty stack give the
+    # scalar expansion in the stack's shape, as codes in field.dot's dtype
+    k = K(p, e)
+    rng = random.Random(k.q)
+    mats = [ref.random_gl(rng, k) for _ in range(6)]
+    codes = mo.mat_codes(mats)
+    dtype = np.int32 if e == 1 else np.int16
+    for n in (1, 4, 6):
+        want = np.array([_reference_substitution_matrix(k, m, n) for m in mats])
+        for stack, expect in ((codes[0], want[0]), (tuple(codes[0].tolist()), want[0]),
+                              (codes, want), (codes.reshape(2, 3, 4), want.reshape(2, 3, n + 1, n + 1)),
+                              (codes[:0], want[:0])):
+            got = ns.substitution_matrices(k, stack, n)
+            assert got.shape == expect.shape and got.dtype == dtype, (n, np.shape(stack))
+            assert np.array_equal(got, expect), (n, np.shape(stack))
+
+
 @pytest.mark.parametrize("p,e,n", [(3, 3, 4), (3, 5, 2)])
 def test_substitution_matrices_match_scalar_expansion_sampled(p, e, n):
     k = K(p, e)
     rng = random.Random(p**e)
-    mats = [_random_gl(rng, k) for _ in range(300)]
+    mats = [ref.random_gl(rng, k) for _ in range(300)]
     want = np.array([_reference_substitution_matrix(k, m, n) for m in mats])
     assert np.array_equal(ns.substitution_matrices(k, mo.mat_codes(mats), n), want)
 
@@ -267,7 +279,7 @@ def test_act_forms_and_kappa_multipliers_match_scalar(p, e):
     k = K(p, e)
     rng = random.Random(10 * p + e)
     for n in (2, 3, 4, 6):
-        mats = [_random_gl(rng, k) for _ in range(60)]
+        mats = [ref.random_gl(rng, k) for _ in range(60)]
         # the first sets pass through infinity, then avoid it, then either
         sets = ([_random_nset(rng, k, n, True) for _ in range(20)]
                 + [_random_nset(rng, k, n, False) for _ in range(20)]

@@ -900,6 +900,21 @@ def test_cocycle_grid_names_the_failing_pair(monkeypatch):
     assert str(err.value) == f"cocycle: cocycle law: {(first, pgl3[5].mat, pgl3[17].mat)}"
 
 
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("seed", [0, 1, 5, 7])
+def test_random_triples_match_randrange_draws(q, seed):
+    # the getrandbits draws equal the randrange reference, triple by triple,
+    # and leave the generator in the same state
+    k = ff.make_field(q, 1)
+    rng, want_rng = random.Random(seed), random.Random(seed)
+    got = oc._random_triples(rng, k, 6, 300)
+    want = [(ref.random_gl(want_rng, k), ref.random_gl(want_rng, k), ref.random_nset(want_rng, k, 6))
+            for _ in range(300)]
+    assert got == want
+    assert rng.getstate() == want_rng.getstate()
+    assert any(s.has_inf for *_, s in got) and not all(s.has_inf for *_, s in got)
+
+
 def _reference_exhaustive_sign_homomorphism(ctx, n):
     """The per-set check the one-gather version replaced: a dict of
     stabilizer lists in order of first appearance, then the reference
