@@ -49,7 +49,10 @@ def _resolve_qs(args) -> list[int]:
     if args.p is not None:
         if not is_prime(args.p):
             raise ValueError(f"--p must be a prime, got {args.p}")
-        return [args.p ** (args.e if args.e is not None else 1)]
+        e = 1 if args.e is None else args.e
+        if e < 1:
+            raise ValueError(f"--e must be >= 1, got {e}")
+        return [args.p**e]
     raise ValueError("missing --q or --p")
 
 
@@ -73,13 +76,8 @@ def _emit(fmt: str, payload: dict, headers: list[str], rows: list[list[str]], li
 
 
 def cmd_counts(args, which: str) -> int:
-    try:
-        gs = _parse_genus_range(args.g)
-        qs = _resolve_qs(args)
-        reports = [census.census_report(g, q) for g in gs for q in qs]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    gs, qs = _parse_genus_range(args.g), _resolve_qs(args)
+    reports = [census.census_report(g, q) for g in gs for q in qs]
     reports.sort(key=lambda r: (r.g, r.q))
     _emit(args.format, {"command": which, "results": [r.to_json_dict() for r in reports]},
           ["g", "q", which], [[str(r.g), str(r.q), str(getattr(r, which))] for r in reports],
@@ -98,11 +96,7 @@ def _emit_forms(args, gs: list[int], line, **extra) -> None:
 
 
 def cmd_table(args) -> int:
-    try:
-        gs = _parse_genus_range(args.g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    gs = _parse_genus_range(args.g)
     bad = [g for g in gs if g not in tables.TABLE_GENUS_RANGE]
     if bad:
         print(f"error: no reference rows for genus {bad}", file=sys.stderr)
@@ -130,32 +124,18 @@ def cmd_table(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
-    try:
-        gs = _parse_genus_range(args.g)
-        _emit_forms(args, gs, lambda g, form: f"{args.which}({g}) = {form}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _emit_forms(args, _parse_genus_range(args.g), lambda g, form: f"{args.which}({g}) = {form}")
     return 0
 
 
 def cmd_oracle(args) -> int:
     from . import oracle
 
-    try:
-        gs = _parse_genus_range(args.g)
-        qs = _resolve_qs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    gs, qs = _parse_genus_range(args.g), _resolve_qs(args)
     pairs = sorted((g, q) for g in gs for q in qs)
     results = []
     for g, q in pairs:
-        try:
-            report = census.census_report(g, q)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = census.census_report(g, q)
         want_hyp, want_sd = report.hyp, report.sd
         entry = {"g": g, "q": q, "method": args.method,
                  "census_hyp": want_hyp, "census_sd": want_sd}
@@ -206,13 +186,10 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.triples is not None:
         kwargs["triples"] = args.triples
+    if args.q is not None:
+        kwargs["qs"] = tuple(_parse_q_list(args.q))
     try:
-        if args.q is not None:
-            kwargs["qs"] = tuple(_parse_q_list(args.q))
         result = oracle.verify_suite(args.suite, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except census.VerificationError as exc:
         print(f"verification failed: suite {args.suite!r}, "
               f"counterexample {exc.args!r}", file=sys.stderr)
@@ -270,16 +247,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ValueError from any of them, the one kind of
+    bad input, prints "error: ..." and exits 2."""
     args = build_parser().parse_args(argv)
-    if args.command in ("hyp", "sd"):
-        return cmd_counts(args, args.command)
-    if args.command == "table":
-        return cmd_table(args)
-    if args.command == "symbolic":
-        return cmd_symbolic(args)
-    if args.command == "oracle":
-        return cmd_oracle(args)
-    return cmd_verify(args)
+    try:
+        if args.command in ("hyp", "sd"):
+            return cmd_counts(args, args.command)
+        if args.command == "table":
+            return cmd_table(args)
+        if args.command == "symbolic":
+            return cmd_symbolic(args)
+        if args.command == "oracle":
+            return cmd_oracle(args)
+        return cmd_verify(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

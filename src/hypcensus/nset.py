@@ -182,24 +182,19 @@ def fixed_point_counts(ctx: FieldCtx, mats, forms) -> np.ndarray:
 
     The per-matrix scalars and weights come from one _count_weights call
     for the whole stack; the sums over the form columns are taken a block
-    at a time.  A stack is one block when it holds at most _COUNT_BLOCK
-    pairs and its matrices do not vary along the leading batch axes.  Any
-    other is counted one index of its leading axes and at most _COUNT_BLOCK
-    rows of the last axis at a time: that keeps the temporaries small, and
-    where a block's matrices are one element (a few elements stacked
-    against every row of a state) it reads only the form columns with a
-    nonzero weight for that element.
+    at a time, one index of the leading axes and at most _COUNT_BLOCK rows
+    of the last axis: that keeps the temporaries small, and where a
+    block's matrices are one element (a few elements stacked against every
+    row of a state) it reads only the form columns with a nonzero weight
+    for that element.
     """
     mats, forms = np.asarray(mats, np.intp), np.asarray(forms)
     final = np.broadcast_shapes(mats.shape[:-1], forms.shape[:-1])
     shape = final or (1,)
-    size = math.prod(shape)
-    if not size:
+    if not math.prod(shape):
         return np.zeros(final, np.int8)
     mats, forms = (x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape) for x in (mats, forms))
     parts = (*_count_weights(ctx, mats, forms.shape[-1] - 1), forms)
-    if size <= _COUNT_BLOCK and math.prod(mats.shape[:-2]) == 1:
-        return _count_block(ctx, *parts).reshape(final)
     out = np.empty(shape, np.int8)
     for lead in np.ndindex(shape[:-1]):
         # each array's block: index 0 on the axes it broadcasts along

@@ -36,8 +36,11 @@ one call per batch of (element, n-set) pairs.  Stabilizers take one
 path: _stabilizer_signs gives the (form, element, sign) memberships of a
 batch of forms from one stabilizer_masks and one epsilons call, and
 _sign_homomorphisms checks in one product-table gather that the sign is
-multiplicative on each group of members, whatever its source.  The suites
-that need fixed n-sets (eps, counts, cocycle, quot) read them from one
+multiplicative on each group of members, whatever its source.  The
+cocycle suite holds its random triples, GL2(F_3) and its stabilizer test
+sets as code arrays (matrix entries, form rows) from the draw to the
+check, and builds matrix and n-set objects only to name a failure.  The
+suites that need fixed n-sets (eps, counts, cocycle, quot) read them from one
 fixed_rows call per ActionState.  The counts and quot suites check them
 against the census rule for fixed n-sets: the rows holding none of an
 element's fixed points, from one stacked nset.fixed_point_counts call
@@ -699,60 +702,54 @@ def _random_codes(rng: random.Random, q: int, count: int) -> list[int]:
     return out
 
 
-def _random_gl(rng: random.Random, ctx: ff.FieldCtx) -> GlMatrix:
-    """Entries a, b, c, d drawn until ad != bc, the determinant nonzero."""
+def _random_gl(rng: random.Random, ctx: ff.FieldCtx) -> list[int]:
+    """Entry codes a, b, c, d drawn until ad != bc, the determinant nonzero."""
     while True:
-        a, b, c, d = _random_codes(rng, ctx.q, 4)
+        a, b, c, d = abcd = _random_codes(rng, ctx.q, 4)
         if ff.mul(ctx, a, d) != ff.mul(ctx, b, c):
-            return GlMatrix(a, b, c, d)
+            return abcd
 
 
-def _random_nset(rng: random.Random, q: int, masks) -> ns.RationalNSet:
-    """An n-set through infinity when rng.random() < 0.5, its lower
-    coefficients drawn until masks[has_inf] keeps them: the squarefree
-    mask of degree n - has_inf, shaped (q,) * degree so that the
-    coefficients, highest first, index it."""
+def _random_nset(rng: random.Random, q: int, masks) -> tuple[int, ...]:
+    """The form row of an n-set through infinity when rng.random() < 0.5,
+    its lower coefficients drawn until masks[has_inf] keeps them: the
+    squarefree mask of degree n - has_inf, shaped (q,) * degree so that the
+    coefficients, highest first, index it, as they stand in the form."""
     while True:
         has_inf = rng.random() < 0.5
         mask = masks[has_inf]
-        f = _random_codes(rng, q, mask.ndim)
-        if mask[tuple(reversed(f))]:
-            return ns.RationalNSet((*f, 1), has_inf)
+        high_first = tuple(reversed(_random_codes(rng, q, mask.ndim)))
+        if mask[high_first]:
+            return (0,) * has_inf + (1, *high_first)
 
 
-def _random_triples(rng: random.Random, ctx: ff.FieldCtx, n: int, count: int) -> list:
+def _random_triples(rng: random.Random, ctx: ff.FieldCtx, n: int, count: int):
     """count (gam, rho, S) triples of verify_cocycle, drawn in that order,
-    with the two squarefree masks of n-sets over ctx resolved once."""
+    as the code arrays gam (count, 4), rho (count, 4) and the n-set forms
+    (count, n+1), with the two squarefree masks of n-sets over ctx
+    resolved once."""
     masks = [squarefree_mask(ctx, d).reshape((ctx.q,) * d) for d in (n, n - 1)]
-    return [(_random_gl(rng, ctx), _random_gl(rng, ctx), _random_nset(rng, ctx.q, masks))
-            for _ in range(count)]
+    draws = np.array([(*_random_gl(rng, ctx), *_random_gl(rng, ctx),
+                       *_random_nset(rng, ctx.q, masks)) for _ in range(count)], np.intp)
+    draws = draws.reshape(count, 8 + n + 1)
+    return draws[:, :4], draws[:, 4:8], draws[:, 8:]
+
+
+# highly symmetric sets, so the stabilizers are large: (f, has_inf)
+_STAB_TEST_SETS = {
+    3: (((1, 0, 1, 0, 1, 0, 1), False),  # the six quadratic points
+        ((0, 1, 0, 1, 0, 1, 0, 1), True)),  # plus 0, inf
+    5: (((0, 4, 0, 0, 0, 1), True),  # x^5 - x: all of P^1
+        ((0, 3, 0, 4, 0, 2, 0, 1), True)),  # (x^5 - x)(x^2 + 2): plus a pair
+    7: (((6, 0, 0, 0, 0, 0, 1), False),  # sixth roots of unity
+        ((0, 6, 0, 0, 0, 0, 0, 1), True)),  # all of P^1
+}
 
 
 def _stab_test_sets(q: int, ctx: ff.FieldCtx) -> list[ns.RationalNSet]:
-    # highly symmetric sets so the stabilizers are large
-    if q == 3:
-        quads = (1,)
-        for c0 in range(3):
-            for c1 in range(3):
-                f = (c0, c1, 1)
-                if all(ff.peval(ctx, f, x) != 0 for x in range(3)):
-                    quads = ff.pmul(ctx, quads, f)
-        return [
-            ns.make_nset(ctx, quads, False),  # the six quadratic points
-            ns.make_nset(ctx, ff.pmul(ctx, quads, (0, 1)), True),  # plus 0, inf
-        ]
-    if q == 5:
-        line = (0, 4, 0, 0, 0, 1)  # x^5 - x
-        return [
-            ns.make_nset(ctx, line, True),  # all of P^1
-            ns.make_nset(ctx, ff.pmul(ctx, line, (2, 0, 1)), True),  # plus a pair
-        ]
-    if q != 7:
+    if q not in _STAB_TEST_SETS:
         raise ValueError(f"no stabilizer test sets for q = {q}")
-    return [
-        ns.make_nset(ctx, (6, 0, 0, 0, 0, 0, 1), False),  # sixth roots of unity
-        ns.make_nset(ctx, (0, 6, 0, 0, 0, 0, 0, 1), True),  # all of P^1
-    ]
+    return [ns.make_nset(ctx, f, has_inf) for f, has_inf in _STAB_TEST_SETS[q]]
 
 
 def verify_cocycle(
@@ -770,18 +767,24 @@ def verify_cocycle(
     PGL2(F_3) pair on all five sample sets in one batch, and the random
     triples in one batch per field.  _random_triples draws them one by one
     from rng.getrandbits, the loop rng.randrange runs, so the triples of a
-    seed and the final state of rng are randrange's.  The
-    stabilizers come with their signs from _stabilizer_signs, one call per
-    set and one per hom_sampled (q, n); hom_exhaustive reads them off the
-    shared "nonidentity" fixed rows, the rows in order of their first
-    stabilizing element.  Each set and each (q, n) is one
-    _sign_homomorphisms call.  The 8 x 48 conjugation pairs are one
-    multiplier.epsilons call, and the closed forms on each test set one
+    seed and the final state of rng are randrange's; it returns them as
+    code arrays (matrix entries, n-set forms), and only a failing triple
+    is rebuilt as matrices and an n-set to name it.  The 48 elements of
+    GL2(F_3) and their adjugates are code arrays too, and the 8 x 48
+    conjugation pairs are one multiplier.epsilons call.  The stabilizers
+    come with their signs from _stabilizer_signs, one call per set and
+    one per hom_sampled (q, n); hom_exhaustive reads them off the shared
+    "nonidentity" fixed rows, the rows in order of their first stabilizing
+    element.  Each set and each (q, n) is one _sign_homomorphisms call,
+    and the closed forms on each test set (_STAB_TEST_SETS) one
     multiplier.epsilon_closed_forms call.  The (q, n) pairs of
-    hom_exhaustive and hom_sampled take any odd prime power q.
+    hom_exhaustive and hom_sampled take any odd prime power q and an even
+    n only, since the twist sign is defined for even n.
     """
     if triples < 0:
         raise ValueError(f"triples must be >= 0, got {triples}")
+    if any(n % 2 for _, n in (*hom_exhaustive, *hom_sampled)):
+        raise ValueError("epsilon is defined for even n only")
     checks = 0
     k3 = ff.make_field(3, 1)
     pgl3 = mb.enumerate_pgl(k3)
@@ -802,36 +805,33 @@ def verify_cocycle(
     rng = random.Random(seed)
     for q in (5, 7):
         k = ff.make_field(q, 1)
-        draws = _random_triples(rng, k, 6, triples)
-        gam, rho = (mb.mat_codes(d[i] for d in draws) for i in (0, 1))
-        forms = np.array([ns.to_form(k, d[2]) for d in draws], np.intp).reshape(-1, 7)
+        gam, rho, forms = _random_triples(rng, k, 6, triples)
         bad = np.flatnonzero(_cocycle_defects(k, gam, rho, forms))
         if len(bad):
-            _check(False, "cocycle: cocycle law, random triple", q, *draws[bad[0]])
+            b = bad[0]
+            _check(False, "cocycle: cocycle law, random triple", q, GlMatrix(*gam[b].tolist()),
+                   GlMatrix(*rho[b].tolist()), ns.from_form(k, forms[b].tolist())[0])
         checks += triples
 
     # conjugation moves a stabilizing element to the image set, same sign
     form = ns.to_form(k3, special)
     _, stab, base_eps = _stabilizer_signs(k3, [form])
     _check(len(stab) == 8, "cocycle: stabilizer order", special, len(stab))
-    gl3 = [
-        m
-        for m in (
-            GlMatrix(a, b, c, d)
-            for a, b, c, d in itertools.product(range(3), repeat=4)
-        )
-        if mb.mat_det(k3, m) != 0
-    ]
-    _check(len(gl3) == 48, "cocycle: |GL2(F_3)|", len(gl3))
+    # GL2(F_3): the 2 x 2 matrices whose product with the adjugate
+    # (d, -b, -c, a), det times the identity, is nonzero
+    mats = np.array(list(itertools.product(range(3), repeat=4)))
+    adj = ff.dot(k3, ((mats[:, [3, 1, 2, 0]], (1, 2, 2, 1)),))  # 2 = -1
+    gl3 = mb.mat_mul_codes(k3, mats, adj)[:, 0] != 0
+    _check(gl3.sum() == 48, "cocycle: |GL2(F_3)|", int(gl3.sum()))
     # [g, r] = (gam_g, rho_r): rho gam rho^-1 on rho S against gam on S, one batch
-    rho, gam = mb.mat_codes(gl3), g3[stab]
-    adj = mb.mat_codes(mb.mat_inv(k3, r) for r in gl3)
+    rho, adj, gam = mats[gl3], adj[gl3], g3[stab]
     conj = mb.mat_mul_codes(k3, mb.mat_mul_codes(k3, rho, gam[:, None]), adj)
     images, _ = ns.act_forms(k3, ns.substitution_matrices(k3, rho, special.n), form)
     bad = np.argwhere(mult.epsilons(k3, conj, images) != base_eps[:, None])
     if len(bad):
         g, r = bad[0]
-        _check(False, "cocycle: conjugation invariance", pgl3[stab[g]].mat, gl3[r])
+        _check(False, "cocycle: conjugation invariance", pgl3[stab[g]].mat,
+               GlMatrix(*rho[r].tolist()))
     checks += conj.shape[0] * conj.shape[1]
 
     # epsilon restricted to a stabilizer is a homomorphism to {1, -1}
@@ -964,8 +964,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             deg = np.bincount(lab)[lab]
             _check((d % deg == 0).all(), "quot: Frobenius orbit sizes divide d", q, d)
             strata.append((d, ctxd, embd, pts, frob, deg))
-        for i, (kind, m) in enumerate(subtypes(q)):
-            elem, _ = mb.subtype_representative(ctx, kind, m)
+        for i, ((kind, m), elem) in enumerate(zip(subtypes(q), _subtype_reps(ctx))):
             sizes = []
             for d, ctxd, embd, pts, frob, deg in strata:
                 images = (mb.act_point(elem.mat, t, ctxd, embd) for t in pts)

@@ -513,6 +513,8 @@ def test_verify_wrong_option_exits_2(capsys):
     (("verify", "--suite", "counts", "--q", "15"), "q must be a prime power, got 15"),
     (("verify", "--suite", "cocycle", "--q", "5"), "suite cocycle takes no --q"),
     (("verify", "--suite", "points", "--triples", "5"), "suite points takes no --triples"),
+    (("hyp", "--g", "2", "--p", "3", "--e", "-1"), "--e must be >= 1, got -1"),
+    (("hyp", "--g", "2", "--p", "3", "--e", "0"), "--e must be >= 1, got 0"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     # no traceback (exit 1 reads as a mismatch) and no vacuous pass

@@ -3,6 +3,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -907,12 +908,40 @@ def test_random_triples_match_randrange_draws(q, seed):
     # and leave the generator in the same state
     k = ff.make_field(q, 1)
     rng, want_rng = random.Random(seed), random.Random(seed)
-    got = oc._random_triples(rng, k, 6, 300)
+    gam, rho, forms = oc._random_triples(rng, k, 6, 300)
     want = [(ref.random_gl(want_rng, k), ref.random_gl(want_rng, k), ref.random_nset(want_rng, k, 6))
             for _ in range(300)]
-    assert got == want
+    assert gam.tolist() == mb.mat_codes(w[0] for w in want).tolist()
+    assert rho.tolist() == mb.mat_codes(w[1] for w in want).tolist()
+    assert forms.tolist() == [list(ns.to_form(k, w[2])) for w in want]
     assert rng.getstate() == want_rng.getstate()
-    assert any(s.has_inf for *_, s in got) and not all(s.has_inf for *_, s in got)
+    through_inf = forms[:, 0] == 0
+    assert through_inf.any() and not through_inf.all()
+
+
+def test_stab_test_sets_match_their_constructions():
+    # the literal (f, has_inf) table against the products it stands for
+    k3 = ff.make_field(3, 1)
+    quads = (1,)  # the product of the monic irreducible quadratics over F_3
+    for c0, c1 in itertools.product(range(3), repeat=2):
+        if all(ff.peval(k3, (c0, c1, 1), x) for x in range(3)):
+            quads = ff.pmul(k3, quads, (c0, c1, 1))
+    assert oc._stab_test_sets(3, k3) == [ns.make_nset(k3, quads, False),
+                                         ns.make_nset(k3, ff.pmul(k3, quads, (0, 1)), True)]
+    k5 = ff.make_field(5, 1)
+    line = (0, 4, 0, 0, 0, 1)  # x^5 - x
+    assert oc._stab_test_sets(5, k5) == [ns.make_nset(k5, line, True),
+                                         ns.make_nset(k5, ff.pmul(k5, line, (2, 0, 1)), True)]
+    with pytest.raises(ValueError, match="no stabilizer test sets for q = 9"):
+        oc._stab_test_sets(9, ff.make_field(3, 2))
+
+
+def test_cocycle_refuses_odd_n():
+    # the twist sign is chi(kappa) only at even n
+    for hom in (dict(hom_exhaustive=((3, 5),), hom_sampled=()),
+                dict(hom_exhaustive=(), hom_sampled=((5, 7),))):
+        with pytest.raises(ValueError, match="epsilon is defined for even n only"):
+            oc.verify_cocycle(triples=0, **hom)
 
 
 def _reference_exhaustive_sign_homomorphism(ctx, n):
