@@ -26,8 +26,9 @@ dividing q-1; a_p1 counts rational n-sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import index
+from typing import NamedTuple
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -76,6 +77,7 @@ def _divisor_phis(n: int, primes: list[int]) -> dict[int, int]:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q -> (p, e) with q = p^e, p an odd prime; rejects anything else."""
+    q = index(q)
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
     primes = _prime_factors(q)
@@ -241,10 +243,13 @@ def twisted_fixed_count(q: int, n: int, kind: str, m: int) -> int:
     return 2 * sum(count for _, count, _ in pieces)
 
 
-def _validate(g: int, q: int) -> tuple[int, int]:
+def _validate(g: int, q: int) -> tuple[int, int, int, int]:
+    """(g, q, p, e) for a genus g >= 2 and an odd prime power q = p^e, as
+    Python ints (numpy ones would wrap at q^n; a float raises TypeError)."""
+    g, q = index(g), index(q)
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
-    return factor_prime_power(q)
+    return (g, q, *factor_prime_power(q))
 
 
 def subtypes(q: int) -> list[tuple[str, int]]:
@@ -311,7 +316,7 @@ def hyp_components(g: int, q: int) -> tuple[int, int, int, int]:
     the elements of order dividing q+1, of order p, and of order dividing
     q-1.  All four are integers and sum to hyp(g, q).
     """
-    p, _ = _validate(g, q)
+    g, q, p, _ = _validate(g, q)
     n = 2 * g + 2
     return _hyp_parts(q, n, _burnside(q, p, n, 1))
 
@@ -333,13 +338,12 @@ def sd(g: int, q: int) -> int:
     an element fixes with twist sign -1, of which the identity and kind B
     have none.
     """
-    p, _ = _validate(g, q)
+    g, q, p, _ = _validate(g, q)
     return _sd(q, _burnside(q, p, 2 * g + 2, -1))
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """One (g, q) census row with the component breakdown."""
+class CensusReport(NamedTuple):
+    """One (g, q) census row with the component breakdown; a named tuple."""
 
     g: int
     q: int
@@ -375,7 +379,7 @@ class CensusReport:
 def census_report(g: int, q: int) -> CensusReport:
     """hyp, its components, sd and y at (g, q) from one Burnside pass per
     twist sign."""
-    p, e = _validate(g, q)
+    g, q, p, e = _validate(g, q)
     n = 2 * g + 2
     parts = _hyp_parts(q, n, _burnside(q, p, n, 1))
     h, s = sum(parts), _sd(q, _burnside(q, p, n, -1))

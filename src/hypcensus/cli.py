@@ -103,9 +103,7 @@ def cmd_table(args) -> int:
         return 2
     extra, diffs = {}, {}
     if args.compare_paper:
-        compare = (tables.compare_hyp_with_formula if args.which == "hyp"
-                   else tables.compare_sd_with_formula)
-        diffs = {g: compare(g) for g in gs}
+        diffs = {g: tables.compare_with_formula(args.which, g) for g in gs}
         extra["discrepancies"] = {
             g: [{"q": q, "row": str(tv), "formula": str(fv)} for q, tv, fv in rows]
             for g, rows in diffs.items()

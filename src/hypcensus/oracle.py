@@ -923,21 +923,23 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     the same closed counts as in verify_counts, evaluated at n = (nm)/m.
     A second pass cross-checks raw stable totals against the generating
     function of the joint orbits of the element and Frobenius.  Both passes
-    read one ActionState per (q, N), and one fixed_rows call on it for
-    every subtype representative.
+    run in one loop per q, on one field, subtype list and set of subtype
+    representatives, and read one ActionState per (q, N) with one
+    fixed_rows call on it for every representative.
     """
     checks = 0
-    totals = {}  # (q, N) -> the stable N-sets of each subtype representative
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
         kinds = subtypes(q)
-        codes = mb.mat_codes(el.mat for el in _subtype_reps(ctx))
+        reps = _subtype_reps(ctx)
+        codes = mb.mat_codes(el.mat for el in reps)
+        totals = {}  # N -> the stable N-sets of each subtype representative
         off = {}  # (subtype, n) -> its stable nm-sets off the fixed locus
         nm = {n * m for _, m in kinds for n in range(1, nmax // m + 1)}
         for size in sorted(nm | set(range(1, strata_nmax + 1))):
             st = action_state(ctx, size)
             elem, rows, _ = st.shared_fixed_rows("subtypes")
-            totals[q, size] = np.bincount(elem, minlength=len(kinds)).tolist()
+            totals[size] = np.bincount(elem, minlength=len(kinds)).tolist()
             if size > nmax:
                 continue
             held = ns.fixed_point_counts(ctx, codes[elem], st.V[rows])
@@ -951,8 +953,6 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                        q, kind, m, n, off[i, n])
                 checks += 1
 
-    for q in qs:
-        ctx = ff.make_field(*factor_prime_power(q))
         # P^1(F_{q^d}) per d, infinity at index q^d, with the Frobenius
         # permutation and the exact degree of each point: its Frobenius orbit size
         strata = []
@@ -964,7 +964,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
             deg = np.bincount(lab)[lab]
             _check((d % deg == 0).all(), "quot: Frobenius orbit sizes divide d", q, d)
             strata.append((d, ctxd, embd, pts, frob, deg))
-        for i, ((kind, m), elem) in enumerate(zip(subtypes(q), _subtype_reps(ctx))):
+        for i, ((kind, m), elem) in enumerate(zip(kinds, reps)):
             sizes = []
             for d, ctxd, embd, pts, frob, deg in strata:
                 images = (mb.act_point(elem.mat, t, ctxd, embd) for t in pts)
@@ -982,7 +982,7 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                 for j in range(strata_nmax, sz - 1, -1):
                     ways[j] += ways[j - sz]
             for n in range(1, strata_nmax + 1):
-                got = totals[q, n][i]
+                got = totals[n][i]
                 _check(got == ways[n], "quot: stable total == orbit generating function",
                        q, kind, m, n, got)
                 checks += 1

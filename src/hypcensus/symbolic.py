@@ -33,21 +33,21 @@ terms its fold rejected, with no two guards alike, every guard reduced
 and each distinct guard is reduced once) and no union key shared, so
 another pass would change nothing.
 
-Memos: every one is a module-level dict named *_CACHE, the built forms
-per genus and, per modulus, its number theory (_MODULUS_CACHE: prime
-factors, divisors with phi of each, chain residues; _ACHIEVE_CACHE: the
-achievable residues).  Nothing else here keeps computed data, and no
-function is wrapped in a functools cache, so clearing the *_CACHE dicts
-together gives a cold build; the census benchmark does that before every
-query.
+Memos: every one is a module-level dict named *_CACHE: the raw hyp and
+sd forms per genus, both from one expansion (_RAW_CACHE), the simplified
+form per (target, genus) (_FORM_CACHE) and, per modulus, its number
+theory (_MODULUS_CACHE: prime factors, divisors with phi of each, chain
+residues; _ACHIEVE_CACHE: the achievable residues).  Nothing else here
+keeps computed data, and no function is wrapped in a functools cache, so
+clearing the *_CACHE dicts together gives a cold build; the census
+benchmark does that before every query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress, zip_longest
 from math import gcd
-from operator import add
+from operator import add, index
 from typing import NamedTuple
 
 from .census import VerificationError, _divisor_phis, _prime_factors, factor_prime_power
@@ -149,14 +149,17 @@ def guard_str(g: Guard) -> str:
     return "; ".join(parts) if parts else "always"
 
 
-@dataclass(frozen=True)
-class ConditionalPolynomial:
+class ConditionalPolynomial(NamedTuple):
+    """A generic polynomial plus guarded correction terms; a named tuple."""
+
     generic: Poly = ()
     terms: tuple[tuple[Guard, Poly], ...] = ()
 
     def evaluate(self, q: int, p: int | None = None) -> int:
-        if p is None:
-            p, _ = factor_prime_power(q)
+        """The value at q, whose characteristic p is found when not given.
+        q and p must be integers (numpy ones too): a float raises TypeError."""
+        q = index(q)
+        p = factor_prime_power(q)[0] if p is None else index(p)
         total = poly_eval(self.generic, q)
         for g, f in self.terms:
             if g.holds(q, p):
@@ -305,43 +308,46 @@ def _a2_scaled(n: int, c: int) -> Poly:
 # raw census rows
 
 
-def _raw_terms(g: int, t: int) -> list[tuple[Guard, Poly]]:
-    """The raw terms of hyp (t = 0) or of sd (t = 1), per kind and order
-    m > 1 dividing n = 2g+2, 2g+1 or 2g, with k = n / m.
+_RAW_CACHE: dict[int, tuple[ConditionalPolynomial, ConditionalPolynomial]] = {}
 
-    Each term goes to the target whose parity t it meets.  For 2g+2 the A
-    term has k = t mod 2, and the C and B terms are hyp's; for 2g+1 every
-    term is hyp's; for 2g the A term needs (q+1)/m = k + t and the C term
-    (q-1)/m = t mod 2.
+
+def _raw_forms(g: int) -> tuple[ConditionalPolynomial, ConditionalPolynomial]:
+    """The raw (unsimplified) forms of hyp and of sd, from one pass over
+    the kinds and orders m > 1 dividing n = 2g+2, 2g+1 or 2g, k = n / m.
+
+    Each term goes to the target whose parity t it meets, t = 0 for hyp
+    and 1 for sd, and each target keeps its terms in pass order.  For 2g+2
+    the A term has t = k mod 2, and the C and B terms are hyp's; for 2g+1
+    every term is hyp's; for 2g the A term needs (q+1)/m = k + t and the C
+    term (q-1)/m = t mod 2, with the same two polynomials for either t.
     """
-    terms: list[tuple[Guard, Poly]] = []
+    hit = _RAW_CACHE.get(g)
+    if hit is not None:
+        return hit
+    hyp: list[tuple[Guard, Poly]] = []
+    sd: list[tuple[Guard, Poly]] = []
     for n in (2 * g + 2, 2 * g + 1, 2 * g):
         info = _modulus(n)
         for m, c in list(info.phi_of.items())[1:]:
             k = n // m
             if n == 2 * g:
-                # q = (k + t) m - 1 and q = t m + 1 mod 2m, where odd
-                for r, poly in ((((k + t) * m - 1) % (2 * m), _a0_scaled),
-                                ((t * m + 1) % (2 * m), _a2_scaled)):
-                    if r % 2:
-                        terms.append((Guard(2 * m, frozenset((r,))), poly(k, c)))
+                a0, a2 = _a0_scaled(k, c), _a2_scaled(k, c)
+                for t, terms in enumerate((hyp, sd)):
+                    # q = (k + t) m - 1 and q = t m + 1 mod 2m, where odd
+                    for r, poly in ((((k + t) * m - 1) % (2 * m), a0),
+                                    ((t * m + 1) % (2 * m), a2)):
+                        if r % 2:
+                            terms.append((Guard(2 * m, frozenset((r,))), poly))
                 continue
-            if n % 2 == 0 and k % 2 == t:
-                terms.append((Guard(m, frozenset((m - 1,))), _a0_scaled(k, c)))
-            if t == 0:
-                scale = c if n % 2 == 0 else 2 * c
-                terms.append((Guard(m, frozenset((1,))), _a2_scaled(k, scale)))
-                if m % 2 and m in info.primes:
-                    terms.append((Guard(char_eq=m), poly_scale(2, a1_poly(k))))
-    return terms
-
-
-def _raw_hyp_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
-    return poly_norm([0] * (2 * g - 1) + [2]), _raw_terms(g, 0)
-
-
-def _raw_sd_terms(g: int) -> tuple[Poly, list[tuple[Guard, Poly]]]:
-    return (), _raw_terms(g, 1)
+            if n % 2 == 0:
+                (sd if k % 2 else hyp).append((Guard(m, frozenset((m - 1,))), _a0_scaled(k, c)))
+            scale = c if n % 2 == 0 else 2 * c
+            hyp.append((Guard(m, frozenset((1,))), _a2_scaled(k, scale)))
+            if m % 2 and m in info.primes:
+                hyp.append((Guard(char_eq=m), poly_scale(2, a1_poly(k))))
+    hit = _RAW_CACHE[g] = (ConditionalPolynomial((0,) * (2 * g - 1) + (2,), tuple(hyp)),
+                           ConditionalPolynomial((), tuple(sd)))
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -583,32 +589,28 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
     return ConditionalPolynomial(poly_norm(generic), tuple(terms))
 
 
-_HYP_CACHE: dict[int, ConditionalPolynomial] = {}
-_SD_CACHE: dict[int, ConditionalPolynomial] = {}
+_FORM_CACHE: dict[tuple[int, int], ConditionalPolynomial] = {}
+
+
+def _form(t: int, g: int) -> ConditionalPolynomial:
+    """The simplified form of hyp (t = 0) or sd (t = 1) at genus g."""
+    g = index(g)
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
+    hit = _FORM_CACHE.get((t, g))
+    if hit is None:
+        hit = _FORM_CACHE[t, g] = simplify(_raw_forms(g)[t])
+    return hit
 
 
 def symbolic_hyp(g: int) -> ConditionalPolynomial:
     """hyp(g, -) as a simplified conditional polynomial in q."""
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    hit = _HYP_CACHE.get(g)
-    if hit is None:
-        generic, terms = _raw_hyp_terms(g)
-        hit = simplify(ConditionalPolynomial(generic, tuple(terms)))
-        _HYP_CACHE[g] = hit
-    return hit
+    return _form(0, g)
 
 
 def symbolic_sd(g: int) -> ConditionalPolynomial:
     """sd(g, -) as a simplified conditional polynomial in q."""
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    hit = _SD_CACHE.get(g)
-    if hit is None:
-        generic, terms = _raw_sd_terms(g)
-        hit = simplify(ConditionalPolynomial(generic, tuple(terms)))
-        _SD_CACHE[g] = hit
-    return hit
+    return _form(1, g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Each row gives hyp(g, -) or sd(g, -) for 2 <= g <= 10 as a conditional
 polynomial.  The sd rows for odd g are stated for q = 3 (mod 4) only; the
-count is 0 in the complementary class, and table_sd_value applies that
+count is 0 in the complementary class, and table_value applies that
 convention.
 
 The rows are kept verbatim, including one known misprint: the hyp row for
 g = 9 is missing one copy of its [q = 1 (mod 4)] bracket, so it disagrees
 with the regenerated formula by exactly that polynomial at every q = 1
-(mod 4).  compare_hyp_with_formula surfaces the discrepancy instead of
-hiding it; HYP_ROW_KNOWN_DELTA records the expected difference
+(mod 4).  compare_with_formula("hyp", 9) surfaces the discrepancy instead
+of hiding it; HYP_ROW_KNOWN_DELTA records the expected difference
 (row minus formula).
 """
 
@@ -280,37 +280,22 @@ HYP_ROW_KNOWN_DELTA: dict[int, tuple[Guard, Poly]] = {
 }
 
 
-def table_hyp_value(g: int, q: int, p: int | None = None) -> int:
+def table_value(which: str, g: int, q: int, p: int | None = None) -> int:
+    """The reference row of `which` ("hyp" or "sd") for genus g at q."""
     if p is None:
         p, _ = factor_prime_power(q)
-    return TABLE_HYP[g].evaluate(q, p)
-
-
-def table_sd_value(g: int, q: int, p: int | None = None) -> int:
-    if p is None:
-        p, _ = factor_prime_power(q)
-    if g % 2 == 1 and q % 4 == 1:
+    if which == "sd" and g % 2 == 1 and q % 4 == 1:
         return 0
-    return TABLE_SD[g].evaluate(q, p)
+    return (TABLE_HYP if which == "hyp" else TABLE_SD)[g].evaluate(q, p)
 
 
-def compare_hyp_with_formula(g: int, limit: int = 499) -> list[tuple[int, int, int]]:
-    """(q, row value, formula value) wherever the two disagree."""
-    cp = symbolic_hyp(g)
+def compare_with_formula(which: str, g: int, limit: int = 499) -> list[tuple[int, int, int]]:
+    """(q, row value, formula value) wherever the reference row of `which`
+    and the regenerated formula disagree, q <= limit."""
+    cp = symbolic_hyp(g) if which == "hyp" else symbolic_sd(g)
     out = []
     for q, p in odd_prime_powers(limit):
-        tv = table_hyp_value(g, q, p)
-        fv = cp.evaluate(q, p)
-        if tv != fv:
-            out.append((q, tv, fv))
-    return out
-
-
-def compare_sd_with_formula(g: int, limit: int = 499) -> list[tuple[int, int, int]]:
-    cp = symbolic_sd(g)
-    out = []
-    for q, p in odd_prime_powers(limit):
-        tv = table_sd_value(g, q, p)
+        tv = table_value(which, g, q, p)
         fv = cp.evaluate(q, p)
         if tv != fv:
             out.append((q, tv, fv))

@@ -56,10 +56,10 @@ GENUS9_MISMATCH_Q = [
 def test_criterion_02_reference_tables():
     with criterion(2, "reference rows vs regenerated forms, anchors on 3 paths"):
         for g in range(2, 11):
-            assert tables.compare_sd_with_formula(g) == [], ("sd", g)
+            assert tables.compare_with_formula("sd", g) == [], ("sd", g)
             if g <= 8 or g == 10:
-                assert tables.compare_hyp_with_formula(g) == [], ("hyp", g)
-        diffs = tables.compare_hyp_with_formula(9)
+                assert tables.compare_with_formula("hyp", g) == [], ("hyp", g)
+        diffs = tables.compare_with_formula("hyp", 9)
         assert [q for q, _, _ in diffs] == GENUS9_MISMATCH_Q
         for q, tv, fv in diffs:
             assert q % 4 == 1
@@ -67,12 +67,12 @@ def test_criterion_02_reference_tables():
         print("genus 9 row differs at q =", ", ".join(map(str, GENUS9_MISMATCH_Q)))
         for (g, q), want in ((2, 3), 69), ((2, 5), 285), ((2, 7), 749):
             p, _ = census.factor_prime_power(q)
-            assert tables.table_hyp_value(g, q) == want
+            assert tables.table_value("hyp", g, q) == want
             assert census.hyp(g, q) == want
             assert symbolic_hyp(g).evaluate(q, p) == want
         for (g, q), want in ((2, 3), 7), ((2, 5), 27):
             p, _ = census.factor_prime_power(q)
-            assert tables.table_sd_value(g, q) == want
+            assert tables.table_value("sd", g, q) == want
             assert census.sd(g, q) == want
             assert symbolic_sd(g).evaluate(q, p) == want
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hypcensus import census
@@ -113,6 +114,28 @@ def test_validation_errors():
     assert census.factor_prime_power(27) == (3, 3)
     assert census.factor_prime_power(121) == (11, 2)
     assert census.factor_prime_power(13) == (13, 1)
+
+
+def test_numpy_integers_count_exactly():
+    # a numpy q would wrap at q^n and fail an exact division with a false
+    # VerificationError; the closed forms compute in Python ints
+    for g, q in ((30, 997), (8, 101)):
+        report = census.census_report(g, q)
+        assert census.hyp(g, np.int64(q)) == report.hyp, (g, q)
+        assert census.sd(np.int64(g), np.int64(q)) == report.sd, (g, q)
+        assert census.hyp_components(g, np.int64(q)) == report[7:], (g, q)
+        assert census.census_report(np.int64(g), np.int64(q)) == report, (g, q)
+        assert type(census.census_report(np.int64(g), q).g) is int
+
+
+def test_float_arguments_raise_type_error():
+    for fn in (census.hyp, census.sd, census.hyp_components, census.census_report):
+        with pytest.raises(TypeError):
+            fn(2, 9.0)
+        with pytest.raises(TypeError):
+            fn(2.0, 9)
+    with pytest.raises(TypeError):
+        census.factor_prime_power(9.0)
 
 
 def test_fixed_counts_reject_impossible_orders():

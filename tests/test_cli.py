@@ -1,7 +1,6 @@
 """Exit codes and output formats of the command line front end."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -166,7 +165,7 @@ def test_oracle_budget_refusal(capsys):
 def test_oracle_mismatch_exits_1(capsys, monkeypatch):
     report = census.census_report
     monkeypatch.setattr(census, "census_report",
-                        lambda g, q: dataclasses.replace(report(g, q), hyp=999))
+                        lambda g, q: report(g, q)._replace(hyp=999))
     code, out, err = run(capsys, "oracle", "--g", "2", "--q", "3",
                          "--method", "orbit")
     assert code == 1

@@ -2,7 +2,8 @@
 
 The closed forms (census, symbolic) are pure Python.  The group-action
 engine and numpy load on first use of an engine name or of the oracle
-and verify commands, never for hyp, sd, table or symbolic.  Which modules
+and verify commands, never for hyp, sd, table or symbolic, and those
+load neither dataclasses nor inspect either.  Which modules
 a process has loaded is read in a fresh subprocess.
 """
 
@@ -19,14 +20,18 @@ from hypcensus import census, field, oracle, symbolic
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ENGINE = ["hypcensus.field", "hypcensus.moebius", "hypcensus.multiplier", "hypcensus.nset",
           "hypcensus.oracle", "numpy"]
+# what the closed forms leave out besides the engine: their records are
+# named tuples, and a dataclass would load both
+RECORDS = ["dataclasses", "inspect"]
 
 SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
 ENGINE = {engine!r}
+RECORDS = {records!r}
 
-def loaded():
-    return [m for m in ENGINE if m in sys.modules]
+def loaded(names=ENGINE + RECORDS):
+    return [m for m in names if m in sys.modules]
 
 out = {{}}
 import hypcensus
@@ -39,7 +44,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["table", "--g", "2..3", "--compare-paper"], ["symbolic", "--g", "2", "--which", "sd"])]
     out["closed_forms"] = loaded()
     out["codes"].append(cli.main(["verify", "--suite", "norm"]))
-out["verify"] = loaded()
+out["verify"] = loaded(ENGINE)
 print(json.dumps(out))
 """
 
@@ -55,7 +60,7 @@ EXPORTS = {
 
 
 def test_closed_forms_load_no_engine():
-    script = SCRIPT.format(src=SRC, engine=ENGINE)
+    script = SCRIPT.format(src=SRC, engine=ENGINE, records=RECORDS)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
