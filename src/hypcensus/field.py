@@ -22,12 +22,14 @@ tests compare against.
 tables(ctx) holds the same arithmetic as numpy q x q int16 arrays for the
 vectorized code, int_tables(ctx) its cached intp view (gathers indexed by
 intp codes skip the index conversion) and powers(ctx, n) the cached
-table of x^e.  dot(ctx, pairs) is the one F_q linear combination,
-sum c x elementwise over code arrays.  Every PGL2 action on forms reads
-it, and so do the substitution matrices themselves (the power columns of
-nset.substitution_matrices and their convolution), the products and
-canonical scaling of moebius.pgl_table and the squarefree sieve, so no
-other module branches on the field kind.
+table of x^e; log_arrays(ctx) holds exp and log as arrays, for products
+of code arrays over fields too large for q x q tables.  dot(ctx, pairs)
+is the one F_q linear combination, sum c x elementwise over code arrays.
+Every PGL2 action on forms reads it, and so do the substitution
+matrices themselves (the power columns of nset.substitution_matrices and
+their convolution), the products and canonical scaling of
+moebius.pgl_table and the squarefree sieve, so no other module branches
+on the field kind.
 kernels(ctx, a) gives the null spaces of a stack of square matrices by one
 batched Gauss-Jordan elimination over the same tables.
 
@@ -298,6 +300,18 @@ def powers(ctx: FieldCtx, n: int) -> np.ndarray:
     for e in range(1, n + 1):
         pw[:, e] = mul[pw[:, e - 1], np.arange(ctx.q)]
     return pw
+
+
+@functools.lru_cache(maxsize=8)
+def log_arrays(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """exp and log of the scalar ops as read-only intp arrays, exp twice
+    over and log[0] = -1: products, quotients and powers of code arrays in
+    O(q) memory, for fields too large for the q x q tables."""
+    exp, log, _ = ctx._logs
+    out = np.array(exp, np.intp), np.array(log, np.intp)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def dot(ctx: FieldCtx, pairs) -> np.ndarray:

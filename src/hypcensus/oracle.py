@@ -4,11 +4,20 @@ Every rational n-set is a canonical binary-form coefficient row; a 2x2
 matrix acts on all rows at once, a column of exact int codes at a time
 (ActionState._image_col, one field.dot over the columns of V).  The two
 counts read different primitives.  The orbit census labels the graph of
-the three generators' row permutations (dest_flip).  Two of them, x + 1
-and x -> zeta x, fix infinity, so their kappa is one constant per block
-of rows (avoiding infinity, through it): dest_flip folds 1/kappa into
-the substitution rows once per block and reads the row codes straight
-off the image columns; only x -> 1/x divides by kappa row by row.
+the three generators' row permutations (dest_flip), over two row sets
+and never all rows: P, the n-sets with no rational point (rootless_mask
+marks their f), under all three generators, and R, the n-sets through
+infinity, under x + 1, x -> zeta x and x -> 1/x taken from R0, the sets
+through 0 and infinity.  PGL2 keeps the number of rational points, and
+by the Bruhat decomposition PGL2 = B u BwB (B the stabilizer of infinity,
+w = x -> 1/x) every orbit with a rational point meets R in one class of
+those edges, so the counts of P and R add up (orbit_census).  Each row
+set is an ActionState built from the block masks it is given.  Two of
+the generators, x + 1 and x -> zeta x, fix infinity, so their kappa is
+one constant per block of rows (avoiding infinity, through it): dest_flip
+folds 1/kappa into the substitution rows once per block and reads the
+row codes straight off the image columns; only x -> 1/x divides by kappa
+row by row.
 Burnside reads the rows that one representative of each of the q + 2
 conjugacy classes of PGL2 (moebius.conjugacy_classes) fixes off the
 eigenspaces of its substitution matrix, and weights them by class size.
@@ -28,7 +37,8 @@ rounds take the generator minima and jump each pointer once, and stop as
 soon as the labels agree across every generator edge.
 It is the one orbit primitive: verify_points reads its twisted keys, and
 verify_quotient labels, with no twist, the joint orbits of an element and
-Frobenius on the points of P^1 over each extension.
+Frobenius on the points of P^1 over each extension, both maps vectorized
+over the extension's log tables (_point_images).
 The suites that read twist signs (eps, cocycle, points) take them in bulk
 from multiplier.epsilons and multiplier.epsilon_closed_forms, the batched
 views of the per-pair sweep and closed form, which stay as references:
@@ -69,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -165,6 +176,35 @@ def squarefree_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=32)
+def rootless_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
+    """Read-only mask over monic degree-d polynomials in code order: f has
+    no root in F_q.
+
+    For every a in F_q and every choice of the upper digits, exactly one
+    constant digit makes f(a) = 0: minus a times the Horner value of the
+    upper digits at a.  Horner runs top digit first, one field.dot a digit,
+    over the arrays [a, upper digits seen so far], so the marks cost about
+    2 q**d entries in all.  Checked against inclusion-exclusion over the
+    sets of k roots: sum_k (-1)**k C(q, k) q**(d - k).  Cached like
+    squarefree_mask.
+    """
+    q = ctx.q
+    a = np.arange(q, dtype=np.intp)[:, None, None]
+    h = np.ones((q, 1), np.intp)  # [a, upper code]: the leading 1
+    for _ in range(d - 1):  # h <- digit + a h, the new digit least significant
+        h = ff.dot(ctx, ((1, np.arange(q)), (a, h[:, :, None]))).reshape(q, -1)
+    seen = np.zeros(q**d, dtype=bool)
+    if d:
+        minus_a = ff.dot(ctx, ((ctx.p - 1, a[:, :, 0]),))
+        seen[ff.dot(ctx, ((minus_a, h),)) + q * np.arange(q ** (d - 1))] = True
+    mask = ~seen
+    want = sum((-1) ** k * math.comb(q, k) * q ** (d - k) for k in range(min(q, d) + 1))
+    _check(int(mask.sum()) == want, "rootless count", q, d)
+    mask.flags.writeable = False
+    return mask
+
+
 class ActionState:
     """Every rational n-set over ctx as a canonical form row, with the
     vectorized matrix action.
@@ -181,16 +221,22 @@ class ActionState:
     code order, digit j runs through arange(q) in runs of q**j codes, so
     its column repeats each digit as often as the sieve keeps codes in that
     run (a mask select for j = 0, run counts summed up level by level).
+
+    masks, the codes each block keeps (over the q**n and q**(n-1) monic
+    codes), defaults to the two squarefree masks, every n-set; the orbit
+    census passes narrower ones to build a PGL2-invariant part of the rows,
+    or the part one of its generators keeps.
     """
 
-    def __init__(self, ctx: ff.FieldCtx, n: int):
+    def __init__(self, ctx: ff.FieldCtx, n: int, masks=None):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.ctx = ctx
         self.n = n
         self.tabs = ff.tables(ctx)
         q = ctx.q
-        masks = squarefree_mask(ctx, n), squarefree_mask(ctx, n - 1)
+        if masks is None:
+            masks = squarefree_mask(ctx, n), squarefree_mask(ctx, n - 1)
         n0 = int(np.count_nonzero(masks[0]))
         count = n0 + int(np.count_nonzero(masks[1]))
         v = np.zeros((count, n + 1), np.int16, order="F")
@@ -199,6 +245,8 @@ class ActionState:
         blocks = (slice(0, n0), slice(q**n)), (slice(n0, count), slice(q**n, None))
         ar = np.arange(q, dtype=np.int16)
         for lead, (mask, (rows, codes)) in enumerate(zip(masks, blocks)):
+            if rows.start == rows.stop:  # a block the masks leave empty costs nothing
+                continue
             v[rows, lead] = 1
             runs = mask  # sieved codes in each run of q**j codes that share digit j
             for j in range(n - lead):  # the x^j coefficient is column n - j
@@ -488,21 +536,72 @@ def _orbit_labels(perms) -> np.ndarray:
     return _parity_labels([(p, np.zeros(len(p), bool)) for p in perms])[0]
 
 
-def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Orbit counts from one parity labelling of the generators: the n-set
-    classes are the self-labelled rows, sd the merged ones (both twisted
-    keys equal) and hyp the distinct twisted orbit keys."""
-    check_budget(g, q, budget)
-    st = ActionState(ff.make_field(*factor_prime_power(q)), 2 * g + 2)
-    acts, count = [st.dest_flip(mat) for mat in _generators(st.ctx)], st.count
-    del st  # the labelling reads only the permutations: free V and the code table first
+def _pointless_acts(ctx: ff.FieldCtx, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """dest_flip of the three generators on P, the n-sets with no rational
+    point: they avoid infinity and f has no root in F_q.  PGL2 keeps the
+    number of rational points, so P is a union of orbits."""
+    none = np.zeros(ctx.q ** (n - 1), bool)
+    st = ActionState(ctx, n, (squarefree_mask(ctx, n) & rootless_mask(ctx, n), none))
+    return [st.dest_flip(mat) for mat in _generators(ctx)]
+
+
+def _infinity_acts(ctx: ff.FieldCtx, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(dest, flip) on R, the n-sets through infinity: x + 1 and x -> zeta x,
+    which keep R, and x -> 1/x on R0, the sets through 0 and infinity,
+    which it keeps, embedded in R as the identity with flip 0 elsewhere."""
+    q = ctx.q
+    none, through = np.zeros(q**n, bool), squarefree_mask(ctx, n - 1)
+    at0 = np.zeros_like(through)
+    at0[::q] = through[::q]  # constant coefficient 0: f(0) = 0
+    shift, scale, invert = _generators(ctx)
+    st = ActionState(ctx, n, (none, through))
+    acts = [st.dest_flip(shift), st.dest_flip(scale)]
+    emb = st._row_of[q**n + np.flatnonzero(at0)]  # the R row of each R0 row
+    del st
+    dest0, flip0 = ActionState(ctx, n, (none, at0)).dest_flip(invert)
+    dest = np.arange(len(acts[0][0]), dtype=np.int32)
+    dest[emb] = emb[dest0]
+    flip = np.zeros(len(dest), bool)
+    flip[emb] = flip0
+    return [*acts, (dest, flip)]
+
+
+def _orbit_counts(acts) -> tuple[int, int, int]:
+    """(n-set classes, twisted orbits, merged classes) of the rows that the
+    (dest, flip) pairs acts join, from one _parity_labels pass: the classes
+    are the self-labelled rows, the merged ones those whose two twisted keys
+    are equal, and the twisted orbits the distinct keys."""
     lab, key0, key1 = _parity_labels(acts)
+    count = len(lab)
     roots = np.flatnonzero(lab == np.arange(count))
-    sd = int(np.count_nonzero(key0[roots] == key1[roots]))
     seen = np.zeros(2 * count, bool)  # one flag per key, none per node
     seen[key0] = seen[key1] = True
-    hyp_count, y = int(np.count_nonzero(seen)), len(roots)
+    return len(roots), int(np.count_nonzero(seen)), int(np.count_nonzero(key0[roots] == key1[roots]))
+
+
+def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Orbit counts, summed over two PGL2-invariant row sets: P, the n-sets
+    with no rational point (_pointless_acts), and R, those through infinity
+    (_infinity_acts).
+
+    Every orbit with a rational point meets R, since PGL2 is transitive on
+    P^1(F_q), so the orbits are those of P and the classes of R.  Two sets
+    S, S' of R lie in one orbit iff B = <x + 1, zeta x>, the stabilizer of
+    infinity, and x -> 1/x on the sets through 0 and infinity (R0) join
+    them: by the Bruhat decomposition PGL2 = B u BwB, w = x -> 1/x, and
+    gamma S = S' with gamma = b1 w b2 puts both 0 and infinity in b2 S.
+    The twist flips compose along that path by the cocycle law.  Each row
+    set is built by its own ActionState and labelled by its own
+    _parity_labels pass; the full rows are never built, and n_sets counts
+    them from the squarefree masks."""
+    check_budget(g, q, budget)
+    ctx, n = ff.make_field(*factor_prime_power(q)), 2 * g + 2
+    y = hyp_count = sd = 0
+    for row_set in (_pointless_acts, _infinity_acts):
+        classes, twisted, merged = _orbit_counts(row_set(ctx, n))
+        y, hyp_count, sd = y + classes, hyp_count + twisted, sd + merged
     _check(hyp_count == 2 * y - sd, "hyp == 2y - merged", g, q, hyp_count, y, sd)
+    count = sum(int(np.count_nonzero(squarefree_mask(ctx, d))) for d in (n, n - 1))
     return OracleResult(g=g, q=q, n_sets=count, nset_classes=y, hyp=hyp_count, sd=sd)
 
 
@@ -958,17 +1057,17 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
         strata = []
         for d in range(1, strata_nmax + 1):
             ctxd, embd = (ctx, None) if d == 1 else ff.extend(ctx, d)
-            pts = [mb.fin(x) for x in range(ctxd.q)] + [mb.INF]
-            frob = np.array([ff.pw(ctxd, x, q) for x in range(ctxd.q)] + [ctxd.q], np.int32)
+            exp, log = ff.log_arrays(ctxd)
+            frob = np.where(log < 0, 0, exp[log * q % (ctxd.q - 1)])  # x -> x^q
+            frob = np.append(frob, ctxd.q).astype(np.int32)
             lab = _orbit_labels([frob])
             deg = np.bincount(lab)[lab]
             _check((d % deg == 0).all(), "quot: Frobenius orbit sizes divide d", q, d)
-            strata.append((d, ctxd, embd, pts, frob, deg))
+            strata.append((d, ctxd, embd, frob, deg))
         for i, ((kind, m), elem) in enumerate(zip(kinds, reps)):
             sizes = []
-            for d, ctxd, embd, pts, frob, deg in strata:
-                images = (mb.act_point(elem.mat, t, ctxd, embd) for t in pts)
-                act = np.array([v.x if v.finite else ctxd.q for v in images], np.int32)
+            for d, ctxd, embd, frob, deg in strata:
+                act = _point_images(ctxd, embd, elem.mat)
                 _check((deg[act] == deg).all(), "quot: orbit stays in its stratum",
                        q, kind, m, d)
                 # the joint orbits of exact degree d, each at its smallest point
@@ -987,6 +1086,29 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
                        q, kind, m, n, got)
                 checks += 1
     return {"suite": "quot", "checks": checks}
+
+
+def _point_images(ctx: ff.FieldCtx, emb, mat: GlMatrix) -> np.ndarray:
+    """mb.act_point of mat on every point of P^1(ctx), infinity at index
+    ctx.q, as one int32 permutation: x -> (a x + b) / (c x + d), the entries
+    lifted by emb when it is not None.  Products and the quotient read
+    field.log_arrays and the sums add base-p digits, so no q x q table is
+    built: the quotient suite's extensions reach q**4 elements."""
+    q, p = ctx.q, ctx.p
+    exp, log = ff.log_arrays(ctx)
+    a, b, c, d = (mat.a, mat.b, mat.c, mat.d) if emb is None else (
+        emb[mat.a], emb[mat.b], emb[mat.c], emb[mat.d])
+    x = np.arange(q)
+    place = p ** np.arange(ctx.e)
+
+    def affine(s, t):  # s x + t, the sum digit by digit
+        sx = np.where(x == 0, 0, exp[log + log[s]]) if s else np.zeros(q, np.intp)
+        return (sx[:, None] // place + t // place) % p @ place
+
+    def over(u, v):  # u / v, and infinity (q) where v = 0
+        return np.where(v == 0, q, np.where(u == 0, 0, exp[(log[u] - log[v]) % (q - 1)]))
+
+    return over(np.append(affine(a, b), a), np.append(affine(c, d), c)).astype(np.int32)
 
 
 def verify_points(qs=(3, 5), g: int = 2) -> dict:

@@ -5,11 +5,13 @@ or small tools the checks need: the rational n-sets in the engine's row
 order, n-sets from their points and back, exact integer polynomial
 arithmetic, the per-set check that the sign is a homomorphism on a
 stabilizer, the randrange draws of the cocycle suite's random triples, the
-moduli and degrees of a conditional polynomial, and the
-recorded misprint of the bundled genus-9 table row.
+orbit census over every n-set row, the moduli and degrees of a conditional
+polynomial, and the recorded misprint of the bundled genus-9 table row.
 """
 
 from math import gcd
+
+import numpy as np
 
 from hypcensus import field as ff
 from hypcensus.census import VerificationError, factor_prime_power
@@ -117,6 +119,33 @@ def random_nset(rng, ctx, n: int) -> RationalNSet:
         f = tuple(rng.randrange(ctx.q) for _ in range(n - has_inf)) + (1,)
         if ff.is_squarefree_poly(ctx, f):
             return RationalNSet(f, has_inf)
+
+
+def full_row_labels(ctx, n: int):
+    """The parity labelling of every n-set row under the three generators:
+    the rows avoiding infinity first, at most n0, then those through it.
+    Returns n0 and _parity_labels' (L, key0, key1)."""
+    from hypcensus import oracle as oc
+
+    st = oc.ActionState(ctx, n)
+    return st.n0, oc._parity_labels([st.dest_flip(mat) for mat in oc._generators(ctx)])
+
+
+def orbit_census_full(g: int, q: int):
+    """The orbit census over every row at once, as it was before it split
+    the rows into the pointless sets and the sets through infinity: the
+    n-set classes are the self-labelled rows, sd the merged ones and hyp the
+    distinct twisted orbit keys."""
+    from hypcensus import oracle as oc
+
+    _, (lab, key0, key1) = full_row_labels(ff.make_field(*factor_prime_power(q)), 2 * g + 2)
+    count = len(lab)
+    roots = np.flatnonzero(lab == np.arange(count))
+    sd = int(np.count_nonzero(key0[roots] == key1[roots]))
+    seen = np.zeros(2 * count, bool)
+    seen[key0] = seen[key1] = True
+    return oc.OracleResult(g=g, q=q, n_sets=count, nset_classes=len(roots),
+                           hyp=int(np.count_nonzero(seen)), sd=sd)
 
 
 # ---------------------------------------------------------------------------

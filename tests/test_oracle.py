@@ -4,6 +4,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -390,6 +391,106 @@ def test_squarefree_mask_cached_and_read_only(p, e, d):
     assert np.array_equal(mask, _reference_squarefree_mask(ctx, d))
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
+
+
+def _reference_rootless_mask(ctx, d):
+    """Every monic degree-d code evaluated at every a in F_q, code by
+    code: its form row (1, c_{d-1}, ..., c_0) through nset.form_values."""
+    q = ctx.q
+    codes = np.arange(q**d)
+    forms = np.ones((q**d, d + 1), np.intp)
+    for j in range(d):
+        forms[:, d - j] = codes // q**j % q
+    return (ns.form_values(ctx, forms[:, None], np.arange(q)) != 0).all(1)
+
+
+@pytest.mark.parametrize(
+    "p,e,dhi", [(3, 1, 6), (5, 1, 6), (7, 1, 5), (3, 2, 4), (5, 2, 3), (3, 3, 3)])
+def test_rootless_mask_matches_per_code_reference(p, e, dhi):
+    ctx = ff.make_field(p, e)
+    for d in range(0, dhi + 1):
+        mask = oc.rootless_mask.__wrapped__(ctx, d)
+        assert mask.dtype == bool and not mask.flags.writeable, d
+        assert np.array_equal(mask, _reference_rootless_mask(ctx, d)), d
+    assert oc.rootless_mask(ctx, dhi) is oc.rootless_mask(ctx, dhi)
+
+
+def test_rootless_mask_count_check_trips(monkeypatch):
+    # a field.dot that reads 0 everywhere marks only the codes with
+    # constant digit 0, which the inclusion-exclusion count refuses
+    monkeypatch.setattr(ff, "dot", lambda ctx, pairs: np.zeros(
+        np.broadcast_shapes(*(np.shape(x) for _, x in pairs)), np.intp))
+    with pytest.raises(census.VerificationError, match="rootless count"):
+        oc.rootless_mask.__wrapped__(ff.make_field(3, 1), 3)
+
+
+def test_narrower_masks_build_a_subset_of_the_rows():
+    # each block keeps exactly the codes of its mask, in code order, with
+    # the rows of the full state
+    ctx, n = ff.make_field(3, 1), 5
+    full = oc.ActionState(ctx, n)
+    keep = [oc.squarefree_mask(ctx, n) & oc.rootless_mask(ctx, n), oc.squarefree_mask(ctx, n - 1)]
+    keep[1] = keep[1] & (np.arange(len(keep[1])) % 2 == 0)
+    st = oc.ActionState(ctx, n, keep)
+    codes = np.concatenate([np.flatnonzero(keep[0]), 3**n + np.flatnonzero(keep[1])])
+    assert st.count == len(codes) and st.n0 == np.count_nonzero(keep[0])
+    assert np.array_equal(st.V, full.V[full._row_of[codes]])
+    assert np.array_equal(st._row_of[codes], np.arange(st.count))
+    assert np.count_nonzero(st._row_of >= 0) == st.count
+
+
+def _pointless_rows(q, n):
+    """The coefficient of t^n in prod_{d >= 2} (1 + t^d)^N_d, N_d the number
+    of monic irreducibles of degree d over F_q: the squarefree monics of
+    degree n with no linear factor."""
+    irreducible = {}  # N_d, from q^d = sum over e | d of e N_e
+    for d in range(1, n + 1):
+        irreducible[d] = (q**d - sum(e * irreducible[e] for e in range(1, d) if d % e == 0)) // d
+    coeffs = [1] + [0] * n
+    for d in range(2, n + 1):
+        count = irreducible[d]
+        coeffs = [sum(math.comb(count, k) * coeffs[i - d * k] for k in range(i // d + 1))
+                  for i in range(n + 1)]
+    return coeffs[n]
+
+
+@pytest.mark.parametrize("g,q", FAST_PAIRS + [pytest.param(2, 9, marks=pytest.mark.slow)])
+def test_row_sets_split_the_full_census(g, q):
+    # P's rows are the pointless n-sets, and R's classes are the full-row
+    # orbits that meet the rows through infinity
+    ctx, n = ff.make_field(*census.factor_prime_power(q)), 2 * g + 2
+    pointless = oc._pointless_acts(ctx, n)
+    assert len(pointless[0][0]) == _pointless_rows(q, n)
+    n0, (lab, _, _) = ref.full_row_labels(ctx, n)
+    assert oc._orbit_counts(oc._infinity_acts(ctx, n))[0] == len(np.unique(lab[n0:]))
+    assert oc._orbit_counts(pointless)[0] == len(np.unique(lab)) - len(np.unique(lab[n0:]))
+
+
+@pytest.mark.parametrize("g,q", FAST_PAIRS + [pytest.param(2, 9, marks=pytest.mark.slow)])
+def test_orbit_census_matches_full_row_reference(g, q):
+    assert oc.orbit_census(g, q) == ref.orbit_census_full(g, q)
+
+
+def test_pointless_rows_at_2_9():
+    acts = oc._pointless_acts(ff.make_field(3, 2), 6)
+    assert len(acts[0][0]) == _pointless_rows(9, 6) == 182_580
+
+
+@pytest.mark.parametrize("g,q", [(2, 3), (2, 5), (3, 3)])
+def test_orbit_census_needs_both_row_sets_and_every_generator(monkeypatch, g, q):
+    # R labelled without R0's x -> 1/x edges, or the census without P,
+    # must miss the anchors
+    infinity, anchor = oc._infinity_acts, ANCHORS[(g, q)]
+    with monkeypatch.context() as m:
+        m.setattr(oc, "_infinity_acts", lambda ctx, n: infinity(ctx, n)[:2])
+        res = oc.orbit_census(g, q)
+        assert (res.hyp, res.sd, res.nset_classes) != anchor
+    with monkeypatch.context() as m:
+        m.setattr(oc, "_pointless_acts", lambda ctx, n: [(np.zeros(0, np.int32), np.zeros(0, bool))])
+        res = oc.orbit_census(g, q)
+        assert (res.hyp, res.sd, res.nset_classes) != anchor
+    res = oc.orbit_census(g, q)
+    assert (res.hyp, res.sd, res.nset_classes) == anchor
 
 
 def _composed_actions(st):
@@ -841,6 +942,18 @@ def test_suites_reduced_grids():
 ])
 def test_suites_on_extension_fields(suite, kwargs, checks):
     assert oc.verify_suite(suite, **kwargs)["checks"] == checks
+
+
+@pytest.mark.parametrize("p,e,d", [(3, 1, 1), (3, 1, 3), (5, 1, 2), (3, 2, 2), (5, 2, 1)])
+def test_point_images_match_act_point(p, e, d):
+    # the vectorized map of the quotient suite against the scalar one, on
+    # every point of P^1 over the extension, infinity at index q**d
+    ctx = ff.make_field(p, e)
+    ext, emb = (ctx, None) if d == 1 else ff.extend(ctx, d)
+    pts = [mb.fin(x) for x in range(ext.q)] + [mb.INF]
+    for el in mb.enumerate_pgl(ctx)[:: max(1, ctx.q - 2)]:
+        want = [t.x if t.finite else ext.q for t in (mb.act_point(el.mat, t, ext, emb) for t in pts)]
+        assert oc._point_images(ext, emb, el.mat).tolist() == want, el.mat
 
 
 def test_verify_suite_rejects_unknown_name():
