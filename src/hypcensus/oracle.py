@@ -18,13 +18,14 @@ one constant per block of rows (avoiding infinity, through it): dest_flip
 folds 1/kappa into the substitution rows once per block and reads the
 row codes straight off the image columns; only x -> 1/x divides by kappa
 row by row.
-Burnside reads the rows that one representative of each of the q + 2
+Burnside reads the n-sets that one representative of each of the q + 2
 conjugacy classes of PGL2 (moebius.conjugacy_classes) fixes off the
-eigenspaces of its substitution matrix, and weights them by class size.
-ActionState.fixed_rows finds those eigenspaces for a whole stack of
-matrices with one field.kernels call and looks their normalized vectors
-up as rows, so it never scans V; Burnside reads dest_flip only to
-cross-check the generators' fixed rows.
+eigenspaces of its substitution matrix, and weights them by class size;
+the identity fixes every row.  fixed_forms finds those eigenspaces for a
+whole stack of nonidentity matrices with one field.kernels call and
+returns their normalized vectors as forms, squarefree where the sieve
+mask keeps their code, so it needs no ActionState; Burnside reads
+dest_flip only to cross-check the generators' fixed forms against V.
 Nothing reuses the closed formulas: agreement with census.hyp /
 census.sd is the independent evidence.
 
@@ -50,23 +51,23 @@ multiplicative on each group of members, whatever its source.  The
 cocycle suite holds its random triples, GL2(F_3) and its stabilizer test
 sets as code arrays (matrix entries, form rows) from the draw to the
 check, and builds matrix and n-set objects only to name a failure.  The
-suites that need fixed n-sets (eps, counts, cocycle, quot) read them from one
-fixed_rows call per ActionState.  The counts and quot suites check them
-against the census rule for fixed n-sets: the rows holding none of an
-element's fixed points, from one stacked nset.fixed_point_counts call
-per ActionState, against free_count.
-The suites share their engine data within a process.  action_state(ctx,
-n) caches one ActionState per (field, n), at most 32 like squarefree_mask,
-and each state memoizes (shared_fixed_rows) the fixed rows of the two
-stacks several suites read: every nonidentity element of enumerate_pgl,
-and the subtype representatives.  V, the row table and the memoized
-arrays are read-only, so no suite can change what the next one reads.
-After the seven suites at small arguments (the benchmark's verify pass)
-the cache holds 16 states in 10 MB of arrays; after counts at its
-default arguments, 24 states in 151 MB, 122 MB of it F_7 at n = 8.
-action_state.cache_clear() frees all of it.  A single suite in a fresh
-process (one `hypcensus verify` command) builds what it built before;
-orbit_census and burnside_hyp build their own states and free them.
+suites that need fixed n-sets (eps, counts, cocycle, quot) read them as
+forms from shared_fixed_forms, which memoizes fixed_forms of the two
+stacks several suites read, every nonidentity element of enumerate_pgl
+and the subtype representatives, per (field, n), at most 32 like
+squarefree_mask, as read-only arrays, so no suite can change what the
+next one reads.  The counts and quot suites check them against the
+census rule for fixed n-sets: the forms holding none of an element's
+fixed points, from one stacked nset.fixed_point_counts call, against
+free_count.
+Only counts (for its ambient totals over every row) and points (for its
+orbit labels) build an ActionState, one per (q, n), and free it when they
+are done with it; so do orbit_census and burnside_hyp.  No state outlives
+its call: after the seven suites at small arguments (the benchmark's
+verify pass) only the masks and the fixed-form memo stay, and
+shared_fixed_forms.cache_clear() frees the memo.  eps and quot at F_9
+hold no n = 8 rows, only the 43 MB squarefree mask of degree 8 and the
+fixed forms.
 A suite builds the field of each q it is given as
 make_field(*factor_prime_power(q)), so it runs the same code for every
 odd prime power q and refuses any other q.
@@ -225,7 +226,8 @@ class ActionState:
     masks, the codes each block keeps (over the q**n and q**(n-1) monic
     codes), defaults to the two squarefree masks, every n-set; the orbit
     census passes narrower ones to build a PGL2-invariant part of the rows,
-    or the part one of its generators keeps.
+    or the part one of its generators keeps.  The row table (rows_of)
+    spans only the code blocks the masks keep.
     """
 
     def __init__(self, ctx: ff.FieldCtx, n: int, masks=None):
@@ -240,9 +242,12 @@ class ActionState:
         n0 = int(np.count_nonzero(masks[0]))
         count = n0 + int(np.count_nonzero(masks[1]))
         v = np.zeros((count, n + 1), np.int16, order="F")
-        # row of each monic code; the sets through infinity at q**n + code
-        row_of = np.full(q**n + q ** (n - 1), -1, np.int32)
-        blocks = (slice(0, n0), slice(q**n)), (slice(n0, count), slice(q**n, None))
+        # row of each canonical code (the sets through infinity at q**n +
+        # code), over the code blocks the masks keep: from code_lo on
+        code_lo = 0 if n0 else q**n
+        row_of = np.full((q**n + q ** (n - 1) if count > n0 else q**n) - code_lo, -1, np.int32)
+        blocks = ((slice(0, n0), slice(0, q**n)),
+                  (slice(n0, count), slice(q**n - code_lo, None)))
         ar = np.arange(q, dtype=np.int16)
         for lead, (mask, (rows, codes)) in enumerate(zip(masks, blocks)):
             if rows.start == rows.stop:  # a block the masks leave empty costs nothing
@@ -259,7 +264,7 @@ class ActionState:
         self.count = count
         self.V = v
         self._row_of = row_of
-        self._shared: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._code_lo = code_lo
 
     def nset_at(self, i: int) -> ns.RationalNSet:
         row = self.V[i]
@@ -285,88 +290,31 @@ class ActionState:
             g[:, i] = self._image_col(slice(None), trow)
         return g
 
-    def fixed_rows(self, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(element, row, kappa) of every row fixed setwise by a matrix of
-        the stack mats (entry codes (k, 4)), sorted by element and then by
-        row: element indexes mats, and kappa (int16) is the image coefficient
-        at the row's defining position.
-
-        gamma fixes the n-set of form F with kappa lam exactly when
-        T F = lam F, T = nset.substitution_matrices(gamma), so the fixed
-        forms are the squarefree vectors of the eigenspaces ker(T - lam I),
-        lam in F_q*.  One field.kernels call finds them for every (element,
-        lam), and each basis vector is checked to satisfy T v = lam v.  A
-        kernel's q^dim vectors are field.dot sums over the digits of their
-        coordinates, at most count vectors a chunk; the one multiple of a
-        form with F[0] = 1, or F[0] = 0 and F[1] = 1, is looked up in
-        _row_of, where -1 marks a form that is not squarefree.  T = lam I
-        fixes every row.
-        """
-        ctx, n, q = self.ctx, self.n, self.ctx.q
-        m = n + 1
-        mats = np.asarray(mats, np.intp).reshape(-1, 4)
-        t = ns.substitution_matrices(ctx, mats, n)
-        lam = np.arange(1, q)
-        diag = np.arange(m)
-        a = np.repeat(t[:, None], q - 1, axis=1)  # [element, lam - 1] = T - lam I
-        a[..., diag, diag] = ff.dot(ctx, ((1, a[..., diag, diag]), (ctx.p - 1, lam[:, None])))
-        basis, free = ff.kernels(ctx, a)
-        residue = ff.dot(ctx, ((a[..., None, :, k], basis[..., :, None, k]) for k in range(m)))
-        bad = np.argwhere(free & residue.any(-1))
-        if len(bad):
-            e, l, j = bad[0]
-            _check(False, "fixed_rows: T v == lam v on every kernel basis vector",
-                   q, n, mb.GlMatrix(*mats[e].tolist()), int(lam[l]), basis[e, l, j].tolist())
-        dim = free.sum(-1)
-        found = []
-        for e, l in np.argwhere(dim == m):
-            found.append((np.full(self.count, e), np.arange(self.count), np.full(self.count, lam[l])))
-        weight = q ** np.arange(n - 1, -1, -1)  # of the form columns 1 .. n
-        for d in range(1, m):
-            which = np.argwhere(dim == d)
-            if not len(which):
-                continue
-            kern = basis[free & (dim == d)[..., None]].reshape(-1, d, m)
-            coords = [_digits(q, d, j, np.intp) for j in range(d)]
-            step = max(1, self.count // q**d)
-            for lo in range(0, len(kern), step):
-                part = kern[lo : lo + step]
-                f0, f1 = (ff.dot(ctx, ((coords[j], part[:, j, i, None]) for j in range(d)))
-                          for i in (0, 1))
-                k, c = np.nonzero((f0 == 1) | ((f0 == 0) & (f1 == 1)))
-                code = ff.dot(ctx, ((coords[j][c], part[k, j, 1:].T) for j in range(d))).T @ weight
-                code += np.where(f0[k, c] == 0, q**n - q ** (n - 1), 0)
-                row = self._row_of[code]
-                keep = row >= 0
-                e, l = which[lo + k[keep]].T
-                found.append((e, row[keep], lam[l]))
-        if not found:
-            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.int16)
-        elem, rows, kappa = (np.concatenate(x) for x in zip(*found))
-        order = np.lexsort((rows, elem))
-        return elem[order], rows[order].astype(np.intp), kappa[order].astype(np.int16)
-
-    def shared_fixed_rows(self, stack: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """fixed_rows of a stack the suites share, read-only and computed
-        once per state: "nonidentity", every nonidentity element of
-        enumerate_pgl in its order, or "subtypes", one representative per
-        census.subtypes entry (_STACKS)."""
-        hit = self._shared.get(stack)
-        if hit is None:
-            hit = self.fixed_rows(mb.mat_codes(el.mat for el in _STACKS[stack](self.ctx)))
-            for a in hit:
-                a.flags.writeable = False
-            self._shared[stack] = hit
-        return hit
+    def rows_of(self, codes) -> np.ndarray:
+        """The row of each canonical code (form_codes), -1 where the masks
+        keep none, also outside the code blocks the table spans."""
+        i = np.asarray(codes) - self._code_lo
+        inside = (i >= 0) & (i < len(self._row_of))
+        if inside.all():
+            return self._row_of[i]
+        rows = np.full(i.shape, -1, np.int32)
+        rows[inside] = self._row_of[i[inside]]
+        return rows
 
     def kappa_stable(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """fixed_rows of the one matrix as per-row arrays: kappa (int16, 0
-        off the stable rows) and the mask of the rows fixed setwise."""
-        _, rows, kap = self.fixed_rows(mb.mat_codes([mat]))
+        """fixed_forms of the one matrix as per-row arrays: kappa (int16, 0
+        off the stable rows) and the mask of the rows fixed setwise.  A
+        scalar matrix (a, 0, 0, a) fixes every row, with kappa a^n."""
         kappa = np.zeros(self.count, np.int16)
-        kappa[rows] = kap
         stable = np.zeros(self.count, bool)
-        stable[rows] = True
+        if mat.b == mat.c == 0 and mat.a == mat.d:
+            kappa[:], stable[:] = ff.pw(self.ctx, mat.a, self.n), True
+            return kappa, stable
+        _, forms, kap = fixed_forms(self.ctx, self.n, mb.mat_codes([mat]))
+        rows = self.rows_of(form_codes(self.ctx.q, forms))
+        keep = rows >= 0
+        kappa[rows[keep]] = kap[keep]
+        stable[rows[keep]] = True
         return kappa, stable
 
     def dest_flip(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +332,7 @@ class ActionState:
         q, n = self.ctx.q, self.n
         if n % 2:
             raise ValueError(f"twist transport is defined for even n, got {n}")
-        if len(self._row_of) > 2**31:
+        if q**n + q ** (n - 1) > 2**31:
             raise ValueError(f"q = {q}, n = {n} overflows the int32 row codes")
         ctx, t = self.ctx, ns.substitution_matrix(self.ctx, mat, n)
         if mat.c:
@@ -397,7 +345,7 @@ class ActionState:
             for trow in t[2:]:
                 code *= q
                 code += mul[row + self._image_col(slice(None), trow)]
-            # codes through infinity drop that 1 and start at q**n in _row_of
+            # codes through infinity drop that 1 and start at q**n
             np.add(code, q**n - q ** (n - 1), out=code, where=col0 == 0)
             flip = self.tabs.CHI[kap] == -1
         else:
@@ -414,18 +362,104 @@ class ActionState:
                     part += self._image_col(rows, trow)
                 part += lead * q**n  # the rows through infinity from q**n on
                 flip[rows] = self.tabs.CHI[kap] == -1
-        dest = self._row_of[code]
+        dest = self.rows_of(code)
         _check((dest >= 0).all(), "the image of an n-set must be a canonical row", mat)
         return dest, flip
 
 
+def form_codes(q: int, forms) -> np.ndarray:
+    """The canonical code (int64) of each n-set form (rows, n+1), F[0] = 1
+    or F[0] = 0 and F[1] = 1: the code of f, and q**n + the code of f for
+    the sets through infinity.  Their order is ActionState's row order."""
+    forms = np.asarray(forms)
+    n = forms.shape[-1] - 1
+    weight = q ** np.arange(n - 1, -1, -1, dtype=np.int64)  # of the form columns 1 .. n
+    return forms[:, 1:] @ weight + np.where(forms[:, 0] == 0, q**n - q ** (n - 1), 0)
+
+
+_KERNEL_BLOCK = 2**16  # kernel vectors a chunk of fixed_forms, to bound its temporaries
+
+
+def fixed_forms(ctx: ff.FieldCtx, n: int, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(element, form, kappa) of every n-set fixed setwise by a matrix of
+    the stack mats (entry codes (k, 4)), sorted by element and then by
+    canonical code (form_codes): element indexes mats, form is the n-set's
+    form (int16 rows, n+1) and kappa (int16) the image coefficient at its
+    defining position.
+
+    gamma fixes the n-set of form F with kappa lam exactly when
+    T F = lam F, T = nset.substitution_matrices(gamma), so the fixed
+    forms are the squarefree vectors of the eigenspaces ker(T - lam I),
+    lam in F_q*.  One field.kernels call finds them for every (element,
+    lam), and each basis vector is checked to satisfy T v = lam v.  A
+    kernel's q^dim vectors are field.dot sums over the digits of their
+    coordinates, at most _KERNEL_BLOCK vectors a chunk; the one multiple
+    with F[0] = 1, or F[0] = 0 and F[1] = 1, is an n-set form where the
+    squarefree mask of degree n, or n - 1, keeps its code.  A scalar matrix
+    fixes every n-set, which only an ActionState lists, so it is refused.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    q, m = ctx.q, n + 1
+    mats = np.asarray(mats, np.intp).reshape(-1, 4)
+    scalar = (mats[:, 1] == 0) & (mats[:, 2] == 0) & (mats[:, 0] == mats[:, 3])
+    if scalar.any():
+        raise ValueError(f"a scalar matrix fixes every n-set: {mats[scalar][0].tolist()}")
+    t = ns.substitution_matrices(ctx, mats, n)
+    lam = np.arange(1, q)
+    diag = np.arange(m)
+    a = np.repeat(t[:, None], q - 1, axis=1)  # [element, lam - 1] = T - lam I
+    a[..., diag, diag] = ff.dot(ctx, ((1, a[..., diag, diag]), (ctx.p - 1, lam[:, None])))
+    basis, free = ff.kernels(ctx, a)
+    residue = ff.dot(ctx, ((a[..., None, :, k], basis[..., :, None, k]) for k in range(m)))
+    bad = np.argwhere(free & residue.any(-1))
+    if len(bad):
+        e, l, j = bad[0]
+        _check(False, "fixed_forms: T v == lam v on every kernel basis vector",
+               q, n, mb.GlMatrix(*mats[e].tolist()), int(lam[l]), basis[e, l, j].tolist())
+    dim = free.sum(-1)
+    masks = squarefree_mask(ctx, n), squarefree_mask(ctx, n - 1)
+    found = []
+    for d in range(1, m):  # dim m is T = lam I, refused above
+        which = np.argwhere(dim == d)
+        if not len(which):
+            continue
+        kern = basis[free & (dim == d)[..., None]].reshape(-1, d, m)
+        coords = [_digits(q, d, j, np.intp) for j in range(d)]
+        step = max(1, _KERNEL_BLOCK // q**d)
+        for lo in range(0, len(kern), step):
+            part = kern[lo : lo + step]
+            f0, f1 = (ff.dot(ctx, ((coords[j], part[:, j, i, None]) for j in range(d)))
+                      for i in (0, 1))
+            k, c = np.nonzero((f0 == 1) | ((f0 == 0) & (f1 == 1)))
+            forms = np.empty((len(k), m), np.int16)
+            forms[:, 0] = f0[k, c]
+            forms[:, 1:] = ff.dot(ctx, ((coords[j][c], part[k, j, 1:].T) for j in range(d))).T
+            code = form_codes(q, forms)
+            inf = forms[:, 0] == 0
+            keep = np.empty(len(code), bool)
+            keep[~inf] = masks[0][code[~inf]]
+            keep[inf] = masks[1][code[inf] - q**n]
+            e, l = which[lo + k[keep]].T
+            found.append((e, code[keep], forms[keep], lam[l]))
+    if not found:
+        return np.zeros(0, np.intp), np.zeros((0, m), np.int16), np.zeros(0, np.int16)
+    elem, code, forms, kappa = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((code, elem))
+    return elem[order], forms[order], kappa[order].astype(np.int16)
+
+
 @functools.lru_cache(maxsize=32)
-def action_state(ctx: ff.FieldCtx, n: int) -> ActionState:
-    """The one ActionState of (ctx, n) that every suite reads, with its
-    shared_fixed_rows memo.  Cached like squarefree_mask, whose masks it
-    is built from; action_state.cache_clear() frees the states.  The
-    engines (orbit_census, burnside_hyp) build their own and free them."""
-    return ActionState(ctx, n)
+def shared_fixed_forms(ctx: ff.FieldCtx, n: int, stack: str) -> tuple[np.ndarray, ...]:
+    """fixed_forms of a stack several suites read, read-only and computed
+    once per (field, n): "nonidentity", every nonidentity element of
+    enumerate_pgl in its order, or "subtypes", one representative per
+    census.subtypes entry (_STACKS).  Cached like squarefree_mask;
+    shared_fixed_forms.cache_clear() frees the arrays."""
+    hit = fixed_forms(ctx, n, mb.mat_codes(el.mat for el in _STACKS[stack](ctx)))
+    for a in hit:
+        a.flags.writeable = False
+    return hit
 
 
 def _nonidentity(ctx: ff.FieldCtx) -> list[mb.MoebiusElem]:
@@ -462,32 +496,36 @@ def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     chi(kappa) = 1 and neither otherwise.  That count is a class function
     (conjugation moves the stable rows and keeps the sign), so the fixed
     rows of one representative per class, weighted by the class size, do
-    the sum.  The generators stand for their own classes, and their fixed
-    rows are checked against the row permutations the orbit census reads;
-    one fixed_rows call serves the generators and the other classes.
+    the sum.  The identity fixes every row with kappa 1.  The generators
+    stand for their own classes, and their fixed forms are checked against
+    the row permutations the orbit census reads; one fixed_forms call
+    serves the generators and the other nonidentity classes.
     """
     check_budget(g, q, budget)
     ctx = ff.make_field(*factor_prime_power(q))
-    st = ActionState(ctx, 2 * g + 2)
+    n = 2 * g + 2
+    st = ActionState(ctx, n)
     chi = st.tabs.CHI
     gens = _generators(ctx)
+    identity = mb.class_key(ctx, mb.IDENTITY)
     mats, index = list(gens), {}  # class key -> position of its representative in mats
     for i, mat in enumerate(gens):
         index.setdefault(mb.class_key(ctx, mat), i)
     classes = mb.conjugacy_classes(ctx)
     for key, (rep, _) in classes.items():
-        if key not in index:
+        if key not in index and key != identity:
             index[key] = len(mats)
             mats.append(rep)
-    elem, rows, kappa = st.fixed_rows(mb.mat_codes(mats))
+    elem, forms, kappa = fixed_forms(ctx, n, mb.mat_codes(mats))
     for i, mat in enumerate(gens):  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
         mine = elem == i
         dest, flip = st.dest_flip(mat)
-        _check(np.array_equal(np.flatnonzero(dest == np.arange(st.count)), rows[mine]),
-               "fixed rows", mat)
-        _check(np.array_equal(flip[rows[mine]], chi[kappa[mine]] < 0), "flip", mat)
+        stable = dest == np.arange(st.count)
+        _check(np.array_equal(st.V[stable], forms[mine]), "fixed rows", mat)
+        _check(np.array_equal(flip[stable], chi[kappa[mine]] < 0), "flip", mat)
     fixed = np.bincount(elem[chi[kappa] == 1], minlength=len(mats))
-    total = sum(size * 2 * int(fixed[index[key]]) for key, (_, size) in classes.items())
+    total = sum(size * 2 * (st.count if key == identity else int(fixed[index[key]]))
+                for key, (_, size) in classes.items())
     order = q**3 - q
     _check(total % order == 0, "fixed-pair total divisible by |PGL2|", g, q, total)
     return total // order
@@ -556,7 +594,7 @@ def _infinity_acts(ctx: ff.FieldCtx, n: int) -> list[tuple[np.ndarray, np.ndarra
     shift, scale, invert = _generators(ctx)
     st = ActionState(ctx, n, (none, through))
     acts = [st.dest_flip(shift), st.dest_flip(scale)]
-    emb = st._row_of[q**n + np.flatnonzero(at0)]  # the R row of each R0 row
+    emb = st.rows_of(q**n + np.flatnonzero(at0))  # the R row of each R0 row
     del st
     dest0, flip0 = ActionState(ctx, n, (none, at0)).dest_flip(invert)
     dest = np.arange(len(acts[0][0]), dtype=np.int32)
@@ -603,6 +641,11 @@ def orbit_census(g: int, q: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
     _check(hyp_count == 2 * y - sd, "hyp == 2y - merged", g, q, hyp_count, y, sd)
     count = sum(int(np.count_nonzero(squarefree_mask(ctx, d))) for d in (n, n - 1))
     return OracleResult(g=g, q=q, n_sets=count, nset_classes=y, hyp=hyp_count, sd=sd)
+
+
+def _nset_of(ctx: ff.FieldCtx, form) -> ns.RationalNSet:
+    """The n-set of a form row, to name it in a failure."""
+    return ns.from_form(ctx, np.asarray(form).tolist())[0]
 
 
 def selfdual_nset(s: ns.RationalNSet, ctx: ff.FieldCtx) -> bool:
@@ -672,10 +715,10 @@ def smooth_point_counts(ctx: ff.FieldCtx, forms, lams) -> np.ndarray:
 def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     """Every stable pair: engine sign == cocycle sweep == closed form.
 
-    Per (q, n) the stable (element, row) pairs come from one fixed_rows
-    call, their sweep signs from one multiplier.epsilons call, and their
-    closed forms from one multiplier.epsilon_closed_forms call; a mismatch
-    names the first failing pair in element order, then row order.
+    Per (q, n) the stable (element, n-set) pairs come from the shared
+    fixed_forms, their sweep signs from one multiplier.epsilons call, and
+    their closed forms from one multiplier.epsilon_closed_forms call; a
+    mismatch names the first failing pair in element order, then row order.
     """
     checks = 0
     for q in qs:
@@ -683,18 +726,17 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
         elems = _nonidentity(ctx)
         codes = mb.mat_codes(el.mat for el in elems)
         for n in ns_list:
-            st = action_state(ctx, n)
-            pair_elem, rows, kappa = st.shared_fixed_rows("nonidentity")
-            e0 = st.tabs.CHI[kappa]
-            e2 = mult.epsilon_closed_forms(elems, pair_elem, st.V[rows], ctx)
-            e1 = mult.epsilons(ctx, codes[pair_elem], st.V[rows])
+            pair_elem, forms, kappa = shared_fixed_forms(ctx, n, "nonidentity")
+            e0 = ff.tables(ctx).CHI[kappa]
+            e2 = mult.epsilon_closed_forms(elems, pair_elem, forms, ctx)
+            e1 = mult.epsilons(ctx, codes[pair_elem], forms)
             bad = np.flatnonzero((e0 != e1) | (e1 != e2))
             if len(bad):
                 b = bad[0]
                 _check(False, "eps: engine == sweep == closed form", q, n,
-                       elems[pair_elem[b]].mat, st.nset_at(rows[b]),
+                       elems[pair_elem[b]].mat, _nset_of(ctx, forms[b]),
                        (int(e0[b]), int(e1[b]), int(e2[b])))
-            checks += len(rows)
+            checks += len(forms)
     return {"suite": "eps", "checks": checks}
 
 
@@ -710,18 +752,19 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
         ambient = (("B", "the affine line"), ("C", "the torus"), ("A", "the punctured line"))
         ambient_codes = mb.mat_codes(rep_of[kind].mat for kind, _ in ambient)[:, None]
         for n in range(1, nmax + 1):
-            st = action_state(ctx, n)
             # the line, then the affine line, the torus and the line minus
             # a conjugate quadratic pair, each off the fixed locus of an
             # element of the kind: the quotient check at m = 1
+            st = ActionState(ctx, n)
             _check(st.count == a_p1(n, q), "counts: the line", q, n, st.count)
             off = np.count_nonzero(ns.fixed_point_counts(ctx, ambient_codes, st.V) == 0, 1)
+            del st  # freed before the next n builds its rows
             for (kind, name), got in zip(ambient, off.tolist()):
                 _check(got == free_count(q, kind, n), f"counts: {name}", q, n, got)
             checks += 4
             if n < 3:
                 continue
-            plain, twisted = _fixed_tallies(st, "subtypes", len(kinds))
+            plain, twisted = _fixed_tallies(ctx, n, "subtypes", len(kinds))
             for i, (kind, m) in enumerate(kinds):
                 _check(plain[i] == plain_fixed_count(q, n, kind, m), "counts: plain fixed",
                        q, n, kind, m, plain[i])
@@ -734,8 +777,7 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
         if q <= 5 and nmax >= 6:
             elems = _nonidentity(ctx)
             tallies: dict[tuple[str, int], set] = {}
-            for elem, tally in zip(elems, zip(*_fixed_tallies(action_state(ctx, 6), "nonidentity",
-                                                              len(elems)))):
+            for elem, tally in zip(elems, zip(*_fixed_tallies(ctx, 6, "nonidentity", len(elems)))):
                 tallies.setdefault((elem.kind, elem.order), set()).add(tally)
             for key, vals in tallies.items():
                 _check(len(vals) == 1, "counts: one tally per subtype", q, key, vals)
@@ -743,13 +785,13 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     return {"suite": "counts", "checks": checks}
 
 
-def _fixed_tallies(st: ActionState, stack: str, size: int) -> tuple[list[int], list[int]]:
+def _fixed_tallies(ctx: ff.FieldCtx, n: int, stack: str, size: int) -> tuple[list[int], list[int]]:
     """Per element of a shared stack of size elements, from its
-    shared_fixed_rows: the number of stable rows and twice the number with
-    chi(kappa) = 1, the plain and twisted fixed counts."""
-    elem, _, kappa = st.shared_fixed_rows(stack)
+    shared_fixed_forms: the number of fixed n-sets and twice the number
+    with chi(kappa) = 1, the plain and twisted fixed counts."""
+    elem, _, kappa = shared_fixed_forms(ctx, n, stack)
     plain = np.bincount(elem, minlength=size)
-    square = np.bincount(elem[st.tabs.CHI[kappa] == 1], minlength=size)
+    square = np.bincount(elem[ff.tables(ctx).CHI[kappa] == 1], minlength=size)
     return plain.tolist(), (2 * square).tolist()
 
 
@@ -873,8 +915,8 @@ def verify_cocycle(
     conjugation pairs are one multiplier.epsilons call.  The stabilizers
     come with their signs from _stabilizer_signs, one call per set and
     one per hom_sampled (q, n); hom_exhaustive reads them off the shared
-    "nonidentity" fixed rows, the rows in order of their first stabilizing
-    element.  Each set and each (q, n) is one _sign_homomorphisms call,
+    "nonidentity" fixed forms, grouped by form code, the n-sets in order
+    of their first stabilizing element.  Each set and each (q, n) is one _sign_homomorphisms call,
     and the closed forms on each test set (_STAB_TEST_SETS) one
     multiplier.epsilon_closed_forms call.  The (q, n) pairs of
     hom_exhaustive and hom_sampled take any odd prime power q and an even
@@ -887,8 +929,9 @@ def verify_cocycle(
     checks = 0
     k3 = ff.make_field(3, 1)
     pgl3 = mb.enumerate_pgl(k3)
-    st3 = action_state(k3, 6)
-    sample = [st3.nset_at(i) for i in range(4)]  # the first rows, in row order
+    # the first four 6-sets in row order: the smallest squarefree codes
+    sample = [ns.RationalNSet((*(c // 3**j % 3 for j in range(6)), 1), False)
+              for c in np.flatnonzero(squarefree_mask(k3, 6))[:4].tolist()]
     special = ns.make_nset(k3, ff.pmul(k3, (0, 2, 0, 1), (1, 0, 1)), True)
     sample.append(special)
     # every (set, rho, gam) triple in one batch, [s, r, g] = (S_s, rho_r, gam_g)
@@ -950,25 +993,26 @@ def verify_cocycle(
             checks += _sign_homomorphisms(ctx, group, elems, signs, lambda _: (q, s))
 
     # the same, over every stabilizer at once where the set space is small:
-    # the engine's nonidentity memberships, rows by their first member
+    # the engine's nonidentity memberships, grouped by form code, each
+    # group named by its first membership, the groups by their first member
     for q, n in hom_exhaustive:
         ctx = ff.make_field(*factor_prime_power(q))
-        st = action_state(ctx, n)
-        at, rows, kappa = st.shared_fixed_rows("nonidentity")
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        order = np.argsort(first[inverse], kind="stable")  # each row's members stay in order
+        at, forms, kappa = shared_fixed_forms(ctx, n, "nonidentity")
+        _, first, inverse = np.unique(form_codes(q, forms), return_index=True, return_inverse=True)
+        group = first[inverse]
+        order = np.argsort(group, kind="stable")  # each form's members stay in order
         nonid = np.flatnonzero([el.kind != "identity" for el in mb.enumerate_pgl(ctx)])
-        checks += _sign_homomorphisms(ctx, rows[order], nonid[at[order]],
-                                      st.tabs.CHI[kappa[order]], lambda r: (q, n, int(r)))
+        checks += _sign_homomorphisms(ctx, group[order], nonid[at[order]],
+                                      ff.tables(ctx).CHI[kappa[order]],
+                                      lambda i: (q, n, _nset_of(ctx, forms[i])))
 
     # where it is not, full stabilizers of engine-picked stable sets
     for q, n in hom_sampled:
         ctx = ff.make_field(*factor_prime_power(q))
-        st = action_state(ctx, n)
-        elem, fixed, _ = st.shared_fixed_rows("subtypes")
-        rows = [i for k in range(len(subtypes(q))) for i in fixed[elem == k][:20].tolist()]
-        checks += _sign_homomorphisms(ctx, *_stabilizer_signs(ctx, st.V[rows]),
-                                      lambda r: (q, n, st.nset_at(rows[r])))
+        elem, fixed, _ = shared_fixed_forms(ctx, n, "subtypes")
+        forms = np.concatenate([fixed[elem == k][:20] for k in range(len(subtypes(q)))])
+        checks += _sign_homomorphisms(ctx, *_stabilizer_signs(ctx, forms),
+                                      lambda r: (q, n, _nset_of(ctx, forms[r])))
     return {"suite": "cocycle", "checks": checks}
 
 
@@ -1023,8 +1067,8 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     A second pass cross-checks raw stable totals against the generating
     function of the joint orbits of the element and Frobenius.  Both passes
     run in one loop per q, on one field, subtype list and set of subtype
-    representatives, and read one ActionState per (q, N) with one
-    fixed_rows call on it for every representative.
+    representatives, and read the shared fixed_forms of every
+    representative per (q, N); no ActionState is built.
     """
     checks = 0
     for q in qs:
@@ -1036,12 +1080,11 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
         off = {}  # (subtype, n) -> its stable nm-sets off the fixed locus
         nm = {n * m for _, m in kinds for n in range(1, nmax // m + 1)}
         for size in sorted(nm | set(range(1, strata_nmax + 1))):
-            st = action_state(ctx, size)
-            elem, rows, _ = st.shared_fixed_rows("subtypes")
+            elem, forms, _ = shared_fixed_forms(ctx, size, "subtypes")
             totals[size] = np.bincount(elem, minlength=len(kinds)).tolist()
             if size > nmax:
                 continue
-            held = ns.fixed_point_counts(ctx, codes[elem], st.V[rows])
+            held = ns.fixed_point_counts(ctx, codes[elem], forms)
             free = np.bincount(elem[held == 0], minlength=len(kinds))
             for i, (_, m) in enumerate(kinds):
                 if size % m == 0:
@@ -1125,7 +1168,7 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
         nonsq = next(x for x in range(1, q) if ff.chi(x, ctx) == -1)
-        st = action_state(ctx, n)
+        st = ActionState(ctx, n)
         lab, key0, key1 = _parity_labels([st.dest_flip(mat) for mat in _generators(ctx)])
         count = st.count
         # twisted node i + count twists row i

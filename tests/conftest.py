@@ -1,12 +1,12 @@
 """Shared test set-up.
 
-The verification suites read one cached ActionState per (field, n)
-(oracle.action_state) and memoize the fixed rows of their shared stacks on
-it.  A state left warm by one test would hide a patch made by the next
-(a flipped ActionState.fixed_rows is never called on a memoized stack), so
-every test starts and ends with an empty cache.  The summary line reports
-the session's peak RSS, which includes what the cache holds while a test
-runs.
+The verification suites read the fixed n-set forms of their shared stacks
+from one memo per (field, n, stack) (oracle.shared_fixed_forms); no suite
+keeps an ActionState.  A memo left warm by one test would hide a patch
+made by the next (a flipped oracle.fixed_forms is never called on a
+memoized stack), so every test starts and ends with an empty memo.  The
+summary line reports the session's peak RSS, which includes what the
+memo and the squarefree masks hold while a test runs.
 """
 
 import resource
@@ -18,7 +18,7 @@ import pytest
 def _clear_engine_cache():
     oracle = sys.modules.get("hypcensus.oracle")  # never load the engine here
     if oracle is not None:
-        oracle.action_state.cache_clear()
+        oracle.shared_fixed_forms.cache_clear()
 
 
 @pytest.fixture(autouse=True)

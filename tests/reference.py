@@ -2,11 +2,12 @@
 
 Plain, slow and obviously right versions of what the package does in bulk,
 or small tools the checks need: the rational n-sets in the engine's row
-order, n-sets from their points and back, exact integer polynomial
-arithmetic, the per-set check that the sign is a homomorphism on a
-stabilizer, the randrange draws of the cocycle suite's random triples, the
-orbit census over every n-set row, the moduli and degrees of a conditional
-polynomial, and the recorded misprint of the bundled genus-9 table row.
+order, the rows that a stack of matrices fixes, n-sets from their points
+and back, exact integer polynomial arithmetic, the per-set check that the
+sign is a homomorphism on a stabilizer, the randrange draws of the cocycle
+suite's random triples, the orbit census over every n-set row, the moduli
+and degrees of a conditional polynomial, and the recorded misprint of the
+bundled genus-9 table row.
 """
 
 from math import gcd
@@ -16,7 +17,7 @@ import numpy as np
 from hypcensus import field as ff
 from hypcensus.census import VerificationError, factor_prime_power
 from hypcensus.moebius import IDENTITY, INF, GlMatrix, enumerate_pgl, fin, mat_det, pgl_table
-from hypcensus.nset import RationalNSet
+from hypcensus.nset import RationalNSet, act_forms, substitution_matrices
 from hypcensus.symbolic import poly_add, poly_eval, poly_norm
 from hypcensus.tables import HYP_ROW_KNOWN_DELTA
 
@@ -51,6 +52,23 @@ def enumerate_nsets(ctx, n: int):
             f = tuple(coeffs) + (1,)
             if ff.is_squarefree_poly(ctx, f):
                 yield RationalNSet(f, has_inf)
+
+
+def fixed_rows(ctx, v, mats):
+    """(element, row, kappa) of every row of v, the n-set forms of an
+    oracle.ActionState, fixed setwise by a matrix of the stack mats (entry
+    codes): each matrix maps every row by nset.act_forms, and a row is
+    fixed where its image is itself.  The full-state reference that
+    oracle.fixed_forms is held against, sorted by element and then by row
+    as fixed_forms sorts its forms."""
+    elem, rows, kappa = [], [], []
+    for e, t in enumerate(substitution_matrices(ctx, np.asarray(mats), v.shape[1] - 1)):
+        img, kap = act_forms(ctx, t, v)
+        fixed = np.flatnonzero((img == v).all(1))
+        elem.append(np.full(len(fixed), e))
+        rows.append(fixed)
+        kappa.append(kap[fixed])
+    return np.concatenate(elem), np.concatenate(rows), np.concatenate(kappa)
 
 
 def points_to_nset(ctx, pts) -> RationalNSet:

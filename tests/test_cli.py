@@ -329,16 +329,16 @@ def test_sign_homomorphism_checks_survive_python_O():
             "-c",
             "import numpy\n"
             "from hypcensus import field, oracle\n"
-            "fixed_rows = oracle.ActionState.fixed_rows\n"
-            "def flipped(self, mats):\n"
-            "    elem, rows, kappa = fixed_rows(self, mats)\n"
+            "fixed_forms = oracle.fixed_forms\n"
+            "def flipped(ctx, n, mats):\n"
+            "    elem, forms, kappa = fixed_forms(ctx, n, mats)\n"
             "    hit = numpy.flatnonzero((numpy.asarray(mats) == (0, 1, 1, 0)).all(-1))\n"
             "    if len(hit):\n"
             "        i = (elem == hit[0]).argmax()\n"
             "        kappa = kappa.copy()\n"
-            "        kappa[i] = self.tabs.MUL[field.mult_generator(self.ctx), kappa[i]]\n"
-            "    return elem, rows, kappa\n"
-            "oracle.ActionState.fixed_rows = flipped\n"
+            "        kappa[i] = field.tables(ctx).MUL[field.mult_generator(ctx), kappa[i]]\n"
+            "    return elem, forms, kappa\n"
+            "oracle.fixed_forms = flipped\n"
             f"oracle.verify_cocycle(triples=0, hom_exhaustive=(({p**e}, {n}),), hom_sampled=())\n",
         )
         assert res.returncode == 1, res.stdout
@@ -353,8 +353,12 @@ def test_sampled_sign_homomorphism_checks_survive_python_O():
     # per-set reference names on that set
     k = ff.make_field(5, 1)
     st = oc.ActionState(k, 8)
-    _, fixed, _ = st.fixed_rows(mo.mat_codes(el.mat for el in oc._subtype_reps(k)))
-    s = st.nset_at(int(fixed[0]))  # the first sampled set
+    codes = mo.mat_codes(el.mat for el in oc._subtype_reps(k))
+    elem, forms, kappa = oc.fixed_forms(k, 8, codes)
+    want_elem, rows, want_kappa = ref.fixed_rows(k, st.V, codes)
+    assert np.array_equal(elem, want_elem) and np.array_equal(kappa, want_kappa)
+    assert np.array_equal(forms, st.V[rows])
+    s = st.nset_at(int(rows[0]))  # the first sampled set
     stab = ns.stabilizer(s, k)
     signs = [mult.epsilon(el.mat, s, k) for el in stab]
     g = next(i for i, el in enumerate(stab) if el.kind != "identity")
@@ -385,7 +389,7 @@ def test_kernel_checks_survive_python_O():
     # one Gauss-Jordan step corrupted: after the pivot of column 0, the
     # first such matrix of the stack gets 1 added at the end of its pivot
     # row, so a kernel basis vector of x -> 1/x misses T v = lam v, and
-    # fixed_rows must raise under python -O before any sign is read
+    # fixed_forms must raise under python -O before any sign is read
     res = _run_optimized(
         "-c",
         "from hypcensus import field, oracle\n"
@@ -400,7 +404,7 @@ def test_kernel_checks_survive_python_O():
         "print(oracle.verify_epsilon(qs=(3,), ns_list=(4,)))",
     )
     assert res.returncode == 1, res.stdout
-    assert ("VerificationError: fixed_rows: T v == lam v on every kernel basis vector: "
+    assert ("VerificationError: fixed_forms: T v == lam v on every kernel basis vector: "
             "(3, 4, GlMatrix(a=0, b=1, c=1, d=0), 1, [0, 0, 0, 0, 1])") in res.stderr
 
 

@@ -226,10 +226,14 @@ def test_batched_signs_match_references_on_every_stable_pair(q):
     k = K(q)
     st = oc.ActionState(k, 6)
     elems = [e for e in mo.enumerate_pgl(k) if e.kind != "identity"]
-    which, rows, _ = st.fixed_rows(mo.mat_codes(e.mat for e in elems))
+    codes = mo.mat_codes(e.mat for e in elems)
+    which, forms, kappa = oc.fixed_forms(k, 6, codes)
+    want_which, rows, want_kappa = ref.fixed_rows(k, st.V, codes)
+    assert np.array_equal(which, want_which) and np.array_equal(kappa, want_kappa)
+    assert np.array_equal(forms, st.V[rows])
     pairs = [(elems[w], st.nset_at(i)) for w, i in zip(which.tolist(), rows.tolist())]
     # every stable pair of every element in one closed-form call
-    closed = mult.epsilon_closed_forms(elems, which, st.V[rows], k)
+    closed = mult.epsilon_closed_forms(elems, which, forms, k)
     assert closed.tolist() == [mult.epsilon_closed_form(e, s, k) for e, s in pairs]
     for e in elems:
         idx = np.flatnonzero(st.kappa_stable(e.mat)[1])
@@ -255,7 +259,11 @@ def test_batched_closed_form_names_the_first_bad_pair(monkeypatch):
     k = K(5)
     st = oc.ActionState(k, 6)
     elems = [e for e in mo.enumerate_pgl(k) if e.kind == "A"]
-    which, rows, _ = st.fixed_rows(mo.mat_codes(e.mat for e in elems))
+    codes = mo.mat_codes(e.mat for e in elems)
+    which, forms, kappa = oc.fixed_forms(k, 6, codes)
+    want_which, rows, want_kappa = ref.fixed_rows(k, st.V, codes)
+    assert np.array_equal(which, want_which) and np.array_equal(kappa, want_kappa)
+    assert np.array_equal(forms, st.V[rows])
     counts = ns.fixed_point_counts
     bad = [3, 7]
 
@@ -268,7 +276,7 @@ def test_batched_closed_form_names_the_first_bad_pair(monkeypatch):
     first = st.nset_at(int(rows[bad[0]]))
     want = re.escape(f"kind A has 1 of its fixed points in S: {first}")
     with pytest.raises(VerificationError, match=want):
-        mult.epsilon_closed_forms(elems, which, st.V[rows], k)
+        mult.epsilon_closed_forms(elems, which, forms, k)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])

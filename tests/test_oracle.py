@@ -2,10 +2,12 @@
 
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -231,33 +233,44 @@ def _assert_kernel_matches_reference(st, mat, g=None):
     "p,e,n", [(3, 1, n) for n in range(1, 9)]
     + [(5, 1, 4), (5, 1, 6), (7, 1, 4), (3, 2, 4), (5, 2, 2)])
 def test_column_kernel_matches_full_image(p, e, n):
-    # per element, and fixed_rows of all of PGL2 in one call: the stable
-    # (row, kappa) of each element, sorted by element and then by row
+    # per element, and fixed_forms of every nonidentity element in one
+    # call: the stable (form, kappa) of each element, sorted by element and
+    # then by row; the identity's every row comes from kappa_stable
     st = oc.ActionState(ff.make_field(p, e), n)
     pgl = mb.enumerate_pgl(st.ctx)
-    elem, rows, kappa = st.fixed_rows(mb.mat_codes(el.mat for el in pgl))
-    assert kappa.dtype == np.int16
+    nonid = [el for el in pgl if el.kind != "identity"]
+    elem, forms, kappa = oc.fixed_forms(st.ctx, n, mb.mat_codes(el.mat for el in nonid))
+    assert forms.dtype == kappa.dtype == np.int16 and forms.shape == (len(elem), n + 1)
+    rows = st.rows_of(oc.form_codes(st.ctx.q, forms))
     assert np.array_equal(np.lexsort((rows, elem)), np.arange(len(rows)))
-    for i, el in enumerate(pgl):
+    assert _assert_kernel_matches_reference(st, mb.IDENTITY)[1].all()
+    bounds = np.searchsorted(elem, np.arange(len(nonid) + 1))  # each element's forms
+    for i, el in enumerate(nonid):
         want_kappa, want_stable = _assert_kernel_matches_reference(st, el.mat)
-        mine = elem == i
-        assert np.array_equal(rows[mine], np.flatnonzero(want_stable)), el.mat
+        mine = slice(bounds[i], bounds[i + 1])
+        assert np.array_equal(forms[mine], st.V[want_stable]), el.mat
         assert np.array_equal(kappa[mine], want_kappa[want_stable]), el.mat
 
 
 @pytest.mark.parametrize("p,e,n", [(3, 1, 1), (5, 1, 4), (7, 1, 3), (3, 2, 2)])
 def test_fixed_rows_of_scalar_and_empty_stacks(p, e, n):
-    # (a, 0, 0, a) substitutes a^n times each form: every row, kappa a^n;
-    # an empty stack fixes nothing
+    # (a, 0, 0, a) substitutes a^n times each form, so it fixes every
+    # n-set: fixed_forms refuses it, alone or in a stack, and kappa_stable
+    # gives every row with kappa a^n; an empty stack fixes nothing
     ctx = ff.make_field(p, e)
     st = oc.ActionState(ctx, n)
     scalars = [(a, 0, 0, a) for a in range(1, ctx.q)]
-    elem, rows, kappa = st.fixed_rows(scalars)
-    assert np.array_equal(elem, np.repeat(np.arange(ctx.q - 1), st.count))
-    assert np.array_equal(rows, np.tile(np.arange(st.count), ctx.q - 1))
-    assert kappa.tolist() == [ff.pw(ctx, a, n) for a in range(1, ctx.q) for _ in range(st.count)]
-    for got in st.fixed_rows(np.zeros((0, 4), int)):
-        assert got.shape == (0,)
+    for stack in (scalars, [(1, 1, 0, 1), scalars[-1]]):
+        with pytest.raises(ValueError, match="a scalar matrix fixes every n-set"):
+            oc.fixed_forms(ctx, n, stack)
+    for a in range(1, ctx.q):
+        kappa, stable = st.kappa_stable(mb.GlMatrix(a, 0, 0, a))
+        assert stable.all() and kappa.dtype == np.int16
+        assert (kappa == ff.pw(ctx, a, n)).all()
+    elem, forms, kappa = oc.fixed_forms(ctx, n, np.zeros((0, 4), int))
+    assert elem.shape == kappa.shape == (0,) and forms.shape == (0, n + 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        oc.fixed_forms(ctx, 0, [(1, 1, 0, 1)])
 
 
 def test_column_kernel_matches_full_image_beyond_int16_sums():
@@ -426,17 +439,36 @@ def test_rootless_mask_count_check_trips(monkeypatch):
 
 def test_narrower_masks_build_a_subset_of_the_rows():
     # each block keeps exactly the codes of its mask, in code order, with
-    # the rows of the full state
+    # the rows of the full state; the row table spans only the code blocks
+    # the masks keep, and every other code reads -1
     ctx, n = ff.make_field(3, 1), 5
     full = oc.ActionState(ctx, n)
-    keep = [oc.squarefree_mask(ctx, n) & oc.rootless_mask(ctx, n), oc.squarefree_mask(ctx, n - 1)]
-    keep[1] = keep[1] & (np.arange(len(keep[1])) % 2 == 0)
-    st = oc.ActionState(ctx, n, keep)
-    codes = np.concatenate([np.flatnonzero(keep[0]), 3**n + np.flatnonzero(keep[1])])
-    assert st.count == len(codes) and st.n0 == np.count_nonzero(keep[0])
-    assert np.array_equal(st.V, full.V[full._row_of[codes]])
-    assert np.array_equal(st._row_of[codes], np.arange(st.count))
-    assert np.count_nonzero(st._row_of >= 0) == st.count
+    none = [np.zeros(3**d, bool) for d in (n, n - 1)]
+    rootless = oc.squarefree_mask(ctx, n) & oc.rootless_mask(ctx, n)
+    halved = oc.squarefree_mask(ctx, n - 1) & (np.arange(3 ** (n - 1)) % 2 == 0)
+    everything = np.arange(3**n + 3 ** (n - 1) + 5) - 2  # and a few codes out of range
+    for keep, span in (((rootless, halved), 3**n + 3 ** (n - 1)), ((rootless, none[1]), 3**n),
+                       ((none[0], halved), 3 ** (n - 1)), (none, 0)):
+        st = oc.ActionState(ctx, n, keep)
+        codes = np.concatenate([np.flatnonzero(keep[0]), 3**n + np.flatnonzero(keep[1])])
+        assert st.count == len(codes) and st.n0 == np.count_nonzero(keep[0])
+        assert len(st._row_of) == span
+        assert np.array_equal(st.V, full.V[full.rows_of(codes)])
+        assert np.array_equal(st.rows_of(codes), np.arange(st.count))
+        rows = st.rows_of(everything)
+        assert rows.dtype == np.int32 and np.count_nonzero(rows >= 0) == st.count
+
+
+def test_codes_outside_the_row_table_fail_as_rows():
+    # x -> 1/x takes a set through infinity but not 0 to one through 0 but
+    # not infinity, whose code lies below the table of the sets through
+    # infinity: the canonical-row check names it, with no IndexError
+    ctx, n = ff.make_field(3, 1), 4
+    through = (np.zeros(3**n, bool), oc.squarefree_mask(ctx, n - 1))
+    st = oc.ActionState(ctx, n, through)
+    assert len(st._row_of) == 3 ** (n - 1)
+    with pytest.raises(census.VerificationError, match="must be a canonical row"):
+        st.dest_flip(mb.GlMatrix(0, 1, 1, 0))
 
 
 def _pointless_rows(q, n):
@@ -1073,29 +1105,29 @@ def _reference_exhaustive_sign_homomorphism(ctx, n):
             members.append(gi)
             signs.append(sg)
     return sum(
-        ref.sign_homomorphism(ctx, members, signs, ctx.q, n, i)
+        ref.sign_homomorphism(ctx, members, signs, ctx.q, n, st.nset_at(i))
         for i, (members, signs) in stab_of.items()
     )
 
 
 def _flip_signs(monkeypatch, mat, pick):
-    """Make fixed_rows report a nonsquare multiple of kappa on the fixed
-    rows of mat that pick (an index or a slice into them) selects: the sign
-    of mat on those sets flips."""
-    fixed_rows = oc.ActionState.fixed_rows
+    """Make fixed_forms report a nonsquare multiple of kappa on the fixed
+    n-sets of mat that pick (an index or a slice into them) selects: the
+    sign of mat on those sets flips."""
+    fixed_forms = oc.fixed_forms
     codes = mb.mat_codes([mat])
 
-    def flipped(self, mats):
-        elem, rows, kappa = fixed_rows(self, mats)
+    def flipped(ctx, n, mats):
+        elem, forms, kappa = fixed_forms(ctx, n, mats)
         for k in np.flatnonzero((np.asarray(mats) == codes).all(-1)):
             mine = np.flatnonzero(elem == k)
             if len(mine):
                 mine = mine[pick]
                 kappa = kappa.copy()
-                kappa[mine] = self.tabs.MUL[ff.mult_generator(self.ctx), kappa[mine]]
-        return elem, rows, kappa
+                kappa[mine] = ff.tables(ctx).MUL[ff.mult_generator(ctx), kappa[mine]]
+        return elem, forms, kappa
 
-    monkeypatch.setattr(oc.ActionState, "fixed_rows", flipped)
+    monkeypatch.setattr(oc, "fixed_forms", flipped)
 
 
 def _exhaustive_cocycle(q, n):
@@ -1145,57 +1177,54 @@ REDUCED_CHECKS = {"cocycle": 162717, "eps": 3984, "counts": 164, "quot": 66, "po
                   "norm": 448, "orbit_lemma": 232}
 
 
-def _state_digest(st):
-    """Hash of everything a suite reads from a shared state: V, the row
-    table and the memoized fixed rows."""
-    h = hashlib.sha256()
-    for a in (st.V, st._row_of, *(x for key in sorted(st._shared) for x in st._shared[key])):
-        h.update(a.tobytes())
-    return h.hexdigest(), sorted(st._shared)
+# the (q, n) of the ActionStates each suite builds at those arguments
+REDUCED_BUILDS = {"counts": [(q, n) for q in (3, 5) for n in range(1, 9)], "points": [(3, 6)]}
 
 
-def test_shared_state_is_read_only():
-    ctx = ff.make_field(3, 1)
-    st = oc.action_state(ctx, 6)
-    assert oc.action_state(ctx, 6) is st
-    memo = st.shared_fixed_rows("nonidentity")
-    assert all(a is b for a, b in zip(st.shared_fixed_rows("nonidentity"), memo))
-    assert [a.tolist() for a in memo] == [a.tolist() for a in st.fixed_rows(
-        mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx) if el.kind != "identity"))]
-    for a in (st.V, st._row_of, *memo, *st.shared_fixed_rows("subtypes")):
-        with pytest.raises(ValueError, match="read-only"):
-            a[(0,) * a.ndim] = 1
+def test_suite_states_are_built_once_and_freed(monkeypatch):
+    # both orders, each cold and then warm: the pinned counts; eps, quot and
+    # cocycle build no ActionState, counts and points build each of their
+    # (q, n) once a sweep, and no state outlives its suite or an engine;
+    # the shared fixed forms are computed once, read-only, and a warm sweep
+    # reads them as they were
+    built, alive, memo = [], weakref.WeakSet(), []
+    init, fixed_forms = oc.ActionState.__init__, oc.fixed_forms
 
+    def recording(self, ctx, n, masks=None):
+        init(self, ctx, n, masks)
+        built.append((ctx.q, n))
+        alive.add(self)
 
-@pytest.mark.parametrize("order", [list(REDUCED_SUITES), list(REDUCED_SUITES)[::-1]],
-                         ids=["forward", "reversed"])
-def test_suites_share_states_in_any_order(monkeypatch, order):
-    # cold, then warm: the same pinned counts, every (q, n) built once, and
-    # the warm sweep builds nothing and leaves every shared state as it was
-    built = []
-    init = oc.ActionState.__init__
+    def computed(ctx, n, mats):
+        memo.append(fixed_forms(ctx, n, mats))
+        return memo[-1]
 
-    def recording(self, ctx, n):
-        init(self, ctx, n)
-        built.append(self)
+    def digest():
+        return hashlib.sha256(b"".join(a.tobytes() for x in memo for a in x)).hexdigest()
 
     monkeypatch.setattr(oc.ActionState, "__init__", recording)
-    for sweep in ("cold", "warm"):
-        got = {name: oc.verify_suite(name, **REDUCED_SUITES[name])["checks"] for name in order}
-        assert got == REDUCED_CHECKS, sweep
-        if sweep == "cold":
-            assert len(built) == len({(st.ctx, st.n) for st in built}) == 16
-            assert oc.action_state.cache_info().currsize == 16
-            digests = [_state_digest(st) for st in built]
-    assert len(built) == 16
-    assert [_state_digest(st) for st in built] == digests
-
-
-def test_engines_add_nothing_to_the_state_cache():
-    oc.action_state(ff.make_field(5, 1), 6)
-    before = oc.action_state.cache_info().currsize
+    monkeypatch.setattr(oc, "fixed_forms", computed)
+    for order in (list(REDUCED_SUITES), list(REDUCED_SUITES)[::-1]):
+        oc.shared_fixed_forms.cache_clear()
+        del memo[:]
+        for sweep in ("cold", "warm"):
+            for name in order:
+                del built[:]
+                got = oc.verify_suite(name, **REDUCED_SUITES[name])["checks"]
+                assert got == REDUCED_CHECKS[name], (sweep, name)
+                assert built == REDUCED_BUILDS.get(name, []), (sweep, name)
+                gc.collect()
+                assert not alive, (sweep, name)
+            if sweep == "cold":
+                cold = len(memo), digest()
+        assert (len(memo), digest()) == cold
+        assert len(memo) == oc.shared_fixed_forms.cache_info().currsize
+        for a in (a for x in memo for a in x):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
     assert oc.orbit_census(2, 5).hyp == oc.burnside_hyp(2, 5) == ANCHORS[(2, 5)][0]
-    assert oc.action_state.cache_info().currsize == before
+    gc.collect()
+    assert not alive
 
 
 def test_cache_clear_drops_the_fixed_row_memos(monkeypatch):
@@ -1205,6 +1234,6 @@ def test_cache_clear_drops_the_fixed_row_memos(monkeypatch):
     oc.verify_epsilon(qs=(3,), ns_list=(4,))
     _flip_signs(monkeypatch, mb.enumerate_pgl(ctx)[2].mat, 0)
     assert oc.verify_epsilon(qs=(3,), ns_list=(4,))["checks"] > 0
-    oc.action_state.cache_clear()
+    oc.shared_fixed_forms.cache_clear()
     with pytest.raises(census.VerificationError, match="eps: engine == sweep == closed form"):
         oc.verify_epsilon(qs=(3,), ns_list=(4,))
