@@ -1181,19 +1181,47 @@ REDUCED_CHECKS = {"cocycle": 162717, "eps": 3984, "counts": 164, "quot": 66, "po
 REDUCED_BUILDS = {"counts": [(q, n) for q in (3, 5) for n in range(1, 9)], "points": [(3, 6)]}
 
 
-def test_suite_states_are_built_once_and_freed(monkeypatch):
-    # both orders, each cold and then warm: the pinned counts; eps, quot and
-    # cocycle build no ActionState, counts and points build each of their
-    # (q, n) once a sweep, and no state outlives its suite or an engine;
-    # the shared fixed forms are computed once, read-only, and a warm sweep
-    # reads them as they were
-    built, alive, memo = [], weakref.WeakSet(), []
-    init, fixed_forms = oc.ActionState.__init__, oc.fixed_forms
+def _recording_states(monkeypatch):
+    """Patch ActionState.__init__ to record each build's (q, n) in a list
+    and the state in a WeakSet, which keeps only the states still alive."""
+    built, alive = [], weakref.WeakSet()
+    init = oc.ActionState.__init__
 
     def recording(self, ctx, n, masks=None):
         init(self, ctx, n, masks)
         built.append((ctx.q, n))
         alive.add(self)
+
+    monkeypatch.setattr(oc.ActionState, "__init__", recording)
+    return built, alive
+
+
+def test_shared_state_is_read_only():
+    # the suites share fixed forms, not states: a memo is computed once per
+    # (field, n, stack), equals a direct fixed_forms call and is read-only,
+    # like the V and row table of every ActionState
+    ctx = ff.make_field(3, 1)
+    memo = oc.shared_fixed_forms(ctx, 6, "nonidentity")
+    assert all(a is b for a, b in zip(oc.shared_fixed_forms(ctx, 6, "nonidentity"), memo))
+    assert [a.tolist() for a in memo] == [a.tolist() for a in oc.fixed_forms(
+        ctx, 6, mb.mat_codes(el.mat for el in mb.enumerate_pgl(ctx) if el.kind != "identity"))]
+    st = oc.ActionState(ctx, 6)
+    for a in (st.V, st._row_of, *memo, *oc.shared_fixed_forms(ctx, 6, "subtypes")):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("order", [list(REDUCED_SUITES), list(REDUCED_SUITES)[::-1]],
+                         ids=["forward", "reversed"])
+def test_suites_share_states_in_any_order(monkeypatch, order):
+    # cold, then warm: the pinned counts; eps, quot, cocycle, norm and
+    # orbit_lemma build no ActionState, counts and points build each of their
+    # (q, n) once a sweep, and no state outlives its suite; what the suites
+    # share, the fixed forms, is computed once and read as it was by the
+    # warm sweep
+    built, alive = _recording_states(monkeypatch)
+    memo = []
+    fixed_forms = oc.fixed_forms
 
     def computed(ctx, n, mats):
         memo.append(fixed_forms(ctx, n, mats))
@@ -1202,29 +1230,27 @@ def test_suite_states_are_built_once_and_freed(monkeypatch):
     def digest():
         return hashlib.sha256(b"".join(a.tobytes() for x in memo for a in x)).hexdigest()
 
-    monkeypatch.setattr(oc.ActionState, "__init__", recording)
     monkeypatch.setattr(oc, "fixed_forms", computed)
-    for order in (list(REDUCED_SUITES), list(REDUCED_SUITES)[::-1]):
-        oc.shared_fixed_forms.cache_clear()
-        del memo[:]
-        for sweep in ("cold", "warm"):
-            for name in order:
-                del built[:]
-                got = oc.verify_suite(name, **REDUCED_SUITES[name])["checks"]
-                assert got == REDUCED_CHECKS[name], (sweep, name)
-                assert built == REDUCED_BUILDS.get(name, []), (sweep, name)
-                gc.collect()
-                assert not alive, (sweep, name)
-            if sweep == "cold":
-                cold = len(memo), digest()
-        assert (len(memo), digest()) == cold
-        assert len(memo) == oc.shared_fixed_forms.cache_info().currsize
-        for a in (a for x in memo for a in x):
-            with pytest.raises(ValueError, match="read-only"):
-                a[(0,) * a.ndim] = 1
+    for sweep in ("cold", "warm"):
+        for name in order:
+            del built[:]
+            got = oc.verify_suite(name, **REDUCED_SUITES[name])["checks"]
+            assert got == REDUCED_CHECKS[name], (sweep, name)
+            assert built == REDUCED_BUILDS.get(name, []), (sweep, name)
+            gc.collect()
+            assert not alive, (sweep, name)
+        if sweep == "cold":
+            cold = len(memo), digest()
+    assert (len(memo), digest()) == cold
+    assert len(memo) == oc.shared_fixed_forms.cache_info().currsize
+
+
+def test_engines_add_nothing_to_the_state_cache(monkeypatch):
+    # the engines build their one-off states and free them
+    built, alive = _recording_states(monkeypatch)
     assert oc.orbit_census(2, 5).hyp == oc.burnside_hyp(2, 5) == ANCHORS[(2, 5)][0]
     gc.collect()
-    assert not alive
+    assert built and not alive
 
 
 def test_cache_clear_drops_the_fixed_row_memos(monkeypatch):
