@@ -91,6 +91,19 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
+def checked_characteristic(q: int, p: int) -> int:
+    """p as the characteristic of F_q, once a few integer divisions show
+    that p is odd and q a power of p (there is no primality test); raises
+    ValueError otherwise, since a wrong p picks wrong characteristic guards."""
+    q, p = index(q), index(p)
+    r = q
+    while p > 2 and r >= p and r % p == 0:
+        r //= p
+    if p < 3 or p % 2 == 0 or r != 1 or q == 1:
+        raise ValueError(f"q = {q} is not a power of an odd characteristic p = {p}")
+    return p
+
+
 def odd_prime_powers(limit: int) -> list[tuple[int, int]]:
     """All (q, p) with q = p^e an odd prime power, 3 <= q <= limit."""
     out = []

@@ -29,7 +29,17 @@ Every PGL2 action on forms reads it, and so do the substitution
 matrices themselves (the power columns of nset.substitution_matrices and
 their convolution), the products and canonical scaling of
 moebius.pgl_table and the squarefree sieve, so no other module branches
-on the field kind.
+on the field kind.  It returns int32 codes over a prime field (int64 once
+the sum could pass 2**31) and int16 codes over an extension field, always
+in a new array.  Over F_p it sums the products in int16 while they fit
+and reduces once, by a gather from a table of remainders.  Over F_(p^e)
+it works on packed digits: the e base-p digits of a code in fields of
+b = 15 // e bits of one int16, so that sums of codes are plain integer
+sums.  A digit field holds room = (2^b - 1) // (p - 1) terms; every room
+terms the sum is folded back to reduced digits by one table gather, and
+one more gather unpacks it to codes.  A field whose digit fields cannot
+hold two terms (2^b < 2p - 1; the least are 5^4 = 625, 3^6, 3^7, 7^4 and
+5^5) is refused before any table is built.
 kernels(ctx, a) gives the null spaces of a stack of square matrices by one
 batched Gauss-Jordan elimination over the same tables.
 
@@ -314,47 +324,118 @@ def log_arrays(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
+@functools.cache
+def _remainders(p: int) -> np.ndarray:
+    """[s] = s mod p as read-only int32, for every int16 sum 0 <= s < 2**15:
+    the residues 0 .. p - 1 repeated."""
+    rem = np.tile(np.arange(p, dtype=np.int32), -(-(2**15) // p))[: 2**15]
+    rem.flags.writeable = False
+    return rem
+
+
+class _Packed(NamedTuple):
+    """Extension-field codes as int16 integers that add digit by digit: the
+    e base-p digits of a code, each in its own field of b = 15 // e bits."""
+
+    MUL: np.ndarray  # int16 [x, y] = x * y, packed
+    FOLD: np.ndarray  # int16 [s] = each digit field of s reduced mod p, packed
+    UNPACK: np.ndarray  # int16 [s] = the code of FOLD[s]
+    room: int  # terms a sum holds before a digit field could carry
+
+
+@functools.cache
+def _packed(ctx: FieldCtx) -> _Packed:
+    """The read-only tables of dot over an extension field.  A field whose
+    b-bit digit fields cannot hold the sum of two reduced digits is refused
+    with ValueError before any table is built."""
+    p, e = ctx.p, ctx.e
+    b = 15 // e
+    room = (2**b - 1) // (p - 1)
+    if room < 2:
+        raise ValueError(f"F_{ctx.q}: a sum of two digits mod {p} does not fit "
+                         f"the {b}-bit digit fields of an int16")
+    reduced = np.arange(2**b) % p  # of each value of a digit field
+    packed = _place_sums(np.arange(p), 2**b, e)  # of each code
+    out = _Packed(packed[tables(ctx).MUL], _place_sums(reduced, 2**b, e),
+                  _place_sums(reduced, p, e), room)
+    for a in out[:3]:
+        a.flags.writeable = False
+    return out
+
+
+def _place_sums(vals: np.ndarray, place: int, e: int) -> np.ndarray:
+    """sum_i vals[d_i] place^i as int16 for every e-digit number in base
+    len(vals), in the order of that number (d_0 least significant), built
+    one digit at a time by an outer sum."""
+    out = np.zeros(1, np.intp)
+    for i in range(e):
+        out = (vals[:, None] * place**i + out).ravel()
+    return out.astype(np.int16)
+
+
+def _add(acc, term):
+    """acc + term, in place where the shapes and dtypes allow."""
+    if acc is None:
+        return term
+    if acc.shape == term.shape and acc.dtype == term.dtype:
+        acc += term
+        return acc
+    return acc + term  # a wider shape or dtype
+
+
 def dot(ctx: FieldCtx, pairs) -> np.ndarray:
     """The field sum of c * x over the pairs (c, x), elementwise over code
     arrays broadcast together; either factor may also be an int.  pairs may
     be a generator: a caller that leaves out the zero coefficients never
-    reads their columns.
+    reads their columns.  The result is always a new array of codes: int32
+    over a prime field (int64 once len(pairs) (p - 1)^2 reaches 2**31) and
+    int16 over an extension field.
 
-    Over a prime field the products are summed in int32, in place where
-    the shapes allow, and in int64 once len(pairs) (p - 1)^2 reaches 2**31;
-    the sum is reduced mod p once.  Over an extension field the terms are
-    int16 gathers from the flattened tables: a row of MUL for an int
-    coefficient, MUL at c q + x for an array one, and ADD at acc q + term;
-    a unit int coefficient reads its column as is, and the sum of one such
-    term is a copy, never the caller's array.
+    Over a prime field the products are summed in int16 while that bound
+    stays below 2**15, and reduced once by a gather from the table of
+    remainders mod p; a larger bound widens the sum to int32 or int64,
+    reduced once by np.mod.  Over an extension field each term is one
+    gather of packed digits (_packed): the b = 15 // e bits of each digit
+    field hold room = (2^b - 1) // (p - 1) terms, so the terms add as plain
+    int16 integers and every room terms the sum is folded back to reduced
+    digits through FOLD; one gather through UNPACK gives the codes.  An
+    int coefficient reads a row of the packed MUL, an array one MUL at
+    c q + x.  A lone term is one gather from tables(ctx).MUL instead, or a
+    copy for a unit int coefficient.  A field whose digit fields hold fewer
+    than two terms (2^b < 2p - 1, from 5^4 = 625 on) is refused with
+    ValueError, before any table is built: two reduced digits would carry
+    into the next field.
     """
     acc = None
     if ctx.e == 1:
         p, bound = ctx.p, 0
         for c, x in pairs:
             bound += (p - 1) ** 2  # the largest partial sum
-            term = np.multiply(x, c, dtype=np.int32 if bound < 2**31 else np.int64)
-            if acc is None:
-                acc = term
-            elif acc.shape == term.shape and acc.dtype == term.dtype:
-                acc += term
-            else:  # a wider shape or dtype
-                acc = acc + term
-        return np.mod(acc, p, out=acc)
-    q, tabs = ctx.q, tables(ctx)
-    add, mul = tabs.ADD.ravel(), tabs.MUL.ravel()
-    unit = None  # a column read as is, for a unit coefficient
-    for c, x in pairs:  # int16 codes, so the int32 indices c q + x stay below 2**30
-        if not isinstance(c, int):
-            term = mul.take(np.multiply(c, q, dtype=np.int32) + x)
-        elif c == 1 and isinstance(x, np.ndarray):
-            term = unit = x
-        else:
-            term = tabs.MUL[c].take(x)
-        acc = term if acc is None else add.take(np.multiply(acc, q, dtype=np.int32) + term)
-    if unit is not None and acc is unit:  # a lone unit term: never alias the caller's array
-        acc = acc.astype(tabs.MUL.dtype)
-    return acc
+            dtype = np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+            acc = _add(acc, np.multiply(x, c, dtype=dtype))
+        return _remainders(p).take(acc) if acc.dtype == np.int16 else np.mod(acc, p, out=acc)
+    pk, pairs = _packed(ctx), iter(pairs)
+    first = next(pairs)
+    for pair in pairs:
+        if acc is None:
+            acc, held = _gather(ctx, pk.MUL, *first), 1  # held: terms since the last fold
+        elif held == pk.room:
+            acc, held = pk.FOLD.take(acc), 1
+        acc, held = _add(acc, _gather(ctx, pk.MUL, *pair)), held + 1
+    if acc is not None:
+        return pk.UNPACK.take(acc)
+    c, x = first  # a lone term: its product is the sum
+    if isinstance(c, int) and c == 1:
+        return np.array(x, np.int16)
+    return _gather(ctx, tables(ctx).MUL, c, x)
+
+
+def _gather(ctx: FieldCtx, tab: np.ndarray, c, x) -> np.ndarray:
+    """tab[c, x] for a q x q table: a row for an int c, else the entries at
+    c q + x (int16 codes, so the int32 indices stay below 2**30)."""
+    if isinstance(c, int):
+        return tab[c].take(x)
+    return tab.ravel().take(np.multiply(c, ctx.q, dtype=np.int32) + x)
 
 
 def kernels(ctx: FieldCtx, a) -> tuple[np.ndarray, np.ndarray]:

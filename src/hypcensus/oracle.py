@@ -266,13 +266,6 @@ class ActionState:
         self._row_of = row_of
         self._code_lo = code_lo
 
-    def nset_at(self, i: int) -> ns.RationalNSet:
-        row = self.V[i]
-        n = self.n
-        if i < self.n0:
-            return ns.RationalNSet(tuple(int(row[n - j]) for j in range(n + 1)), False)
-        return ns.RationalNSet(tuple(int(row[n - j]) for j in range(n)), True)
-
     def _image_col(self, rows, trow) -> np.ndarray:
         """Image coefficient sum_k trow[k] V[rows, k] of the given rows (a
         slice or an index array), as codes; trow is one row of

@@ -50,7 +50,8 @@ from math import gcd
 from operator import add, index
 from typing import NamedTuple
 
-from .census import VerificationError, _divisor_phis, _prime_factors, factor_prime_power
+from .census import (VerificationError, _divisor_phis, _prime_factors, checked_characteristic,
+                     factor_prime_power)
 
 Poly = tuple[int, ...]
 
@@ -157,9 +158,10 @@ class ConditionalPolynomial(NamedTuple):
 
     def evaluate(self, q: int, p: int | None = None) -> int:
         """The value at q, whose characteristic p is found when not given.
-        q and p must be integers (numpy ones too): a float raises TypeError."""
+        q and p must be integers (numpy ones too): a float raises TypeError,
+        and a p that is not odd or of which q is not a power ValueError."""
         q = index(q)
-        p = factor_prime_power(q)[0] if p is None else index(p)
+        p = factor_prime_power(q)[0] if p is None else checked_characteristic(q, p)
         total = poly_eval(self.generic, q)
         for g, f in self.terms:
             if g.holds(q, p):

@@ -15,7 +15,7 @@ of hiding it; HYP_ROW_KNOWN_DELTA records the expected difference
 
 from __future__ import annotations
 
-from .census import factor_prime_power, odd_prime_powers
+from .census import checked_characteristic, factor_prime_power, odd_prime_powers
 from .symbolic import (
     ConditionalPolynomial,
     Guard,
@@ -281,9 +281,9 @@ HYP_ROW_KNOWN_DELTA: dict[int, tuple[Guard, Poly]] = {
 
 
 def table_value(which: str, g: int, q: int, p: int | None = None) -> int:
-    """The reference row of `which` ("hyp" or "sd") for genus g at q."""
-    if p is None:
-        p, _ = factor_prime_power(q)
+    """The reference row of `which` ("hyp" or "sd") for genus g at q; a
+    given characteristic p is checked by census.checked_characteristic."""
+    p = factor_prime_power(q)[0] if p is None else checked_characteristic(q, p)
     if which == "sd" and g % 2 == 1 and q % 4 == 1:
         return 0
     return (TABLE_HYP if which == "hyp" else TABLE_SD)[g].evaluate(q, p)

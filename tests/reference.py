@@ -2,12 +2,12 @@
 
 Plain, slow and obviously right versions of what the package does in bulk,
 or small tools the checks need: the rational n-sets in the engine's row
-order, the rows that a stack of matrices fixes, n-sets from their points
-and back, exact integer polynomial arithmetic, the per-set check that the
-sign is a homomorphism on a stabilizer, the randrange draws of the cocycle
-suite's random triples, the orbit census over every n-set row, the moduli
-and degrees of a conditional polynomial, and the recorded misprint of the
-bundled genus-9 table row.
+order and the n-set of one engine row, the rows that a stack of matrices
+fixes, n-sets from their points and back, exact integer polynomial
+arithmetic, the per-set check that the sign is a homomorphism on a
+stabilizer, the randrange draws of the cocycle suite's random triples, the
+orbit census over every n-set row, the moduli and degrees of a conditional
+polynomial, and the recorded misprint of the bundled genus-9 table row.
 """
 
 from math import gcd
@@ -52,6 +52,16 @@ def enumerate_nsets(ctx, n: int):
             f = tuple(coeffs) + (1,)
             if ff.is_squarefree_poly(ctx, f):
                 yield RationalNSet(f, has_inf)
+
+
+def nset_at(st, i: int) -> RationalNSet:
+    """The rational n-set of row i of an oracle.ActionState: V[i] read
+    back as a monic polynomial, of degree n before the rows through
+    infinity (from st.n0 on) and of degree n - 1 after."""
+    row, n = st.V[i], st.n
+    if i < st.n0:
+        return RationalNSet(tuple(int(row[n - j]) for j in range(n + 1)), False)
+    return RationalNSet(tuple(int(row[n - j]) for j in range(n)), True)
 
 
 def fixed_rows(ctx, v, mats):

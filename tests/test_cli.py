@@ -228,6 +228,14 @@ def test_checks_survive_python_O():
     assert "AGREES" in res.stdout
 
 
+def test_characteristic_checks_survive_python_O():
+    # a p of which q is not a power raises ValueError with asserts compiled out
+    for call in ("symbolic.symbolic_hyp(2).evaluate(9, 5)", "tables.table_value('hyp', 2, 9, 5)"):
+        res = _run_optimized("-c", f"from hypcensus import symbolic, tables\nprint({call})")
+        assert res.returncode == 1, res.stdout
+        assert "ValueError: q = 9 is not a power of an odd characteristic p = 5" in res.stderr
+
+
 def test_suite_checks_survive_python_O():
     # a wrong closed form must fail the eps suite even with asserts compiled
     # out, over F_3 and over F_9; F_9 needs n = 6, since every sign of a
@@ -278,7 +286,7 @@ def test_sweep_sign_checks_survive_python_O():
         if el.kind != "identity" and stable.any():
             i = int(np.flatnonzero(stable)[0])
             e0 = int(st.tabs.CHI[kappa[i]])
-            first = (3, 4, el.mat, st.nset_at(i), (e0, -e0, e0))
+            first = (3, 4, el.mat, ref.nset_at(st, i), (e0, -e0, e0))
             break
     res = _run_optimized(
         "-c",
@@ -358,7 +366,7 @@ def test_sampled_sign_homomorphism_checks_survive_python_O():
     want_elem, rows, want_kappa = ref.fixed_rows(k, st.V, codes)
     assert np.array_equal(elem, want_elem) and np.array_equal(kappa, want_kappa)
     assert np.array_equal(forms, st.V[rows])
-    s = st.nset_at(int(rows[0]))  # the first sampled set
+    s = ref.nset_at(st, int(rows[0]))  # the first sampled set
     stab = ns.stabilizer(s, k)
     signs = [mult.epsilon(el.mat, s, k) for el in stab]
     g = next(i for i, el in enumerate(stab) if el.kind != "identity")

@@ -368,6 +368,60 @@ def test_dot_matches_scalar_fold(p, e):
         assert got.dtype == (np.int64 if p == 32749 else np.int32)
 
 
+def _fold(k, pairs):
+    # the scalar field sum of c * x for int pairs, one add at a time
+    acc = 0
+    for c, x in pairs:
+        acc = ff.add(k, acc, ff.mul(k, c, x))
+    return acc
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
+def test_dot_at_the_fold_of_packed_sums(p, e):
+    # room terms fill each b-bit digit field of a packed sum; the sum is
+    # folded before term room + 1.  Every coefficient is q - 1, int and
+    # array ones in turn; the columns are q - 1 and 1, so the second
+    # column's products are q - 1, whose digits are all p - 1: there every
+    # digit field reaches (p - 1) room, its largest value before a fold
+    k = ff.make_field(p, e)
+    q, room = k.q, (2 ** (15 // e) - 1) // (p - 1)
+    x = np.array([q - 1, 1])
+    for terms in (room - 1, room, room + 1):
+        pairs = [(q - 1 if i % 2 else np.full((3, 1), q - 1), x) for i in range(terms)]
+        got = ff.dot(k, pairs)
+        want = [_fold(k, [(q - 1, int(xj))] * terms) for xj in x]
+        assert got.dtype == np.int16 and got.shape == (3, 2), (q, terms)
+        assert (got == want).all(), (q, terms, got[0].tolist(), want)
+
+
+@pytest.mark.parametrize("p,limit", [(3, 2**15), (131, 2**15), (131, 2**31), (32749, 2**31)])
+def test_dot_across_the_prime_field_dtype_bounds(p, limit):
+    # sums of (p - 1)^2 terms up to and past a bound on the partial sums:
+    # 2**15 ends the int16 sum, 2**31 the int32 one; an int16 or int32 sum
+    # carried past its bound would wrap by a multiple of 2**16, which p
+    # does not divide
+    k = ff.make_field(p, 1)
+    first = -(-limit // (p - 1) ** 2)  # the number of terms that reaches the bound
+    for terms in (first - 1, first, first + 1):
+        got = ff.dot(k, [(p - 1, np.array([p - 1, 1]))] * terms)
+        want = [_fold(k, [(p - 1, x)] * terms) for x in (p - 1, 1)]
+        assert got.tolist() == want, (p, terms)
+        assert got.dtype == (np.int64 if terms * (p - 1) ** 2 >= 2**31 else np.int32), (p, terms)
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (3, 6), (5, 4)])
+def test_dot_refuses_fields_whose_digit_fields_cannot_hold_a_sum(p, e):
+    # F_3^8: one bit a digit cannot hold p - 1; F_3^6 and F_5^4: the digit
+    # fields hold p - 1 but not the sum of two digits.  The refusal names q
+    # and comes before any table of the field is built or read
+    k = ff.make_field(p, e)
+    calls = ff.tables.cache_info()
+    with pytest.raises(ValueError, match=f"F_{k.q}:"):
+        ff.dot(k, [(1, np.arange(3)), (2, np.arange(3))])
+    after = ff.tables.cache_info()
+    assert after.hits + after.misses == calls.hits + calls.misses
+
+
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (3, 3)])
 def test_dot_lone_unit_term_is_a_copy(p, e):
     # a unit coefficient reads its column as is; the sum of that one term

@@ -231,13 +231,13 @@ def test_batched_signs_match_references_on_every_stable_pair(q):
     want_which, rows, want_kappa = ref.fixed_rows(k, st.V, codes)
     assert np.array_equal(which, want_which) and np.array_equal(kappa, want_kappa)
     assert np.array_equal(forms, st.V[rows])
-    pairs = [(elems[w], st.nset_at(i)) for w, i in zip(which.tolist(), rows.tolist())]
+    pairs = [(elems[w], ref.nset_at(st, i)) for w, i in zip(which.tolist(), rows.tolist())]
     # every stable pair of every element in one closed-form call
     closed = mult.epsilon_closed_forms(elems, which, forms, k)
     assert closed.tolist() == [mult.epsilon_closed_form(e, s, k) for e, s in pairs]
     for e in elems:
         idx = np.flatnonzero(st.kappa_stable(e.mat)[1])
-        sets = [st.nset_at(i) for i in idx.tolist()]
+        sets = [ref.nset_at(st, i) for i in idx.tolist()]
         swept = mult.epsilons(k, mo.mat_codes([e.mat]), st.V[idx])
         assert swept.tolist() == [mult.epsilon(e.mat, s, k) for s in sets], e
     assert len(pairs) == {3: 264, 5: 3720}[q]
@@ -273,7 +273,7 @@ def test_batched_closed_form_names_the_first_bad_pair(monkeypatch):
         return cnt
 
     monkeypatch.setattr(mult, "fixed_point_counts", miscounted)
-    first = st.nset_at(int(rows[bad[0]]))
+    first = ref.nset_at(st, int(rows[bad[0]]))
     want = re.escape(f"kind A has 1 of its fixed points in S: {first}")
     with pytest.raises(VerificationError, match=want):
         mult.epsilon_closed_forms(elems, which, forms, k)

@@ -158,6 +158,21 @@ def test_evaluate_and_build_reject_floats():
         sy.symbolic_sd(30.0)
 
 
+def test_evaluate_and_table_value_reject_a_wrong_characteristic():
+    # a p of which q is not a power would pick wrong characteristic guards
+    # (with p = 5 they sum to 1559 at q = 9, not hyp(2, 9) = 1557); even
+    # numbers are no characteristic.  table_value checks before its early
+    # sd return, here at odd g with q = 1 mod 4
+    assert sy.symbolic_hyp(2).evaluate(9, 3) == tables.table_value("hyp", 2, 9, 3) == 1557
+    assert tables.table_value("sd", 3, 9, 3) == 0
+    for q, p in ((9, 5), (10, 2), (8, 2), (9, 1), (1, 3), (0, 3), (3, 9), (25, -5)):
+        with pytest.raises(ValueError):
+            sy.symbolic_hyp(2).evaluate(q, p)
+    for which, g, q, p in (("hyp", 2, 9, 5), ("sd", 2, 9, 5), ("sd", 3, 9, 5), ("sd", 3, 5, 3)):
+        with pytest.raises(ValueError):
+            tables.table_value(which, g, q, p)
+
+
 def test_restrict_to_class():
     cp = sy.symbolic_sd(2)
     mod = ref.congruence_lcm(cp)
