@@ -94,7 +94,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 def checked_characteristic(q: int, p: int) -> int:
     """p as the characteristic of F_q, once a few integer divisions show
     that p is odd and q a power of p (there is no primality test); raises
-    ValueError otherwise, since a wrong p picks wrong characteristic guards."""
+    ValueError otherwise, so a p that does not fit q is refused, not ignored."""
     q, p = index(q), index(p)
     r = q
     while p > 2 and r >= p and r % p == 0:
@@ -145,7 +145,7 @@ def a0(n: int, q) -> int:
     n = int(n)
     s1 = -1 if ((n + 1) // 2) % 2 else 1
     s2 = -1 if (n // 2) % 2 else 1
-    return _exact_div(q ** (n + 1) - q**n - s1 * q + s2, q**2 + 1)
+    return _exact_div(q**n * (q - 1) - s1 * q + s2, q**2 + 1)
 
 
 def a1(n: int, q) -> int:
@@ -155,7 +155,7 @@ def a1(n: int, q) -> int:
     n = int(n)
     if n == 1:
         return 1
-    return q ** (n - 1) - q ** (n - 2)
+    return q ** (n - 2) * (q - 1)
 
 
 def a2(n: int, q) -> int:
@@ -179,7 +179,7 @@ def a_p1(n: int, q) -> int:
         return q + 1
     if n == 2:
         return q**2
-    return q**n - q ** (n - 2)
+    return q ** (n - 2) * (q**2 - 1)
 
 
 def _check_order(q: int, kind: str, m: int) -> None:

@@ -36,11 +36,13 @@ another pass would change nothing.
 Memos: every one is a module-level dict named *_CACHE: the raw hyp and
 sd forms per genus, both from one expansion (_RAW_CACHE), the simplified
 form per (target, genus) (_FORM_CACHE) and, per modulus, its number
-theory (_MODULUS_CACHE: prime factors, divisors with phi of each, chain
-residues; _ACHIEVE_CACHE: the achievable residues).  Nothing else here
-keeps computed data, and no function is wrapped in a functools cache, so
-clearing the *_CACHE dicts together gives a cold build; the census
-benchmark does that before every query.
+theory (_MODULUS_CACHE: prime factors, divisors with phi of each;
+_CHAIN_CACHE: the chain residues, computed when first read, since most
+lcm moduli of the cover-merge screen never need them; _ACHIEVE_CACHE:
+the achievable residues).  Nothing else here keeps computed data, and no
+function is wrapped in a functools cache, so clearing the *_CACHE dicts
+together gives a cold build; the census benchmark does that before every
+query.
 """
 
 from __future__ import annotations
@@ -77,10 +79,21 @@ def poly_scale(k: int, f: Poly) -> Poly:
     return tuple([k * c for c in f])
 
 
-def poly_eval(f: Poly, q: int) -> int:
+def poly_eval(f, q: int) -> int:
+    """f(q) for a coefficient tuple or list f.  Past 8 coefficients, Horner
+    runs in q^4: each step folds four coefficients c0 + c1 q + c2 q^2 +
+    c3 q^3 as small ints, so the growing value takes a quarter of the big
+    multiplications."""
+    n = len(f)
+    top = n if n <= 8 else n % 4
     acc = 0
-    for c in reversed(f):
+    for c in reversed(f[n - top:]):
         acc = acc * q + c
+    if top < n:
+        q2 = q * q
+        q3, q4 = q2 * q, q2 * q2
+        for i in range(n - top - 4, -1, -4):
+            acc = acc * q4 + (f[i] + f[i + 1] * q + f[i + 2] * q2 + f[i + 3] * q3)
     return acc
 
 
@@ -117,25 +130,20 @@ class Guard(NamedTuple):
     char_eq: int | None = None
     char_gt: int | None = None
 
-    def holds(self, q: int, p: int) -> bool:
+    def holds(self, q: int) -> bool:
+        """Whether the guard holds at the odd prime power q.  q alone
+        decides the characteristic: p = char_eq when char_eq divides q, and
+        p > char_gt when no prime up to char_gt does."""
         if q % self.mod not in self.residues:
             return False
-        if self.char_eq is not None and p != self.char_eq:
+        if self.char_eq is not None and q % self.char_eq:
             return False
-        if self.char_gt is not None and p <= self.char_gt:
+        if self.char_gt is not None and not all(q % d for d in range(2, self.char_gt + 1)):
             return False
         return True
 
     def is_always_true(self) -> bool:
         return self.mod == 1 and self.char_eq is None and self.char_gt is None
-
-    def key(self):
-        return (
-            self.mod,
-            tuple(sorted(self.residues)),
-            self.char_eq or 0,
-            self.char_gt or 0,
-        )
 
 
 def guard_str(g: Guard) -> str:
@@ -157,16 +165,21 @@ class ConditionalPolynomial(NamedTuple):
     terms: tuple[tuple[Guard, Poly], ...] = ()
 
     def evaluate(self, q: int, p: int | None = None) -> int:
-        """The value at q, whose characteristic p is found when not given.
-        q and p must be integers (numpy ones too): a float raises TypeError,
-        and a p that is not odd or of which q is not a power ValueError."""
+        """The value at q, checked to be an odd prime power, or a power of
+        p when p is given.  q and p must be integers (numpy ones too): a
+        float raises TypeError, and a p that is not odd or of which q is not
+        a power ValueError.  The active terms are added into the generic
+        coefficients, and the sum is evaluated once."""
         q = index(q)
-        p = factor_prime_power(q)[0] if p is None else checked_characteristic(q, p)
-        total = poly_eval(self.generic, q)
+        if p is None:
+            factor_prime_power(q)
+        else:
+            checked_characteristic(q, p)
+        acc = list(self.generic)
         for g, f in self.terms:
-            if g.holds(q, p):
-                total += poly_eval(f, q)
-        return total
+            if g.holds(q):
+                _add_into(acc, f)
+        return poly_eval(acc, q)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +194,22 @@ class _Modulus(NamedTuple):
     mod: int
     primes: list[int]
     phi_of: dict[int, int]
-    chain: frozenset[int]
+
+    @property
+    def chain(self) -> frozenset[int]:
+        """The chain residues, computed when first read (_CHAIN_CACHE)."""
+        hit = _CHAIN_CACHE.get(self.mod)
+        if hit is None:
+            hit = _CHAIN_CACHE[self.mod] = frozenset().union(
+                *(_powers(ell, self.mod) for ell in self.primes if ell != 2))
+        return hit
 
 
 _MODULUS_CACHE: dict[int, _Modulus] = {}
-# built from the _Modulus entry on demand: the lcm moduli of
-# _try_cover_merge run to 10^5, and most never need their residue set
+# the chain residues and the achievable residues, both built on demand: the
+# lcm moduli of _try_cover_merge run to 10^5, and its unit screen reads
+# only phi of most of them
+_CHAIN_CACHE: dict[int, frozenset[int]] = {}
 _ACHIEVE_CACHE: dict[int, frozenset[int]] = {}
 
 
@@ -205,8 +228,7 @@ def _modulus(mod: int) -> _Modulus:
     hit = _MODULUS_CACHE.get(mod)
     if hit is None:
         primes = _prime_factors(mod)
-        chain = frozenset().union(*(_powers(ell, mod) for ell in primes if ell != 2))
-        hit = _MODULUS_CACHE[mod] = _Modulus(mod, primes, _divisor_phis(mod, primes), chain)
+        hit = _MODULUS_CACHE[mod] = _Modulus(mod, primes, _divisor_phis(mod, primes))
     return hit
 
 
@@ -356,27 +378,17 @@ def _raw_forms(g: int) -> tuple[ConditionalPolynomial, ConditionalPolynomial]:
 # simplification
 
 
-def _normalize_term(g: Guard, f: Poly):
-    """Prune unreachable residues; None-out dead terms; detach congruences
-    that hold for every admissible q."""
-    f = poly_norm(f)
-    if not f:
-        return None
+def _normalize_guard(g: Guard) -> Guard | None:
+    """Prune unreachable residues; None for a guard no odd prime power
+    meets; detach congruences that hold for every admissible q."""
     if g.mod > 1:
-        if g.mod > 2 and len(g.residues) == 1:
-            # a lone unit mod M > 2 is achievable, and is not all of the
-            # achievable set, which holds phi(M) > 1 units
-            (r,) = g.residues
-            if r < g.mod and gcd(r, g.mod) == 1:
-                return g, f
         res = _achievable_in(g.mod, g.residues)
         if not res:
             return None
         if res == achievable_residues(g.mod):
-            g = Guard(1, frozenset({0}), g.char_eq, g.char_gt)
-        else:
-            g = Guard(g.mod, res, g.char_eq, g.char_gt)
-    return g, f
+            return Guard(1, frozenset({0}), g.char_eq, g.char_gt)
+        return Guard(g.mod, res, g.char_eq, g.char_gt)
+    return g
 
 
 def _char_coverage(mod: int, ell: int) -> frozenset[int] | None:
@@ -525,10 +537,19 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
     generic = list(cp.generic)
     terms: list[tuple[Guard, Poly]] = []
     for g, f in cp.terms:
-        norm = _normalize_term(g, f)
-        if norm is None:
+        f = poly_norm(f)
+        if not f:
             continue
-        g, f = norm
+        if g.mod > 2 and len(g.residues) == 1:
+            # a lone unit mod M > 2 is achievable, and is not all of the
+            # achievable set, which holds phi(M) > 1 units
+            (r,) = g.residues
+            if r < g.mod and gcd(r, g.mod) == 1:
+                terms.append((g, f))
+                continue
+        g = _normalize_guard(g)
+        if g is None:
+            continue
         if g.is_always_true():
             _add_into(generic, f)
         else:
@@ -587,7 +608,8 @@ def simplify(cp: ConditionalPolynomial) -> ConditionalPolynomial:
         terms = [(g, k[3]) for k, g in bykey.items()]
         terms += apart
 
-    terms.sort(key=lambda t: (t[0].key(), t[1]))
+    terms.sort(key=lambda t: (t[0].mod, sorted(t[0].residues), t[0].char_eq or 0,
+                              t[0].char_gt or 0, t[1]))
     return ConditionalPolynomial(poly_norm(generic), tuple(terms))
 
 

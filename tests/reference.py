@@ -4,10 +4,12 @@ Plain, slow and obviously right versions of what the package does in bulk,
 or small tools the checks need: the rational n-sets in the engine's row
 order and the n-set of one engine row, the rows that a stack of matrices
 fixes, n-sets from their points and back, exact integer polynomial
-arithmetic, the per-set check that the sign is a homomorphism on a
-stabilizer, the randrange draws of the cocycle suite's random triples, the
-orbit census over every n-set row, the moduli and degrees of a conditional
-polynomial, and the recorded misprint of the bundled genus-9 table row.
+arithmetic with the plain Horner evaluation, a conditional polynomial
+evaluated one term at a time, the per-set check that the sign is a
+homomorphism on a stabilizer, the randrange draws of the cocycle suite's
+random triples, the orbit census over every n-set row, the moduli and
+degrees of a conditional polynomial, and the recorded misprint of the
+bundled genus-9 table row.
 """
 
 from math import gcd
@@ -185,6 +187,21 @@ def poly_degree(f) -> int:
     return len(f) - 1
 
 
+def poly_eval_horner(f, q: int) -> int:
+    """f(q) by the plain Horner loop, one coefficient a step."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * q + c
+    return acc
+
+
+def evaluate_per_term(cp, q: int) -> int:
+    """cp at q as one Horner for the generic part plus one for each term
+    whose guard holds."""
+    return poly_eval_horner(cp.generic, q) + sum(
+        poly_eval_horner(f, q) for g, f in cp.terms if g.holds(q))
+
+
 def poly_neg(f):
     return tuple(-c for c in f)
 
@@ -245,5 +262,4 @@ def known_delta_value(g: int, q: int) -> int:
     if hit is None:
         return 0
     guard, poly = hit
-    p, _ = factor_prime_power(q)
-    return poly_eval(poly, q) if guard.holds(q, p) else 0
+    return poly_eval(poly, q) if guard.holds(q) else 0

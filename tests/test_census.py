@@ -43,6 +43,20 @@ def test_building_blocks_small_values():
     assert census.a_p1(2, 7) == 49
 
 
+def test_building_blocks_match_their_two_power_forms():
+    # a0, a1 and a_p1 raise q to one power; these forms raise it to two
+    for q in range(2, 100):
+        for n in range(1, 81):
+            s1 = -1 if ((n + 1) // 2) % 2 else 1
+            s2 = -1 if (n // 2) % 2 else 1
+            quot, rem = divmod(q ** (n + 1) - q**n - s1 * q + s2, q**2 + 1)
+            assert rem == 0 and census.a0(n, q) == quot, (n, q)
+            if n >= 2:
+                assert census.a1(n, q) == q ** (n - 1) - q ** (n - 2), (n, q)
+            if n >= 3:
+                assert census.a_p1(n, q) == q**n - q ** (n - 2), (n, q)
+
+
 def test_building_blocks_reject_bad_args():
     for fn in (census.a0, census.a1, census.a2, census.a_p1):
         assert fn(0, 5) == 0

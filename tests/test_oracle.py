@@ -342,8 +342,9 @@ def test_extension_gathers_match_full_image_on_f27():
 
 
 def test_extension_gathers_beyond_int16_indices():
-    # over F_243 the flat ADD index acc * q + term reaches 243**2 - 1,
-    # past int16
+    # over F_243 the MUL gather index c * q + x runs to 243**2 - 1, past
+    # int16, and each digit field of a packed sum holds room = 3 terms
+    # between folds
     ctx = ff.make_field(3, 5)
     st = oc.ActionState(ctx, 2)
     for mat in (*oc._generators(ctx), mb.GlMatrix(200, 17, 99, 242)):

@@ -61,17 +61,31 @@ def test_a_polys_reject_n_below_1():
 
 def test_guard_holds():
     g = sy.Guard(mod=8, residues=frozenset({1, 3}))
-    assert g.holds(9, 3)
-    assert g.holds(17, 17)
-    assert not g.holds(7, 7)
+    assert g.holds(9)
+    assert g.holds(17)
+    assert not g.holds(7)
     c = sy.Guard(char_eq=5)
-    assert c.holds(25, 5)
-    assert not c.holds(27, 3)
+    assert c.holds(25)
+    assert not c.holds(27)
     both = sy.Guard(mod=3, residues=frozenset({1}), char_eq=7)
-    assert both.holds(7, 7)
-    assert not both.holds(13, 13)
+    assert both.holds(7)
+    assert not both.holds(13)
     assert sy.Guard().is_always_true()
     assert not g.is_always_true()
+    # q alone decides the characteristic conditions (char_eq is a prime):
+    # p = 3 at q = 81, which a caller could also write as a power of 9
+    assert sy.Guard(char_eq=3).holds(81)
+    assert not sy.Guard(char_eq=5).holds(81)
+    assert not sy.Guard(char_eq=3).holds(625)
+    assert sy.Guard(char_eq=5).holds(625)
+    gt = sy.Guard(char_gt=3)
+    qs = (3, 5, 7, 9, 25, 27, 49, 81, 121, 625, 729)
+    assert [q for q in qs if gt.holds(q)] == [5, 7, 25, 49, 121, 625]
+    assert not sy.Guard(char_gt=5).holds(625)
+    assert sy.Guard(char_gt=4).holds(625)
+    assert sy.Guard(mod=4, residues=frozenset({1}), char_gt=3).holds(625)
+    assert not sy.Guard(mod=4, residues=frozenset({1}), char_gt=3).holds(343)
+    assert not sy.Guard(mod=4, residues=frozenset({1}), char_gt=3).holds(81)
 
 
 def test_achievable_residues():
@@ -171,6 +185,67 @@ def test_evaluate_and_table_value_reject_a_wrong_characteristic():
     for which, g, q, p in (("hyp", 2, 9, 5), ("sd", 2, 9, 5), ("sd", 3, 9, 5), ("sd", 3, 5, 3)):
         with pytest.raises(ValueError):
             tables.table_value(which, g, q, p)
+
+
+def test_evaluate_and_table_value_read_the_characteristic_from_q():
+    # a composite p of which q is a power passes the characteristic check;
+    # the guards read the true characteristic from q, so the value is the
+    # one at p = None
+    assert sy.symbolic_hyp(4).evaluate(81, 9) == census.hyp(4, 81) == 45753627970091
+    pairs = ((81, 9), (729, 27), (729, 9), (625, 25), (81, 3), (729, 3), (625, 5))
+    for g in range(2, 40):
+        for which in ("hyp", "sd"):
+            cp = getattr(sy, f"symbolic_{which}")(g)
+            for q, p in pairs:
+                want = getattr(census, which)(g, q)
+                assert cp.evaluate(q, p) == cp.evaluate(q) == want, (which, g, q, p)
+                assert cp.evaluate(np.int64(q), np.int64(p)) == want, (which, g, q, p)
+    for g in tables.TABLE_GENUS_RANGE:
+        for which in ("hyp", "sd"):
+            for q, p in pairs:
+                want = tables.table_value(which, g, q)
+                assert tables.table_value(which, g, q, p) == want, (which, g, q, p)
+
+
+def test_poly_eval_matches_plain_horner():
+    # Horner in q^4 past 8 coefficients, with the 0 to 3 top ones first
+    rng = random.Random(33)
+    for q in (3, 9973, 3**40, 2**61 - 1):
+        for n in range(41):
+            f = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(n)]
+            want = ref.poly_eval_horner(f, q)
+            assert sy.poly_eval(f, q) == sy.poly_eval(tuple(f), q) == want, (q, f)
+            assert sy.poly_eval(f, -q) == ref.poly_eval_horner(f, -q), (q, f)
+
+
+def test_evaluate_matches_the_sum_over_terms():
+    # evaluate adds the active terms into the generic coefficients and runs
+    # one Horner; the sum of one Horner per term must agree
+    qs = [q for q, _ in census.odd_prime_powers(300)] + [3**20]
+    for g in range(2, 61):
+        for cp in (sy.symbolic_hyp(g), sy.symbolic_sd(g)):
+            for q in qs:
+                assert cp.evaluate(q) == ref.evaluate_per_term(cp, q), (g, q)
+    guard = sy.Guard(4, frozenset({1}))
+    empty_generic = sy.ConditionalPolynomial((), ((guard, (5, 0, -1)), (sy.Guard(char_eq=3), (7,))))
+    long_term = sy.ConditionalPolynomial((1, 2), ((guard, tuple(range(-10, 11))),))
+    for cp in (empty_generic, long_term):
+        for q in (3, 5, 9, 13, 27, 3**20):
+            assert cp.evaluate(q) == ref.evaluate_per_term(cp, q), (cp, q)
+    assert empty_generic.evaluate(7) == 0
+    assert long_term.evaluate(7) == 15
+    assert long_term.evaluate(5) == 11 + ref.poly_eval_horner(range(-10, 11), 5)
+
+
+def test_chain_residues_are_built_on_demand():
+    # the cover-merge screen reads only phi of most lcm moduli, so a cold
+    # build computes chain residues for fewer moduli than it factors
+    _clear_caches()
+    for g in range(2, 201):
+        sy.symbolic_hyp(g)
+        sy.symbolic_sd(g)
+    assert 0 < len(sy._CHAIN_CACHE) < len(sy._MODULUS_CACHE)
+    assert set(sy._CHAIN_CACHE) <= set(sy._MODULUS_CACHE)
 
 
 def test_restrict_to_class():
