@@ -59,15 +59,19 @@ squarefree_mask, as read-only arrays, so no suite can change what the
 next one reads.  The counts and quot suites check them against the
 census rule for fixed n-sets: the forms holding none of an element's
 fixed points, from one stacked nset.fixed_point_counts call, against
-free_count.
-Only counts (for its ambient totals over every row) and points (for its
-orbit labels) build an ActionState, one per (q, n), and free it when they
-are done with it; so do orbit_census and burnside_hyp.  No state outlives
-its call: after the seven suites at small arguments (the benchmark's
-verify pass) only the masks and the fixed-form memo stay, and
-shared_fixed_forms.cache_clear() frees the memo.  eps and quot at F_9
-hold no n = 8 rows, only the 43 MB squarefree mask of degree 8 and the
-fixed forms.
+free_count.  The counts suite's ambient totals read every n-set, but a
+block of rows at a time (_form_blocks, at most _ROW_BLOCK monic codes a
+block, filled by the same _fill_rows as ActionState's V), and keep only
+sums.
+Only points (for its orbit labels) builds an ActionState, one per (q, n),
+and frees it when it is done with it; so do orbit_census and
+burnside_hyp.  No state outlives its call: after the seven suites at
+small arguments (the benchmark's verify pass) only the masks and the
+fixed-form memo stay, and shared_fixed_forms.cache_clear() frees the
+memo.  eps, quot and counts at F_9 hold no full n = 8 rows, only the
+43 MB squarefree mask of degree 8, the fixed forms and, for counts, one
+block.  A suite whose arguments leave it nothing to check (no field, no
+degree) is refused with ValueError, since 0 checks would read as a pass.
 A suite builds the field of each q it is given as
 make_field(*factor_prime_power(q)), so it runs the same code for every
 odd prime power q and refuses any other q.
@@ -126,6 +130,15 @@ def _check(ok, what: str, *where) -> None:
     assert, python -O cannot strip it."""
     if not ok:
         raise VerificationError(f"{what}: {where}" if where else what)
+
+
+def _refuse_empty(suite: str, *sizes: tuple[str, int]) -> None:
+    """Raise ValueError for the first (name, size) with size below 1 (a
+    field count, a degree count or bound): a suite left nothing to check
+    would pass with 0 checks."""
+    for name, size in sizes:
+        if size < 1:
+            raise ValueError(f"suite {suite}: {name} = {size} leaves nothing to check")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +219,30 @@ def rootless_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
     return mask
 
 
+def _fill_rows(v: np.ndarray, q: int, mask: np.ndarray, lead: int, high=()) -> None:
+    """Fill v (int16 zeros, n+1 columns, one row per code the mask keeps)
+    with the forms of those codes: monic codes of degree n - lead whose
+    lowest k digits run through all q**k values, len(mask) = q**k, in code
+    order, and whose digits above them are the constants high, lowest
+    first.  Column lead is 1 and the columns before it stay 0.
+
+    No division: in code order, digit j runs through arange(q) in runs of
+    q**j codes, so its column repeats each digit as often as the mask keeps
+    codes in that run (a mask select for j = 0, run counts summed up level
+    by level), and each fixed digit is one constant column."""
+    n = v.shape[1] - 1
+    k = n - lead - len(high)
+    v[:, lead] = 1
+    ar = np.arange(q, dtype=np.int16)
+    runs = mask  # kept codes in each run of q**j codes that share digit j
+    for j in range(k):  # the x^j coefficient is column n - j
+        digit = np.tile(ar, len(runs) // q)
+        v[:, n - j] = digit[runs] if j == 0 else np.repeat(digit, runs)
+        runs = runs.reshape(-1, q).sum(1)
+    for j, digit in enumerate(high, k):
+        v[:, n - j] = digit
+
+
 class ActionState:
     """Every rational n-set over ctx as a canonical form row, with the
     vectorized matrix action.
@@ -218,10 +255,8 @@ class ActionState:
     monic squarefree f.  V[r, i] is the X^(n-i) Z^i coefficient of row r;
     V is stored column-major, since the action reads it a column at a time.
 
-    V is filled a column at a time from the sieve, with no division: in
-    code order, digit j runs through arange(q) in runs of q**j codes, so
-    its column repeats each digit as often as the sieve keeps codes in that
-    run (a mask select for j = 0, run counts summed up level by level).
+    V is filled a code block at a time by _fill_rows, the fill that
+    _form_blocks streams the same rows with.
 
     masks, the codes each block keeps (over the q**n and q**(n-1) monic
     codes), defaults to the two squarefree masks, every n-set; the orbit
@@ -248,16 +283,10 @@ class ActionState:
         row_of = np.full((q**n + q ** (n - 1) if count > n0 else q**n) - code_lo, -1, np.int32)
         blocks = ((slice(0, n0), slice(0, q**n)),
                   (slice(n0, count), slice(q**n - code_lo, None)))
-        ar = np.arange(q, dtype=np.int16)
         for lead, (mask, (rows, codes)) in enumerate(zip(masks, blocks)):
             if rows.start == rows.stop:  # a block the masks leave empty costs nothing
                 continue
-            v[rows, lead] = 1
-            runs = mask  # sieved codes in each run of q**j codes that share digit j
-            for j in range(n - lead):  # the x^j coefficient is column n - j
-                digit = np.tile(ar, len(runs) // q)
-                v[rows, n - j] = digit[runs] if j == 0 else np.repeat(digit, runs)
-                runs = runs.reshape(-1, q).sum(1)
+            _fill_rows(v[rows], q, mask, lead)
             row_of[codes][mask] = np.arange(rows.start, rows.stop, dtype=np.int32)
         v.flags.writeable = row_of.flags.writeable = False
         self.n0 = n0
@@ -370,7 +399,33 @@ def form_codes(q: int, forms) -> np.ndarray:
     return forms[:, 1:] @ weight + np.where(forms[:, 0] == 0, q**n - q ** (n - 1), 0)
 
 
+_ROW_BLOCK = 2**17  # monic codes a block of _form_blocks, to bound its rows
 _KERNEL_BLOCK = 2**16  # kernel vectors a chunk of fixed_forms, to bound its temporaries
+
+
+def _form_blocks(ctx: ff.FieldCtx, n: int):
+    """The form rows (int16, n+1, column-major) of every n-set over ctx in
+    ActionState's row order, a block at a time, so that no caller holds
+    them all: each of the two code blocks (the q**n monic codes of the sets
+    avoiding infinity, the q**(n-1) of those through it) is cut by its
+    leading digits into parts of q**k codes, q**k <= _ROW_BLOCK (one code
+    a part when _ROW_BLOCK < q), and each part the squarefree mask keeps
+    any code of is one block, filled by _fill_rows."""
+    q = ctx.q
+    for lead in (0, 1):
+        d = n - lead
+        mask = squarefree_mask(ctx, d)
+        k = 0
+        while k < d and q ** (k + 1) <= _ROW_BLOCK:
+            k += 1
+        size = q**k
+        for top in range(q ** (d - k)):
+            part = mask[top * size : (top + 1) * size]
+            count = int(np.count_nonzero(part))
+            if count:
+                v = np.zeros((count, n + 1), np.int16, order="F")
+                _fill_rows(v, q, part, lead, [top // q**i % q for i in range(d - k)])
+                yield v
 
 
 def fixed_forms(ctx: ff.FieldCtx, n: int, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -713,6 +768,7 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
     their closed forms from one multiplier.epsilon_closed_forms call; a
     mismatch names the first failing pair in element order, then row order.
     """
+    _refuse_empty("eps", ("len(qs)", len(qs)), ("len(ns_list)", len(ns_list)))
     checks = 0
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
@@ -735,7 +791,13 @@ def verify_epsilon(qs=(3, 5), ns_list=(6, 8)) -> dict:
 
 def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
     """n-set totals of the four ambient varieties and per-subtype fixed
-    counts, all against the closed counting polynomials."""
+    counts, all against the closed counting polynomials.
+
+    The ambient totals read every n-set once, a block of rows at a time
+    from _form_blocks, and keep only sums: the row count and, per ambient
+    element, the rows holding none of its fixed points; no ActionState is
+    built.  The fixed counts read the shared "subtypes" fixed forms."""
+    _refuse_empty("counts", ("len(qs)", len(qs)), ("nmax", nmax))
     checks = 0
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
@@ -748,10 +810,11 @@ def verify_counts(qs=(3, 5, 7), nmax=8) -> dict:
             # the line, then the affine line, the torus and the line minus
             # a conjugate quadratic pair, each off the fixed locus of an
             # element of the kind: the quotient check at m = 1
-            st = ActionState(ctx, n)
-            _check(st.count == a_p1(n, q), "counts: the line", q, n, st.count)
-            off = np.count_nonzero(ns.fixed_point_counts(ctx, ambient_codes, st.V) == 0, 1)
-            del st  # freed before the next n builds its rows
+            count, off = 0, np.zeros(len(ambient), np.int64)
+            for forms in _form_blocks(ctx, n):
+                count += len(forms)
+                off += np.count_nonzero(ns.fixed_point_counts(ctx, ambient_codes, forms) == 0, 1)
+            _check(count == a_p1(n, q), "counts: the line", q, n, count)
             for (kind, name), got in zip(ambient, off.tolist()):
                 _check(got == free_count(q, kind, n), f"counts: {name}", q, n, got)
             checks += 4
@@ -790,6 +853,7 @@ def _fixed_tallies(ctx: ff.FieldCtx, n: int, stack: str, size: int) -> tuple[lis
 
 def verify_norm(qs=(3, 5, 7, 9, 11, 13)) -> dict:
     """Norm criterion for every nonzero element of each quadratic extension."""
+    _refuse_empty("norm", ("len(qs)", len(qs)))
     checks = 0
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
@@ -803,6 +867,7 @@ def verify_norm(qs=(3, 5, 7, 9, 11, 13)) -> dict:
 def verify_orbit_lemma(qs=(3, 5, 7)) -> dict:
     """Local multiplier product over each nondegenerate orbit equals the
     m-th power of the eigenvalue, for every point and every subtype."""
+    _refuse_empty("orbit_lemma", ("len(qs)", len(qs)))
     checks = 0
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
@@ -1063,6 +1128,9 @@ def verify_quotient(qs=(3, 5), nmax=8, strata_nmax=4) -> dict:
     representatives, and read the shared fixed_forms of every
     representative per (q, N); no ActionState is built.
     """
+    # every subtype has order m >= 2, so the first pass checks n <= nmax // 2 at most
+    _refuse_empty("quot", ("len(qs)", len(qs)),
+                  ("max(nmax // 2, strata_nmax)", max(nmax // 2, strata_nmax)))
     checks = 0
     for q in qs:
         ctx = ff.make_field(*factor_prime_power(q))
@@ -1156,6 +1224,7 @@ def verify_points(qs=(3, 5), g: int = 2) -> dict:
     F_q (smooth_point_counts), and self-duality of every orbit root from
     one stabilizer and sign batch (_selfdual_forms).
     """
+    _refuse_empty("points", ("len(qs)", len(qs)))
     checks = 0
     n = 2 * g + 2
     for q in qs:

@@ -236,6 +236,32 @@ def test_characteristic_checks_survive_python_O():
         assert "ValueError: q = 9 is not a power of an odd characteristic p = 5" in res.stderr
 
 
+def test_empty_suite_refusal_survives_python_O():
+    # a suite left nothing to check raises ValueError with asserts compiled out
+    res = _run_optimized("-c", "from hypcensus import oracle\n"
+                               "oracle.verify_suite('counts', qs=(3,), nmax=0)")
+    assert res.returncode == 1, res.stdout
+    assert "ValueError: suite counts: nmax = 0 leaves nothing to check" in res.stderr
+
+
+def test_counts_cli_streams_its_rows():
+    # the F_7 counts suite in a child that prints its own peak RSS when done:
+    # the rows are read a block at a time, where a full state per n took
+    # the run to 203 MB
+    script = ("import resource, sys\n"
+              "from hypcensus.cli import main\n"
+              "code = main(['verify', '--suite', 'counts', '--q', '7'])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux\n"
+              "sys.exit(code)")
+    src = os.path.normpath(os.path.join(TESTS, os.pardir, "src"))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert res.returncode == 0, res.stderr
+    out, peak = res.stdout.splitlines()
+    assert out == "suite counts: 95 checks ok"
+    assert int(peak) / 1024 < 120, int(peak) / 1024
+
+
 def test_suite_checks_survive_python_O():
     # a wrong closed form must fail the eps suite even with asserts compiled
     # out, over F_3 and over F_9; F_9 needs n = 6, since every sign of a

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -116,6 +117,47 @@ def test_rows_match_enumeration(p, e, n):
     assert np.array_equal(st.V, v)
     assert st._row_of.dtype == np.int32 and np.array_equal(st._row_of, row_of)
     assert st.n0 == int(np.count_nonzero(v[:, 0])) and st.count == len(v)
+
+
+# (p, e, largest n) of the fields the streamed rows are held against
+BLOCK_FIELDS = [(3, 1, 8), (5, 1, 6), (7, 1, 5), (3, 2, 4), (5, 2, 3), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("bound", ["one", "q", "own"])
+def test_form_blocks_are_the_state_rows(monkeypatch, bound):
+    # concatenated, the blocks are V, n = 1's lone row through infinity
+    # included, whether a block holds one code, one run of q codes (the
+    # leading digits constant) or _ROW_BLOCK's own run; each block's codes
+    # lie in one code block and span at most _ROW_BLOCK codes
+    for p, e, nmax in BLOCK_FIELDS:
+        ctx = ff.make_field(p, e)
+        if bound != "own":
+            monkeypatch.setattr(oc, "_ROW_BLOCK", 1 if bound == "one" else ctx.q)
+        for n in range(1, nmax + 1):
+            blocks = list(oc._form_blocks(ctx, n))
+            assert np.array_equal(np.concatenate(blocks), oc.ActionState(ctx, n).V), (p, e, n)
+            for v in blocks:
+                codes = oc.form_codes(ctx.q, v)
+                assert v.dtype == np.int16 and len(v) and (v[:, 0] == v[0, 0]).all()
+                assert codes[-1] - codes[0] < oc._ROW_BLOCK, (p, e, n, codes[[0, -1]])
+
+
+def test_counts_holds_one_block_of_rows():
+    # with the F_5 sieve masks warm, the counts suite to n = 8 allocates
+    # less at its peak than one full (5, 8) state holds in V and its row
+    # table: it streams the rows a block at a time
+    ctx, n = ff.make_field(5, 1), 8
+    for d in range(n + 1):
+        oc.squarefree_mask(ctx, d)
+    state = census.a_p1(n, 5) * (n + 1) * 2 + (5**n + 5 ** (n - 1)) * 4  # 8,625,000 bytes
+    tracemalloc.start()
+    try:
+        checks = oc.verify_counts(qs=(5,), nmax=n)["checks"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checks == 92
+    assert peak < state, (peak, state)
 
 
 @pytest.mark.parametrize("p,e,n", [(3, 1, 4), (3, 2, 2)])
@@ -994,6 +1036,25 @@ def test_verify_suite_rejects_unknown_name():
         oc.verify_suite("nope")
 
 
+@pytest.mark.parametrize("suite,kwargs", [
+    ("counts", dict(qs=())),
+    ("counts", dict(qs=(3,), nmax=0)),
+    ("counts", dict(qs=(3,), nmax=-1)),
+    ("eps", dict(qs=(3,), ns_list=())),
+    ("eps", dict(qs=())),
+    ("quot", dict(qs=())),
+    ("quot", dict(qs=(3,), nmax=0, strata_nmax=0)),
+    ("quot", dict(qs=(3,), nmax=1, strata_nmax=0)),
+    ("points", dict(qs=())),
+    ("norm", dict(qs=())),
+    ("orbit_lemma", dict(qs=())),
+])
+def test_a_suite_with_nothing_to_check_is_refused(suite, kwargs):
+    # 0 checks would read as a pass
+    with pytest.raises(ValueError, match=f"suite {suite}: .* leaves nothing to check"):
+        oc.verify_suite(suite, **kwargs)
+
+
 def _one_group_verdicts(ctx, members, signs):
     """The batched homomorphism check of one stabilizer and the per-set
     reference: each one's pair count, or its failure message."""
@@ -1178,8 +1239,9 @@ REDUCED_CHECKS = {"cocycle": 162717, "eps": 3984, "counts": 164, "quot": 66, "po
                   "norm": 448, "orbit_lemma": 232}
 
 
-# the (q, n) of the ActionStates each suite builds at those arguments
-REDUCED_BUILDS = {"counts": [(q, n) for q in (3, 5) for n in range(1, 9)], "points": [(3, 6)]}
+# the (q, n) of the ActionStates each suite builds at those arguments:
+# only points, which labels every row; counts streams its rows
+REDUCED_BUILDS = {"points": [(3, 6)]}
 
 
 def _recording_states(monkeypatch):
@@ -1215,11 +1277,10 @@ def test_shared_state_is_read_only():
 @pytest.mark.parametrize("order", [list(REDUCED_SUITES), list(REDUCED_SUITES)[::-1]],
                          ids=["forward", "reversed"])
 def test_suites_share_states_in_any_order(monkeypatch, order):
-    # cold, then warm: the pinned counts; eps, quot, cocycle, norm and
-    # orbit_lemma build no ActionState, counts and points build each of their
-    # (q, n) once a sweep, and no state outlives its suite; what the suites
-    # share, the fixed forms, is computed once and read as it was by the
-    # warm sweep
+    # cold, then warm: the pinned counts; no suite but points builds an
+    # ActionState, points builds its (q, n) once a sweep, and no state
+    # outlives its suite; what the suites share, the fixed forms, is
+    # computed once and read as it was by the warm sweep
     built, alive = _recording_states(monkeypatch)
     memo = []
     fixed_forms = oc.fixed_forms
