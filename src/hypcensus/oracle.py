@@ -1,8 +1,8 @@
 """Exhaustive verification engine for the census formulas.
 
-Every rational n-set is a canonical binary-form coefficient row; a 2x2
-matrix acts on all rows at once, a column of exact int codes at a time
-(ActionState._image_col, one field.dot over the columns of V).  The two
+Every rational n-set is a canonical binary-form coefficient row, held as
+its code split into two halves of digits; a 2x2 matrix acts on all rows
+at once by table lookups on those halves (ActionState.dest_flip).  The two
 counts read different primitives.  The orbit census labels the graph of
 the three generators' row permutations (dest_flip), over two row sets
 and never all rows: P, the n-sets with no rational point (rootless_mask
@@ -12,12 +12,19 @@ through 0 and infinity.  PGL2 keeps the number of rational points, and
 by the Bruhat decomposition PGL2 = B u BwB (B the stabilizer of infinity,
 w = x -> 1/x) every orbit with a rational point meets R in one class of
 those edges, so the counts of P and R add up (orbit_census).  Each row
-set is an ActionState built from the block masks it is given.  Two of
-the generators, x + 1 and x -> zeta x, fix infinity, so their kappa is
-one constant per block of rows (avoiding infinity, through it): dest_flip
-folds 1/kappa into the substitution rows once per block and reads the
-row codes straight off the image columns; only x -> 1/x divides by kappa
-row by row.
+set is an ActionState built from the block masks it is given, which
+holds each row's code as two int32 halves, the upper and the lower digits,
+and fills no form rows.  The image of a row is the field sum of the
+images of its two halves, so dest_flip looks the halves' images up, as
+in the Method of Four Russians: per matrix and block, one field.dot gives
+the image columns of every value of each half, scaled by 1/kappa and
+packed one base-p digit a bit field into an int64 table entry, so that
+one integer sum of two entries adds the images digit by digit, and a few
+chunk tables decode it to the image's code.  Two of the generators,
+x + 1 and x -> zeta x, fix infinity, so their kappa is one constant per
+block of rows (avoiding infinity, through it) and the tables have one
+row; x -> 1/x reads kappa row by row off the unscaled halves, and its
+tables have a row per kappa.
 Burnside reads the n-sets that one representative of each of the q + 2
 conjugacy classes of PGL2 (moebius.conjugacy_classes) fixes off the
 eigenspaces of its substitution matrix, and weights them by class size;
@@ -25,7 +32,8 @@ the identity fixes every row.  fixed_forms finds those eigenspaces for a
 whole stack of nonidentity matrices with one field.kernels call and
 returns their normalized vectors as forms, squarefree where the sieve
 mask keeps their code, so it needs no ActionState; Burnside reads
-dest_flip only to cross-check the generators' fixed forms against V.
+dest_flip only to cross-check the rows of the generators' fixed forms
+against the rows each generator fixes, and neither engine fills V.
 Nothing reuses the closed formulas: agreement with census.hyp /
 census.sd is the independent evidence.
 
@@ -63,7 +71,8 @@ free_count.  The counts suite's ambient totals read every n-set, but a
 block of rows at a time (_form_blocks, at most _ROW_BLOCK monic codes a
 block, filled by the same _fill_rows as ActionState's V), and keep only
 sums.
-Only points (for its orbit labels) builds an ActionState, one per (q, n),
+Only points (for its orbit labels, and its point counts, which read V)
+builds an ActionState, one per (q, n),
 and frees it when it is done with it; so do orbit_census and
 burnside_hyp.  No state outlives its call: after the seven suites at
 small arguments (the benchmark's verify pass) only the masks and the
@@ -87,6 +96,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,21 +207,24 @@ def rootless_mask(ctx: ff.FieldCtx, d: int) -> np.ndarray:
 
     For every a in F_q and every choice of the upper digits, exactly one
     constant digit makes f(a) = 0: minus a times the Horner value of the
-    upper digits at a.  Horner runs top digit first, one field.dot a digit,
-    over the arrays [a, upper digits seen so far], so the marks cost about
-    2 q**d entries in all.  Checked against inclusion-exclusion over the
-    sets of k roots: sum_k (-1)**k C(q, k) q**(d - k).  Cached like
-    squarefree_mask.
+    upper digits at a.  One root a at a time, Horner runs top digit first,
+    one field.dot a digit, over the upper digits seen so far (int32 codes),
+    and one scatter marks the q**(d - 1) codes with that root, so the
+    temporaries stay at a few q**(d - 1) entries.  Checked against
+    inclusion-exclusion over the sets of k roots:
+    sum_k (-1)**k C(q, k) q**(d - k).  Cached like squarefree_mask.
     """
     q = ctx.q
-    a = np.arange(q, dtype=np.intp)[:, None, None]
-    h = np.ones((q, 1), np.intp)  # [a, upper code]: the leading 1
-    for _ in range(d - 1):  # h <- digit + a h, the new digit least significant
-        h = ff.dot(ctx, ((1, np.arange(q)), (a, h[:, :, None]))).reshape(q, -1)
     seen = np.zeros(q**d, dtype=bool)
     if d:
-        minus_a = ff.dot(ctx, ((ctx.p - 1, a[:, :, 0]),))
-        seen[ff.dot(ctx, ((minus_a, h),)) + q * np.arange(q ** (d - 1))] = True
+        itype = np.int32 if q**d < 2**31 else np.int64
+        upper = np.arange(0, q**d, q, dtype=itype)  # the codes with constant digit 0
+        digit = np.arange(q, dtype=itype)
+        for a in range(q):
+            h = np.ones(1, itype)  # the upper code's value at a: the leading 1
+            for _ in range(d - 1):  # h <- digit + a h, the new digit least significant
+                h = ff.dot(ctx, ((1, digit), (a, h[:, None]))).ravel()
+            seen[ff.dot(ctx, ((ff.neg(ctx, a), h),)) + upper] = True
     mask = ~seen
     want = sum((-1) ** k * math.comb(q, k) * q ** (d - k) for k in range(min(q, d) + 1))
     _check(int(mask.sum()) == want, "rootless count", q, d)
@@ -243,6 +256,94 @@ def _fill_rows(v: np.ndarray, q: int, mask: np.ndarray, lead: int, high=()) -> N
         v[:, n - j] = digit
 
 
+class _Packing(NamedTuple):
+    """n-coefficient codes as int64 integers that add digit by digit: the
+    e base-p digits of each coefficient, each in its own field of
+    b = bit_length(2p - 2) bits, so that the sum of two packed codes holds
+    the sum of each pair of digits, unreduced and with no carry."""
+
+    PACK: np.ndarray  # int64 [x] = the digits of code x in fields 0 .. e - 1
+    width: int  # e b, the bits of one packed coefficient
+    chunks: tuple[tuple[int, np.ndarray], ...]  # (shift, table) per run of whole fields
+
+    def pack(self, codes) -> np.ndarray:
+        """The packed int64 of each code vector, codes (..., m) of
+        coefficients, the most significant first (form column order)."""
+        codes = np.asarray(codes)
+        shift = self.width * np.arange(codes.shape[-1] - 1, -1, -1, dtype=np.int64)
+        return (self.PACK[codes] << shift).sum(-1)
+
+    def unpack(self, s: np.ndarray) -> np.ndarray:
+        """The code (each digit reduced mod p) of each packed sum s: one
+        chunk table gather a run of at most 16 bits of s, summed."""
+        code = self.chunks[0][1].take(s & (len(self.chunks[0][1]) - 1))
+        for shift, table in self.chunks[1:]:
+            code += table.take((s >> shift) & (len(table) - 1))
+        return code
+
+
+@functools.lru_cache(maxsize=32)
+def _packing(ctx: ff.FieldCtx, n: int) -> _Packing:
+    """The packing of n-coefficient codes over ctx (_Packing).  A packed
+    width above 63 bits, n e b, is refused with ValueError before any table
+    is built.  The chunk tables split the n e fields into runs of equal
+    length, at most 16 bits each, and map every value of a run to the sum
+    of its digits, each reduced mod p, at their places p**f in the code."""
+    p, e, q = ctx.p, ctx.e, ctx.q
+    b = (2 * p - 2).bit_length()
+    fields = n * e
+    if fields * b > 63:
+        raise ValueError(f"q = {q}, n = {n}: the packed codes take {fields * b} bits, "
+                         f"more than the 63 of an int64")
+    place = p ** np.arange(e)
+    pack = ((np.arange(q)[:, None] // place % p) << (b * np.arange(e))).sum(1).astype(np.int64)
+    runs = -(-fields // (16 // b))
+    per = -(-fields // runs)  # fields a run
+    reduced = np.arange(2**b, dtype=np.int64) % p  # of each value of a field
+    chunks = []
+    for first in range(0, fields, per):
+        table = np.zeros(1, np.int64)
+        for f in range(first, min(first + per, fields)):  # field f above the ones before it
+            table = (reduced[:, None] * p**f + table).ravel()
+        table = table.astype(np.int32 if q**n <= 2**31 else np.int64)
+        table.flags.writeable = False
+        chunks.append((first * b, table))
+    pack.flags.writeable = False
+    return _Packing(pack, e * b, tuple(chunks))
+
+
+@functools.lru_cache(maxsize=32)
+def _split_forms(q: int, n: int, lead: int) -> np.ndarray:
+    """The form columns (intp, read-only, (n+1, q**(d - h) + q**h)) of the
+    two halves of the codes of one lead block (d = n - lead digits, split
+    at digit h = d // 2): first every value of the upper digits, with the
+    form's 1 at column lead, then every value of the lower digits."""
+    d = n - lead
+    h = d // 2
+    size_hi = q ** (d - h)
+    x = np.zeros((n + 1, size_hi + q**h), np.intp)
+    x[lead, :size_hi] = 1
+    for j in range(d):  # the x^j coefficient is column n - j
+        if j < h:
+            x[n - j, size_hi:] = _digits(q, h, j, np.intp)
+        else:
+            x[n - j, :size_hi] = _digits(q, d - h, j - h, np.intp)
+    x.flags.writeable = False
+    return x
+
+
+def _split_images(ctx: ff.FieldCtx, t: np.ndarray, lead: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image columns sum_k t[i, k] F[k] of the two halves of the codes
+    of one lead block (_split_forms): upper, (n+1, q**(d - h)), and lower,
+    (n+1, q**h).  A row's image column is the field sum of its halves'.
+    One field.dot over the form columns of both halves."""
+    n = len(t) - 1
+    x = _split_forms(ctx.q, n, lead)
+    img = ff.dot(ctx, ((t[:, k, None], x[k]) for k in range(lead, n + 1)))
+    size_hi = ctx.q ** (n - lead - (n - lead) // 2)
+    return img[:, :size_hi], img[:, size_hi:]
+
+
 class ActionState:
     """Every rational n-set over ctx as a canonical form row, with the
     vectorized matrix action.
@@ -252,11 +353,15 @@ class ActionState:
     block in increasing code, the integer whose base-q digits are the
     non-leading coefficients of f (constant coefficient least
     significant).  The tests hold it against a plain enumeration of the
-    monic squarefree f.  V[r, i] is the X^(n-i) Z^i coefficient of row r;
-    V is stored column-major, since the action reads it a column at a time.
+    monic squarefree f.
 
-    V is filled a code block at a time by _fill_rows, the fill that
-    _form_blocks streams the same rows with.
+    A row is held as its code, split at digit h = d // 2 of the d = n -
+    lead digits of its block into int32 hi (the upper digits) and lo (the
+    lower h), the halves dest_flip looks up.  V[r, i], the X^(n-i) Z^i
+    coefficient of row r, is built only on first read (by _fill_rows, the
+    fill that _form_blocks streams the same rows with), column-major,
+    since apply reads it a column at a time; only verify_points, apply
+    (through _image_col) and the tests read it.
 
     masks, the codes each block keeps (over the q**n and q**(n-1) monic
     codes), defaults to the two squarefree masks, every n-set; the orbit
@@ -276,7 +381,7 @@ class ActionState:
             masks = squarefree_mask(ctx, n), squarefree_mask(ctx, n - 1)
         n0 = int(np.count_nonzero(masks[0]))
         count = n0 + int(np.count_nonzero(masks[1]))
-        v = np.zeros((count, n + 1), np.int16, order="F")
+        hi, lo = np.empty(count, np.int32), np.empty(count, np.int32)
         # row of each canonical code (the sets through infinity at q**n +
         # code), over the code blocks the masks keep: from code_lo on
         code_lo = 0 if n0 else q**n
@@ -286,14 +391,34 @@ class ActionState:
         for lead, (mask, (rows, codes)) in enumerate(zip(masks, blocks)):
             if rows.start == rows.stop:  # a block the masks leave empty costs nothing
                 continue
-            _fill_rows(v[rows], q, mask, lead)
-            row_of[codes][mask] = np.arange(rows.start, rows.stop, dtype=np.int32)
-        v.flags.writeable = row_of.flags.writeable = False
+            kept = np.flatnonzero(mask)
+            row_of[codes][kept] = np.arange(rows.start, rows.stop, dtype=np.int32)
+            split = q ** ((n - lead) // 2)  # the values of the lower digits
+            np.floor_divide(kept, split, out=hi[rows], casting="unsafe")
+            np.subtract(kept, hi[rows].astype(np.intp) * split, out=lo[rows], casting="unsafe")
+        hi.flags.writeable = lo.flags.writeable = row_of.flags.writeable = False
         self.n0 = n0
         self.count = count
-        self.V = v
+        self.hi, self.lo = hi, lo
         self._row_of = row_of
         self._code_lo = code_lo
+
+    def _blocks(self) -> tuple[slice, slice]:
+        """The rows of the sets avoiding infinity, and of those through it."""
+        return slice(0, self.n0), slice(self.n0, self.count)
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """The form rows (int16, n+1 columns, column-major, read-only),
+        filled a block at a time from the codes the row table keeps."""
+        q, n = self.ctx.q, self.n
+        v = np.zeros((self.count, n + 1), np.int16, order="F")
+        for lead, rows in enumerate(self._blocks()):
+            if rows.start < rows.stop:
+                start = lead * q**n - self._code_lo
+                _fill_rows(v[rows], q, self._row_of[start : start + q ** (n - lead)] >= 0, lead)
+        v.flags.writeable = False
+        return v
 
     def _image_col(self, rows, trow) -> np.ndarray:
         """Image coefficient sum_k trow[k] V[rows, k] of the given rows (a
@@ -316,9 +441,9 @@ class ActionState:
         """The row of each canonical code (form_codes), -1 where the masks
         keep none, also outside the code blocks the table spans."""
         i = np.asarray(codes) - self._code_lo
-        inside = (i >= 0) & (i < len(self._row_of))
-        if inside.all():
+        if not i.size or (0 <= i.min() and i.max() < len(self._row_of)):
             return self._row_of[i]
+        inside = (i >= 0) & (i < len(self._row_of))
         rows = np.full(i.shape, -1, np.int32)
         rows[inside] = self._row_of[i[inside]]
         return rows
@@ -342,49 +467,60 @@ class ActionState:
     def dest_flip(self, mat: GlMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Row permutation of the action (int32) and the twist-flip mask.
 
-        kappa is image column 0, or 1 through infinity; the code of the
-        image over kappa is accumulated a column at a time (Horner in q).
-        The flip is chi(multiplier) = -1, for even n the class of kappa.
+        The image of a row is the field sum of the images of its code's two
+        halves (_split_images), so per block and matrix the halves' image
+        columns 1 .. n, scaled by 1 / kappa, are packed (_packing) into
+        tables PH[kappa, hi] and PL[kappa, lo]: PH + PL adds the two
+        images digit by digit, and unpack reduces the sum to the code of
+        the image over kappa, read by rows_of, at most _DEST_BLOCK rows at a
+        time.  kappa is image column 0, or column 1 through infinity; the
+        flip is chi(multiplier) = -1, for even n the class of kappa.
 
         An element with c = 0 fixes infinity and T is lower triangular, so
         kappa is the constant T[0][0] on the rows avoiding infinity and
-        T[1][1] on the rows through it: 1 / kappa is folded into the rows
-        of T once per block, whose image columns are then the code digits.
+        T[1][1] on the rows through it: the tables have the one row of that
+        kappa.  Otherwise kappa comes row by row from the unscaled halves
+        of columns 0 and 1 through the ADD table, and the tables have a row
+        for each kappa (row 0, kappa = 0, is never read).
         """
         q, n = self.ctx.q, self.n
         if n % 2:
             raise ValueError(f"twist transport is defined for even n, got {n}")
         if q**n + q ** (n - 1) > 2**31:
             raise ValueError(f"q = {q}, n = {n} overflows the int32 row codes")
-        ctx, t = self.ctx, ns.substitution_matrix(self.ctx, mat, n)
-        if mat.c:
-            col0, col1 = (self._image_col(slice(None), trow) for trow in t[:2])
-            kap = np.where(col0 != 0, col0, col1)
-            _check(kap.all(), "the image of an n-set must be an n-set", mat)
-            mul = self.tabs.MUL.ravel()
-            row = self.tabs.INV[kap].astype(np.int32) * q  # MUL row of 1 / kappa
-            code = mul[row + col1].astype(np.int32)  # 1 on the images through infinity
-            for trow in t[2:]:
-                code *= q
-                code += mul[row + self._image_col(slice(None), trow)]
-            # codes through infinity drop that 1 and start at q**n
-            np.add(code, q**n - q ** (n - 1), out=code, where=col0 == 0)
-            flip = self.tabs.CHI[kap] == -1
-        else:
-            code, flip = np.empty(self.count, np.int32), np.empty(self.count, bool)
-            for lead, rows in enumerate((slice(0, self.n0), slice(self.n0, self.count))):
-                kap = t[lead][lead]
+        pk = _packing(self.ctx, n)
+        t = np.array(ns.substitution_matrix(self.ctx, mat, n))
+        add, mul, chi = self.tabs.ADD.ravel(), self.tabs.MUL, self.tabs.CHI
+        through = q**n - q ** (n - 1)  # added to the codes of the images through infinity
+        dest, flip = np.empty(self.count, np.int32), np.empty(self.count, bool)
+        for lead, rows in enumerate(self._blocks()):
+            if rows.start == rows.stop:
+                continue
+            upper, lower = _split_images(self.ctx, t, lead)
+            if mat.c:
+                over = self.tabs.INV  # 1 / kappa, per kappa
+                kap_halves = [(upper[i].astype(np.int32) * q, lower[i]) for i in (0, 1)]
+            else:
+                kap = int(t[lead, lead])
                 _check(kap, "the image of an n-set must be an n-set", mat)
-                over = self.tabs.MUL[ff.inv(ctx, kap)]  # the MUL row of 1 / kappa
-                scaled = over[np.array(t[lead + 1 :])].tolist()
-                part = code[rows]
-                part[:] = self._image_col(rows, scaled[0])
-                for trow in scaled[1:]:
-                    part *= q
-                    part += self._image_col(rows, trow)
-                part += lead * q**n  # the rows through infinity from q**n on
-                flip[rows] = self.tabs.CHI[kap] == -1
-        dest = self.rows_of(code)
+                over = self.tabs.INV[kap : kap + 1]
+                flip[rows] = chi[kap] == -1
+            ph, pl = (pk.pack(mul[over[:, None, None], half[1:].T]) for half in (upper, lower))
+            for start in range(rows.start, rows.stop, _DEST_BLOCK):
+                part = slice(start, min(start + _DEST_BLOCK, rows.stop))
+                hi, lo = self.hi[part], self.lo[part]
+                if mat.c:
+                    col0, col1 = (add.take(up.take(hi) + low.take(lo)) for up, low in kap_halves)
+                    kap = np.where(col0 != 0, col0, col1)
+                    _check(kap.all(), "the image of an n-set must be an n-set", mat)
+                    code = pk.unpack(ph.take(np.multiply(kap, ph.shape[1], dtype=np.int32) + hi)
+                                     + pl.take(np.multiply(kap, pl.shape[1], dtype=np.int32) + lo))
+                    np.add(code, through, out=code, where=col0 == 0)
+                    flip[part] = chi[kap] == -1
+                else:
+                    code = pk.unpack(ph.take(hi) + pl.take(lo))
+                    code += lead * through
+                dest[part] = self.rows_of(code)
         _check((dest >= 0).all(), "the image of an n-set must be a canonical row", mat)
         return dest, flip
 
@@ -400,6 +536,7 @@ def form_codes(q: int, forms) -> np.ndarray:
 
 
 _ROW_BLOCK = 2**17  # monic codes a block of _form_blocks, to bound its rows
+_DEST_BLOCK = 2**16  # rows a block of dest_flip's lookups, to bound its temporaries
 _KERNEL_BLOCK = 2**16  # kernel vectors a chunk of fixed_forms, to bound its temporaries
 
 
@@ -568,8 +705,8 @@ def burnside_hyp(g: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     for i, mat in enumerate(gens):  # the fixed rows are the stable ones, flipped where chi(kappa) = -1
         mine = elem == i
         dest, flip = st.dest_flip(mat)
-        stable = dest == np.arange(st.count)
-        _check(np.array_equal(st.V[stable], forms[mine]), "fixed rows", mat)
+        stable = np.flatnonzero(dest == np.arange(st.count))
+        _check(np.array_equal(st.rows_of(form_codes(q, forms[mine])), stable), "fixed rows", mat)
         _check(np.array_equal(flip[stable], chi[kappa[mine]] < 0), "flip", mat)
     fixed = np.bincount(elem[chi[kappa] == 1], minlength=len(mats))
     total = sum(size * 2 * (st.count if key == identity else int(fixed[index[key]]))

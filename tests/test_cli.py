@@ -244,6 +244,14 @@ def test_empty_suite_refusal_survives_python_O():
     assert "ValueError: suite counts: nmax = 0 leaves nothing to check" in res.stderr
 
 
+def test_packed_width_refusal_survives_python_O():
+    # a packing wider than an int64 raises ValueError with asserts compiled out
+    res = _run_optimized("-c", "from hypcensus import field, oracle\n"
+                               "oracle._packing(field.make_field(3, 1), 22)")
+    assert res.returncode == 1, res.stdout
+    assert "ValueError: q = 3, n = 22: the packed codes take 66 bits" in res.stderr
+
+
 def test_counts_cli_streams_its_rows():
     # the F_7 counts suite in a child that prints its own peak RSS when done:
     # the rows are read a block at a time, where a full state per n took

@@ -361,6 +361,65 @@ def test_column_dest_flip_matches_full_image_beyond_int16_sums():
         _assert_dest_flip_matches_reference(st, mat)
 
 
+def test_dest_flip_blocks_match_full_image(monkeypatch):
+    # rows go through the lookups _DEST_BLOCK at a time: a block size that
+    # cuts both row blocks off their ends gives the same permutations, for
+    # the generators and seeded random GL2 matrices
+    monkeypatch.setattr(oc, "_DEST_BLOCK", 97)
+    rng = random.Random(97)
+    for p, e, n in ((3, 1, 6), (5, 1, 4), (3, 2, 4)):
+        st = oc.ActionState(ff.make_field(p, e), n)
+        mats = list(oc._generators(st.ctx))
+        while len(mats) < 3 + 4:
+            mat = mb.GlMatrix(*(rng.randrange(st.ctx.q) for _ in range(4)))
+            if mb.mat_det(st.ctx, mat):
+                mats.append(mat)
+        for mat in mats:
+            _assert_dest_flip_matches_reference(st, mat)
+
+
+# (p, e) of the fields the packed codes are held against, each at its
+# largest n with q**n + q**(n - 1) <= 2**31
+PACKING_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (3, 3), (131, 1), (3, 5)]
+
+
+@pytest.mark.parametrize("p,e", PACKING_FIELDS)
+def test_packed_sums_decode_to_digitwise_field_sums(p, e):
+    # the decode of packed(x) + packed(y) is the code of x + y, coefficient
+    # by coefficient in F_q, for seeded code vectors x and y; the first
+    # pair has every digit p - 1 in both, the largest field sums
+    ctx = ff.make_field(p, e)
+    q = ctx.q
+    n = max(n for n in range(1, 40) if q**n + q ** (n - 1) <= 2**31)
+    pk = oc._packing(ctx, n)
+    rng = np.random.default_rng(q)
+    x, y = rng.integers(0, q, (2, 3000, n))
+    x[0] = y[0] = q - 1
+    got = pk.unpack(pk.pack(x) + pk.pack(y))
+    want = ff.tables(ctx).ADD[x, y].astype(np.int64) @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    assert np.array_equal(got, want), (q, n)
+    assert all(len(table) <= 2**16 for _, table in pk.chunks), (q, n)
+
+
+def test_packed_width_past_int64_is_refused():
+    # F_3 at n = 19 packs into 57 bits; n = 22 would need 66
+    assert oc._packing(ff.make_field(3, 1), 19).width * 19 == 57
+    with pytest.raises(ValueError, match="q = 3, n = 22: the packed codes take 66 bits"):
+        oc._packing(ff.make_field(3, 1), 22)
+
+
+def test_census_fills_no_form_rows(monkeypatch):
+    # neither engine reads V: with the row fill refused, both still count
+    def refuse(*args):
+        raise AssertionError("_fill_rows called")
+
+    monkeypatch.setattr(oc, "_fill_rows", refuse)
+    res = oc.orbit_census(2, 5)
+    assert (res.hyp, res.sd, res.nset_classes) == (census.hyp(2, 5), census.sd(2, 5),
+                                                   census.y_nset_classes(2, 5))
+    assert oc.burnside_hyp(2, 5) == census.hyp(2, 5)
+
+
 @pytest.mark.slow
 def test_extension_gathers_match_full_image_on_f27():
     # the generators and 64 seeded random GL2 matrices over F_27, each
